@@ -18,6 +18,7 @@ from .analysis import (
     fit_scaling_exponent,
     gaussian_widths,
     increment_sets,
+    increments_at,
     mean_phase_change,
     pool_stats,
     tau_threshold,

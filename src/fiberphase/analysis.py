@@ -12,7 +12,8 @@ per-kilometre diffusion coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "fit_fringe",
     "extract_phase",
     "default_lag_grid",
+    "increments_at",
     "increment_sets",
     "pool_stats",
     "mean_phase_change",
@@ -67,32 +69,48 @@ class FringeFit:
             raise FitError(f"fitted visibility out of range: {self.visibility}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PhaseStats:
-    """Increment statistics of a phase trace over a grid of lags.
+    """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
-    Built by :func:`increment_sets`; the derived fields are filled in by
-    the estimator functions below and start out empty.
+    Per lag: the count `n_increments`, the mean absolute increment
+    `mean_abs_change` (dphi), the sample standard deviation `sigma_per_tau`
+    (ddof=1; NaN below two increments), and the signed mean and sum of
+    squared deviations `m2` that :func:`pool_stats` merges.  Arrays are
+    read-only copies.  Give either per-lag `increments` (any iterable of
+    arrays, reduced here and not stored) or the curve `mean_abs_change` and
+    `sigma_per_tau`; a curve read from a file has no signed moments and
+    cannot be pooled.
     """
 
     taus: np.ndarray
-    increments: list[np.ndarray]
     n_increments: np.ndarray
     dt: float
     mean_abs_change: np.ndarray | None = None
-    sigma_per_tau: np.ndarray = field(default=None)  # type: ignore[assignment]
-    histogram: tuple[np.ndarray, np.ndarray] | None = None
-    histogram_tau: float | None = None
-    scaling_exponent: float | None = None
-    scaling_fit_range: tuple[float, float] | None = None
+    sigma_per_tau: np.ndarray | None = None
+    signed_mean: np.ndarray | None = None
+    m2: np.ndarray | None = None
+    increments: InitVar[Iterable[np.ndarray] | None] = None
 
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=float)
-        self.n_increments = np.asarray(self.n_increments, dtype=int)
+    def __post_init__(self, increments):
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dt"}
+        if increments is not None:
+            n, dphi, mean, m2 = np.array([_moments(x) for x in increments]).reshape(-1, 4).T
+            if not np.array_equal(self.n_increments, n):
+                raise DomainError("n_increments does not match the increment arrays")
+            values.update(mean_abs_change=dphi, sigma_per_tau=_sample_sigma(n, m2),
+                          signed_mean=mean, m2=m2)
+        elif self.mean_abs_change is None or self.sigma_per_tau is None:
+            raise DomainError("give increments=, or mean_abs_change= and sigma_per_tau=")
+        for name, value in values.items():
+            if value is not None:
+                value = np.array(value, dtype=int if name == "n_increments" else float)
+                if value.shape != np.shape(self.taus):
+                    raise DomainError(f"{name} must hold one value per lag")
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
         if np.any(np.diff(self.taus) <= 0):
             raise DomainError("lags must be strictly increasing")
-        if self.sigma_per_tau is None:
-            self.sigma_per_tau = np.full(self.taus.size, np.nan)
 
     def lag_index(self, tau: float) -> int:
         """Index of the stored lag matching `tau` (within half a sample)."""
@@ -100,6 +118,30 @@ class PhaseStats:
         if abs(self.taus[idx] - tau) > 0.5 * self.dt:
             raise DomainError(f"no stored lag near tau={tau:g} s")
         return idx
+
+
+del PhaseStats.increments  # the InitVar's class default; instances hold no increments
+
+
+def _moments(increments) -> tuple[int, float, float, float]:
+    # (n, mean |x|, mean x, sum of squared deviations), reduced exactly as
+    # np.mean(np.abs(x)) and np.std(x, ddof=1) do, so the curve is
+    # bit-identical to them; two-pass m2 does not cancel under drift.
+    x = np.asarray(increments, dtype=float)
+    n = x.size
+    if n == 0:
+        raise DomainError("every lag needs at least one increment")
+    mean = np.add.reduce(x) / n
+    dev = x - mean
+    return n, np.add.reduce(np.abs(x)) / n, mean, np.add.reduce(np.square(dev, out=dev))
+
+
+def _sample_sigma(n: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """sqrt(m2 / (n - 1)) per lag; NaN where n < 2."""
+    sigma = np.full(n.shape, np.nan)
+    ok = n >= 2
+    sigma[ok] = np.sqrt(m2[ok] / (n[ok] - 1))
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -149,30 +191,6 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     )
 
 
-def _unfold_principal(theta: np.ndarray) -> np.ndarray:
-    """Continue arccos principal values into an unwrapped phase.
-
-    Successive samples are assumed to move by less than pi; each step
-    picks, among the phases consistent with the observed cosine
-    (+-theta + 2*pi*m), the one nearest the previous sample.  On the
-    principal branch this makes the phase change opposite in sign to the
-    intensity change; ties at branch points (theta = 0 or pi) keep the
-    current orientation.
-    """
-    values = theta.tolist()
-    out = np.empty_like(theta)
-    prev = values[0]
-    out[0] = prev
-    two_pi = 2.0 * math.pi
-    for k in range(1, len(values)):
-        th = values[k]
-        cand_a = two_pi * round((prev - th) / two_pi) + th
-        cand_b = two_pi * round((prev + th) / two_pi) - th
-        prev = cand_a if abs(cand_a - prev) <= abs(cand_b - prev) else cand_b
-        out[k] = prev
-    return out
-
-
 def extract_phase(
     trace: IntensityTrace, band: tuple[float, float] = DEFAULT_BAND
 ) -> PhaseTrace:
@@ -182,12 +200,12 @@ def extract_phase(
     clamped to [0, 1]; maximal contiguous runs with u inside `band`
     become the valid segments (runs of a single sample are dropped; they
     carry no increment information).  Within each segment the phase is
-    arccos(2u - 1) continued by the nearest-branch rule of
-    :func:`_unfold_principal`.  Samples outside all segments are NaN.
+    arccos(2u - 1); the band must exclude the extrema u = 0 and 1, where
+    the phase folds.  Samples outside all segments are NaN.
     """
     lo, hi = band
-    if not (0 <= lo < hi <= 1):
-        raise DomainError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    if not (0 < lo < hi < 1):
+        raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
     u = (trace.samples - trace.i_min) / (trace.i_max - trace.i_min)
     u = np.clip(u, 0.0, 1.0)
     in_band = (u >= lo) & (u <= hi)
@@ -199,8 +217,7 @@ def extract_phase(
     for start, stop in zip(edges[::2], edges[1::2]):
         if stop - start < 2:
             continue
-        theta = np.arccos(2.0 * u[start:stop] - 1.0)
-        samples[start:stop] = _unfold_principal(theta)
+        samples[start:stop] = np.arccos(2.0 * u[start:stop] - 1.0)
         segments.append((int(start), int(stop)))
     if not segments:
         raise EmptySegmentsError(
@@ -223,108 +240,112 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     return ks * dt
 
 
-def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
-    """Collect signed phase increments phi(t + tau) - phi(t) per lag.
+def _lag_steps(tau: float, dt: float) -> int:
+    k = int(round(tau / dt))
+    if k < 1 or abs(tau - k * dt) > 1e-6 * dt:
+        raise DomainError(f"lag {tau:g} s is not a positive multiple of dt = {dt:g} s")
+    return k
+
+
+def _segment_ids(phase: PhaseTrace) -> np.ndarray:
+    """Segment index of every sample; -1 outside all segments."""
+    bounds = [0, *(i for segment in phase.segments for i in segment), phase.n_samples]
+    ids = np.full(len(bounds) - 1, -1)
+    ids[1::2] = np.arange(len(phase.segments))
+    return np.repeat(ids, np.diff(bounds))
+
+
+def _valid_increments(samples: np.ndarray, seg: np.ndarray, k: int) -> np.ndarray:
+    # A pair (i, i + k) is valid when both samples lie in the same segment.
+    valid = (seg[k:] == seg[:-k]) & (seg[:-k] >= 0)
+    return (samples[k:] - samples[:-k])[valid]
+
+
+def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
+    """Signed increments phi(t + tau) - phi(t) at one lag, in time order.
 
     All overlapping pairs are used; pairs spanning a segment boundary are
-    discarded (the phase is unobservable through omitted extrema).  Lags
-    with no valid pair on any segment are dropped from the result.
+    discarded (the phase is unobservable through omitted extrema).  `tau`
+    must be a positive multiple of the sample interval.
+    """
+    return _valid_increments(phase.samples, _segment_ids(phase), _lag_steps(tau, phase.dt))
+
+
+def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
+    """The dphi(tau) curve of a phase trace over a grid of lags.
+
+    The increments of :func:`increments_at` are made and reduced one lag at
+    a time, so memory is O(samples) whatever the number of lags.  Lags
+    with no valid pair are dropped.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise DomainError("at least one lag is required")
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing")
-    dt = phase.dt
-    kept_taus = []
-    incs = []
-    counts = []
-    for tau in taus:
-        if tau <= 0:
-            raise DomainError(f"lags must be positive, got {tau}")
-        k = int(round(tau / dt))
-        if k < 1 or abs(tau - k * dt) > 1e-6 * dt:
-            raise DomainError(
-                f"lag {tau:g} s is not a multiple of the sample interval {dt:g} s"
-            )
-        parts = [
-            phase.samples[a + k:b] - phase.samples[a:b - k]
-            for a, b in phase.segments
-            if b - a > k
-        ]
-        if not parts:
-            continue
-        values = np.concatenate(parts)
-        kept_taus.append(k * dt)
-        incs.append(values)
-        counts.append(values.size)
-    if not kept_taus:
+    steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
+    lengths = np.array([b - a for a, b in phase.segments])
+    counts = np.array([np.maximum(lengths - k, 0).sum() for k in steps])
+    steps, counts = steps[counts > 0], counts[counts > 0]
+    if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    return PhaseStats(
-        taus=np.array(kept_taus),
-        increments=incs,
-        n_increments=np.array(counts),
-        dt=dt,
-    )
+    seg = _segment_ids(phase)
+    increments = (_valid_increments(phase.samples, seg, k) for k in steps)
+    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
 
 
 def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
-    """Merge increment sets from repeated measurements of one process.
+    """Merge the curves of repeated measurements of one process.
 
-    All inputs must share the same sample interval; increments are pooled
-    lag-by-lag over the union of the stored lag grids.
+    Inputs share one sample interval and carry signed moments (a curve read
+    from a file does not).  Lags are merged over the union of the grids by
+    the pairwise update of Chan, Golub & LeVeque (1979): the result is the
+    curve of the concatenated increments up to rounding.
     """
     if not stats_list:
         raise DomainError("nothing to pool")
     dt = stats_list[0].dt
     if any(s.dt != dt for s in stats_list):
         raise DomainError("pooled statistics must share the same sample interval")
-    buckets: dict[int, list[np.ndarray]] = {}
-    for s in stats_list:
-        for tau, inc in zip(s.taus, s.increments):
-            buckets.setdefault(int(round(tau / dt)), []).append(inc)
-    ks = sorted(buckets)
-    incs = [np.concatenate(buckets[k]) for k in ks]
-    return PhaseStats(
-        taus=np.array([k * dt for k in ks]),
-        increments=incs,
-        n_increments=np.array([v.size for v in incs]),
-        dt=dt,
-    )
+    if any(s.m2 is None for s in stats_list):
+        raise DomainError("cannot pool a curve without signed moments (read from a file?)")
+    steps = [np.rint(s.taus / dt).astype(int) for s in stats_list]
+    ks = np.unique(np.concatenate(steps))
+    n, dphi, mean, m2 = np.zeros((4, ks.size))
+    for s, k in zip(stats_list, steps):
+        i = np.searchsorted(ks, k)
+        total = n[i] + s.n_increments
+        weight = s.n_increments / total
+        delta = s.signed_mean - mean[i]
+        dphi[i] += (s.mean_abs_change - dphi[i]) * weight
+        mean[i] += delta * weight
+        m2[i] += s.m2 + delta * delta * n[i] * weight
+        n[i] = total
+    return PhaseStats(taus=ks * dt, n_increments=n, dt=dt, mean_abs_change=dphi,
+                      sigma_per_tau=_sample_sigma(n, m2), signed_mean=mean, m2=m2)
 
 
 def mean_phase_change(stats: PhaseStats) -> np.ndarray:
     """Mean absolute phase change dphi(tau) per stored lag."""
-    curve = np.array([np.mean(np.abs(inc)) for inc in stats.increments])
-    stats.mean_abs_change = curve
-    return curve
+    return stats.mean_abs_change
 
 
 def gaussian_widths(stats: PhaseStats) -> np.ndarray:
-    """Sample standard deviation of the increments at every stored lag.
-
-    Lags with fewer than two increments stay NaN.  This is the same
-    primary estimator as :func:`fit_gaussian`, without the histogram.
-    """
-    for i, inc in enumerate(stats.increments):
-        if inc.size >= 2:
-            stats.sigma_per_tau[i] = float(np.std(inc, ddof=1))
+    """Sample standard deviation of the increments at every stored lag (NaN
+    below two increments): the primary estimator of :func:`fit_gaussian`."""
     return stats.sigma_per_tau
 
 
-def fit_gaussian(stats: PhaseStats, tau: float) -> GaussianHistogram:
-    """Gaussian width of the increment distribution at one lag.
+def fit_gaussian(increments) -> GaussianHistogram:
+    """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``.
 
-    The primary sigma is the (bias-free, bin-free) sample standard
-    deviation; a ceil(sqrt(n))-bin histogram with a least-squares
-    gaussian is attached for reporting.  Needs >= 100 increments.
+    The primary sigma is the (bias-free, bin-free) sample standard deviation;
+    a ceil(sqrt(n))-bin histogram with a least-squares gaussian is attached
+    for reporting.  Needs >= 100 increments.
     """
-    idx = stats.lag_index(tau)
-    inc = stats.increments[idx]
+    inc = np.asarray(increments, dtype=float)
     if inc.size < 100:
-        raise InsufficientDataError(
-            f"need >= 100 increments at tau={tau:g} s, have {inc.size}"
-        )
+        raise InsufficientDataError(f"need >= 100 increments, have {inc.size}")
     sigma = float(np.std(inc, ddof=1))
     n_bins = math.ceil(math.sqrt(inc.size))
     degenerate = sigma == 0.0
@@ -339,9 +360,6 @@ def fit_gaussian(stats: PhaseStats, tau: float) -> GaussianHistogram:
         counts, edges = np.histogram(inc, bins=n_bins)
         centers = 0.5 * (edges[:-1] + edges[1:])
         amp, mu, fit_sig = _lsq_gaussian(centers, counts, sigma)
-    stats.sigma_per_tau[idx] = sigma
-    stats.histogram = (edges, counts)
-    stats.histogram_tau = float(stats.taus[idx])
     return GaussianHistogram(
         sigma=sigma,
         bin_edges=edges,
@@ -371,20 +389,14 @@ def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:
     """Relative deviation from the gaussian identity dphi = sqrt(2/pi)*sigma.
 
     Returns |dphi - sqrt(2/pi)*sigma| / (sqrt(2/pi)*sigma) at the lag
-    nearest `tau`; NaN (undefined) when sigma is zero.
+    nearest `tau`; NaN (undefined) when sigma is zero or unknown.
     """
     idx = stats.lag_index(tau)
-    inc = stats.increments[idx]
     sigma = stats.sigma_per_tau[idx]
-    if np.isnan(sigma):
-        sigma = float(np.std(inc, ddof=1))
-    dphi = stats.mean_abs_change[idx] if stats.mean_abs_change is not None else float(
-        np.mean(np.abs(inc))
-    )
     if sigma == 0.0:
         return math.nan
     expected = MEAN_ABS_FACTOR * sigma
-    return abs(dphi - expected) / expected
+    return float(abs(stats.mean_abs_change[idx] - expected) / expected)
 
 
 def tau_threshold(stats: PhaseStats, target: float) -> float:
@@ -398,8 +410,6 @@ def tau_threshold(stats: PhaseStats, target: float) -> float:
     if not (target > 0):
         raise DomainError(f"target must be > 0, got {target}")
     curve = stats.mean_abs_change
-    if curve is None:
-        curve = mean_phase_change(stats)
     above = np.flatnonzero(curve >= target)
     if above.size == 0:
         raise ThresholdNotReachedError(target, float(curve.max()))
@@ -417,8 +427,6 @@ def fit_scaling_exponent(stats: PhaseStats, tau_range: tuple[float, float]) -> f
     if not (0 < lo < hi):
         raise DomainError(f"need 0 < tau_min < tau_max, got ({lo}, {hi})")
     curve = stats.mean_abs_change
-    if curve is None:
-        curve = mean_phase_change(stats)
     mask = (stats.taus >= lo) & (stats.taus <= hi)
     if mask.sum() < 3:
         raise DomainError(
@@ -427,8 +435,6 @@ def fit_scaling_exponent(stats: PhaseStats, tau_range: tuple[float, float]) -> f
     if np.any(curve[mask] <= 0):
         raise DomainError("dphi must be positive over the fit range")
     slope, _ = np.polyfit(np.log(stats.taus[mask]), np.log(curve[mask]), 1)
-    stats.scaling_exponent = float(slope)
-    stats.scaling_fit_range = (float(lo), float(hi))
     return float(slope)
 
 

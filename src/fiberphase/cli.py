@@ -324,9 +324,9 @@ def parse_cli(argv=None) -> RunConfig:
     elif command == ("analyze", "fringe"):
         inputs["scan"] = args.infile
     elif command == ("analyze", "phase"):
-        if not (0 <= args.band_lo < args.band_hi <= 1):
+        if not (0 < args.band_lo < args.band_hi < 1):
             raise DomainError(
-                f"--band-lo/--band-hi must satisfy 0 <= lo < hi <= 1, "
+                f"--band-lo/--band-hi must satisfy 0 < lo < hi < 1, "
                 f"got {args.band_lo} and {args.band_hi}"
             )
         params.update({"band_lo": args.band_lo, "band_hi": args.band_hi})
@@ -545,15 +545,14 @@ def _run_analyze_dphi(config, report, out):
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )
     stats = analysis.increment_sets(trace, taus)
-    analysis.mean_phase_change(stats)
-    analysis.gaussian_widths(stats)
     blocks = {}
     hist_tau = config.params.get("histogram_tau_s")
     if hist_tau is not None:
-        hist = analysis.fit_gaussian(stats, hist_tau)
+        hist_tau = float(stats.taus[stats.lag_index(hist_tau)])
+        hist = analysis.fit_gaussian(analysis.increments_at(trace, hist_tau))
         fileio.write_histogram(out["histogram"], hist)
         blocks["histogram"] = {
-            "tau_s": stats.histogram_tau,
+            "tau_s": hist_tau,
             "sigma_rad": hist.sigma,
             "fit_sigma_rad": hist.fit_sigma,
             "n_bins": int(hist.counts.size),

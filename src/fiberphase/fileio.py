@@ -2,7 +2,7 @@
 
 All floats are written in their shortest round-trip decimal form, so
 read(write(x)) == x holds bit-exactly.  Writes are whole-file atomic
-(write to a temp file in the same directory, then rename).
+(write to a uniquely named temp file in the same directory, then rename).
 """
 
 from __future__ import annotations
@@ -50,10 +50,16 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # A fresh name, created exclusively, so that no other file is touched.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def sha256_of_file(path: str) -> str:
@@ -205,9 +211,7 @@ def read_fringe_scan(path: str) -> FringeScan:
 # dphi(tau) curve CSV
 
 def write_dphi_curve(path: str, stats: PhaseStats) -> None:
-    """Persist the mean-phase-change curve (not the raw increments)."""
-    if stats.mean_abs_change is None:
-        raise DomainError("compute mean_phase_change before writing a curve")
+    """Persist the mean-phase-change curve with its widths and counts."""
     lines = [
         _DPHI_MAGIC,
         f"# dt: {_fmt(stats.dt)}",
@@ -221,23 +225,20 @@ def write_dphi_curve(path: str, stats: PhaseStats) -> None:
 
 
 def read_dphi_curve(path: str) -> PhaseStats:
-    """Read a curve file back as PhaseStats (increment sets are empty)."""
+    """Read a curve file back as PhaseStats (without signed moments)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     meta, start = _parse_header(lines, _DPHI_MAGIC, path)
     rows = _parse_rows(lines, start, 4, "tau_s,dphi_rad,sigma_rad,n_increments", path)
     if not rows:
         raise TraceParseError(f"{path}: empty curve", line=start + 1)
-    taus = np.array([r[0] for r in rows])
-    stats = PhaseStats(
-        taus=taus,
-        increments=[np.empty(0) for _ in rows],
+    return PhaseStats(
+        taus=np.array([r[0] for r in rows]),
         n_increments=np.array([int(r[3]) for r in rows]),
         dt=_meta_float(meta, "dt", path),
+        mean_abs_change=np.array([r[1] for r in rows]),
         sigma_per_tau=np.array([r[2] for r in rows]),
     )
-    stats.mean_abs_change = np.array([r[1] for r in rows])
-    return stats
 
 
 def write_histogram(path: str, hist: GaussianHistogram) -> None:
@@ -268,15 +269,6 @@ class ReportDocument:
 
     def add_input(self, path: str) -> None:
         self.inputs.append({"path": str(path), "sha256": sha256_of_file(path)})
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": "v1",
-            "tool": {"name": self.tool_name, "version": self.tool_version},
-            "config": self.config,
-            "inputs": self.inputs,
-            "results": self.results,
-        }
 
 
 def _normalize(obj, round12: bool):

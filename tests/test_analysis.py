@@ -1,6 +1,9 @@
 """Tests for the fringe-fit / phase-extraction / increment-statistics pipeline."""
 
+import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from fiberphase import (
     fit_fringe,
     fit_gaussian,
     fit_scaling_exponent,
+    gaussian_widths,
     increment_sets,
+    increments_at,
     mean_phase_change,
     pool_stats,
     simulate_fringe_scan,
@@ -42,13 +47,17 @@ def synthetic_scan(visibility, n_points=50, i0=1.0, noise=0.0, phase_offset=0.0)
     return FringeScan(applied_phase=phi, pulse_area=area, detector_noise=noise, i0=i0)
 
 
+def gaussian_increments(sigma, n, seed):
+    """n gaussian increments of width sigma."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return sigma * rng.standard_normal(n)
+
+
 def gaussian_stats(sigma, n, seed, tau=1e-4):
     """PhaseStats holding n gaussian increments at a single lag."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    inc = sigma * rng.standard_normal(n)
     return PhaseStats(
         taus=np.array([tau]),
-        increments=[inc],
+        increments=[gaussian_increments(sigma, n, seed)],
         n_increments=np.array([n]),
         dt=tau,
     )
@@ -138,6 +147,10 @@ class TestExtractPhase:
         )
         with pytest.raises(DomainError):
             extract_phase(trace, band=(0.8, 0.2))
+        # the extrema u = 0 and 1 fold the phase, so the band must exclude them
+        for band in ((0.0, 0.8), (0.2, 1.0)):
+            with pytest.raises(DomainError):
+                extract_phase(trace, band=band)
 
     def test_round_trip_against_ground_truth(self):
         # simulate -> extract; recovered phase equals the true phase up to
@@ -169,22 +182,23 @@ class TestIncrementSets:
     def test_constant_phase(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.full(50, 0.7))
         stats = increment_sets(trace, [1e-6, 5e-6])
-        for inc in stats.increments:
-            assert np.all(inc == 0.0)
+        for tau in stats.taus:
+            assert np.all(increments_at(trace, tau) == 0.0)
 
     def test_linear_drift(self):
         rate = 250.0
         t = 1e-6 * np.arange(100)
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=rate * t)
         stats = increment_sets(trace, [2e-6, 10e-6])
-        for tau, inc in zip(stats.taus, stats.increments):
-            np.testing.assert_allclose(inc, rate * tau, rtol=1e-9)
+        for tau in stats.taus:
+            np.testing.assert_allclose(increments_at(trace, tau), rate * tau, rtol=1e-9)
 
     def test_monte_carlo_std_matches_generator(self):
         proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=0.5))
         trace = proc.sample_trace(2**14 * 2e-6, 2e-6, seed=17)
         stats = increment_sets(trace, [2e-6, 8e-6])
-        for tau, inc in zip(stats.taus, stats.increments):
+        for tau in stats.taus:
+            inc = increments_at(trace, tau)
             assert inc.size >= 10**4
             rms = math.sqrt(np.mean(inc**2))
             assert rms == pytest.approx(proc.sigma_at(tau), rel=0.03)
@@ -193,6 +207,8 @@ class TestIncrementSets:
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(10))
         with pytest.raises(DomainError):
             increment_sets(trace, [1.5e-6])
+        with pytest.raises(DomainError):
+            increments_at(trace, 1.5e-6)
 
     def test_lags_must_increase(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(10))
@@ -228,6 +244,121 @@ class TestIncrementSets:
             pool_stats([a, b])
 
 
+def reference_increments(phase, tau):
+    """Per-segment concatenation of the increments at one lag: the oracle."""
+    k = int(round(tau / phase.dt))
+    parts = [phase.samples[a + k:b] - phase.samples[a:b - k]
+             for a, b in phase.segments if b - a > k]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def extracted_night_trace(seed, duration=20e-3):
+    proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
+    return extract_phase(simulate_mz_trace(proc, duration, 1e-6, phi0=math.pi / 2, seed=seed))
+
+
+class TestStreamingReduction:
+    """The per-lag summaries against the stored-increment reduction."""
+
+    def assert_curve_is_reference(self, phase, taus):
+        stats = increment_sets(phase, taus)
+        refs = [reference_increments(phase, tau) for tau in taus]
+        kept = [(tau, ref) for tau, ref in zip(taus, refs) if ref.size]
+        assert np.array_equal(stats.taus, [round(tau / phase.dt) * phase.dt for tau, _ in kept])
+        assert np.array_equal(stats.n_increments, [ref.size for _, ref in kept])
+        assert np.array_equal(mean_phase_change(stats), [np.mean(np.abs(r)) for _, r in kept])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # np.std of one increment
+            want_sigma = [np.std(ref, ddof=1) for _, ref in kept]
+        assert np.array_equal(gaussian_widths(stats), want_sigma, equal_nan=True)
+        for tau, ref in kept:
+            assert np.array_equal(increments_at(phase, tau), ref)
+
+    def test_multi_segment_extracted_trace_bit_identical(self):
+        phase = extracted_night_trace(seed=4)
+        assert len(phase.segments) > 5
+        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 600e-6))
+
+    def test_drifting_trace_bit_identical(self):
+        # 2000 rad/s drift: the increment mean dwarfs the spread, where a raw
+        # sum of squares would cancel; adjacent segments must not be bridged.
+        proc = build_process(
+            NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, drift_rate=2000.0)
+        )
+        truth = proc.sample_trace(20e-3, 1e-6, seed=8)
+        phase = PhaseTrace(
+            t0=0.0, dt=1e-6, samples=truth.samples,
+            segments=((0, 3000), (3100, 9000), (9000, 9600), (9600, 20001)),
+        )
+        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 700e-6))
+
+    def test_pool_matches_concatenated_reference(self):
+        # traces of different lengths: the longest lags exist in some only
+        phases = [extracted_night_trace(seed=s, duration=d)
+                  for s, d in zip(range(6), (2e-3, 3e-3, 20e-3, 5e-3, 1e-3, 8e-3))]
+        taus = default_lag_grid(1e-6, 600e-6)
+        pooled = pool_stats([increment_sets(p, taus) for p in phases])
+        refs = [np.concatenate([reference_increments(p, tau) for p in phases]) for tau in taus]
+        kept = [(tau, ref) for tau, ref in zip(taus, refs) if ref.size]
+        assert np.array_equal(pooled.taus, [round(tau / 1e-6) * 1e-6 for tau, _ in kept])
+        assert np.array_equal(pooled.n_increments, [ref.size for _, ref in kept])
+        # float64 reductions in a different order: agreement to rounding
+        np.testing.assert_allclose(
+            pooled.mean_abs_change, [np.mean(np.abs(r)) for _, r in kept], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            pooled.sigma_per_tau, [np.std(r, ddof=1) for _, r in kept], rtol=1e-12
+        )
+
+    def test_pool_of_one_is_identity(self):
+        stats = increment_sets(extracted_night_trace(seed=2), default_lag_grid(1e-6, 100e-6))
+        pooled = pool_stats([stats])
+        for name in ("taus", "n_increments", "mean_abs_change", "sigma_per_tau"):
+            assert np.array_equal(getattr(pooled, name), getattr(stats, name))
+
+    def test_single_pair_lag_has_nan_sigma_without_warning(self):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.array([0.0, 0.1, 0.3, 0.2, 0.5, 0.4]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = increment_sets(trace, [1e-6, 5e-6])
+            pooled = pool_stats([stats])
+        assert stats.n_increments.tolist() == [5, 1]
+        assert math.isnan(stats.sigma_per_tau[1]) and math.isnan(pooled.sigma_per_tau[1])
+        assert stats.mean_abs_change[1] == pytest.approx(0.4)
+
+    def test_stats_are_immutable(self):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.arange(20.0))
+        stats = increment_sets(trace, [1e-6, 2e-6, 3e-6])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.mean_abs_change = None
+        with pytest.raises(ValueError):
+            stats.sigma_per_tau[0] = 1.0
+        curve = mean_phase_change(stats).copy()
+        tau_threshold(stats, 2.5)
+        fit_scaling_exponent(stats, (1e-6, 3e-6))
+        check_gaussian_relation(stats, 2e-6)
+        assert np.array_equal(stats.mean_abs_change, curve)
+        assert not hasattr(stats, "increments")
+
+    def test_counts_must_match_increments(self):
+        with pytest.raises(DomainError):
+            PhaseStats(taus=[1e-6], increments=[np.zeros(3)], n_increments=[4], dt=1e-6)
+
+    def test_peak_memory_does_not_grow_with_lags(self):
+        # Keeping every increment would take 8 bytes per sample per lag
+        # (~580 B/sample here); one lag at a time needs a few O(n) arrays.
+        phase = extracted_night_trace(seed=1, duration=0.2)
+        taus = default_lag_grid(1e-6, 600e-6)
+        assert taus.size > 50
+        tracemalloc.start()
+        try:
+            increment_sets(phase, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * phase.n_samples
+
+
 class TestMeanPhaseChange:
     def test_zero_increments(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(50))
@@ -259,41 +390,37 @@ class TestMeanPhaseChange:
 
 class TestFitGaussian:
     def test_known_distribution(self):
-        stats = gaussian_stats(0.2, 10_000, seed=51)
-        hist = fit_gaussian(stats, 1e-4)
+        hist = fit_gaussian(gaussian_increments(0.2, 10_000, seed=51))
         assert hist.sigma == pytest.approx(0.2, rel=0.02)
         assert not hist.degenerate
         assert hist.counts.sum() == 10_000
         assert hist.counts.size == math.ceil(math.sqrt(10_000))
 
     def test_fit_sigma_agrees_on_gaussian_data(self):
-        stats = gaussian_stats(0.2, 10_000, seed=52)
-        hist = fit_gaussian(stats, 1e-4)
+        hist = fit_gaussian(gaussian_increments(0.2, 10_000, seed=52))
         assert hist.fit_sigma == pytest.approx(hist.sigma, rel=0.1)
 
     def test_degenerate_flagged(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(200))
-        stats = increment_sets(trace, [1e-6])
-        hist = fit_gaussian(stats, 1e-6)
+        hist = fit_gaussian(increments_at(trace, 1e-6))
         assert hist.sigma == 0.0
         assert hist.degenerate
 
     def test_insufficient_increments(self):
-        stats = gaussian_stats(0.2, 50, seed=53)
         with pytest.raises(InsufficientDataError):
-            fit_gaussian(stats, 1e-4)
+            fit_gaussian(gaussian_increments(0.2, 50, seed=53))
 
     def test_night_pipeline_sigma(self):
         # 36.5 km night calibration recovered through the full MZ pipeline
         proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
-        pooled = pool_stats([
-            increment_sets(
+        pooled = np.concatenate([
+            increments_at(
                 extract_phase(simulate_mz_trace(proc, 2e-3, 2e-6, phi0=math.pi / 2, seed=s)),
-                [182e-6],
+                182e-6,
             )
             for s in range(150)
         ])
-        hist = fit_gaussian(pooled, 182e-6)
+        hist = fit_gaussian(pooled)
         assert hist.sigma == pytest.approx(0.142, rel=0.05)
 
 
@@ -317,7 +444,6 @@ class TestGaussianRelation:
             dt=1e-4,
         )
         mean_phase_change(stats)
-        stats.sigma_per_tau[0] = float(np.std(inc, ddof=1))
         assert check_gaussian_relation(stats, 1e-4) == pytest.approx(
             0.2533141373155001, rel=0.01
         )
@@ -460,6 +586,5 @@ class TestPipelineOracle:
     def test_sigma_estimator_converges(self):
         # error scales like 1/sqrt(n): bounded by 4/sqrt(2n) at both sizes
         for n in (10**3, 10**4):
-            stats = gaussian_stats(0.2, n, seed=81)
-            hist = fit_gaussian(stats, 1e-4)
+            hist = fit_gaussian(gaussian_increments(0.2, n, seed=81))
             assert abs(hist.sigma - 0.2) / 0.2 < 4.0 / math.sqrt(2 * n)

@@ -82,6 +82,28 @@ class TestValidationExitCodes:
         assert code == 1
         assert "--fidelity" in capsys.readouterr().err
 
+    def test_band_must_exclude_extrema(self, capsys, tmp_path):
+        for lo, hi in ((0, 0.8), (0.2, 1)):
+            code = main(
+                f"analyze phase --in {tmp_path/'mz.csv'} --band-lo {lo} --band-hi {hi} "
+                f"--out {tmp_path/'p.csv'}".split()
+            )
+            assert code == 1
+            assert "--band-lo/--band-hi" in capsys.readouterr().err
+
+    def test_histogram_lag_off_grid(self, capsys, tmp_path):
+        phase = tmp_path / "phase.csv"
+        assert main(
+            f"simulate noise --sigma-ref 0.2 --tau-ref-us 100 --duration-ms 4 "
+            f"--dt-us 2 --seed 3 --out {phase}".split()
+        ) == 0
+        code = main(
+            f"analyze dphi --in {phase} --tau-max-us 100 --histogram-tau-us 21 "
+            f"--histogram-out {tmp_path/'h.csv'} --out {tmp_path/'c.csv'}".split()
+        )
+        assert code == 1
+        assert "no stored lag near" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(f"analyze fringe --in {tmp_path/'missing.csv'}".split())
         assert code == 1

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from fiberphase import (
     FringeScan,
     IntensityTrace,
+    DomainError,
     NoiseParams,
-    PhaseStats,
     PhaseTrace,
     ReportDocument,
     TraceParseError,
@@ -21,6 +21,7 @@ from fiberphase import (
     gaussian_widths,
     increment_sets,
     mean_phase_change,
+    pool_stats,
     read_dphi_curve,
     read_fringe_scan,
     read_trace,
@@ -171,25 +172,35 @@ class TestDphiCurveRoundTrip:
         assert np.array_equal(back.sigma_per_tau, stats.sigma_per_tau, equal_nan=True)
         assert np.array_equal(back.n_increments, stats.n_increments)
 
-    def test_requires_curve(self, tmp_path):
-        stats = self.make_stats()
-        stats.mean_abs_change = None
-        with pytest.raises(Exception):
-            write_dphi_curve(str(tmp_path / "c.csv"), stats)
+    def test_curve_from_file_cannot_be_pooled(self, tmp_path):
+        # the file keeps dphi, sigma and counts but not the signed moments
+        path = str(tmp_path / "curve.csv")
+        write_dphi_curve(path, self.make_stats())
+        with pytest.raises(DomainError):
+            pool_stats([read_dphi_curve(path)])
+
+
+class TestAtomicWrite:
+    def test_unrelated_tmp_file_survives(self, tmp_path):
+        bystander = tmp_path / "out.csv.tmp"
+        bystander.write_text("keep me", encoding="utf-8")
+        write_trace(str(tmp_path / "out.csv"), PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3)))
+        assert bystander.read_text(encoding="utf-8") == "keep me"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_trace(str(target), PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3)))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestHistogramExport:
     def test_two_columns(self, tmp_path):
         path = str(tmp_path / "hist.csv")
         rng = np.random.Generator(np.random.Philox(key=6))
-        inc = 0.2 * rng.standard_normal(400)
-        stats = PhaseStats(
-            taus=np.array([1e-4]),
-            increments=[inc],
-            n_increments=np.array([400]),
-            dt=1e-4,
-        )
-        hist = fit_gaussian(stats, 1e-4)
+        hist = fit_gaussian(0.2 * rng.standard_normal(400))
         write_histogram(path, hist)
         lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[0] == "# fiberphase-histogram v1"
