@@ -247,14 +247,6 @@ def _lag_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _segment_ids(phase: PhaseTrace) -> np.ndarray:
-    """Segment index of every sample; -1 outside all segments."""
-    bounds = [0, *(i for segment in phase.segments for i in segment), phase.n_samples]
-    ids = np.full(len(bounds) - 1, -1)
-    ids[1::2] = np.arange(len(phase.segments))
-    return np.repeat(ids, np.diff(bounds))
-
-
 def _valid_increments(samples: np.ndarray, seg: np.ndarray, k: int) -> np.ndarray:
     # A pair (i, i + k) is valid when both samples lie in the same segment.
     valid = (seg[k:] == seg[:-k]) & (seg[:-k] >= 0)
@@ -268,7 +260,7 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     discarded (the phase is unobservable through omitted extrema).  `tau`
     must be a positive multiple of the sample interval.
     """
-    return _valid_increments(phase.samples, _segment_ids(phase), _lag_steps(tau, phase.dt))
+    return _valid_increments(phase.samples, phase.segment_ids(), _lag_steps(tau, phase.dt))
 
 
 def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
@@ -289,7 +281,7 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    seg = _segment_ids(phase)
+    seg = phase.segment_ids()
     increments = (_valid_increments(phase.samples, seg, k) for k in steps)
     return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
 

@@ -11,7 +11,10 @@ Subcommands::
     analyze  fringe|phase|dphi|tau-threshold|exponent|diffusion
     repeater budget|fidelity
 
-Set FIBERPHASE_OUT_DIR to redirect relative output paths.
+Exit codes: 0 on success; 1 on an invalid value or file, with the flag or
+file named; 2 on a usage error.  Non-finite values are rejected, and paired
+flags (--histogram-tau-us/--histogram-out, --diffusion/--link-km) must be
+given together.  Set FIBERPHASE_OUT_DIR to redirect relative output paths.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import dataclasses
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, repeater
 from .errors import DomainError, FiberPhaseError
 from .fileio import ReportDocument
-from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace, build_process
+from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import preset_params
 
 DEFAULT_SEED = 12345
@@ -64,18 +68,6 @@ class RunConfig:
         )
 
 
-def _positive(flag: str, value: float) -> float:
-    if value is None or not (value > 0):
-        raise DomainError(f"{flag} must be positive, got {value}")
-    return value
-
-
-def _non_negative(flag: str, value: float) -> float:
-    if value is None or value < 0:
-        raise DomainError(f"{flag} must be >= 0, got {value}")
-    return value
-
-
 def _resolve_out(path: str) -> str:
     base = os.environ.get("FIBERPHASE_OUT_DIR")
     if base and not os.path.isabs(path):
@@ -84,31 +76,128 @@ def _resolve_out(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# flag table: each flag is declared once, with the RunConfig entry it fills,
+# the factor that takes it to SI units and the check it must pass
 
-def _add_process_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("noise process")
-    g.add_argument("--sigma-ref", type=float, help="phase std-dev at the reference lag (rad)")
-    g.add_argument("--tau-ref-us", type=float, help="reference lag (us)")
-    g.add_argument("--hurst", type=float, default=0.5, help="scaling exponent in (0,1)")
-    g.add_argument("--drift-rate", type=float, default=0.0, help="linear phase drift (rad/s)")
-    g.add_argument("--length-km", type=float, help="fiber length the calibration refers to (km)")
-    g.add_argument("--group-index", type=float, default=DEFAULT_GROUP_INDEX)
-    preset = g.add_mutually_exclusive_group()
-    preset.add_argument("--day", action="store_true",
-                        help="daytime urban-fiber calibration preset")
-    preset.add_argument("--night", action="store_true",
-                        help="nighttime urban-fiber calibration preset")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_VISIBILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--duration-ms", type=float, required=True, help="trace duration (ms)")
-    p.add_argument("--dt-us", type=float, required=True, help="sample interval (us)")
+def _at_least(n: int) -> tuple:
+    return (lambda v: v >= n, f"must be >= {n}")
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"random seed (default {DEFAULT_SEED})")
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """One command-line flag.
+
+    `key` is a params key, ``process.<key>`` (the noise-process block),
+    ``inputs.<role>``, ``outputs.<role>`` or ``seed``.  `type` is float, int,
+    str, bool (a switch) or list (comma-separated floats).  `check` is a
+    (predicate, wording) pair on the value as given; `scale` then takes it to
+    SI.  `needs` names the flag without which this one has no effect.
+    """
+
+    name: str
+    key: str
+    type: type = float
+    scale: float | None = None
+    check: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    needs: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return "infile" if self.name == "--in" else self.name[2:].replace("-", "_")
+
+    def read(self, args):
+        """The parsed value; an empty optional string (--report '') counts as absent."""
+        value = getattr(args, self.dest)
+        return None if value == "" and not self.required else value
+
+    def convert(self, value):
+        """Parsed value -> RunConfig value; DomainError naming the flag if invalid."""
+        if value is None or self.type in (str, bool):
+            return value
+        if self.type is list:
+            try:
+                items = [float(x) for x in value.split(",") if x.strip()]
+            except ValueError:
+                raise DomainError(f"{self.name} must be comma-separated numbers, got {value!r}")
+            return [self._checked(x) for x in items]
+        return self._checked(value)
+
+    def _checked(self, value):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{self.name} must be finite, got {value}")
+        if self.check is not None and not self.check[0](value):
+            raise DomainError(f"{self.name} {self.check[1]}, got {value}")
+        return value * self.scale if self.scale is not None else value
+
+
+_Section = NamedTuple("_Section", [("title", str), ("flags", list)])  # own --help heading
+_OneOf = NamedTuple("_OneOf", [("required", bool), ("flags", list)])  # mutually exclusive
+
+
+class _Command(NamedTuple):
+    """A subcommand: its --help line, handler, flags and cross-flag rule."""
+
+    help: str
+    run: Callable
+    flags: list
+    check: tuple | None = None  # (holds(args), message(args)) for a rule joining flags
+
+
+_REPORT = _Flag("--report", "outputs.report", str)
+_SEED = _Flag("--seed", "seed", int, default=DEFAULT_SEED,
+              help=f"random seed (default {DEFAULT_SEED})")
+_PROCESS = _Section("noise process", [
+    _Flag("--sigma-ref", "process.sigma_ref", check=_NON_NEGATIVE,
+          help="phase std-dev at the reference lag (rad)"),
+    _Flag("--tau-ref-us", "process.tau_ref_s", scale=1e-6, check=_POSITIVE,
+          help="reference lag (us)"),
+    _Flag("--hurst", "process.hurst", default=0.5, help="scaling exponent in (0,1)"),
+    _Flag("--drift-rate", "process.drift_rate", default=0.0, help="linear phase drift (rad/s)"),
+    _Flag("--length-km", "process.length_km", help="fiber length the calibration refers to (km)"),
+    _Flag("--group-index", "process.group_index", default=DEFAULT_GROUP_INDEX),
+    _OneOf(False, [
+        _Flag("--day", "process.day", bool, help="daytime urban-fiber calibration preset"),
+        _Flag("--night", "process.night", bool, help="nighttime urban-fiber calibration preset"),
+    ]),
+])
+_GRID = [
+    _Flag("--duration-ms", "duration_s", scale=1e-3, check=_POSITIVE, required=True,
+          help="trace duration (ms)"),
+    _Flag("--dt-us", "dt_s", scale=1e-6, check=_POSITIVE, required=True,
+          help="sample interval (us)"),
+]
+
+
+def _add_flags(container, entries) -> None:
+    for entry in entries:
+        if isinstance(entry, _Section):
+            _add_flags(container.add_argument_group(entry.title), entry.flags)
+        elif isinstance(entry, _OneOf):
+            _add_flags(container.add_mutually_exclusive_group(required=entry.required),
+                       entry.flags)
+        elif entry.type is bool:
+            container.add_argument(entry.name, action="store_true", help=entry.help)
+        else:
+            container.add_argument(
+                entry.name, dest=entry.dest, default=entry.default, required=entry.required,
+                type=entry.type if entry.type in (int, float) else None, help=entry.help,
+            )
+
+
+def _flags(entries):
+    for entry in entries:
+        if isinstance(entry, _Flag):
+            yield entry
+        else:
+            yield from _flags(entry.flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,163 +206,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze phase noise in long fiber interferometers.",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    sim = top.add_parser("simulate", help="generate synthetic records")
-    sim_sub = sim.add_subparsers(dest="command", required=True)
-
-    p = sim_sub.add_parser("noise", help="sample a phase trace")
-    _add_process_flags(p)
-    _add_grid_flags(p)
-    _add_seed(p)
-    p.add_argument("--out", required=True, help="phase trace CSV to write")
-    p.add_argument("--report", help="JSON report to write")
-
-    p = sim_sub.add_parser("mz", help="simulate a Mach-Zehnder intensity trace")
-    _add_process_flags(p)
-    _add_grid_flags(p)
-    _add_seed(p)
-    p.add_argument("--i-max", type=float, default=1.0)
-    p.add_argument("--i-min", type=float, default=0.0)
-    p.add_argument("--phi0", type=float, default=math.pi / 2,
-                   help="static arm phase offset (rad); default pi/2 (mid-fringe)")
-    p.add_argument("--out", required=True, help="intensity trace CSV to write")
-    p.add_argument("--report")
-
-    p = sim_sub.add_parser("fringe", help="scan a Sagnac fringe")
-    _add_process_flags(p)
-    _add_seed(p)
-    p.add_argument("--loop-km", type=float, required=True, help="Sagnac loop length (km)")
-    p.add_argument("--points", type=int, default=50, help="scan points over one fringe")
-    p.add_argument("--pulses-per-point", type=int, default=1000)
-    p.add_argument("--detector-noise", type=float, default=0.0)
-    p.add_argument("--i0", type=float, default=1.0, help="mean full intensity")
-    p.add_argument("--out", required=True, help="fringe scan CSV to write")
-    p.add_argument("--report")
-
-    ana = top.add_parser("analyze", help="reduce measured or simulated records")
-    ana_sub = ana.add_subparsers(dest="command", required=True)
-
-    p = ana_sub.add_parser("fringe", help="sinusoidal fit of a fringe scan")
-    p.add_argument("--in", dest="infile", required=True, help="fringe scan CSV")
-    p.add_argument("--report")
-
-    p = ana_sub.add_parser("phase", help="extract phase from an intensity trace")
-    p.add_argument("--in", dest="infile", required=True, help="intensity trace CSV")
-    p.add_argument("--band-lo", type=float, default=0.2,
-                   help="lower edge of the usable normalized-intensity band")
-    p.add_argument("--band-hi", type=float, default=0.8)
-    p.add_argument("--out", required=True, help="phase trace CSV to write")
-    p.add_argument("--report")
-
-    p = ana_sub.add_parser("dphi", help="mean phase change vs lag")
-    p.add_argument("--in", dest="infile", required=True, help="phase trace CSV")
-    p.add_argument("--tau-max-us", type=float, required=True, help="largest lag (us)")
-    p.add_argument("--max-lags", type=int, default=analysis.DEFAULT_MAX_LAGS)
-    p.add_argument("--histogram-tau-us", type=float,
-                   help="also export the increment histogram at this lag (us)")
-    p.add_argument("--histogram-out", help="histogram CSV (with --histogram-tau-us)")
-    p.add_argument("--out", required=True, help="dphi curve CSV to write")
-    p.add_argument("--report")
-
-    p = ana_sub.add_parser("tau-threshold", help="lag at which dphi reaches a target")
-    p.add_argument("--in", dest="infile", required=True, help="dphi curve CSV")
-    p.add_argument("--dphi", type=float, default=0.1, help="target mean phase change (rad)")
-    p.add_argument("--report")
-
-    p = ana_sub.add_parser("exponent", help="scaling exponent of dphi(tau)")
-    p.add_argument("--in", dest="infile", required=True, help="dphi curve CSV")
-    p.add_argument("--tau-min-us", type=float, required=True)
-    p.add_argument("--tau-max-us", type=float, required=True)
-    p.add_argument("--report")
-
-    p = ana_sub.add_parser("diffusion", help="diffusion coefficient from sigma or visibility")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--visibility", type=float)
-    src.add_argument("--sigma", type=float)
-    p.add_argument("--length-km", type=float, required=True)
-    p.add_argument("--report")
-
-    rep = top.add_parser("repeater", help="phase budgets for repeater chains")
-    rep_sub = rep.add_subparsers(dest="command", required=True)
-
-    p = rep_sub.add_parser("budget", help="per-segment phase allowance")
-    p.add_argument("--total-km", type=float, required=True)
-    p.add_argument("--links", type=int, required=True)
-    p.add_argument("--fidelity", type=float, required=True)
-    p.add_argument("--segment-km", type=float, required=True)
-    p.add_argument("--report")
-
-    p = rep_sub.add_parser("fidelity", help="fidelity from phase noise")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--sigma", type=float, help="total phase-noise width (rad)")
-    src.add_argument("--visibility", type=float)
-    src.add_argument("--diffusion", type=float, help="rad^2/km, with --link-km")
-    p.add_argument("--link-km", help="comma-separated link lengths (km)")
-    p.add_argument("--monte-carlo", type=int,
-                   help="also estimate by Monte Carlo with this many samples")
-    _add_seed(p)
-    p.add_argument("--report")
-
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="command", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for (group, name), command in _COMMANDS.items():
+        _add_flags(groups[group].add_parser(name, help=command.help), command.flags)
     return parser
 
 
 # ---------------------------------------------------------------------------
 # args -> RunConfig
 
-def _process_from_args(args) -> dict:
-    preset = "day" if args.day else "night" if args.night else None
+def _process_block(values: dict) -> dict:
+    """Resolve the noise-process flags into the echoed process block."""
+    day, night = values.pop("day"), values.pop("night")
+    preset = "day" if day else "night" if night else None
     if preset is not None:
-        if args.sigma_ref is not None or args.tau_ref_us is not None:
-            raise DomainError(
-                f"--{preset} cannot be combined with --sigma-ref/--tau-ref-us"
-            )
-        params = preset_params(preset, hurst=args.hurst)
-        params = dataclasses.replace(
-            params,
-            drift_rate=args.drift_rate,
-            group_index=args.group_index,
-            length_km=args.length_km if args.length_km is not None else params.length_km,
-        )
-    else:
-        if args.sigma_ref is None:
-            raise DomainError("--sigma-ref is required without --day/--night")
-        if args.tau_ref_us is None:
-            raise DomainError("--tau-ref-us is required without --day/--night")
-        _non_negative("--sigma-ref", args.sigma_ref)
-        _positive("--tau-ref-us", args.tau_ref_us)
-        params = NoiseParams(
-            sigma_ref=args.sigma_ref,
-            tau_ref=args.tau_ref_us * 1e-6,
-            hurst=args.hurst,
-            drift_rate=args.drift_rate,
-            length_km=args.length_km,
-            group_index=args.group_index,
-        )
-    return {
-        "sigma_ref": params.sigma_ref,
-        "tau_ref_s": params.tau_ref,
-        "hurst": params.hurst,
-        "drift_rate": params.drift_rate,
-        "length_km": params.length_km,
-        "group_index": params.group_index,
-    }
+        if values["sigma_ref"] is not None or values["tau_ref_s"] is not None:
+            raise DomainError(f"--{preset} cannot be combined with --sigma-ref/--tau-ref-us")
+        calibration = preset_params(preset, hurst=values["hurst"])
+        values["sigma_ref"], values["tau_ref_s"] = calibration.sigma_ref, calibration.tau_ref
+        if values["length_km"] is None:
+            values["length_km"] = calibration.length_km
+    for flag, key in (("--sigma-ref", "sigma_ref"), ("--tau-ref-us", "tau_ref_s")):
+        if values[key] is None:
+            raise DomainError(f"{flag} is required without --day/--night")
+    block = dataclasses.asdict(_params_to_process(values))
+    block["tau_ref_s"] = block.pop("tau_ref")
+    return block
 
 
-def _params_to_process(block: dict):
-    return build_process(NoiseParams(
-        sigma_ref=block["sigma_ref"],
-        tau_ref=block["tau_ref_s"],
-        hurst=block["hurst"],
-        drift_rate=block["drift_rate"],
-        length_km=block["length_km"],
-        group_index=block["group_index"],
-    ))
-
-
-def _grid_from_args(args) -> dict:
-    _positive("--duration-ms", args.duration_ms)
-    _positive("--dt-us", args.dt_us)
-    return {"duration_s": args.duration_ms * 1e-3, "dt_s": args.dt_us * 1e-6}
+def _params_to_process(block: dict) -> NoiseParams:
+    fields = dict(block)
+    fields["tau_ref"] = fields.pop("tau_ref_s")
+    return NoiseParams(**fields)
 
 
 def parse_cli(argv=None) -> RunConfig:
@@ -284,140 +251,26 @@ def parse_cli(argv=None) -> RunConfig:
     """
     args = build_parser().parse_args(argv)
     command = (args.group, args.command)
-    params: dict = {}
-    inputs: dict = {}
-    outputs: dict = {}
-    seed = None
-
-    if command == ("simulate", "noise"):
-        params["process"] = _process_from_args(args)
-        params.update(_grid_from_args(args))
-        seed = args.seed
-        outputs["trace"] = args.out
-    elif command == ("simulate", "mz"):
-        params["process"] = _process_from_args(args)
-        params.update(_grid_from_args(args))
-        if not (args.i_max > args.i_min):
-            raise DomainError(
-                f"--i-max must exceed --i-min, got {args.i_max} and {args.i_min}"
-            )
-        params.update({"i_max": args.i_max, "i_min": args.i_min, "phi0_rad": args.phi0})
-        seed = args.seed
-        outputs["trace"] = args.out
-    elif command == ("simulate", "fringe"):
-        params["process"] = _process_from_args(args)
-        params["loop_km"] = _positive("--loop-km", args.loop_km)
-        if args.points < 4:
-            raise DomainError(f"--points must be >= 4, got {args.points}")
-        if args.pulses_per_point < 1:
-            raise DomainError(
-                f"--pulses-per-point must be >= 1, got {args.pulses_per_point}"
-            )
-        params.update({
-            "n_points": args.points,
-            "pulses_per_point": args.pulses_per_point,
-            "detector_noise": args.detector_noise,
-            "i0": _positive("--i0", args.i0),
-        })
-        seed = args.seed
-        outputs["scan"] = args.out
-    elif command == ("analyze", "fringe"):
-        inputs["scan"] = args.infile
-    elif command == ("analyze", "phase"):
-        if not (0 < args.band_lo < args.band_hi < 1):
-            raise DomainError(
-                f"--band-lo/--band-hi must satisfy 0 < lo < hi < 1, "
-                f"got {args.band_lo} and {args.band_hi}"
-            )
-        params.update({"band_lo": args.band_lo, "band_hi": args.band_hi})
-        inputs["trace"] = args.infile
-        outputs["phase"] = args.out
-    elif command == ("analyze", "dphi"):
-        params["tau_max_s"] = _positive("--tau-max-us", args.tau_max_us) * 1e-6
-        if args.max_lags < 1:
-            raise DomainError(f"--max-lags must be >= 1, got {args.max_lags}")
-        params["max_lags"] = args.max_lags
-        if args.histogram_tau_us is not None:
-            _positive("--histogram-tau-us", args.histogram_tau_us)
-            if not args.histogram_out:
-                raise DomainError("--histogram-out is required with --histogram-tau-us")
-            params["histogram_tau_s"] = args.histogram_tau_us * 1e-6
-            outputs["histogram"] = args.histogram_out
-        else:
-            params["histogram_tau_s"] = None
-        inputs["phase"] = args.infile
-        outputs["curve"] = args.out
-    elif command == ("analyze", "tau-threshold"):
-        params["target_rad"] = _positive("--dphi", args.dphi)
-        inputs["curve"] = args.infile
-    elif command == ("analyze", "exponent"):
-        lo = _positive("--tau-min-us", args.tau_min_us)
-        hi = _positive("--tau-max-us", args.tau_max_us)
-        if not (lo < hi):
-            raise DomainError(
-                f"--tau-min-us must be below --tau-max-us, got {lo} and {hi}"
-            )
-        params.update({"tau_min_s": lo * 1e-6, "tau_max_s": hi * 1e-6})
-        inputs["curve"] = args.infile
-    elif command == ("analyze", "diffusion"):
-        if args.visibility is not None and not (0 < args.visibility <= 1):
-            raise DomainError(f"--visibility must be in (0, 1], got {args.visibility}")
-        if args.sigma is not None:
-            _non_negative("--sigma", args.sigma)
-        params.update({
-            "visibility": args.visibility,
-            "sigma_rad": args.sigma,
-            "length_km": _positive("--length-km", args.length_km),
-        })
-    elif command == ("repeater", "budget"):
-        params.update({
-            "total_km": _positive("--total-km", args.total_km),
-            "n_links": args.links,
-            "target_fidelity": args.fidelity,
-            "segment_km": _positive("--segment-km", args.segment_km),
-        })
-        if args.links < 1:
-            raise DomainError(f"--links must be >= 1, got {args.links}")
-        if not (0.5 < args.fidelity < 1):
-            raise DomainError(f"--fidelity must be in (0.5, 1), got {args.fidelity}")
-        if args.segment_km > args.total_km / args.links:
-            raise DomainError(
-                f"--segment-km must not exceed one link "
-                f"({args.total_km / args.links:g} km), got {args.segment_km}"
-            )
-    elif command == ("repeater", "fidelity"):
-        link_km = None
-        if args.diffusion is not None:
-            _non_negative("--diffusion", args.diffusion)
-            if not args.link_km:
-                raise DomainError("--link-km is required with --diffusion")
-            try:
-                link_km = [float(x) for x in args.link_km.split(",") if x.strip()]
-            except ValueError:
-                raise DomainError(f"--link-km must be comma-separated numbers, got {args.link_km!r}")
-            for x in link_km:
-                _positive("--link-km", x)
-        if args.visibility is not None and not (0 < args.visibility <= 1):
-            raise DomainError(f"--visibility must be in (0, 1], got {args.visibility}")
-        if args.sigma is not None:
-            _non_negative("--sigma", args.sigma)
-        if args.monte_carlo is not None and args.monte_carlo < 1:
-            raise DomainError(f"--monte-carlo must be >= 1, got {args.monte_carlo}")
-        params.update({
-            "sigma_rad": args.sigma,
-            "visibility": args.visibility,
-            "diffusion": args.diffusion,
-            "link_km": link_km,
-            "monte_carlo_samples": args.monte_carlo,
-        })
-        seed = args.seed if args.monte_carlo is not None else None
-    else:  # pragma: no cover - argparse enforces the command set
-        raise DomainError(f"unknown command {command}")
-
-    if "report" in vars(args) and args.report:
-        outputs["report"] = args.report
+    flags = list(_flags(_COMMANDS[command].flags))
+    given = {flag.name: flag.read(args) for flag in flags}
+    found = {"": {}, "process": {}, "inputs": {}, "outputs": {}}
+    for flag in flags:
+        block, _, key = flag.key.rpartition(".")
+        found[block][key] = flag.convert(given[flag.name])
+        if flag.needs and given[flag.name] is not None and given[flag.needs] is None:
+            raise DomainError(f"{flag.needs} is required with {flag.name}")
+    params = found[""]
+    if found["process"]:
+        params["process"] = _process_block(found["process"])
+    check = _COMMANDS[command].check
+    if check is not None and not check[0](args):
+        raise DomainError(check[1](args))
+    seed = params.pop("seed", None)
+    if command == ("repeater", "fidelity") and args.monte_carlo is None:
+        seed = None  # only the Monte Carlo estimate draws random numbers
+    outputs = {role: path for role, path in found["outputs"].items() if path is not None}
     return RunConfig(command=command, params=params, seed=seed,
-                     inputs=inputs, outputs=outputs)
+                     inputs=found["inputs"], outputs=outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +290,20 @@ def run(config: RunConfig) -> int:
     """Execute a RunConfig: compute, write outputs, print one summary per block."""
     report = ReportDocument(config=config.to_dict())
     out = {k: _resolve_out(v) for k, v in config.outputs.items()}
-    handler = _HANDLERS[config.command]
-    blocks = handler(config, report, out)
+    for path in config.inputs.values():
+        report.add_input(path)
+    blocks = _COMMANDS[config.command].run(config, out)
     for name, values in blocks.items():
         report.results[name] = values
         print(_summarize(name, values))
     if "report" in out:
         fileio.write_report(out["report"], report)
-    written = [path for role, path in out.items()]
-    if written:
-        print("wrote: " + " ".join(written))
+    if out:
+        print("wrote: " + " ".join(out.values()))
     return 0
 
 
-def _run_simulate_noise(config, report, out):
+def _run_simulate_noise(config, out):
     process = _params_to_process(config.params["process"])
     trace = process.sample_trace(
         config.params["duration_s"], config.params["dt_s"], config.seed
@@ -464,7 +317,7 @@ def _run_simulate_noise(config, report, out):
     }}
 
 
-def _run_simulate_mz(config, report, out):
+def _run_simulate_mz(config, out):
     p = config.params
     process = _params_to_process(p["process"])
     trace = interferometer.simulate_mz_trace(
@@ -481,7 +334,7 @@ def _run_simulate_mz(config, report, out):
     }}
 
 
-def _run_simulate_fringe(config, report, out):
+def _run_simulate_fringe(config, out):
     p = config.params
     process = _params_to_process(p["process"])
     scan = interferometer.simulate_fringe_scan(
@@ -498,10 +351,8 @@ def _run_simulate_fringe(config, report, out):
     }}
 
 
-def _run_analyze_fringe(config, report, out):
-    path = config.inputs["scan"]
-    scan = fileio.read_fringe_scan(path)
-    report.add_input(path)
+def _run_analyze_fringe(config, out):
+    scan = fileio.read_fringe_scan(config.inputs["scan"])
     fit = analysis.fit_fringe(scan)
     sigma = (
         interferometer.sigma_from_visibility(fit.visibility)
@@ -518,10 +369,9 @@ def _run_analyze_fringe(config, report, out):
     }}
 
 
-def _run_analyze_phase(config, report, out):
+def _run_analyze_phase(config, out):
     path = config.inputs["trace"]
     trace = fileio.read_trace(path)
-    report.add_input(path)
     if not isinstance(trace, interferometer.IntensityTrace):
         raise DomainError(f"{path} is not an intensity trace")
     band = (config.params["band_lo"], config.params["band_hi"])
@@ -535,10 +385,9 @@ def _run_analyze_phase(config, report, out):
     }}
 
 
-def _run_analyze_dphi(config, report, out):
+def _run_analyze_dphi(config, out):
     path = config.inputs["phase"]
     trace = fileio.read_trace(path)
-    report.add_input(path)
     if not isinstance(trace, PhaseTrace):
         raise DomainError(f"{path} is not a phase trace")
     taus = analysis.default_lag_grid(
@@ -568,10 +417,8 @@ def _run_analyze_dphi(config, report, out):
     return blocks
 
 
-def _run_analyze_tau_threshold(config, report, out):
-    path = config.inputs["curve"]
-    stats = fileio.read_dphi_curve(path)
-    report.add_input(path)
+def _run_analyze_tau_threshold(config, out):
+    stats = fileio.read_dphi_curve(config.inputs["curve"])
     tau = analysis.tau_threshold(stats, config.params["target_rad"])
     return {"tau_threshold": {
         "target_rad": config.params["target_rad"],
@@ -579,10 +426,8 @@ def _run_analyze_tau_threshold(config, report, out):
     }}
 
 
-def _run_analyze_exponent(config, report, out):
-    path = config.inputs["curve"]
-    stats = fileio.read_dphi_curve(path)
-    report.add_input(path)
+def _run_analyze_exponent(config, out):
+    stats = fileio.read_dphi_curve(config.inputs["curve"])
     lo, hi = config.params["tau_min_s"], config.params["tau_max_s"]
     exponent = analysis.fit_scaling_exponent(stats, (lo, hi))
     n_used = int(((stats.taus >= lo) & (stats.taus <= hi)).sum())
@@ -594,7 +439,7 @@ def _run_analyze_exponent(config, report, out):
     }}
 
 
-def _run_analyze_diffusion(config, report, out):
+def _run_analyze_diffusion(config, out):
     p = config.params
     diffusion = analysis.estimate_diffusion(
         p["length_km"], visibility=p["visibility"], sigma=p["sigma_rad"]
@@ -607,7 +452,7 @@ def _run_analyze_diffusion(config, report, out):
     }}
 
 
-def _run_repeater_budget(config, report, out):
+def _run_repeater_budget(config, out):
     p = config.params
     budget = repeater.budget_per_segment(
         p["total_km"], p["n_links"], p["target_fidelity"], p["segment_km"]
@@ -624,7 +469,7 @@ def _run_repeater_budget(config, report, out):
     }}
 
 
-def _run_repeater_fidelity(config, report, out):
+def _run_repeater_fidelity(config, out):
     p = config.params
     if p["sigma_rad"] is not None:
         sigma = p["sigma_rad"]
@@ -649,18 +494,118 @@ def _run_repeater_fidelity(config, report, out):
     return {"fidelity": block}
 
 
-_HANDLERS = {
-    ("simulate", "noise"): _run_simulate_noise,
-    ("simulate", "mz"): _run_simulate_mz,
-    ("simulate", "fringe"): _run_simulate_fringe,
-    ("analyze", "fringe"): _run_analyze_fringe,
-    ("analyze", "phase"): _run_analyze_phase,
-    ("analyze", "dphi"): _run_analyze_dphi,
-    ("analyze", "tau-threshold"): _run_analyze_tau_threshold,
-    ("analyze", "exponent"): _run_analyze_exponent,
-    ("analyze", "diffusion"): _run_analyze_diffusion,
-    ("repeater", "budget"): _run_repeater_budget,
-    ("repeater", "fidelity"): _run_repeater_fidelity,
+# ---------------------------------------------------------------------------
+# command table
+
+_GROUPS = {
+    "simulate": "generate synthetic records",
+    "analyze": "reduce measured or simulated records",
+    "repeater": "phase budgets for repeater chains",
+}
+
+_COMMANDS = {
+    ("simulate", "noise"): _Command("sample a phase trace", _run_simulate_noise, [
+        _PROCESS, *_GRID, _SEED,
+        _Flag("--out", "outputs.trace", str, required=True, help="phase trace CSV to write"),
+        _Flag("--report", "outputs.report", str, help="JSON report to write"),
+    ]),
+    ("simulate", "mz"): _Command("simulate a Mach-Zehnder intensity trace", _run_simulate_mz, [
+        _PROCESS, *_GRID, _SEED,
+        _Flag("--i-max", "i_max", default=1.0),
+        _Flag("--i-min", "i_min", default=0.0),
+        _Flag("--phi0", "phi0_rad", default=math.pi / 2,
+              help="static arm phase offset (rad); default pi/2 (mid-fringe)"),
+        _Flag("--out", "outputs.trace", str, required=True, help="intensity trace CSV to write"),
+        _REPORT,
+    ], check=(lambda a: a.i_max > a.i_min,
+              lambda a: f"--i-max must exceed --i-min, got {a.i_max} and {a.i_min}")),
+    ("simulate", "fringe"): _Command("scan a Sagnac fringe", _run_simulate_fringe, [
+        _PROCESS, _SEED,
+        _Flag("--loop-km", "loop_km", check=_POSITIVE, required=True,
+              help="Sagnac loop length (km)"),
+        _Flag("--points", "n_points", int, check=_at_least(4), default=50,
+              help="scan points over one fringe"),
+        _Flag("--pulses-per-point", "pulses_per_point", int, check=_at_least(1), default=1000),
+        _Flag("--detector-noise", "detector_noise", default=0.0),
+        _Flag("--i0", "i0", check=_POSITIVE, default=1.0, help="mean full intensity"),
+        _Flag("--out", "outputs.scan", str, required=True, help="fringe scan CSV to write"),
+        _REPORT,
+    ]),
+    ("analyze", "fringe"): _Command("sinusoidal fit of a fringe scan", _run_analyze_fringe, [
+        _Flag("--in", "inputs.scan", str, required=True, help="fringe scan CSV"),
+        _REPORT,
+    ]),
+    ("analyze", "phase"): _Command("extract phase from an intensity trace", _run_analyze_phase, [
+        _Flag("--in", "inputs.trace", str, required=True, help="intensity trace CSV"),
+        _Flag("--band-lo", "band_lo", default=0.2,
+              help="lower edge of the usable normalized-intensity band"),
+        _Flag("--band-hi", "band_hi", default=0.8),
+        _Flag("--out", "outputs.phase", str, required=True, help="phase trace CSV to write"),
+        _REPORT,
+    ], check=(lambda a: 0 < a.band_lo < a.band_hi < 1, lambda a: (
+        f"--band-lo/--band-hi must satisfy 0 < lo < hi < 1, got {a.band_lo} and {a.band_hi}"))),
+    ("analyze", "dphi"): _Command("mean phase change vs lag", _run_analyze_dphi, [
+        _Flag("--in", "inputs.phase", str, required=True, help="phase trace CSV"),
+        _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True,
+              help="largest lag (us)"),
+        _Flag("--max-lags", "max_lags", int, check=_at_least(1),
+              default=analysis.DEFAULT_MAX_LAGS),
+        _Flag("--histogram-tau-us", "histogram_tau_s", scale=1e-6, check=_POSITIVE,
+              help="also export the increment histogram at this lag (us)",
+              needs="--histogram-out"),
+        _Flag("--histogram-out", "outputs.histogram", str,
+              help="histogram CSV (with --histogram-tau-us)", needs="--histogram-tau-us"),
+        _Flag("--out", "outputs.curve", str, required=True, help="dphi curve CSV to write"),
+        _REPORT,
+    ]),
+    ("analyze", "tau-threshold"): _Command(
+        "lag at which dphi reaches a target", _run_analyze_tau_threshold, [
+        _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
+        _Flag("--dphi", "target_rad", check=_POSITIVE, default=0.1,
+              help="target mean phase change (rad)"),
+        _REPORT,
+    ]),
+    ("analyze", "exponent"): _Command("scaling exponent of dphi(tau)", _run_analyze_exponent, [
+        _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
+        _Flag("--tau-min-us", "tau_min_s", scale=1e-6, check=_POSITIVE, required=True),
+        _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True),
+        _REPORT,
+    ], check=(lambda a: a.tau_min_us < a.tau_max_us, lambda a: (
+        f"--tau-min-us must be below --tau-max-us, got {a.tau_min_us} and {a.tau_max_us}"))),
+    ("analyze", "diffusion"): _Command(
+        "diffusion coefficient from sigma or visibility", _run_analyze_diffusion, [
+        _OneOf(True, [
+            _Flag("--visibility", "visibility", check=_VISIBILITY),
+            _Flag("--sigma", "sigma_rad", check=_NON_NEGATIVE),
+        ]),
+        _Flag("--length-km", "length_km", check=_POSITIVE, required=True),
+        _REPORT,
+    ]),
+    ("repeater", "budget"): _Command("per-segment phase allowance", _run_repeater_budget, [
+        _Flag("--total-km", "total_km", check=_POSITIVE, required=True),
+        _Flag("--links", "n_links", int, check=_at_least(1), required=True),
+        _Flag("--fidelity", "target_fidelity", required=True,
+              check=(lambda v: 0.5 < v < 1, "must be in (0.5, 1)")),
+        _Flag("--segment-km", "segment_km", check=_POSITIVE, required=True),
+        _REPORT,
+    ], check=(lambda a: a.segment_km <= a.total_km / a.links, lambda a: (
+        f"--segment-km must not exceed one link ({a.total_km / a.links:g} km), "
+        f"got {a.segment_km}"))),
+    ("repeater", "fidelity"): _Command("fidelity from phase noise", _run_repeater_fidelity, [
+        _OneOf(True, [
+            _Flag("--sigma", "sigma_rad", check=_NON_NEGATIVE,
+                  help="total phase-noise width (rad)"),
+            _Flag("--visibility", "visibility", check=_VISIBILITY),
+            _Flag("--diffusion", "diffusion", check=_NON_NEGATIVE,
+                  help="rad^2/km, with --link-km", needs="--link-km"),
+        ]),
+        _Flag("--link-km", "link_km", list, check=_POSITIVE,
+              help="comma-separated link lengths (km)", needs="--diffusion"),
+        _Flag("--monte-carlo", "monte_carlo_samples", int, check=_at_least(1),
+              help="also estimate by Monte Carlo with this many samples"),
+        _SEED,
+        _REPORT,
+    ]),
 }
 
 
@@ -670,10 +615,7 @@ def main(argv=None) -> int:
     try:
         config = parse_cli(argv)
         return run(config)
-    except FiberPhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FiberPhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

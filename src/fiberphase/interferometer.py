@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .noise import PhaseProcess, travel_time
+from .noise import NoiseParams, travel_time
 
 __all__ = [
     "FringeScan",
@@ -145,7 +145,7 @@ def sigma_from_visibility(visibility: float) -> float:
     return math.sqrt(-2.0 * math.log(visibility))
 
 
-def sagnac_effective_sigma(process: PhaseProcess, loop_km: float) -> float:
+def sagnac_effective_sigma(process: NoiseParams, loop_km: float) -> float:
     """Effective phase-noise width seen by a Sagnac loop of `loop_km`.
 
     Counterpropagating pulses sample each fiber element with a mean time
@@ -158,7 +158,7 @@ def sagnac_effective_sigma(process: PhaseProcess, loop_km: float) -> float:
 
 
 def simulate_fringe_scan(
-    process: PhaseProcess,
+    process: NoiseParams,
     loop_km: float,
     n_points: int,
     pulses_per_point: int,
@@ -196,7 +196,7 @@ def simulate_fringe_scan(
 
 
 def simulate_mz_trace(
-    process: PhaseProcess,
+    process: NoiseParams,
     duration: float,
     dt: float,
     i_max: float = 1.0,

@@ -59,7 +59,10 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Calibration of a fiber phase-noise process.
+    """Calibration of a fiber phase-noise process, and the process itself.
+
+    Immutable and safe to share across threads: sampling is a pure
+    function of (params, seed, grid).
 
     Attributes
     ----------
@@ -103,15 +106,59 @@ class NoiseParams:
         if not (self.length_km > 0):
             raise DomainError(f"length_km must be > 0, got {self.length_km}")
 
+    def sigma_at(self, tau: float) -> float:
+        """Phase-increment standard deviation (rad) at time lag `tau`."""
+        if tau < 0:
+            raise DomainError(f"tau must be >= 0, got {tau}")
+        if tau == 0:
+            return 0.0
+        return self.sigma_ref * (tau / self.tau_ref) ** self.hurst
+
+    def sample_trace(self, duration: float, dt: float, seed: int) -> PhaseTrace:
+        """Simulate one realization of the phase on a regular grid.
+
+        The returned trace starts at t = 0 with phi(0) = 0 and has
+        floor(duration/dt) increments, so the final sample sits at
+        t = duration when duration is a multiple of dt.  Identical
+        (params, duration, dt, seed) give bit-identical output.
+        """
+        if not (dt > 0):
+            raise DomainError(f"dt must be > 0, got {dt}")
+        if not (duration >= dt):
+            raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}")
+        n_steps = int(math.floor(duration / dt + 1e-9))
+
+        rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+        sigma_step = self.sigma_at(dt)
+        if sigma_step == 0.0:
+            increments = np.zeros(n_steps)
+        elif self.hurst == 0.5:
+            increments = sigma_step * rng.standard_normal(n_steps)
+        else:
+            if n_steps > MAX_FGN_STEPS:
+                raise ResourceLimitError(
+                    f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
+                    f"of {MAX_FGN_STEPS}"
+                )
+            unit = _fgn_circulant(n_steps, self.hurst, rng)
+            if unit is None:
+                unit = _fgn_dense(n_steps, self.hurst, rng)
+            increments = sigma_step * unit
+
+        samples = np.concatenate([[0.0], np.cumsum(increments)])
+        if self.drift_rate != 0.0:
+            samples = samples + self.drift_rate * (dt * np.arange(n_steps + 1))
+        return PhaseTrace(t0=0.0, dt=dt, samples=samples)
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseTrace:
     """Sampled phase-vs-time series with valid-region bookkeeping.
 
     `segments` is a tuple of half-open (start, stop) index ranges marking
-    contiguous runs of meaningful samples; samples outside every segment
-    are NaN for extracted traces.  A freshly simulated trace has one
-    segment covering everything.
+    contiguous runs of meaningful samples, which must be finite; samples
+    outside every segment are NaN for extracted traces.  A freshly
+    simulated trace has one segment covering everything.
     """
 
     t0: float
@@ -129,10 +176,9 @@ class PhaseTrace:
         n = samples.size
         if self.segments is None:
             segs = ((0, n),) if n else ()
-            object.__setattr__(self, "segments", segs)
         else:
             segs = tuple((int(a), int(b)) for a, b in self.segments)
-            object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "segments", segs)
         prev_stop = 0
         for a, b in self.segments:
             if not (0 <= a < b <= n):
@@ -140,6 +186,11 @@ class PhaseTrace:
             if a < prev_stop:
                 raise DomainError("segments must be sorted and disjoint")
             prev_stop = b
+        bad = np.flatnonzero((self.segment_ids() >= 0) & ~np.isfinite(samples))
+        if bad.size:
+            raise DomainError(
+                f"sample {bad[0]} inside a segment is not finite: {samples[bad[0]]}"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -148,6 +199,13 @@ class PhaseTrace:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.samples.size)
+
+    def segment_ids(self) -> np.ndarray:
+        """Segment index of every sample; -1 outside all segments."""
+        bounds = [0, *(i for segment in self.segments for i in segment), self.n_samples]
+        ids = np.full(len(bounds) - 1, -1)
+        ids[1::2] = np.arange(len(self.segments))
+        return np.repeat(ids, np.diff(bounds))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseTrace):
@@ -207,90 +265,15 @@ def _fgn_dense(n_steps: int, hurst: float, rng: np.random.Generator) -> np.ndarr
     return chol @ rng.standard_normal(n_steps)
 
 
-@dataclass(frozen=True)
-class PhaseProcess:
-    """Immutable handle over validated noise parameters.
-
-    Safe to share across threads: sampling is a pure function of
-    (process, seed, grid).
-    """
-
-    params: NoiseParams
-
-    @property
-    def sigma_ref(self) -> float:
-        return self.params.sigma_ref
-
-    @property
-    def tau_ref(self) -> float:
-        return self.params.tau_ref
-
-    @property
-    def hurst(self) -> float:
-        return self.params.hurst
-
-    @property
-    def drift_rate(self) -> float:
-        return self.params.drift_rate
-
-    @property
-    def length_km(self) -> float:
-        return self.params.length_km
-
-    @property
-    def group_index(self) -> float:
-        return self.params.group_index
-
-    def sigma_at(self, tau: float) -> float:
-        """Phase-increment standard deviation (rad) at time lag `tau`."""
-        if tau < 0:
-            raise DomainError(f"tau must be >= 0, got {tau}")
-        if tau == 0:
-            return 0.0
-        return self.sigma_ref * (tau / self.tau_ref) ** self.hurst
-
-    def sample_trace(self, duration: float, dt: float, seed: int) -> PhaseTrace:
-        """Simulate one realization of the phase on a regular grid.
-
-        The returned trace starts at t = 0 with phi(0) = 0 and has
-        floor(duration/dt) increments, so the final sample sits at
-        t = duration when duration is a multiple of dt.  Identical
-        (params, duration, dt, seed) give bit-identical output.
-        """
-        if not (dt > 0):
-            raise DomainError(f"dt must be > 0, got {dt}")
-        if not (duration >= dt):
-            raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}")
-        n_steps = int(math.floor(duration / dt + 1e-9))
-
-        rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-        sigma_step = self.sigma_at(dt)
-        if sigma_step == 0.0:
-            increments = np.zeros(n_steps)
-        elif self.hurst == 0.5:
-            increments = sigma_step * rng.standard_normal(n_steps)
-        else:
-            if n_steps > MAX_FGN_STEPS:
-                raise ResourceLimitError(
-                    f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
-                    f"of {MAX_FGN_STEPS}"
-                )
-            unit = _fgn_circulant(n_steps, self.hurst, rng)
-            if unit is None:
-                unit = _fgn_dense(n_steps, self.hurst, rng)
-            increments = sigma_step * unit
-
-        samples = np.concatenate([[0.0], np.cumsum(increments)])
-        if self.drift_rate != 0.0:
-            samples = samples + self.drift_rate * (dt * np.arange(n_steps + 1))
-        return PhaseTrace(t0=0.0, dt=dt, samples=samples)
-
-
-def build_process(params: NoiseParams) -> PhaseProcess:
-    """Wrap validated parameters in an immutable process handle."""
+def build_process(params: NoiseParams) -> NoiseParams:
+    """Check that `params` is a validated NoiseParams and return it."""
     if not isinstance(params, NoiseParams):
         raise DomainError(f"expected NoiseParams, got {type(params).__name__}")
-    return PhaseProcess(params=params)
+    return params
+
+
+# The process is fully described by its calibration; the old name stays bound.
+PhaseProcess = NoiseParams
 
 
 def from_sagnac_calibration(

@@ -19,6 +19,79 @@ def load_report(path):
         return json.load(fh)
 
 
+_NOISE = "simulate noise --sigma-ref 0.1 --tau-ref-us 100 --out {d}/x.csv"
+_MZ = "simulate mz --night --duration-ms 1 --dt-us 1 --out {d}/x.csv"
+_FRINGE = "simulate fringe --sigma-ref 0.3 --tau-ref-us 100 --out {d}/x.csv"
+_PHASE = "analyze phase --in {d}/mz.csv --out {d}/p.csv"
+_DPHI = "analyze dphi --in {d}/p.csv --out {d}/c.csv"
+_EXPONENT = "analyze exponent --in {d}/c.csv"
+_BUDGET = "repeater budget --links 8 --fidelity 0.9"
+
+# One bad value per case, one case per value check of the CLI: (argv, flag
+# that the error message must name).
+INVALID_VALUES = [
+    ("simulate noise --night --sigma-ref 0.2 --duration-ms 1 --dt-us 1 "
+     "--out {d}/x.csv", "--night"),
+    ("simulate noise --tau-ref-us 100 --duration-ms 1 --dt-us 1 --out {d}/x.csv",
+     "--sigma-ref"),
+    ("simulate noise --sigma-ref 0.1 --duration-ms 1 --dt-us 1 --out {d}/x.csv",
+     "--tau-ref-us"),
+    ("simulate noise --sigma-ref -0.1 --tau-ref-us 100 --duration-ms 1 --dt-us 1 "
+     "--out {d}/x.csv", "--sigma-ref"),
+    ("simulate noise --sigma-ref 0.1 --tau-ref-us 0 --duration-ms 1 --dt-us 1 "
+     "--out {d}/x.csv", "--tau-ref-us"),
+    (_NOISE + " --duration-ms 0 --dt-us 1", "--duration-ms"),
+    (_NOISE + " --duration-ms 1 --dt-us -1", "--dt-us"),
+    (_MZ + " --i-max 0.5 --i-min 0.5", "--i-max"),
+    (_FRINGE + " --loop-km 0", "--loop-km"),
+    (_FRINGE + " --loop-km 40 --points 3", "--points"),
+    (_FRINGE + " --loop-km 40 --pulses-per-point 0", "--pulses-per-point"),
+    (_FRINGE + " --loop-km 40 --i0 0", "--i0"),
+    (_PHASE + " --band-lo 0.8 --band-hi 0.2", "--band-lo/--band-hi"),
+    (_DPHI + " --tau-max-us 0", "--tau-max-us"),
+    (_DPHI + " --tau-max-us 100 --max-lags 0", "--max-lags"),
+    (_DPHI + " --tau-max-us 100 --histogram-tau-us -1 --histogram-out {d}/h.csv",
+     "--histogram-tau-us"),
+    (_DPHI + " --tau-max-us 100 --histogram-tau-us 20", "--histogram-out"),
+    ("analyze tau-threshold --in {d}/c.csv --dphi 0", "--dphi"),
+    (_EXPONENT + " --tau-min-us 0 --tau-max-us 100", "--tau-min-us"),
+    (_EXPONENT + " --tau-min-us 2 --tau-max-us -1", "--tau-max-us"),
+    (_EXPONENT + " --tau-min-us 200 --tau-max-us 100", "--tau-min-us"),
+    ("analyze diffusion --visibility 1.5 --length-km 10", "--visibility"),
+    ("analyze diffusion --sigma -0.1 --length-km 10", "--sigma"),
+    ("analyze diffusion --sigma 0.1 --length-km 0", "--length-km"),
+    (_BUDGET + " --total-km 0 --segment-km 36.5", "--total-km"),
+    ("repeater budget --total-km 1000 --links 0 --fidelity 0.9 --segment-km 36.5",
+     "--links"),
+    ("repeater budget --total-km 1000 --links 8 --fidelity 0.5 --segment-km 36.5",
+     "--fidelity"),
+    (_BUDGET + " --total-km 1000 --segment-km 0", "--segment-km"),
+    (_BUDGET + " --total-km 1000 --segment-km 200", "--segment-km"),
+    ("repeater fidelity --diffusion -1 --link-km 35", "--diffusion"),
+    ("repeater fidelity --diffusion 8e-4", "--link-km"),
+    ("repeater fidelity --diffusion 8e-4 --link-km 35,x", "--link-km"),
+    ("repeater fidelity --diffusion 8e-4 --link-km 35,-1", "--link-km"),
+    ("repeater fidelity --visibility 0", "--visibility"),
+    ("repeater fidelity --sigma -0.1", "--sigma"),
+    ("repeater fidelity --sigma 0.3 --monte-carlo 0", "--monte-carlo"),
+]
+
+# Values that parse as floats but are not finite.
+NON_FINITE_VALUES = [
+    (_NOISE + " --duration-ms inf --dt-us 1", "--duration-ms"),
+    (_DPHI + " --tau-max-us inf", "--tau-max-us"),
+    ("repeater fidelity --sigma nan", "--sigma"),
+    ("repeater fidelity --diffusion 8e-4 --link-km 35,inf", "--link-km"),
+]
+
+# A flag that only takes effect together with another one.
+UNPAIRED_FLAGS = [
+    (_DPHI + " --tau-max-us 100 --histogram-out {d}/h.csv",
+     ("--histogram-out", "--histogram-tau-us")),
+    ("repeater fidelity --sigma 0.3 --link-km 35", ("--link-km", "--diffusion")),
+]
+
+
 class TestParseCli:
     def test_budget_config(self):
         config = parse_cli(
@@ -104,9 +177,39 @@ class TestValidationExitCodes:
         assert code == 1
         assert "no stored lag near" in capsys.readouterr().err
 
+    def test_nan_inside_phase_segment(self, capsys, tmp_path):
+        phase = tmp_path / "p.csv"
+        values = ["0.1", "0.2", "nan", "0.4", "0.5"]
+        rows = "".join(f"{k}e-06,{v}\n" for k, v in enumerate(values))
+        phase.write_text(
+            "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+            "# segments: 0:5\ntime_s,value\n" + rows
+        )
+        code = main(
+            f"analyze dphi --in {phase} --tau-max-us 2 --out {tmp_path/'c.csv'}".split()
+        )
+        assert code == 1
+        assert "sample 2 " in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(f"analyze fringe --in {tmp_path/'missing.csv'}".split())
         assert code == 1
+
+    @pytest.mark.parametrize("template,flag", INVALID_VALUES + NON_FINITE_VALUES)
+    def test_invalid_value_names_flag(self, capsys, tmp_path, template, flag):
+        # {d} holds no input file: every value check runs before any read
+        code = main(template.format(d=tmp_path).split())
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)
+    def test_unpaired_flag_names_both(self, capsys, tmp_path, template, flags):
+        code = main(template.format(d=tmp_path).split())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags)
+        assert not list(tmp_path.iterdir())
 
 
 class TestRepeaterCommands:
@@ -124,6 +227,12 @@ class TestRepeaterCommands:
         )
         assert data["schema_version"] == "v1"
         assert data["config"]["command"] == "repeater budget"
+
+    def test_empty_report_path_writes_no_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = "repeater budget --total-km 1000 --links 8 --fidelity 0.9 --segment-km 36.5"
+        assert main(argv.split() + ["--report", ""]) == 0
+        assert not list(tmp_path.iterdir())
 
     def test_fidelity_from_chain(self, tmp_path):
         report_path = tmp_path / "fid.json"

@@ -130,6 +130,17 @@ class TestTraceParseErrors:
         with pytest.raises(TraceParseError):
             read_trace(str(path))
 
+    def test_nan_inside_segment(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        values = ["0.1", "0.2", "nan", "0.4", "0.5"]
+        rows = "".join(f"{k}e-06,{v}\n" for k, v in enumerate(values))
+        path.write_text(
+            "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+            "# segments: 0:5\ntime_s,value\n" + rows
+        )
+        with pytest.raises(DomainError, match="sample 2 "):
+            read_trace(str(path))
+
 
 class TestFringeScanRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -267,3 +267,18 @@ class TestPhaseTrace:
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.empty(0))
         assert trace.segments == ()
         assert trace.n_samples == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_inside_segment(self, bad):
+        samples = np.array([0.1, np.nan, 0.3, 0.4, 0.5, 0.6, np.nan])
+        samples[4] = bad
+        with pytest.raises(DomainError, match="sample 4 "):
+            PhaseTrace(t0=0.0, dt=1e-6, samples=samples, segments=((2, 3), (3, 6)))
+        with pytest.raises(DomainError, match="sample 1 "):
+            PhaseTrace(t0=0.0, dt=1e-6, samples=samples)
+
+    def test_non_finite_sample_outside_segments(self):
+        samples = np.array([np.nan, 0.1, 0.2, np.inf, 0.5, np.nan])
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=samples, segments=((1, 3), (4, 5)))
+        assert trace.segments == ((1, 3), (4, 5))
+        assert PhaseTrace(t0=0.0, dt=1e-6, samples=samples, segments=()).segments == ()
