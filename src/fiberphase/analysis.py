@@ -73,14 +73,14 @@ class FringeFit:
 class PhaseStats:
     """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
-    Per lag: the count `n_increments`, the mean absolute increment
-    `mean_abs_change` (dphi), the sample standard deviation `sigma_per_tau`
-    (ddof=1; NaN below two increments), and the signed mean and sum of
-    squared deviations `m2` that :func:`pool_stats` merges.  Arrays are
-    read-only copies.  Give either per-lag `increments` (any iterable of
-    arrays, reduced here and not stored) or the curve `mean_abs_change` and
-    `sigma_per_tau`; a curve read from a file has no signed moments and
-    cannot be pooled.
+    The lags `taus` are finite and strictly increasing.  Per lag: the count
+    `n_increments`, the mean absolute increment `mean_abs_change` (dphi),
+    the sample standard deviation `sigma_per_tau` (ddof=1; NaN below two
+    increments), and the signed mean and sum of squared deviations `m2`
+    that :func:`pool_stats` merges.  Arrays are read-only copies.  Give
+    either per-lag `increments` (any iterable of arrays, reduced here and
+    not stored) or the curve `mean_abs_change` and `sigma_per_tau`; a curve
+    read from a file has no signed moments and cannot be pooled.
     """
 
     taus: np.ndarray
@@ -109,6 +109,9 @@ class PhaseStats:
                     raise DomainError(f"{name} must hold one value per lag")
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
+        bad = np.flatnonzero(~np.isfinite(self.taus))
+        if bad.size:
+            raise DomainError(f"taus[{bad[0]}] is not finite: {self.taus[bad[0]]}")
         if np.any(np.diff(self.taus) <= 0):
             raise DomainError("lags must be strictly increasing")
 

@@ -38,15 +38,14 @@ __all__ = [
 TOOL_NAME = "fiberphase"
 TOOL_VERSION = "0.1.0"
 
-_TRACE_MAGIC = "# fiberphase-trace v1"
-_FRINGE_MAGIC = "# fiberphase-fringe v1"
-_DPHI_MAGIC = "# fiberphase-dphi v1"
-_HISTOGRAM_MAGIC = "# fiberphase-histogram v1"
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
+# Each CSV format: its magic line and the (name, type) of each column.  An int
+# column holds 64-bit integers; `12.0`, `nan` and `inf` are not integers.
+_TRACE = "# fiberphase-trace v1", (("time_s", float), ("value", float))
+_FRINGE = "# fiberphase-fringe v1", (("applied_phase_rad", float), ("pulse_area", float))
+_DPHI = "# fiberphase-dphi v1", (
+    ("tau_s", float), ("dphi_rad", float), ("sigma_rad", float), ("n_increments", int)
+)
+_HISTOGRAM = "# fiberphase-histogram v1", (("bin_center_rad", float), ("count", int))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -71,67 +70,78 @@ def sha256_of_file(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# trace CSV (phase and intensity)
+# CSV tables: magic line, `# key: value` metadata, column header, rows
 
-def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
-    """Write a phase or intensity trace as trace CSV v1."""
-    lines = [_TRACE_MAGIC]
-    if isinstance(trace, PhaseTrace):
-        lines.append("# kind: phase")
-        lines.append(f"# t0: {_fmt(trace.t0)}")
-        lines.append(f"# dt: {_fmt(trace.dt)}")
-        segments = ",".join(f"{a}:{b}" for a, b in trace.segments)
-        lines.append(f"# segments: {segments}")
-    elif isinstance(trace, IntensityTrace):
-        lines.append("# kind: intensity")
-        lines.append(f"# t0: {_fmt(trace.t0)}")
-        lines.append(f"# dt: {_fmt(trace.dt)}")
-        lines.append(f"# i_max: {_fmt(trace.i_max)}")
-        lines.append(f"# i_min: {_fmt(trace.i_min)}")
-    else:
-        raise DomainError(f"cannot serialize {type(trace).__name__} as a trace")
-    lines.append("time_s,value")
-    times = trace.times
-    for t, v in zip(times, trace.samples):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
+    """Write `table` (magic, columns) with `meta` and one array per column."""
+    magic, columns = table
+    cells = [map(repr, np.asarray(v, kind).tolist()) for (_, kind), v in zip(columns, values)]
+    _atomic_write_text(path, "\n".join([
+        magic,
+        *(f"# {k}: {v if isinstance(v, str) else repr(float(v))}" for k, v in meta.items()),
+        ",".join(name for name, _ in columns),
+        *map(",".join, zip(*cells)),
+        "",
+    ]))
 
 
-def _parse_header(lines: list[str], magic: str, path: str):
+def _read_table(path: str, table: tuple):
+    """Read `table`: (metadata dict, one array per column, header line number).
+
+    Blank lines are skipped; any other deviation raises TraceParseError
+    with its 1-based line number.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raws = fh.read().splitlines()  # the line breaks text mode splits on
+        line = next(n for n, b in enumerate(raws, 1) if b.decode(errors="ignore").encode() != b)
+        raise TraceParseError(f"{path}: not UTF-8 text", line=line) from None
+    magic, columns = table
     if not lines or lines[0].rstrip("\n") != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
     meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i].rstrip("\n")[1:].strip()
+    start = 1
+    while start < len(lines) and lines[start].startswith("#"):
+        body = lines[start].rstrip("\n")[1:].strip()
         if ":" not in body:
-            raise TraceParseError(f"{path}: malformed metadata {body!r}", line=i + 1)
+            raise TraceParseError(f"{path}: malformed metadata {body!r}", line=start + 1)
         key, _, value = body.partition(":")
         meta[key.strip()] = value.strip()
-        i += 1
-    return meta, i
-
-
-def _parse_rows(lines: list[str], start: int, n_cols: int, header: str, path: str):
+        start += 1
+    header = ",".join(name for name, _ in columns)
     if start >= len(lines) or lines[start].rstrip("\n") != header:
-        raise TraceParseError(
-            f"{path}: expected column header {header!r}", line=start + 1
-        )
-    rows = []
-    for j in range(start + 1, len(lines)):
-        raw = lines[j].rstrip("\n")
-        if raw == "":
-            continue
-        parts = raw.split(",")
-        if len(parts) != n_cols:
-            raise TraceParseError(
-                f"{path}: expected {n_cols} columns, got {len(parts)}", line=j + 1
-            )
+        raise TraceParseError(f"{path}: expected column header {header!r}", line=start + 1)
+    try:
+        return meta, _parse_columns(lines[start + 1:], columns), start + 1
+    except (ValueError, OverflowError):
+        pass
+    # Bisect for the first bad row: lines[lo:hi] always holds it.
+    lo, hi = start + 1, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise TraceParseError(f"{path}: unparseable number in {raw!r}", line=j + 1)
-    return rows
+            _parse_columns(lines[lo:mid], columns)
+            lo = mid
+        except (ValueError, OverflowError):
+            hi = mid
+    raw, got = lines[lo].rstrip("\n"), lines[lo].count(",") + 1
+    problem = (f"expected {len(columns)} columns, got {got}" if got != len(columns)
+               else f"unparseable number in {raw!r}")
+    raise TraceParseError(f"{path}: {problem}", line=lo + 1)
+
+
+def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
+    """Parse the non-blank lines column by column; ValueError/OverflowError if one is bad."""
+    rows = [line for line in lines if line != "\n"]
+    if any(row.count(",") != len(columns) - 1 for row in rows):
+        raise ValueError("wrong column count")
+    return [
+        np.fromiter((kind(row.split(",")[j]) for row in rows), kind, len(rows))
+        for j, (_, kind) in enumerate(columns)
+    ]
 
 
 def _meta_float(meta: dict, key: str, path: str) -> float:
@@ -143,110 +153,70 @@ def _meta_float(meta: dict, key: str, path: str) -> float:
         raise TraceParseError(f"{path}: bad value for {key!r}: {meta[key]!r}", line=2)
 
 
+def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
+    """Write a phase or intensity trace as trace CSV v1."""
+    if isinstance(trace, PhaseTrace):
+        segments = ",".join(f"{a}:{b}" for a, b in trace.segments)
+        meta = {"kind": "phase", "t0": trace.t0, "dt": trace.dt, "segments": segments}
+    elif isinstance(trace, IntensityTrace):
+        meta = {"kind": "intensity", "t0": trace.t0, "dt": trace.dt,
+                "i_max": trace.i_max, "i_min": trace.i_min}
+    else:
+        raise DomainError(f"cannot serialize {type(trace).__name__} as a trace")
+    _write_table(path, _TRACE, meta, (trace.times, trace.samples))
+
+
 def read_trace(path: str) -> PhaseTrace | IntensityTrace:
     """Read a trace CSV v1 file back into its original type."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    meta, start = _parse_header(lines, _TRACE_MAGIC, path)
-    rows = _parse_rows(lines, start, 2, "time_s,value", path)
-    samples = np.array([r[1] for r in rows]) if rows else np.empty(0)
+    meta, (_, samples), _ = _read_table(path, _TRACE)
     kind = meta.get("kind")
-    t0 = _meta_float(meta, "t0", path)
-    dt = _meta_float(meta, "dt", path)
+    t0, dt = (_meta_float(meta, key, path) for key in ("t0", "dt"))
     if kind == "phase":
-        seg_text = meta.get("segments", "")
         segments = []
-        if seg_text:
-            for token in seg_text.split(","):
-                try:
-                    a, _, b = token.partition(":")
-                    segments.append((int(a), int(b)))
-                except ValueError:
-                    raise TraceParseError(
-                        f"{path}: bad segment token {token!r}", line=2
-                    )
+        for token in meta["segments"].split(",") if meta.get("segments") else ():
+            a, _, b = token.partition(":")
+            try:
+                segments.append((int(a), int(b)))
+            except ValueError:
+                raise TraceParseError(f"{path}: bad segment token {token!r}", line=2) from None
         return PhaseTrace(t0=t0, dt=dt, samples=samples, segments=tuple(segments))
     if kind == "intensity":
-        return IntensityTrace(
-            t0=t0,
-            dt=dt,
-            samples=samples,
-            i_max=_meta_float(meta, "i_max", path),
-            i_min=_meta_float(meta, "i_min", path),
-        )
+        i_max, i_min = (_meta_float(meta, key, path) for key in ("i_max", "i_min"))
+        return IntensityTrace(t0=t0, dt=dt, samples=samples, i_max=i_max, i_min=i_min)
     raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=2)
 
 
-# ---------------------------------------------------------------------------
-# fringe scan CSV
-
 def write_fringe_scan(path: str, scan: FringeScan) -> None:
-    lines = [
-        _FRINGE_MAGIC,
-        f"# i0: {_fmt(scan.i0)}",
-        f"# detector_noise: {_fmt(scan.detector_noise)}",
-        "applied_phase_rad,pulse_area",
-    ]
-    for phi, area in zip(scan.applied_phase, scan.pulse_area):
-        lines.append(f"{_fmt(phi)},{_fmt(area)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    meta = {"i0": scan.i0, "detector_noise": scan.detector_noise}
+    _write_table(path, _FRINGE, meta, (scan.applied_phase, scan.pulse_area))
 
 
 def read_fringe_scan(path: str) -> FringeScan:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    meta, start = _parse_header(lines, _FRINGE_MAGIC, path)
-    rows = _parse_rows(lines, start, 2, "applied_phase_rad,pulse_area", path)
-    if len(rows) < 4:
-        raise TraceParseError(f"{path}: a fringe scan needs >= 4 rows", line=start + 1)
-    return FringeScan(
-        applied_phase=np.array([r[0] for r in rows]),
-        pulse_area=np.array([r[1] for r in rows]),
-        detector_noise=_meta_float(meta, "detector_noise", path),
-        i0=_meta_float(meta, "i0", path),
-    )
+    meta, (phase, area), header_line = _read_table(path, _FRINGE)
+    if phase.size < 4:
+        raise TraceParseError(f"{path}: a fringe scan needs >= 4 rows", line=header_line)
+    noise = _meta_float(meta, "detector_noise", path)
+    return FringeScan(phase, area, detector_noise=noise, i0=_meta_float(meta, "i0", path))
 
-
-# ---------------------------------------------------------------------------
-# dphi(tau) curve CSV
 
 def write_dphi_curve(path: str, stats: PhaseStats) -> None:
     """Persist the mean-phase-change curve with its widths and counts."""
-    lines = [
-        _DPHI_MAGIC,
-        f"# dt: {_fmt(stats.dt)}",
-        "tau_s,dphi_rad,sigma_rad,n_increments",
-    ]
-    for tau, dphi, sigma, count in zip(
-        stats.taus, stats.mean_abs_change, stats.sigma_per_tau, stats.n_increments
-    ):
-        lines.append(f"{_fmt(tau)},{_fmt(dphi)},{_fmt(sigma)},{int(count)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    values = (stats.taus, stats.mean_abs_change, stats.sigma_per_tau, stats.n_increments)
+    _write_table(path, _DPHI, {"dt": stats.dt}, values)
 
 
 def read_dphi_curve(path: str) -> PhaseStats:
     """Read a curve file back as PhaseStats (without signed moments)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    meta, start = _parse_header(lines, _DPHI_MAGIC, path)
-    rows = _parse_rows(lines, start, 4, "tau_s,dphi_rad,sigma_rad,n_increments", path)
-    if not rows:
-        raise TraceParseError(f"{path}: empty curve", line=start + 1)
-    return PhaseStats(
-        taus=np.array([r[0] for r in rows]),
-        n_increments=np.array([int(r[3]) for r in rows]),
-        dt=_meta_float(meta, "dt", path),
-        mean_abs_change=np.array([r[1] for r in rows]),
-        sigma_per_tau=np.array([r[2] for r in rows]),
-    )
+    meta, (taus, dphi, sigma, counts), header_line = _read_table(path, _DPHI)
+    if not taus.size:
+        raise TraceParseError(f"{path}: empty curve", line=header_line)
+    dt = _meta_float(meta, "dt", path)
+    return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)
 
 
 def write_histogram(path: str, hist: GaussianHistogram) -> None:
     """Two-column export (bin center, count) of an increment histogram."""
-    lines = [_HISTOGRAM_MAGIC, "bin_center_rad,count"]
-    for center, count in zip(hist.bin_centers, hist.counts):
-        lines.append(f"{_fmt(center)},{int(count)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, _HISTOGRAM, {}, (hist.bin_centers, hist.counts))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ class FringeScan:
 
     `pulse_area[i]` is the mean over `pulses_per_point` pulse repetitions
     at modulator setting `applied_phase[i]`, including the additive
-    detector noise floor.  `i0` is the mean full intensity of the fringe.
+    detector noise floor; both arrays must be finite.  `i0` is the mean full
+    intensity of the fringe.
     """
 
     applied_phase: np.ndarray
@@ -60,6 +61,10 @@ class FringeScan:
             )
         if phase.size < 4:
             raise DomainError(f"a fringe scan needs >= 4 points, got {phase.size}")
+        for name, values in (("applied_phase", phase), ("pulse_area", area)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")
         tol = _AREA_NEGATIVE_TOL * (abs(self.i0) + abs(self.detector_noise)) + 1e-12
         if np.any(area - self.detector_noise < -tol):
             raise DomainError("pulse_area is negative after detector-noise subtraction")

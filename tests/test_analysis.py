@@ -215,6 +215,14 @@ class TestIncrementSets:
         with pytest.raises(DomainError):
             increment_sets(trace, [2e-6, 1e-6])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_lags_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match=r"taus\[1\] is not finite"):
+            PhaseStats(
+                taus=np.array([1e-6, bad, 3e-6]), n_increments=np.array([9, 8, 7]), dt=1e-6,
+                mean_abs_change=np.full(3, 0.1), sigma_per_tau=np.full(3, np.nan),
+            )
+
     def test_segment_boundaries_not_bridged(self):
         samples = np.arange(20.0) * 0.01
         trace = PhaseTrace(

@@ -84,6 +84,23 @@ NON_FINITE_VALUES = [
     ("repeater fidelity --diffusion 8e-4 --link-km 35,inf", "--link-km"),
 ]
 
+# Input files that every analyze command must reject with exit 1: (file
+# bytes, command reading {f}, text the error must contain).
+MALFORMED_INPUTS = [
+    (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n# segments: 0:2\n"
+     b"time_s,value\n0.0,0.1\n1e-06,0.\xff2\n",
+     "analyze dphi --in {f} --tau-max-us 1 --out {d}/c.csv", "line 8: "),
+    (b"# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+     b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0,0.7\nnan,0.3\n3.0,0.1\n4.0,0.4\n",
+     "analyze fringe --in {f}", "applied_phase[2] is not finite"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\nnan,0.2,0.25,8\n",
+     "analyze tau-threshold --in {f} --dphi 0.1", "taus[1] is not finite"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,nan\n",
+     "analyze tau-threshold --in {f} --dphi 0.1", "line 5: "),
+]
+
 # A flag that only takes effect together with another one.
 UNPAIRED_FLAGS = [
     (_DPHI + " --tau-max-us 100 --histogram-out {d}/h.csv",
@@ -190,6 +207,18 @@ class TestValidationExitCodes:
         )
         assert code == 1
         assert "sample 2 " in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "data,template,fragment", MALFORMED_INPUTS,
+        ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count"],
+    )
+    def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert main(template.format(f=path, d=tmp_path).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
         assert not (tmp_path / "c.csv").exists()
 
     def test_missing_input_file(self, capsys, tmp_path):

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fiberphase import (
     FringeScan,
+    GaussianHistogram,
     IntensityTrace,
     DomainError,
+    FiberPhaseError,
     NoiseParams,
+    PhaseStats,
     PhaseTrace,
     ReportDocument,
     TraceParseError,
@@ -219,6 +222,149 @@ class TestHistogramExport:
         assert len(lines) == 2 + hist.counts.size
         total = sum(int(line.split(",")[1]) for line in lines[2:])
         assert total == 400
+
+
+GOLDEN = [
+    (
+        write_trace,
+        PhaseTrace(
+            t0=1.5e-3, dt=2.5e-6, samples=np.array([0.1, -0.0, np.nan, 5e-324, 1 / 3]),
+            segments=((0, 2), (3, 5)),
+        ),
+        "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0015\n# dt: 2.5e-06\n"
+        "# segments: 0:2,3:5\ntime_s,value\n0.0015,0.1\n0.0015025,-0.0\n"
+        "0.001505,nan\n0.0015075,5e-324\n0.00151,0.3333333333333333\n",
+    ),
+    (
+        write_trace,
+        IntensityTrace(
+            t0=0.0, dt=1e-6, samples=np.array([0.5, -0.0, 5e-324]), i_max=1.0, i_min=-0.0
+        ),
+        "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+        "# i_max: 1.0\n# i_min: -0.0\ntime_s,value\n0.0,0.5\n1e-06,-0.0\n2e-06,5e-324\n",
+    ),
+    (
+        write_fringe_scan,
+        FringeScan(
+            applied_phase=np.array([-0.0, np.pi / 2, np.pi, 3 * np.pi / 2]),
+            pulse_area=np.array([1.0, 0.5, 5e-324, 0.5]),
+            detector_noise=0.0,
+            i0=1.0,
+        ),
+        "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+        "applied_phase_rad,pulse_area\n-0.0,1.0\n1.5707963267948966,0.5\n"
+        "3.141592653589793,5e-324\n4.71238898038469,0.5\n",
+    ),
+    (
+        write_dphi_curve,
+        PhaseStats(
+            taus=np.array([1e-6, 2e-6]), n_increments=np.array([3, 1]), dt=1e-6,
+            mean_abs_change=np.array([0.25, 5e-324]), sigma_per_tau=np.array([-0.0, np.nan]),
+        ),
+        "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+        "1e-06,0.25,-0.0,3\n2e-06,5e-324,nan,1\n",
+    ),
+    (
+        write_histogram,
+        GaussianHistogram(
+            sigma=0.1, bin_edges=np.array([-0.5, -0.0, -0.0, 1e-323, 0.5]),
+            counts=np.array([3, 0, 1, 12]), fit_amplitude=1.0, fit_mean=0.0,
+            fit_sigma=0.1, degenerate=False,
+        ),
+        "# fiberphase-histogram v1\nbin_center_rad,count\n"
+        "-0.25,3\n-0.0,0\n5e-324,1\n0.25,12\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "write,obj,expected", GOLDEN,
+    ids=["phase_trace", "intensity_trace", "fringe", "dphi_curve", "histogram"],
+)
+def test_golden_bytes(tmp_path, write, obj, expected):
+    path = tmp_path / "golden.csv"
+    write(str(path), obj)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+class TestTableCodec:
+    CURVE = (
+        "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+        "1e-06,0.01,0.0125,499\n2e-06,0.02,0.025,{count}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "count", ["nan", "inf", "-inf", "12.7", "12.0", "1e3", "99999999999999999999999"]
+    )
+    def test_integer_column_rejects_non_integers(self, tmp_path, count):
+        path = tmp_path / "curve.csv"
+        path.write_text(self.CURVE.format(count=count), encoding="utf-8")
+        with pytest.raises(TraceParseError, match="line 5: .*unparseable number"):
+            read_dphi_curve(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(self.CURVE.replace("499\n", "499\n\n\n").format(count=498))
+        assert list(read_dphi_curve(str(path)).n_increments) == [499, 498]
+
+    @pytest.mark.parametrize("reader", [read_trace, read_fringe_scan, read_dphi_curve])
+    def test_non_utf8_names_line(self, tmp_path, reader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.CURVE.format(count=498).encode() + b"3e-06,0.03,\xff,497\n")
+        with pytest.raises(TraceParseError, match="line 6: .*not UTF-8"):
+            reader(str(path))
+
+
+# One valid file per format, as the golden test writes it.
+FUZZ_BASES = [
+    (read_trace, GOLDEN[0][2], (PhaseTrace, IntensityTrace)),
+    (read_trace, GOLDEN[1][2], (PhaseTrace, IntensityTrace)),
+    (read_fringe_scan, GOLDEN[2][2], FringeScan),
+    (read_dphi_curve, GOLDEN[3][2], PhaseStats),
+]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file of one format with a few bytes flipped, inserted or deleted."""
+    reader, text, kind = draw(st.sampled_from(FUZZ_BASES))
+    data = bytearray(text.encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.one_of(st.sampled_from(b"0123456789.,-+e:#\n\r nai"), st.integers(0, 255)))
+        if op == "replace":
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        else:
+            del data[pos]
+    return reader, bytes(data), kind
+
+
+class TestParserFuzz:
+    """Any input gives a valid object or a FiberPhaseError, never another exception."""
+
+    @staticmethod
+    def check(tmp_path_factory, reader, data, kind):
+        path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+        path.write_bytes(data)
+        try:
+            obj = reader(str(path))
+        except FiberPhaseError:
+            return
+        assert isinstance(obj, kind)
+
+    @settings(max_examples=150)
+    @given(data=st.binary(max_size=200), base=st.sampled_from(FUZZ_BASES))
+    def test_arbitrary_bytes(self, tmp_path_factory, data, base):
+        reader, _, kind = base
+        self.check(tmp_path_factory, reader, data, kind)
+
+    @settings(max_examples=400)
+    @given(case=mutated_files())
+    def test_mutated_valid_file(self, tmp_path_factory, case):
+        self.check(tmp_path_factory, *case)
 
 
 class TestReport:

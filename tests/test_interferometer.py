@@ -202,6 +202,14 @@ class TestContainers:
                 pulse_area=np.full(8, -0.5),
             )
 
+    @pytest.mark.parametrize("field", ["applied_phase", "pulse_area"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fringe_scan_non_finite(self, field, bad):
+        arrays = {"applied_phase": np.linspace(0, 6.3, 8), "pulse_area": np.full(8, 0.5)}
+        arrays[field][5] = bad
+        with pytest.raises(DomainError, match=rf"{field}\[5\] is not finite"):
+            FringeScan(**arrays)
+
     def test_intensity_trace_bounds(self):
         with pytest.raises(DomainError):
             IntensityTrace(t0=0.0, dt=1e-6, samples=np.array([0.0, 5.0]), i_max=1.0, i_min=0.0)
