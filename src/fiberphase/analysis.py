@@ -23,6 +23,8 @@ from .errors import (
     FitError,
     InsufficientDataError,
     ThresholdNotReachedError,
+    check_finite,
+    check_scalar,
 )
 from .interferometer import FringeScan, IntensityTrace, sigma_from_visibility
 from .noise import PhaseTrace
@@ -73,14 +75,15 @@ class FringeFit:
 class PhaseStats:
     """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
-    The lags `taus` are finite and strictly increasing.  Per lag: the count
-    `n_increments`, the mean absolute increment `mean_abs_change` (dphi),
-    the sample standard deviation `sigma_per_tau` (ddof=1; NaN below two
-    increments), and the signed mean and sum of squared deviations `m2`
-    that :func:`pool_stats` merges.  Arrays are read-only copies.  Give
-    either per-lag `increments` (any iterable of arrays, reduced here and
-    not stored) or the curve `mean_abs_change` and `sigma_per_tau`; a curve
-    read from a file has no signed moments and cannot be pooled.
+    The sample interval `dt` is finite and > 0; the lags `taus` are finite
+    and strictly increasing.  Per lag: the count `n_increments`, the mean
+    absolute increment `mean_abs_change` (dphi), the sample standard
+    deviation `sigma_per_tau` (ddof=1; NaN below two increments), and the
+    signed mean and sum of squared deviations `m2` that :func:`pool_stats`
+    merges.  Arrays are read-only copies.  Give either per-lag `increments`
+    (any iterable of arrays, reduced here and not stored) or the curve
+    `mean_abs_change` and `sigma_per_tau`; a curve read from a file has no
+    signed moments and cannot be pooled.
     """
 
     taus: np.ndarray
@@ -93,6 +96,7 @@ class PhaseStats:
     increments: InitVar[Iterable[np.ndarray] | None] = None
 
     def __post_init__(self, increments):
+        check_scalar("dt", self.dt, positive=True)
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dt"}
         if increments is not None:
             n, dphi, mean, m2 = np.array([_moments(x) for x in increments]).reshape(-1, 4).T
@@ -109,9 +113,7 @@ class PhaseStats:
                     raise DomainError(f"{name} must hold one value per lag")
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
-        bad = np.flatnonzero(~np.isfinite(self.taus))
-        if bad.size:
-            raise DomainError(f"taus[{bad[0]}] is not finite: {self.taus[bad[0]]}")
+        check_finite("taus", self.taus)
         if np.any(np.diff(self.taus) <= 0):
             raise DomainError("lags must be strictly increasing")
 
@@ -250,10 +252,19 @@ def _lag_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _valid_increments(samples: np.ndarray, seg: np.ndarray, k: int) -> np.ndarray:
-    # A pair (i, i + k) is valid when both samples lie in the same segment.
-    valid = (seg[k:] == seg[:-k]) & (seg[:-k] >= 0)
-    return (samples[k:] - samples[:-k])[valid]
+def _increments(phase: PhaseTrace, steps):
+    """Signed increments at each lag step in `steps`, one array at a time.
+
+    The in-segment samples are concatenated once, with `room`, the number of
+    samples from each one to the end of its segment.  A pair (i, i + k) lies
+    in one segment exactly when room[i] > k, and then keeps lag k in the
+    concatenation, so each lag reduces over in-segment samples only.
+    """
+    lengths = np.array([b - a for a, b in phase.segments], dtype=int)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(lengths.sum())
+    samples = phase.samples[phase.segment_ids() >= 0]
+    for k in steps:
+        yield (samples[k:] - samples[:-k])[room[:-k] > k]
 
 
 def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
@@ -263,7 +274,7 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     discarded (the phase is unobservable through omitted extrema).  `tau`
     must be a positive multiple of the sample interval.
     """
-    return _valid_increments(phase.samples, phase.segment_ids(), _lag_steps(tau, phase.dt))
+    return next(_increments(phase, [_lag_steps(tau, phase.dt)]))
 
 
 def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
@@ -284,9 +295,7 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    seg = phase.segment_ids()
-    increments = (_valid_increments(phase.samples, seg, k) for k in steps)
-    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
+    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=_increments(phase, steps))
 
 
 def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:

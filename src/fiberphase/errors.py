@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all fiberphase modules."""
+"""Exception hierarchy shared by all fiberphase modules, and the finiteness
+checks that value objects raise DomainError from."""
+
+import math
+
+import numpy as np
 
 
 class FiberPhaseError(Exception):
@@ -52,3 +57,18 @@ class TraceParseError(FiberPhaseError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_scalar(name: str, value: float, positive: bool = False) -> None:
+    """Raise DomainError unless `value` is finite and, if `positive`, > 0."""
+    if positive and not (value > 0):
+        raise DomainError(f"{name} must be > 0, got {value}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Raise DomainError naming the first non-finite entry of `values`."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_scalar
 from .noise import NoiseParams, travel_time
 
 __all__ = [
@@ -38,8 +38,8 @@ class FringeScan:
 
     `pulse_area[i]` is the mean over `pulses_per_point` pulse repetitions
     at modulator setting `applied_phase[i]`, including the additive
-    detector noise floor; both arrays must be finite.  `i0` is the mean full
-    intensity of the fringe.
+    detector noise floor `detector_noise`; both arrays and the floor must be
+    finite.  `i0` > 0 is the mean full intensity of the fringe.
     """
 
     applied_phase: np.ndarray
@@ -48,6 +48,8 @@ class FringeScan:
     i0: float = 1.0
 
     def __post_init__(self):
+        check_scalar("detector_noise", self.detector_noise)
+        check_scalar("i0", self.i0, positive=True)
         phase = np.asarray(self.applied_phase, dtype=float).copy()
         area = np.asarray(self.pulse_area, dtype=float).copy()
         phase.setflags(write=False)
@@ -62,9 +64,7 @@ class FringeScan:
         if phase.size < 4:
             raise DomainError(f"a fringe scan needs >= 4 points, got {phase.size}")
         for name, values in (("applied_phase", phase), ("pulse_area", area)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")
+            check_finite(name, values)
         tol = _AREA_NEGATIVE_TOL * (abs(self.i0) + abs(self.detector_noise)) + 1e-12
         if np.any(area - self.detector_noise < -tol):
             raise DomainError("pulse_area is negative after detector-noise subtraction")
@@ -88,8 +88,9 @@ class FringeScan:
 class IntensityTrace:
     """Detector record of a Mach-Zehnder output vs time.
 
-    i_max/i_min are the calibration extremes of the fringe; samples must
-    stay inside them up to a small tolerance.
+    i_max/i_min are the finite calibration extremes of the fringe; samples
+    must be finite and stay inside them up to a small tolerance.  `t0` and
+    `dt` are finite, `dt` > 0.
     """
 
     t0: float
@@ -99,15 +100,18 @@ class IntensityTrace:
     i_min: float
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        check_scalar("dt", self.dt, positive=True)
+        check_scalar("t0", self.t0)
         if not (self.i_max > self.i_min):
             raise DomainError(
                 f"i_max must exceed i_min, got i_max={self.i_max}, i_min={self.i_min}"
             )
+        check_scalar("i_max", self.i_max)
+        check_scalar("i_min", self.i_min)
         samples = np.asarray(self.samples, dtype=float).copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        check_finite("samples", samples)
         if samples.size:
             eps = _INTENSITY_BOUND_TOL * (self.i_max - self.i_min)
             if samples.min() < self.i_min - eps or samples.max() > self.i_max + eps:
@@ -182,8 +186,6 @@ def simulate_fringe_scan(
         raise DomainError(f"n_points must be >= 4, got {n_points}")
     if pulses_per_point < 1:
         raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}")
-    if not (i0 > 0):
-        raise DomainError(f"i0 must be > 0, got {i0}")
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
     base = np.random.Philox(key=int(seed) & (2**64 - 1))

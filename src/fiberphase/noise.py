@@ -17,12 +17,13 @@ n = 1.5 corresponds to 5 us of one-way travel time per km of fiber.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_scalar
 
 # Propagation speed convention: c/n with c rounded to 3e5 km/s, i.e. exactly
 # 5 us/km at the default group index 1.5.
@@ -155,10 +156,11 @@ class NoiseParams:
 class PhaseTrace:
     """Sampled phase-vs-time series with valid-region bookkeeping.
 
-    `segments` is a tuple of half-open (start, stop) index ranges marking
-    contiguous runs of meaningful samples, which must be finite; samples
-    outside every segment are NaN for extracted traces.  A freshly
-    simulated trace has one segment covering everything.
+    `t0` and `dt` are finite, `dt` > 0.  `segments` is a tuple of half-open
+    (start, stop) index ranges marking contiguous runs of meaningful
+    samples, which must be finite; samples outside every segment are NaN
+    for extracted traces.  A freshly simulated trace has one segment
+    covering everything.
     """
 
     t0: float
@@ -167,8 +169,8 @@ class PhaseTrace:
     segments: tuple[tuple[int, int], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        check_scalar("dt", self.dt, positive=True)
+        check_scalar("t0", self.t0)
         samples = np.asarray(self.samples, dtype=float)
         samples = samples.copy()
         samples.setflags(write=False)
@@ -227,24 +229,42 @@ def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:
     )
 
 
-def _fgn_circulant(n_steps: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Exact fGn sample via circulant embedding; None if the embedding fails."""
-    n = n_steps
+# Spectra kept by _fgn_spectrum.  An entry holds n - 1 floats, 16 MB at
+# MAX_FGN_STEPS, so the cache retains at most 64 MB.
+_SPECTRUM_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _fgn_spectrum(n: int, hurst: float) -> tuple[float, float, np.ndarray] | None:
+    """Scale factors of the circulant embedding of n fGn steps, or None if the
+    embedding fails: sqrt(ev[0]/m), sqrt(ev[n]/m) and the read-only
+    sqrt(ev[1:n]/(2m)), for the m = 2n eigenvalues ev.  They depend on
+    (n, hurst) only, so repeated traces share them."""
     gamma = _fgn_autocov(hurst, n)
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
     eigenvalues = np.fft.fft(row).real
     if eigenvalues.min() < -1e-8 * eigenvalues.max():
         return None
     eigenvalues = np.clip(eigenvalues, 0.0, None)
+    m = 2 * n
+    half = np.sqrt(eigenvalues[1:n] / (2.0 * m))
+    half.setflags(write=False)
+    return math.sqrt(eigenvalues[0] / m), math.sqrt(eigenvalues[n] / m), half
 
+
+def _fgn_circulant(n_steps: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
+    """Exact fGn sample via circulant embedding; None if the embedding fails."""
+    spectrum = _fgn_spectrum(n_steps, hurst)
+    if spectrum is None:
+        return None
+    first, middle, half = spectrum
+    n = n_steps
     z1 = rng.standard_normal(n + 1)
     z2 = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    m = 2 * n
-    w = np.zeros(m, dtype=complex)
-    w[0] = math.sqrt(eigenvalues[0] / m) * z1[0]
-    w[n] = math.sqrt(eigenvalues[n] / m) * z1[n]
+    w = np.zeros(2 * n, dtype=complex)
+    w[0] = first * z1[0]
+    w[n] = middle * z1[n]
     if n > 1:
-        half = np.sqrt(eigenvalues[1:n] / (2.0 * m))
         w[1:n] = half * (z1[1:n] + 1j * z2)
         w[n + 1:] = np.conj(w[1:n][::-1])
     return np.fft.fft(w).real[:n]

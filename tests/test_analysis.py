@@ -1,6 +1,7 @@
 """Tests for the fringe-fit / phase-extraction / increment-statistics pipeline."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -232,6 +233,19 @@ class TestIncrementSets:
         # (8-3) + (8-3) pairs; nothing across the gap
         assert stats.n_increments[0] == 10
 
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "dt must be > 0"),
+        (math.inf, "dt must be finite"),
+        (0.0, "dt must be > 0"),
+        (-1e-6, "dt must be > 0"),
+    ])
+    def test_dt_must_be_finite_and_positive(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            PhaseStats(
+                taus=np.array([1e-6, 2e-6]), n_increments=np.array([9, 8]), dt=bad,
+                mean_abs_change=np.full(2, 0.1), sigma_per_tau=np.full(2, 0.2),
+            )
+
     def test_lag_longer_than_all_segments_dropped(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(6))
         stats = increment_sets(trace, [2e-6, 5e-6, 6e-6])
@@ -287,6 +301,22 @@ class TestStreamingReduction:
         assert len(phase.segments) > 5
         self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 600e-6))
 
+    @pytest.mark.parametrize("name,digest", [
+        ("taus", "793740083d389f00def189dd252f1cb4e73bad55a9ccabb7e26a6668d9ed1b50"),
+        ("n_increments", "6594fefcd7bddb2e6b1395b7e6fa8b783cd1ea419a9467fe90cb4acc1869092b"),
+        ("mean_abs_change", "de46b5c48dfa541b8113273660b680cf2fe259631d44c137117fb8580b8e73bd"),
+        ("sigma_per_tau", "868f908d0869a1bd226c132d4aed67fda8ac66ec1575efe55b9e0c9f1bb358df"),
+        ("signed_mean", "07ccb540d14c720e9e7172a69e93665c23473a51f0b5b154a3a2d3547fc70771"),
+        ("m2", "a506b5519e4027e0569be00e9791434994a6fd81cc8d14d382a1a5da49e69b42"),
+    ])
+    def test_golden_bytes(self, name, digest):
+        # SHA-256 of each curve array on an extracted H = 0.8 trace.
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.8, length_km=36.5)
+        phase = extract_phase(simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4))
+        assert len(phase.segments) == 7
+        stats = increment_sets(phase, default_lag_grid(1e-6, 600e-6))
+        assert hashlib.sha256(getattr(stats, name).tobytes()).hexdigest() == digest
+
     def test_drifting_trace_bit_identical(self):
         # 2000 rad/s drift: the increment mean dwarfs the spread, where a raw
         # sum of squares would cancel; adjacent segments must not be bridged.
@@ -299,6 +329,48 @@ class TestStreamingReduction:
             segments=((0, 3000), (3100, 9000), (9000, 9600), (9600, 20001)),
         )
         self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 700e-6))
+
+    # Segment layouts on 20 samples: lengths 2, k = 4 and k + 1 = 5,
+    # adjacent segments, a segment ending at the last sample, and lags up to
+    # 12, longer than every segment of most layouts.
+    @pytest.mark.parametrize("segments", [
+        ((3, 5), (9, 11), (14, 16)),
+        ((0, 4), (6, 11), (13, 17)),
+        ((2, 8), (8, 14), (14, 20)),
+        ((0, 2), (2, 6), (6, 11)),
+        ((4, 9), (12, 20)),
+        ((0, 1), (19, 20)),
+        ((0, 20),),
+    ], ids=["length_2", "length_k_and_k_plus_1", "adjacent", "adjacent_2_k_k_plus_1",
+            "ends_at_last_sample", "single_samples", "whole_trace"])
+    def test_segment_layouts_bit_identical(self, segments):
+        walk = np.cumsum(gaussian_increments(0.1, 20, seed=9))
+        inside = np.zeros(20, dtype=bool)
+        for a, b in segments:
+            inside[a:b] = True
+        phase = PhaseTrace(0.0, 1e-6, np.where(inside, walk, np.nan), segments=segments)
+        taus = 1e-6 * np.arange(1, 13)
+        if not any(b - a > 1 for a, b in segments):
+            with pytest.raises(InsufficientDataError):
+                increment_sets(phase, taus)
+        else:
+            self.assert_curve_is_reference(phase, taus)
+        for tau in taus:  # every lag, kept or dropped
+            assert np.array_equal(increments_at(phase, tau), reference_increments(phase, tau))
+
+    def test_multi_segment_lag_longer_than_every_segment(self):
+        phase = PhaseTrace(0.0, 1e-6, np.arange(12.0), segments=((0, 4), (4, 9), (9, 12)))
+        stats = increment_sets(phase, [3e-6, 4e-6, 5e-6, 8e-6])
+        assert np.array_equal(stats.taus, [3e-6, 4e-6])
+        assert stats.n_increments.tolist() == [1 + 2, 1]
+        assert increments_at(phase, 4e-6).tolist() == [4.0]
+        assert increments_at(phase, 5e-6).size == 0 and increments_at(phase, 8e-6).size == 0
+
+    def test_no_segments(self):
+        phase = PhaseTrace(0.0, 1e-6, np.full(5, np.nan), segments=())
+        assert increments_at(phase, 1e-6).size == 0
+        with pytest.raises(InsufficientDataError):
+            increment_sets(phase, [1e-6])
 
     def test_pool_matches_concatenated_reference(self):
         # traces of different lengths: the longest lags exist in some only

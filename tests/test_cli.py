@@ -99,6 +99,18 @@ MALFORMED_INPUTS = [
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,nan\n",
      "analyze tau-threshold --in {f} --dphi 0.1", "line 5: "),
+    (b"# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n# i_max: 1.0\n"
+     b"# i_min: 0.0\ntime_s,value\n0.0,0.5\n1e-06,0.6\n2e-06,nan\n3e-06,0.4\n",
+     "analyze phase --in {f} --out {d}/c.csv", "samples[2] is not finite: nan"),
+    (b"# fiberphase-trace v1\n# kind: phase\n# t0: nan\n# dt: 1e-06\n# segments: 0:3\n"
+     b"time_s,value\n0.0,0.1\n1e-06,0.2\n2e-06,0.3\n",
+     "analyze dphi --in {f} --tau-max-us 1 --out {d}/c.csv", "t0 must be finite"),
+    (b"# fiberphase-fringe v1\n# i0: nan\n# detector_noise: 0.0\n"
+     b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0,0.7\n2.0,0.3\n3.0,0.1\n4.0,0.4\n",
+     "analyze fringe --in {f}", "i0 must be > 0, got nan"),
+    (b"# fiberphase-dphi v1\n# dt: inf\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,8\n",
+     "analyze tau-threshold --in {f} --dphi 0.1", "dt must be finite, got inf"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -211,7 +223,8 @@ class TestValidationExitCodes:
 
     @pytest.mark.parametrize(
         "data,template,fragment", MALFORMED_INPUTS,
-        ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count"],
+        ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count",
+             "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt"],
     )
     def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
         path = tmp_path / "in.csv"

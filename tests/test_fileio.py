@@ -144,6 +144,17 @@ class TestTraceParseErrors:
         with pytest.raises(DomainError, match="sample 2 "):
             read_trace(str(path))
 
+    def test_nan_intensity_sample(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        values = ["0.5", "0.6", "0.7", "nan", "0.4"]
+        rows = "".join(f"{k}e-06,{v}\n" for k, v in enumerate(values))
+        path.write_text(
+            "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+            "# i_max: 1.0\n# i_min: 0.0\ntime_s,value\n" + rows
+        )
+        with pytest.raises(DomainError, match=r"samples\[3\] is not finite: nan"):
+            read_trace(str(path))
+
 
 class TestFringeScanRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -210,6 +210,41 @@ class TestContainers:
         with pytest.raises(DomainError, match=rf"{field}\[5\] is not finite"):
             FringeScan(**arrays)
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("i0", math.nan, "i0 must be > 0"),
+        ("i0", math.inf, "i0 must be finite"),
+        ("i0", 0.0, "i0 must be > 0"),
+        ("i0", -1.0, "i0 must be > 0"),
+        ("detector_noise", math.nan, "detector_noise must be finite"),
+        ("detector_noise", math.inf, "detector_noise must be finite"),
+        ("detector_noise", -math.inf, "detector_noise must be finite"),
+    ])
+    def test_fringe_scan_scalar_metadata(self, field, bad, message):
+        arrays = {"applied_phase": np.linspace(0, 6.3, 8), "pulse_area": np.full(8, 0.5)}
+        with pytest.raises(DomainError, match=message):
+            FringeScan(**arrays, **{field: bad})
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("t0", math.nan, "t0 must be finite"),
+        ("t0", math.inf, "t0 must be finite"),
+        ("t0", -math.inf, "t0 must be finite"),
+        ("dt", math.inf, "dt must be finite"),
+        ("dt", math.nan, "dt must be > 0"),
+        ("dt", 0.0, "dt must be > 0"),
+        ("i_max", math.inf, "i_max must be finite"),
+        ("i_min", -math.inf, "i_min must be finite"),
+    ])
+    def test_intensity_trace_scalar_metadata(self, field, bad, message):
+        fields = {"t0": 0.0, "dt": 1e-6, "samples": np.full(4, 0.5), "i_max": 1.0, "i_min": 0.0}
+        with pytest.raises(DomainError, match=message):
+            IntensityTrace(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_intensity_trace_non_finite_sample(self, bad):
+        samples = np.array([0.5, 0.6, 0.7, bad, 0.4, math.nan])
+        with pytest.raises(DomainError, match=r"samples\[3\] is not finite"):
+            IntensityTrace(t0=0.0, dt=1e-6, samples=samples, i_max=1.0, i_min=0.0)
+
     def test_intensity_trace_bounds(self):
         with pytest.raises(DomainError):
             IntensityTrace(t0=0.0, dt=1e-6, samples=np.array([0.0, 5.0]), i_max=1.0, i_min=0.0)

@@ -1,5 +1,6 @@
 """Tests for the stochastic phase-noise process."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -184,6 +185,18 @@ class TestSampleTrace:
         with pytest.raises(DomainError):
             proc.sample_trace(1e-6, 1e-5, seed=0)
 
+    @pytest.mark.parametrize("hurst,digest", [
+        (0.3, "6f81cef77a1d01b9b756f4106cbb9501fc751fca8946c83bf96b8680f339db62"),
+        (0.5, "9eab025a2ebcbbc35aadd3025e39caf5eba20c2113a61b5f054974572b46997a"),
+        (0.8, "0f586f69c0858a324a283828f4f1f6449145450e0bd04c1804b5e03f6bf8550c"),
+    ])
+    def test_golden_bytes(self, hurst, digest):
+        # SHA-256 of the samples: synthesis changes must keep every bit.
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst)
+        trace = proc.sample_trace(4096e-6, 1e-6, seed=2007)
+        assert trace.n_samples == 4097
+        assert hashlib.sha256(trace.samples.tobytes()).hexdigest() == digest
+
     def test_synthesis_limit(self):
         proc = build_process(NoiseParams(sigma_ref=0.1, tau_ref=1e-4, hurst=0.7))
         with pytest.raises(ResourceLimitError):
@@ -225,6 +238,46 @@ class TestSampleTrace:
         assert result.pvalue > 0.01
 
 
+class TestSpectrumCache:
+    """The circulant spectrum is computed once per (n_steps, hurst)."""
+
+    @staticmethod
+    def sample(hurst, seed=5):
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=hurst)
+        return proc.sample_trace(1000e-6, 1e-6, seed=seed).samples
+
+    def test_cold_and_warm_cache_agree(self):
+        from fiberphase.noise import _fgn_spectrum
+
+        _fgn_spectrum.cache_clear()
+        cold = self.sample(0.8)
+        assert _fgn_spectrum.cache_info().misses == 1
+        warm = self.sample(0.8)
+        assert _fgn_spectrum.cache_info().hits == 1
+        assert np.array_equal(cold, warm)
+        assert not np.array_equal(self.sample(0.8, seed=6), cold)
+        assert _fgn_spectrum.cache_info().maxsize == 4
+
+    def test_hurst_values_do_not_share_an_entry(self):
+        from fiberphase.noise import _fgn_spectrum
+
+        _fgn_spectrum.cache_clear()
+        a, b = self.sample(0.7), self.sample(0.8)
+        info = _fgn_spectrum.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        assert not np.array_equal(a, b)
+        _fgn_spectrum.cache_clear()
+        assert np.array_equal(self.sample(0.8), b)
+
+    def test_cached_scale_factors_read_only(self):
+        from fiberphase.noise import _fgn_spectrum
+
+        _, _, half = _fgn_spectrum(1000, 0.8)
+        assert half.shape == (999,) and not half.flags.writeable
+        with pytest.raises(ValueError):
+            half[0] = 0.0
+
+
 class TestDenseFallback:
     def test_dense_synthesis_matches_target_covariance(self):
         # The circulant embedding is valid for all H in (0,1), so the dense
@@ -262,6 +315,19 @@ class TestPhaseTrace:
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(4))
         with pytest.raises(ValueError):
             trace.samples[0] = 1.0
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("t0", math.nan, "t0 must be finite"),
+        ("t0", math.inf, "t0 must be finite"),
+        ("t0", -math.inf, "t0 must be finite"),
+        ("dt", math.inf, "dt must be finite"),
+        ("dt", math.nan, "dt must be > 0"),
+        ("dt", -1e-6, "dt must be > 0"),
+    ])
+    def test_scalar_metadata(self, field, bad, message):
+        fields = {"t0": 0.0, "dt": 1e-6, "samples": np.zeros(4)}
+        with pytest.raises(DomainError, match=message):
+            PhaseTrace(**{**fields, field: bad})
 
     def test_empty_trace(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.empty(0))
