@@ -26,7 +26,7 @@ from .errors import (
     check_finite,
     check_scalar,
 )
-from .interferometer import FringeScan, IntensityTrace, sigma_from_visibility
+from .interferometer import MEAN_ABS_FACTOR, FringeScan, IntensityTrace, sigma_from_visibility
 from .noise import PhaseTrace
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "fit_scaling_exponent",
     "estimate_diffusion",
 ]
-
-MEAN_ABS_FACTOR = math.sqrt(2.0 / math.pi)  # <|x|> / sigma for gaussian x
 
 DEFAULT_BAND = (0.2, 0.8)
 DEFAULT_MAX_LAGS = 100

@@ -225,14 +225,22 @@ def _process_block(values: dict) -> dict:
     if preset is not None:
         if values["sigma_ref"] is not None or values["tau_ref_s"] is not None:
             raise DomainError(f"--{preset} cannot be combined with --sigma-ref/--tau-ref-us")
-        calibration = preset_params(preset, hurst=values["hurst"])
+        calibration = preset_params(preset)
         values["sigma_ref"], values["tau_ref_s"] = calibration.sigma_ref, calibration.tau_ref
         if values["length_km"] is None:
             values["length_km"] = calibration.length_km
     for flag, key in (("--sigma-ref", "sigma_ref"), ("--tau-ref-us", "tau_ref_s")):
         if values[key] is None:
             raise DomainError(f"{flag} is required without --day/--night")
-    block = dataclasses.asdict(_params_to_process(values))
+    try:
+        process = _params_to_process(values)
+    except DomainError as exc:  # NoiseParams messages open with the field name
+        names = {flag.key: flag.name for flag in _flags(_PROCESS.flags)}
+        flag = names.get("process." + str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise DomainError(f"{flag}: {exc}") from exc
+    block = dataclasses.asdict(process)
     block["tau_ref_s"] = block.pop("tau_ref")
     return block
 

@@ -137,6 +137,9 @@ class IntensityTrace:
         )
 
 
+MEAN_ABS_FACTOR = math.sqrt(2.0 / math.pi)  # <|x|> / sigma for gaussian x
+
+
 def visibility_from_sigma(sigma: float) -> float:
     """Fringe visibility left by gaussian phase noise of width `sigma`."""
     if sigma < 0:

@@ -8,8 +8,10 @@ power law
 
 plus an optional deterministic linear drift.  hurst = 0.5 is an ordinary
 random walk (independent gaussian increments); other exponents are
-synthesized with exact covariance (circulant embedding of fractional
-gaussian noise, dense Cholesky fallback for short traces).
+synthesized with exact covariance by circulant embedding of fractional
+gaussian noise, which is nonnegative definite for every hurst in (0, 1)
+(Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1088, 1997; Craigmile,
+J. Time Ser. Anal. 24, 505, 2003).
 
 Loop/arm lengths convert to delays through the group index; the default
 n = 1.5 corresponds to 5 us of one-way travel time per km of fiber.
@@ -30,9 +32,8 @@ from .errors import DomainError, ResourceLimitError, check_scalar
 SPEED_OF_LIGHT_KM_S = 3.0e5
 DEFAULT_GROUP_INDEX = 1.5
 
-# Hard limits for hurst != 0.5 synthesis (number of increments).
+# Hard limit for hurst != 0.5 synthesis (number of increments).
 MAX_FGN_STEPS = 1 << 21
-MAX_DENSE_STEPS = 4096
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -141,10 +142,7 @@ class NoiseParams:
                     f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
                     f"of {MAX_FGN_STEPS}"
                 )
-            unit = _fgn_circulant(n_steps, self.hurst, rng)
-            if unit is None:
-                unit = _fgn_dense(n_steps, self.hurst, rng)
-            increments = sigma_step * unit
+            increments = sigma_step * _fgn_circulant(n_steps, self.hurst, rng)
 
         samples = np.concatenate([[0.0], np.cumsum(increments)])
         if self.drift_rate != 0.0:
@@ -221,30 +219,35 @@ class PhaseTrace:
 
 
 def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:
-    # Autocovariance of unit-variance fractional gaussian noise at integer lags.
-    k = np.arange(max_lag + 1, dtype=float)
+    """Autocovariance of unit-variance fractional gaussian noise at lags
+    0..max_lag (max_lag >= 1).  For k >= 2 the second difference of k^{2H}
+    is written through expm1/log1p, so it does not cancel at large k."""
     two_h = 2.0 * hurst
-    return 0.5 * (
-        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
+    k = np.arange(2, max_lag + 1, dtype=float)
+    tail = 0.5 * k**two_h * (
+        np.expm1(two_h * np.log1p(1.0 / k)) + np.expm1(two_h * np.log1p(-1.0 / k))
     )
+    return np.concatenate([[1.0, math.expm1((two_h - 1.0) * math.log(2.0))], tail])
 
 
-# Spectra kept by _fgn_spectrum.  An entry holds n - 1 floats, 16 MB at
-# MAX_FGN_STEPS, so the cache retains at most 64 MB.
+# Spectra kept by _fgn_spectrum.  An entry holds n - 1 float64 scale factors
+# plus two floats: 16 MiB at MAX_FGN_STEPS, so the cache retains at most 64 MiB.
 _SPECTRUM_CACHE_SIZE = 4
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _fgn_spectrum(n: int, hurst: float) -> tuple[float, float, np.ndarray] | None:
-    """Scale factors of the circulant embedding of n fGn steps, or None if the
-    embedding fails: sqrt(ev[0]/m), sqrt(ev[n]/m) and the read-only
-    sqrt(ev[1:n]/(2m)), for the m = 2n eigenvalues ev.  They depend on
+def _fgn_spectrum(n: int, hurst: float) -> tuple[float, float, np.ndarray]:
+    """Scale factors of the circulant embedding of n fGn steps:
+    sqrt(ev[0]/m), sqrt(ev[n]/m) and the read-only sqrt(ev[1:n]/(2m)), for
+    the m = 2n eigenvalues ev (ev[n+1:] mirrors ev[1:n]).  They depend on
     (n, hurst) only, so repeated traces share them."""
     gamma = _fgn_autocov(hurst, n)
-    row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[n - 1:0:-1]])
-    eigenvalues = np.fft.fft(row).real
+    eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
+    # Safety check only: the embedding of fGn is nonnegative definite.
     if eigenvalues.min() < -1e-8 * eigenvalues.max():
-        return None
+        raise ResourceLimitError(
+            f"circulant embedding of {n} steps at hurst={hurst} is not nonnegative definite"
+        )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     m = 2 * n
     half = np.sqrt(eigenvalues[1:n] / (2.0 * m))
@@ -252,37 +255,16 @@ def _fgn_spectrum(n: int, hurst: float) -> tuple[float, float, np.ndarray] | Non
     return math.sqrt(eigenvalues[0] / m), math.sqrt(eigenvalues[n] / m), half
 
 
-def _fgn_circulant(n_steps: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Exact fGn sample via circulant embedding; None if the embedding fails."""
-    spectrum = _fgn_spectrum(n_steps, hurst)
-    if spectrum is None:
-        return None
-    first, middle, half = spectrum
-    n = n_steps
+def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact sample of n fGn steps: the first n values of the 2n-point real
+    sequence whose random half spectrum w has n + 1 entries."""
+    first, middle, half = _fgn_spectrum(n, hurst)
     z1 = rng.standard_normal(n + 1)
-    z2 = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    w = np.zeros(2 * n, dtype=complex)
-    w[0] = first * z1[0]
-    w[n] = middle * z1[n]
-    if n > 1:
-        w[1:n] = half * (z1[1:n] + 1j * z2)
-        w[n + 1:] = np.conj(w[1:n][::-1])
-    return np.fft.fft(w).real[:n]
-
-
-def _fgn_dense(n_steps: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    # Fallback: Cholesky of the dense Toeplitz covariance. O(n^3), short traces only.
-    from scipy.linalg import toeplitz
-
-    if n_steps > MAX_DENSE_STEPS:
-        raise ResourceLimitError(
-            f"circulant embedding failed and {n_steps} steps exceeds the dense "
-            f"fallback limit of {MAX_DENSE_STEPS}"
-        )
-    gamma = _fgn_autocov(hurst, n_steps - 1)
-    cov = toeplitz(gamma)
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n_steps)
+    z2 = rng.standard_normal(n - 1)
+    w = np.empty(n + 1, dtype=complex)
+    w[0], w[n] = first * z1[0], middle * z1[n]
+    w[1:n] = half * (z1[1:n] - 1j * z2)
+    return np.fft.irfft(w, 2 * n, norm="forward")[:n]
 
 
 def build_process(params: NoiseParams) -> NoiseParams:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MEAN_ABS_FACTOR
 from .errors import DomainError
+from .interferometer import MEAN_ABS_FACTOR, visibility_from_sigma
 
 __all__ = [
     "RepeaterChain",
@@ -88,9 +88,7 @@ class BudgetReport:
 
 def fidelity_from_sigma(sigma: float) -> float:
     """Entangled-state fidelity under gaussian phase noise of width sigma."""
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    return 0.5 * (1.0 + math.exp(-0.5 * sigma * sigma))
+    return 0.5 * (1.0 + visibility_from_sigma(sigma))
 
 
 def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:

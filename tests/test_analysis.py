@@ -304,10 +304,10 @@ class TestStreamingReduction:
     @pytest.mark.parametrize("name,digest", [
         ("taus", "793740083d389f00def189dd252f1cb4e73bad55a9ccabb7e26a6668d9ed1b50"),
         ("n_increments", "6594fefcd7bddb2e6b1395b7e6fa8b783cd1ea419a9467fe90cb4acc1869092b"),
-        ("mean_abs_change", "de46b5c48dfa541b8113273660b680cf2fe259631d44c137117fb8580b8e73bd"),
-        ("sigma_per_tau", "868f908d0869a1bd226c132d4aed67fda8ac66ec1575efe55b9e0c9f1bb358df"),
-        ("signed_mean", "07ccb540d14c720e9e7172a69e93665c23473a51f0b5b154a3a2d3547fc70771"),
-        ("m2", "a506b5519e4027e0569be00e9791434994a6fd81cc8d14d382a1a5da49e69b42"),
+        ("mean_abs_change", "3dad0d9b4822f7306c5b715c66216dfbac25f11e409698a6cf94a51d9f0d70db"),
+        ("sigma_per_tau", "4a74400235a5fc79ae6e857aec61b5fb55cc37740ff9aca724d9231b16050952"),
+        ("signed_mean", "578aaaba640131b7089a5426aca8a50aa2db9399b1ef85a7ad7ab017d8ec8863"),
+        ("m2", "338e50f791c340f7ec8d270f7c4a0673162d902eb88c48f44a88a96dde3b7412"),
     ])
     def test_golden_bytes(self, name, digest):
         # SHA-256 of each curve array on an extracted H = 0.8 trace.

@@ -41,6 +41,10 @@ INVALID_VALUES = [
     ("simulate noise --sigma-ref 0.1 --tau-ref-us 0 --duration-ms 1 --dt-us 1 "
      "--out {d}/x.csv", "--tau-ref-us"),
     (_NOISE + " --duration-ms 0 --dt-us 1", "--duration-ms"),
+    (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 1.5", "--hurst"),
+    (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 0", "--hurst"),
+    (_NOISE + " --duration-ms 1 --dt-us 1 --group-index 1", "--group-index"),
+    (_NOISE + " --duration-ms 1 --dt-us 1 --length-km -1", "--length-km"),
     (_NOISE + " --duration-ms 1 --dt-us -1", "--dt-us"),
     (_MZ + " --i-max 0.5 --i-min 0.5", "--i-max"),
     (_FRINGE + " --loop-km 0", "--loop-km"),

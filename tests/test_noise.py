@@ -1,5 +1,6 @@
 """Tests for the stochastic phase-noise process."""
 
+import decimal
 import hashlib
 import math
 
@@ -186,9 +187,9 @@ class TestSampleTrace:
             proc.sample_trace(1e-6, 1e-5, seed=0)
 
     @pytest.mark.parametrize("hurst,digest", [
-        (0.3, "6f81cef77a1d01b9b756f4106cbb9501fc751fca8946c83bf96b8680f339db62"),
+        (0.3, "2686969688bb3e5182043d629218d8fdc3757c429f786f32715fac392ed724f3"),
         (0.5, "9eab025a2ebcbbc35aadd3025e39caf5eba20c2113a61b5f054974572b46997a"),
-        (0.8, "0f586f69c0858a324a283828f4f1f6449145450e0bd04c1804b5e03f6bf8550c"),
+        (0.8, "fd1c8f2db64df4a808d3d804c33ba9d9dda21304eef13a73c1f3c084113cb5e6"),
     ])
     def test_golden_bytes(self, hurst, digest):
         # SHA-256 of the samples: synthesis changes must keep every bit.
@@ -278,30 +279,78 @@ class TestSpectrumCache:
             half[0] = 0.0
 
 
-class TestDenseFallback:
-    def test_dense_synthesis_matches_target_covariance(self):
-        # The circulant embedding is valid for all H in (0,1), so the dense
-        # path only guards against float pathologies; check it directly.
-        from fiberphase.noise import _fgn_autocov, _fgn_dense
+def decimal_autocov(hurst, k):
+    # 0.5 * ((k+1)^2H - 2 k^2H + |k-1|^2H) in 60-digit decimal arithmetic.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        two_h = 2 * decimal.Decimal(hurst)
+        above, at, below = (decimal.Decimal(x) ** two_h for x in (k + 1, k, abs(k - 1)))
+        return float((above - 2 * at + below) / 2)
 
-        rng = np.random.Generator(np.random.Philox(key=2))
+
+class TestCirculantSynthesis:
+    """The one fGn path: a stable autocovariance and a valid embedding."""
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.8, 0.99])
+    def test_autocov_matches_decimal_reference(self, hurst):
+        from fiberphase.noise import _fgn_autocov
+
+        gamma = _fgn_autocov(hurst, 10**5)
+        assert gamma[0] == 1.0
+        for k in (1, 2, 3, 10, 1000, 10**5):
+            assert gamma[k] == pytest.approx(decimal_autocov(hurst, k), rel=1e-9, abs=0)
+
+    def test_embedding_nonnegative_over_grid(self):
+        # A clipped negative eigenvalue would leave a zero scale factor.
+        from fiberphase.noise import _fgn_spectrum
+
+        try:
+            for hurst in (0.05, 0.3, 0.7, 0.95, 0.99, 0.999):
+                for n in (1 << 12, 1 << 16, 1 << 21):
+                    first, middle, half = _fgn_spectrum(n, hurst)
+                    assert first > 0 and middle > 0 and half.min() > 0, (hurst, n)
+        finally:
+            _fgn_spectrum.cache_clear()
+
+    @pytest.mark.parametrize("hurst,n_steps", [(0.99, 1 << 19), (0.97, 1 << 20), (0.95, 1 << 21)])
+    def test_long_trace_near_hurst_one(self, hurst, n_steps):
+        from fiberphase.noise import _fgn_spectrum
+
+        proc = NoiseParams(sigma_ref=0.1, tau_ref=1e-4, hurst=hurst)
+        trace = proc.sample_trace(n_steps * 1e-6, 1e-6, seed=1)
+        _fgn_spectrum.cache_clear()
+        assert trace.n_samples == n_steps + 1
+        assert np.all(np.isfinite(trace.samples))
+
+    def test_failed_embedding_raises(self, monkeypatch):
+        from fiberphase import noise
+
+        # |gamma(1)| > gamma(0): no covariance, so no valid embedding.
+        monkeypatch.setattr(noise, "_fgn_autocov", lambda hurst, lag: np.r_[1.0, np.full(lag, 2.0)])
+        noise._fgn_spectrum.cache_clear()
+        proc = NoiseParams(sigma_ref=0.1, tau_ref=1e-4, hurst=0.7)
+        try:
+            with pytest.raises(ResourceLimitError, match=r"64 steps at hurst=0\.7"):
+                proc.sample_trace(64e-6, 1e-6, seed=0)
+        finally:
+            noise._fgn_spectrum.cache_clear()
+
+    def test_increment_covariance_matches_autocov(self):
+        # Empirical covariance of unit increments over 3000 seeds, per pair
+        # of positions, against the target at lags 0-3.
+        from fiberphase.noise import _fgn_autocov
+
         n, reps = 16, 3000
-        acc = np.zeros((n, n))
-        for _ in range(reps):
-            x = _fgn_dense(n, 0.8, rng)
-            acc += np.outer(x, x)
-        emp = acc / reps
-        gamma = _fgn_autocov(0.8, n - 1)
-        assert np.allclose(np.diag(emp), 1.0, atol=0.1)
-        off = np.array([emp[i, i + 1] for i in range(n - 1)])
-        assert np.allclose(off, gamma[1], atol=0.1)
-
-    def test_dense_limit(self):
-        from fiberphase.noise import MAX_DENSE_STEPS, _fgn_dense
-
-        rng = np.random.Generator(np.random.Philox(key=2))
-        with pytest.raises(ResourceLimitError):
-            _fgn_dense(MAX_DENSE_STEPS + 1, 0.8, rng)
+        for hurst in (0.3, 0.8):
+            proc = NoiseParams(sigma_ref=1.0, tau_ref=1e-6, hurst=hurst)
+            x = np.array([
+                np.diff(proc.sample_trace(n * 1e-6, 1e-6, seed=s).samples)
+                for s in range(reps)
+            ])
+            emp = x.T @ x / reps
+            gamma = _fgn_autocov(hurst, n - 1)
+            for lag in range(4):
+                assert np.allclose(np.diagonal(emp, lag), gamma[lag], atol=0.1), (hurst, lag)
 
 
 class TestPhaseTrace:
