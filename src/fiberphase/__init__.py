@@ -3,7 +3,12 @@
 Simulate calibrated stochastic phase processes, forward-model Sagnac and
 Mach-Zehnder interferometers, recover phase statistics from intensity
 records, and propagate the noise into quantum-repeater fidelity budgets.
+
+The library logs through the ``fiberphase`` logger, which has only a
+NullHandler: nothing is printed unless the application configures logging.
 """
+
+import logging
 
 from .analysis import (
     FringeFit,
@@ -75,3 +80,5 @@ from .repeater import (
     monte_carlo_fidelity,
     predict_visibility,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

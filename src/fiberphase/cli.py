@@ -20,6 +20,7 @@ given together.  Set FIBERPHASE_OUT_DIR to redirect relative output paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -311,11 +312,23 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _grid_flags():
+    """Name --duration-ms and --dt-us in the library's `duration >= dt` error."""
+    try:
+        yield
+    except DomainError as exc:
+        if not str(exc).startswith("duration "):
+            raise
+        raise DomainError(f"--duration-ms/--dt-us: {exc}") from exc
+
+
 def _run_simulate_noise(config, out):
     process = _params_to_process(config.params["process"])
-    trace = process.sample_trace(
-        config.params["duration_s"], config.params["dt_s"], config.seed
-    )
+    with _grid_flags():
+        trace = process.sample_trace(
+            config.params["duration_s"], config.params["dt_s"], config.seed
+        )
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
         "kind": "phase",
@@ -328,10 +341,11 @@ def _run_simulate_noise(config, out):
 def _run_simulate_mz(config, out):
     p = config.params
     process = _params_to_process(p["process"])
-    trace = interferometer.simulate_mz_trace(
-        process, p["duration_s"], p["dt_s"],
-        i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config.seed,
-    )
+    with _grid_flags():
+        trace = interferometer.simulate_mz_trace(
+            process, p["duration_s"], p["dt_s"],
+            i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config.seed,
+        )
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
         "kind": "intensity",

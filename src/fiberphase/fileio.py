@@ -3,15 +3,18 @@
 All floats are written in their shortest round-trip decimal form, so
 read(write(x)) == x holds bit-exactly.  Writes are whole-file atomic
 (write to a uniquely named temp file in the same directory, then rename).
+Tables are read and written one bounded block of rows at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +41,12 @@ __all__ = [
 TOOL_NAME = "fiberphase"
 TOOL_VERSION = "0.1.0"
 
+_log = logging.getLogger(__name__)
+
+# Characters of row text parsed or formatted at a time: a table's memory is
+# its column arrays plus one block.
+_BLOCK = 1 << 20
+
 # Each CSV format: its magic line and the (name, type) of each column.  An int
 # column holds 64-bit integers; `12.0`, `nan` and `inf` are not integers.
 _TRACE = "# fiberphase-trace v1", (("time_s", float), ("value", float))
@@ -48,13 +57,14 @@ _DPHI = "# fiberphase-dphi v1", (
 _HISTOGRAM = "# fiberphase-histogram v1", (("bin_center_rad", float), ("count", int))
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text chunks to a fresh temp file, then rename it over `path`."""
     # A fresh name, created exclusively, so that no other file is touched.
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -75,51 +85,92 @@ def sha256_of_file(path: str) -> str:
 def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
     """Write `table` (magic, columns) with `meta` and one array per column."""
     magic, columns = table
-    cells = [map(repr, np.asarray(v, kind).tolist()) for (_, kind), v in zip(columns, values)]
-    _atomic_write_text(path, "\n".join([
-        magic,
-        *(f"# {k}: {v if isinstance(v, str) else repr(float(v))}" for k, v in meta.items()),
-        ",".join(name for name, _ in columns),
-        *map(",".join, zip(*cells)),
-        "",
-    ]))
+    arrays = [np.asarray(v, kind) for (_, kind), v in zip(columns, values)]
+    n_rows = min(map(len, arrays))
+    step = max(1, _BLOCK // 32)  # a trace row is about 32 characters
+    starts = range(0, n_rows, step)
+
+    def chunks():
+        yield "\n".join([
+            magic,
+            *(f"# {k}: {v if isinstance(v, str) else repr(float(v))}" for k, v in meta.items()),
+            ",".join(name for name, _ in columns),
+            "",
+        ])
+        for a in starts:
+            cells = [map(repr, col[a:a + step].tolist()) for col in arrays]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _atomic_write(path, chunks())
+    _log.debug("wrote %s: %d rows in %d blocks", path, n_rows, len(starts))
 
 
 def _read_table(path: str, table: tuple):
     """Read `table`: (metadata dict, one array per column, header line number).
 
     Blank lines are skipped; any other deviation raises TraceParseError
-    with its 1-based line number.
+    with its 1-based line number.  Rows are parsed one block of about
+    `_BLOCK` characters at a time.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raws = fh.read().splitlines()  # the line breaks text mode splits on
-        line = next(n for n, b in enumerate(raws, 1) if b.decode(errors="ignore").encode() != b)
+            return _read_open_table(fh, path, table)
+    except (UnicodeDecodeError, TraceParseError):
+        # A byte that is not UTF-8 is reported wherever it sits in the file,
+        # so the error does not depend on how far the parse got before it.
+        line = _first_non_utf8_line(path)
+        if line is None:
+            raise
         raise TraceParseError(f"{path}: not UTF-8 text", line=line) from None
+
+
+def _first_non_utf8_line(path: str) -> int | None:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # 1 + the line breaks (those text mode splits on) before the bad byte
+        return len((data[:exc.start] + b"x").splitlines())
+    return None
+
+
+def _read_open_table(fh, path: str, table: tuple):
     magic, columns = table
-    if not lines or lines[0].rstrip("\n") != magic:
+    if fh.readline().rstrip("\n") != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
     meta: dict[str, str] = {}
-    start = 1
-    while start < len(lines) and lines[start].startswith("#"):
-        body = lines[start].rstrip("\n")[1:].strip()
+    line, number = fh.readline(), 2
+    while line.startswith("#"):
+        body = line.rstrip("\n")[1:].strip()
         if ":" not in body:
-            raise TraceParseError(f"{path}: malformed metadata {body!r}", line=start + 1)
+            raise TraceParseError(f"{path}: malformed metadata {body!r}", line=number)
         key, _, value = body.partition(":")
         meta[key.strip()] = value.strip()
-        start += 1
+        line, number = fh.readline(), number + 1
     header = ",".join(name for name, _ in columns)
-    if start >= len(lines) or lines[start].rstrip("\n") != header:
-        raise TraceParseError(f"{path}: expected column header {header!r}", line=start + 1)
+    if line.rstrip("\n") != header:
+        raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
+    parts = [[np.empty(0, kind)] for _, kind in columns]
+    first, blocks, blanks = number + 1, 0, 0
+    while lines := fh.readlines(_BLOCK):
+        for part, array in zip(parts, _parse_block(lines, columns, path, first)):
+            part.append(array)
+        first, blocks, blanks = first + len(lines), blocks + 1, blanks + lines.count("\n")
+    arrays = [np.concatenate(part) for part in parts]
+    _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
+               path, arrays[0].size, blocks, blanks)
+    return meta, arrays, number
+
+
+def _parse_block(lines: list[str], columns, path: str, first: int) -> list[np.ndarray]:
+    """Parse one block of rows, the first of them at line `first`."""
     try:
-        return meta, _parse_columns(lines[start + 1:], columns), start + 1
+        return _parse_columns(lines, columns)
     except (ValueError, OverflowError):
         pass
     # Bisect for the first bad row: lines[lo:hi] always holds it.
-    lo, hi = start + 1, len(lines)
+    lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
@@ -130,18 +181,18 @@ def _read_table(path: str, table: tuple):
     raw, got = lines[lo].rstrip("\n"), lines[lo].count(",") + 1
     problem = (f"expected {len(columns)} columns, got {got}" if got != len(columns)
                else f"unparseable number in {raw!r}")
-    raise TraceParseError(f"{path}: {problem}", line=lo + 1)
+    raise TraceParseError(f"{path}: {problem}", line=first + lo)
 
 
 def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
     """Parse the non-blank lines column by column; ValueError/OverflowError if one is bad."""
-    rows = [line for line in lines if line != "\n"]
-    if any(row.count(",") != len(columns) - 1 for row in rows):
+    rows = list(filter("\n".__ne__, lines))
+    k = len(columns)
+    if not set(map(str.count, rows, repeat(","))) <= {k - 1}:
         raise ValueError("wrong column count")
-    return [
-        np.fromiter((kind(row.split(",")[j]) for row in rows), kind, len(rows))
-        for j, (_, kind) in enumerate(columns)
-    ]
+    cells = ",".join(rows).split(",")  # row r, column j is cells[r * k + j]
+    return [np.fromiter(map(kind, cells[j::k]), kind, len(rows))
+            for j, (_, kind) in enumerate(columns)]
 
 
 def _meta_float(meta: dict, key: str, path: str) -> float:
@@ -273,5 +324,4 @@ def write_report(path: str, report: ReportDocument) -> None:
         "inputs": _normalize(report.inputs, round12=False),
         "results": _normalize(report.results, round12=True),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    _atomic_write_text(path, text + "\n")
+    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), "\n"])

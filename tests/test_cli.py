@@ -249,6 +249,17 @@ class TestValidationExitCodes:
         assert code == 1
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate noise --sigma-ref 0.1 --tau-ref-us 100",
+                                         "simulate mz --night"])
+    def test_duration_shorter_than_step_names_both_flags(self, capsys, tmp_path, command):
+        argv = f"{command} --duration-ms 0.0005 --dt-us 1 --out {tmp_path}/x.csv".split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --duration-ms/--dt-us: duration must be >= dt, "
+            "got duration=5e-07, dt=1e-06\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)
     def test_unpaired_flag_names_both(self, capsys, tmp_path, template, flags):
         code = main(template.format(d=tmp_path).split())

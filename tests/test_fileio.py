@@ -1,7 +1,11 @@
 """Tests for the CSV trace/fringe/curve formats and the JSON report."""
 
+import dataclasses
 import json
+import logging
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from fiberphase import (
     write_report,
     write_trace,
 )
+from fiberphase import fileio
 
 
 class TestTraceRoundTrip:
@@ -353,13 +358,36 @@ def mutated_files(draw):
     return reader, bytes(data), kind
 
 
+def bits(obj):
+    """Every field of a value object, arrays as dtype and raw bytes."""
+    return [
+        (f.name, (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v))
+        for f in dataclasses.fields(obj) for v in [getattr(obj, f.name)]
+    ]
+
+
+def read_outcome(reader, path):
+    """(error type, line, message) of a failed read, or the bits of its result."""
+    try:
+        return bits(reader(path))
+    except FiberPhaseError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
 class TestParserFuzz:
-    """Any input gives a valid object or a FiberPhaseError, never another exception."""
+    """Any input gives a valid object or a FiberPhaseError, never another exception.
+
+    A read in blocks of 3 characters gives the same result as the default
+    read: bit-equal arrays, or the same error type, line and message.
+    """
 
     @staticmethod
     def check(tmp_path_factory, reader, data, kind):
         path = tmp_path_factory.mktemp("fuzz") / "in.csv"
         path.write_bytes(data)
+        outcome = read_outcome(reader, str(path))
+        with mock.patch.object(fileio, "_BLOCK", 3):
+            assert read_outcome(reader, str(path)) == outcome
         try:
             obj = reader(str(path))
         except FiberPhaseError:
@@ -376,6 +404,140 @@ class TestParserFuzz:
     @given(case=mutated_files())
     def test_mutated_valid_file(self, tmp_path_factory, case):
         self.check(tmp_path_factory, *case)
+
+
+DEFAULT_BLOCK = fileio._BLOCK
+
+
+@pytest.fixture(params=[1, 7, 40], ids=lambda n: f"block{n}")
+def tiny_block(request, monkeypatch):
+    """Parse and format tables in blocks of a few characters."""
+    monkeypatch.setattr(fileio, "_BLOCK", request.param)
+    return request.param
+
+
+CURVE_ROWS = "".join(f"{k}e-06,0.{k:02d},0.5,{100 - k}\n" for k in range(1, 31))
+CURVE_HEAD = "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+
+
+class TestBlockBoundaries:
+    """Rows read or written in blocks of a few characters, against the default block."""
+
+    @staticmethod
+    def outcome(path, block=DEFAULT_BLOCK):
+        with mock.patch.object(fileio, "_BLOCK", block):
+            return read_outcome(read_dphi_curve, str(path))
+
+    @pytest.mark.parametrize("row,problem", [
+        ("29e-06,0.29,0.5,x71", "unparseable number"),
+        ("29e-06,0.29,0.5", "expected 4 columns, got 3"),
+        ("29e-06,0.29,0.5,71,1", "expected 4 columns, got 5"),
+    ])
+    def test_bad_row_in_later_block_names_global_line(self, tmp_path, tiny_block, row, problem):
+        path = tmp_path / "curve.csv"
+        rows = CURVE_ROWS.splitlines(keepends=True)
+        rows[28] = row + "\n"
+        path.write_text(CURVE_HEAD + "\n\n" + "".join(rows), encoding="utf-8")
+        outcome = self.outcome(path, tiny_block)
+        assert outcome == self.outcome(path)
+        assert outcome[:2] == (TraceParseError, 3 + 2 + 29) and problem in outcome[2]
+
+    def test_blank_runs_across_block_edges_skipped(self, tmp_path, tiny_block):
+        plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+        plain.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        rows = CURVE_ROWS.splitlines(keepends=True)
+        gappy.write_text(CURVE_HEAD + "\n" * 9 + "".join(
+            row + "\n" * (k % 5) for k, row in enumerate(rows)) + "\n" * 6, encoding="utf-8")
+        assert self.outcome(gappy, tiny_block) == self.outcome(plain)
+
+    def test_last_row_without_newline(self, tmp_path, tiny_block):
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        full.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        cut.write_text(CURVE_HEAD + CURVE_ROWS.rstrip("\n"), encoding="utf-8")
+        assert self.outcome(cut, tiny_block) == self.outcome(full)
+
+    def test_crlf_reads_as_lf(self, tmp_path, tiny_block):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        crlf.write_bytes((CURVE_HEAD + CURVE_ROWS).replace("\n", "\r\n").encode())
+        assert self.outcome(crlf, tiny_block) == self.outcome(lf)
+
+    @pytest.mark.parametrize("reader,text,line,message", [
+        (read_dphi_curve, CURVE_HEAD + "\n\n", 3, "empty curve"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+         "applied_phase_rad,pulse_area\n\n\n\n", 4, "a fringe scan needs >= 4 rows"),
+    ])
+    def test_empty_data_section_names_header_line(self, tmp_path, tiny_block, reader, text,
+                                                  line, message):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TraceParseError, match=f"line {line}: .*{message}"):
+            reader(str(path))
+
+    def test_non_utf8_byte_outranks_earlier_bad_row(self, tmp_path, tiny_block):
+        # past the first 8 KiB that text mode decodes, so the parse reaches
+        # the bad row before the decoder reaches the bad byte
+        path = tmp_path / "curve.csv"
+        rows = CURVE_ROWS * 100
+        path.write_bytes((CURVE_HEAD + "1e-06,x,0.5,3\n" + rows).encode() + b"\xff\n")
+        with pytest.raises(TraceParseError, match=f"line {3 + 1 + 3000 + 1}: .*not UTF-8"):
+            read_dphi_curve(str(path))
+
+    @pytest.mark.parametrize(
+        "write,obj,expected", GOLDEN,
+        ids=["phase_trace", "intensity_trace", "fringe", "dphi_curve", "histogram"],
+    )
+    def test_golden_bytes(self, tmp_path, tiny_block, write, obj, expected):
+        path = tmp_path / "golden.csv"
+        write(str(path), obj)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, over one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """A table's memory is its column arrays plus one block, not the whole text.
+
+    On a 2e5-row intensity trace (6.3 MB of text, 3.2 MB of column arrays)
+    whole-text reading and writing peaked at 24 MB and 32 MB.
+    """
+
+    BOUND = 16e6  # bytes, for each of write_trace and read_trace
+
+    def test_read_and_write_peaks(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        trace = IntensityTrace(t0=0.0, dt=1e-6, samples=rng.uniform(0.0, 1.0, 200_000),
+                               i_max=1.0, i_min=0.0)
+        path = str(tmp_path / "mz.csv")
+        assert traced_peak(write_trace, path, trace) < self.BOUND
+        assert traced_peak(read_trace, path) < self.BOUND
+
+
+class TestCodecLogging:
+    def test_package_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("fiberphase").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_debug_records_rows_blocks_and_blank_lines(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK", 32 * 10)  # 10 rows per written block
+        path = str(tmp_path / "t.csv")
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            write_trace(path, PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(25)))
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n\n")
+            read_trace(path)
+        assert [r.name for r in caplog.records] == ["fiberphase.fileio"] * 2
+        assert caplog.records[0].getMessage() == f"wrote {path}: 25 rows in 3 blocks"
+        assert caplog.records[1].getMessage().startswith(f"read {path}: 25 rows in ")
+        assert caplog.records[1].getMessage().endswith(" blocks, 2 blank lines skipped")
 
 
 class TestReport:
