@@ -178,6 +178,22 @@ class TestExtractPhase:
         scale = float(np.std(truth.samples))
         assert worst <= 0.02 * max(scale, 0.1)
 
+    @pytest.mark.parametrize("hurst,n_segments,samples_digest,segments_digest", [
+        (0.5, 32, "bc9fa2981adc5f4e80a64bf9640d2f9731f819d7b38b2beef5ea429ea6567ef0",
+         "ccdf17229b1acc1de15dda06a6dd231a622a9f8f3caa4f78c4d3c5c97236a57a"),
+        (0.8, 7, "f671471b86a1ba1522ca632815b307902f08f0e45a85c4163a78cf74205d20d8",
+         "ce2720ca3d2d52a4357d31a59bd5cab624959170bed75910bf4669a9efad1ae3"),
+    ])
+    def test_golden_bytes(self, hurst, n_segments, samples_digest, segments_digest):
+        # SHA-256 of the extracted samples (NaN padding included) and of the
+        # segment bounds as int64 pairs.
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst, length_km=36.5)
+        phase = extract_phase(simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4))
+        assert len(phase.segments) == n_segments
+        assert hashlib.sha256(phase.samples.tobytes()).hexdigest() == samples_digest
+        segments = np.array(phase.segments, dtype=np.int64)
+        assert hashlib.sha256(segments.tobytes()).hexdigest() == segments_digest
+
 
 class TestIncrementSets:
     def test_constant_phase(self):

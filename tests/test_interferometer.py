@@ -1,5 +1,6 @@
 """Tests for the Sagnac/Mach-Zehnder forward models."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,44 @@ class TestSimulateFringeScan:
         with pytest.raises(DomainError):
             simulate_fringe_scan(proc, 71.5, 20, 0, seed=0)
 
+    @pytest.mark.parametrize("pulses,noise,digest", [
+        (10000, 0.0, "1524af3a48f70bb940bc200bc3c99f39881f99b95a7780072c83fc03b7fe5b83"),
+        (10000, 0.05, "f9977ddfee222070b28e2af4af50dc6fccc8d2d022732121e3ea4ed4ca5fcd3d"),
+        (3, 0.0, "46f7a3da193c6288cfb515ced590f9295ecec1ba58baa127d1b85ee3b439a0bd"),
+        (3, 0.05, "cd9f04272bee5b6d200da02474cc3b3da9156af309fab77bff9dae74f1909cb5"),
+    ])
+    def test_golden_bytes(self, pulses, noise, digest):
+        # SHA-256 of the pulse areas: scan changes must keep every bit.
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5)
+        scan = simulate_fringe_scan(proc, 71.5, 50, pulses, detector_noise=noise, seed=11)
+        assert hashlib.sha256(scan.pulse_area.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_points,pulses,noise,i0,seed", [
+        (50, 10000, 0.0, 1.0, 11),
+        (50, 3, 0.05, 1.0, 2**64 + 5),
+        (7, 1, 0.0, 2.5, 0),
+        (20, 257, 0.01, 0.3, 123456789),
+    ])
+    def test_matches_jumped_substream_reference(self, n_points, pulses, noise, i0, seed):
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5)
+        scan = simulate_fringe_scan(proc, 71.5, n_points, pulses, noise, seed=seed, i0=i0)
+        want = reference_fringe_areas(proc, 71.5, n_points, pulses, noise, seed, i0)
+        assert np.array_equal(scan.pulse_area, want)
+
+
+def reference_fringe_areas(process, loop_km, n_points, pulses, noise, seed, i0):
+    """Pulse areas built point by point from `Philox.jumped(i)`: the oracle
+    for the substream layout of simulate_fringe_scan."""
+    sigma = sagnac_effective_sigma(process, loop_km)
+    applied = np.linspace(0.0, 2.0 * math.pi, n_points)
+    base = np.random.Philox(key=int(seed) & (2**64 - 1))
+    areas = np.empty(n_points)
+    for i, phi in enumerate(applied):
+        rng = np.random.Generator(base.jumped(i))
+        jitter = sigma * rng.standard_normal(pulses)
+        areas[i] = (0.5 * i0 * (1.0 + np.cos(phi + jitter))).mean() + noise
+    return areas
+
 
 class TestSimulateMzTrace:
     def test_constant_phase_at_maximum(self):
@@ -184,6 +223,17 @@ class TestSimulateMzTrace:
         proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
         with pytest.raises(DomainError):
             simulate_mz_trace(proc, 1e-3, 2e-6, i_max=0.0, i_min=1.0, seed=0)
+
+    @pytest.mark.parametrize("hurst,digest", [
+        (0.5, "d1627df5a14dc6e7cbb3839290bd1bcbc9ce2eb20c21d09c443aa8f99714be9c"),
+        (0.8, "1545e2608845bb9b0821c40a073683e7dbc852f240a965f19b16116924a64daa"),
+    ])
+    def test_golden_bytes(self, hurst, digest):
+        # SHA-256 of the intensity samples: kernel changes must keep every bit.
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst, length_km=36.5)
+        trace = simulate_mz_trace(proc, 4096e-6, 1e-6, phi0=math.pi / 2, seed=2007)
+        assert trace.n_samples == 4097
+        assert hashlib.sha256(trace.samples.tobytes()).hexdigest() == digest
 
 
 class TestContainers:
