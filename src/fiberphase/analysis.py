@@ -11,6 +11,7 @@ per-kilometre diffusion coefficient.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, fields
@@ -47,6 +48,8 @@ __all__ = [
     "fit_scaling_exponent",
     "estimate_diffusion",
 ]
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_BAND = (0.2, 0.8)
 DEFAULT_MAX_LAGS = 100
@@ -209,8 +212,9 @@ def extract_phase(
     lo, hi = band
     if not (0 < lo < hi < 1):
         raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
-    u = (trace.samples - trace.i_min) / (trace.i_max - trace.i_min)
-    u = np.clip(u, 0.0, 1.0)
+    u = np.subtract(trace.samples, trace.i_min)
+    u /= trace.i_max - trace.i_min
+    np.clip(u, 0.0, 1.0, out=u)
     in_band = (u >= lo) & (u <= hi)
 
     samples = np.full(u.size, np.nan)
@@ -222,6 +226,9 @@ def extract_phase(
             continue
         samples[start:stop] = np.arccos(2.0 * u[start:stop] - 1.0)
         segments.append((int(start), int(stop)))
+    if len(segments) < edges.size // 2:
+        _log.debug("extract_phase: dropped %d one-sample runs inside the band",
+                   edges.size // 2 - len(segments))
     if not segments:
         raise EmptySegmentsError(
             "no contiguous run of >= 2 samples inside the intensity band "
@@ -260,7 +267,7 @@ def _increments(phase: PhaseTrace, steps):
     """
     lengths = np.array([b - a for a, b in phase.segments], dtype=int)
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(lengths.sum())
-    samples = phase.samples[phase.segment_ids() >= 0]
+    samples = phase.samples[phase.in_segments()]
     for k in steps:
         yield (samples[k:] - samples[:-k])[room[:-k] > k]
 
@@ -290,6 +297,9 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
     lengths = np.array([b - a for a, b in phase.segments])
     counts = np.array([np.maximum(lengths - k, 0).sum() for k in steps])
+    if not counts.all():
+        _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
+                   np.count_nonzero(counts == 0), taus[counts == 0][0])
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")

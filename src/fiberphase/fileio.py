@@ -82,11 +82,27 @@ def sha256_of_file(path: str) -> str:
 # ---------------------------------------------------------------------------
 # CSV tables: magic line, `# key: value` metadata, column header, rows
 
+@dataclass(frozen=True)
+class _Times:
+    """The time column t0 + dt * k, k < n, of a trace, bit for bit as
+    `trace.times` gives it, made one block of rows at a time."""
+
+    t0: float
+    dt: float
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.t0 + self.dt * np.arange(*rows.indices(self.n))
+
+
 def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
-    """Write `table` (magic, columns) with `meta` and one array per column."""
+    """Write `table` (magic, columns) with `meta` and one array (or `_Times`)
+    per column."""
     magic, columns = table
-    arrays = [np.asarray(v, kind) for (_, kind), v in zip(columns, values)]
-    n_rows = min(map(len, arrays))
+    n_rows = min(map(len, values))
     step = max(1, _BLOCK // 32)  # a trace row is about 32 characters
     starts = range(0, n_rows, step)
 
@@ -98,23 +114,25 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
             "",
         ])
         for a in starts:
-            cells = [map(repr, col[a:a + step].tolist()) for col in arrays]
+            cells = [map(repr, np.asarray(col[a:a + step], kind).tolist())
+                     for col, (_, kind) in zip(values, columns)]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     _atomic_write(path, chunks())
     _log.debug("wrote %s: %d rows in %d blocks", path, n_rows, len(starts))
 
 
-def _read_table(path: str, table: tuple):
+def _read_table(path: str, table: tuple, skip: tuple = ()):
     """Read `table`: (metadata dict, one array per column, header line number).
 
     Blank lines are skipped; any other deviation raises TraceParseError
     with its 1-based line number.  Rows are parsed one block of about
-    `_BLOCK` characters at a time.
+    `_BLOCK` characters at a time.  Columns named in `skip` are parsed and
+    checked like the others, but not kept or returned.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read_open_table(fh, path, table)
+            return _read_open_table(fh, path, table, skip)
     except (UnicodeDecodeError, TraceParseError):
         # A byte that is not UTF-8 is reported wherever it sits in the file,
         # so the error does not depend on how far the parse got before it.
@@ -135,7 +153,7 @@ def _first_non_utf8_line(path: str) -> int | None:
     return None
 
 
-def _read_open_table(fh, path: str, table: tuple):
+def _read_open_table(fh, path: str, table: tuple, skip: tuple):
     magic, columns = table
     if fh.readline().rstrip("\n") != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
@@ -151,11 +169,13 @@ def _read_open_table(fh, path: str, table: tuple):
     header = ",".join(name for name, _ in columns)
     if line.rstrip("\n") != header:
         raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
-    parts = [[np.empty(0, kind)] for _, kind in columns]
+    keep = [j for j, (name, _) in enumerate(columns) if name not in skip]
+    parts = [[np.empty(0, columns[j][1])] for j in keep]
     first, blocks, blanks = number + 1, 0, 0
     while lines := fh.readlines(_BLOCK):
-        for part, array in zip(parts, _parse_block(lines, columns, path, first)):
-            part.append(array)
+        block = _parse_block(lines, columns, path, first)
+        for part, j in zip(parts, keep):
+            part.append(block[j])
         first, blocks, blanks = first + len(lines), blocks + 1, blanks + lines.count("\n")
     arrays = [np.concatenate(part) for part in parts]
     _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
@@ -214,12 +234,14 @@ def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
                 "i_max": trace.i_max, "i_min": trace.i_min}
     else:
         raise DomainError(f"cannot serialize {type(trace).__name__} as a trace")
-    _write_table(path, _TRACE, meta, (trace.times, trace.samples))
+    times = _Times(trace.t0, trace.dt, trace.n_samples)
+    _write_table(path, _TRACE, meta, (times, trace.samples))
 
 
 def read_trace(path: str) -> PhaseTrace | IntensityTrace:
     """Read a trace CSV v1 file back into its original type."""
-    meta, (_, samples), _ = _read_table(path, _TRACE)
+    # The time column is checked, but t0 and dt define the grid.
+    meta, (samples,), _ = _read_table(path, _TRACE, skip=("time_s",))
     kind = meta.get("kind")
     t0, dt = (_meta_float(meta, key, path) for key in ("t0", "dt"))
     if kind == "phase":

@@ -191,12 +191,24 @@ def simulate_fringe_scan(
         raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}")
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
-    base = np.random.Philox(key=int(seed) & (2**64 - 1))
+    # Point i draws from the key's stream jumped by i * 2^128, as
+    # Philox.jumped(i) would give, without building a bit generator per point.
+    bits = np.random.Philox(key=int(seed) & (2**64 - 1))
+    start = bits.state
+    rng = np.random.Generator(bits)
+    x = np.empty(pulses_per_point)
     areas = np.empty(n_points)
     for i, phi in enumerate(applied):
-        rng = np.random.Generator(base.jumped(i))
-        jitter = sigma * rng.standard_normal(pulses_per_point)
-        areas[i] = (0.5 * i0 * (1.0 + np.cos(phi + jitter))).mean() + detector_noise
+        bits.state = start
+        bits.advance(i << 128)
+        rng.standard_normal(out=x)
+        # 0.5 * i0 * (1 + cos(phi + sigma * jitter)), in place
+        x *= sigma
+        x += phi
+        np.cos(x, out=x)
+        x += 1.0
+        x *= 0.5 * i0
+        areas[i] = np.add.reduce(x) / pulses_per_point + detector_noise
     return FringeScan(
         applied_phase=applied,
         pulse_area=areas,
@@ -223,6 +235,11 @@ def simulate_mz_trace(
     if not (i_max > i_min):
         raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}")
     phase = process.sample_trace(duration, dt, seed)
-    values = i_min + 0.5 * (i_max - i_min) * (1.0 + np.cos(phi0 + phase.samples))
+    # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in one buffer
+    values = np.add(phase.samples, phi0)
+    np.cos(values, out=values)
+    values += 1.0
+    values *= 0.5 * (i_max - i_min)
+    values += i_min
     np.clip(values, i_min, i_max, out=values)
     return IntensityTrace(t0=phase.t0, dt=dt, samples=values, i_max=i_max, i_min=i_min)

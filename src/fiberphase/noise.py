@@ -20,6 +20,7 @@ n = 1.5 corresponds to 5 us of one-way travel time per km of fiber.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ DEFAULT_GROUP_INDEX = 1.5
 
 # Hard limit for hurst != 0.5 synthesis (number of increments).
 MAX_FGN_STEPS = 1 << 21
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -132,21 +135,23 @@ class NoiseParams:
 
         rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
         sigma_step = self.sigma_at(dt)
-        if sigma_step == 0.0:
-            increments = np.zeros(n_steps)
-        elif self.hurst == 0.5:
-            increments = sigma_step * rng.standard_normal(n_steps)
-        else:
-            if n_steps > MAX_FGN_STEPS:
-                raise ResourceLimitError(
-                    f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
-                    f"of {MAX_FGN_STEPS}"
-                )
-            increments = sigma_step * _fgn_circulant(n_steps, self.hurst, rng)
-
-        samples = np.concatenate([[0.0], np.cumsum(increments)])
+        fgn = sigma_step != 0.0 and self.hurst != 0.5
+        if fgn and n_steps > MAX_FGN_STEPS:
+            raise ResourceLimitError(
+                f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
+                f"of {MAX_FGN_STEPS}"
+            )
+        # phi(0) = 0, then the running sum of the increments, in one buffer.
+        samples = np.zeros(n_steps + 1)
+        if sigma_step != 0.0:
+            if fgn:
+                increments = _fgn_circulant(n_steps, self.hurst, rng)
+            else:
+                increments = rng.standard_normal(out=samples[1:])
+            increments *= sigma_step
+            np.cumsum(increments, out=samples[1:])
         if self.drift_rate != 0.0:
-            samples = samples + self.drift_rate * (dt * np.arange(n_steps + 1))
+            samples += self.drift_rate * (dt * np.arange(n_steps + 1))
         return PhaseTrace(t0=0.0, dt=dt, samples=samples)
 
 
@@ -186,7 +191,7 @@ class PhaseTrace:
             if a < prev_stop:
                 raise DomainError("segments must be sorted and disjoint")
             prev_stop = b
-        bad = np.flatnonzero((self.segment_ids() >= 0) & ~np.isfinite(samples))
+        bad = np.flatnonzero(self.in_segments() & ~np.isfinite(samples))
         if bad.size:
             raise DomainError(
                 f"sample {bad[0]} inside a segment is not finite: {samples[bad[0]]}"
@@ -200,12 +205,11 @@ class PhaseTrace:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.samples.size)
 
-    def segment_ids(self) -> np.ndarray:
-        """Segment index of every sample; -1 outside all segments."""
+    def in_segments(self) -> np.ndarray:
+        """Boolean mask of the samples that lie inside a segment."""
         bounds = [0, *(i for segment in self.segments for i in segment), self.n_samples]
-        ids = np.full(len(bounds) - 1, -1)
-        ids[1::2] = np.arange(len(self.segments))
-        return np.repeat(ids, np.diff(bounds))
+        # The runs between bounds alternate: outside, inside, outside, ...
+        return np.repeat(np.resize([False, True], len(bounds) - 1), np.diff(bounds))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseTrace):
@@ -241,6 +245,7 @@ def _fgn_spectrum(n: int, hurst: float) -> tuple[float, float, np.ndarray]:
     sqrt(ev[0]/m), sqrt(ev[n]/m) and the read-only sqrt(ev[1:n]/(2m)), for
     the m = 2n eigenvalues ev (ev[n+1:] mirrors ev[1:n]).  They depend on
     (n, hurst) only, so repeated traces share them."""
+    _log.debug("fGn spectrum cache miss: %d steps at hurst=%r", n, hurst)
     gamma = _fgn_autocov(hurst, n)
     eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
     # Safety check only: the embedding of fGn is nonnegative definite.
@@ -263,7 +268,10 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     z2 = rng.standard_normal(n - 1)
     w = np.empty(n + 1, dtype=complex)
     w[0], w[n] = first * z1[0], middle * z1[n]
-    w[1:n] = half * (z1[1:n] - 1j * z2)
+    # w[1:n] = half * (z1[1:n] - 1j*z2), written part by part in place.
+    np.multiply(half, z1[1:n], out=w.real[1:n])
+    np.multiply(half, z2, out=w.imag[1:n])
+    np.negative(w.imag[1:n], out=w.imag[1:n])
     return np.fft.irfft(w, 2 * n, norm="forward")[:n]
 
 

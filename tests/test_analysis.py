@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
 import tracemalloc
 import warnings
@@ -135,6 +136,20 @@ class TestExtractPhase:
         phase = extract_phase(trace)
         assert phase.segments == ((3, 5),)
 
+    def test_singleton_runs_logged(self, caplog):
+        samples = np.array([0.5, 1.0, 0.5, 1.0, 0.4, 0.5, 1.0, 0.5])
+        trace = IntensityTrace(t0=0.0, dt=1e-6, samples=samples, i_max=1.0, i_min=0.0)
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            assert extract_phase(trace).segments == ((4, 6),)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("fiberphase.analysis", logging.DEBUG)]
+        assert caplog.records[0].getMessage() == (
+            "extract_phase: dropped 3 one-sample runs inside the band")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            extract_phase(IntensityTrace(0.0, 1e-6, np.full(4, 0.5), 1.0, 0.0))
+        assert caplog.records == []
+
     def test_all_out_of_band(self):
         trace = IntensityTrace(
             t0=0.0, dt=1e-6, samples=np.ones(10), i_max=1.0, i_min=0.0
@@ -266,6 +281,19 @@ class TestIncrementSets:
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(6))
         stats = increment_sets(trace, [2e-6, 5e-6, 6e-6])
         assert stats.taus.size == 2  # 6e-6 has no pair on a 6-sample trace
+
+    def test_dropped_lags_logged(self, caplog):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(6))
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            increment_sets(trace, [2e-6, 6e-6, 7e-6])
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("fiberphase.analysis", logging.DEBUG)]
+        assert caplog.records[0].getMessage() == (
+            "increment_sets: dropped 2 lags with no valid pair, from 6e-06 s")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            increment_sets(trace, [2e-6, 5e-6])
+        assert caplog.records == []
 
     def test_pool_stats_merges_counts(self):
         traces = [

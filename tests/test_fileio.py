@@ -123,6 +123,16 @@ class TestTraceParseErrors:
         with pytest.raises(TraceParseError, match="line 8"):
             read_trace(str(path))
 
+    def test_bad_time_cell(self, tmp_path):
+        # The time column is not kept, but it is parsed like the values.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+            "# segments: 0:2\ntime_s,value\n0.0,0.1\nsoon,0.2\n"
+        )
+        with pytest.raises(TraceParseError, match="line 8: .*unparseable number in 'soon,0.2'"):
+            read_trace(str(path))
+
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

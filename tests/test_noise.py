@@ -2,6 +2,7 @@
 
 import decimal
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -203,6 +204,12 @@ class TestSampleTrace:
         with pytest.raises(ResourceLimitError):
             proc.sample_trace(3.0, 1e-6, seed=0)
 
+    def test_synthesis_limit_checked_before_allocation(self):
+        # 1e15 steps: the limit is reported, not a failed 8 PB allocation.
+        proc = NoiseParams(sigma_ref=0.1, tau_ref=1e-4, hurst=0.7)
+        with pytest.raises(ResourceLimitError, match="1000000000000000 steps"):
+            proc.sample_trace(1e9, 1e-6, seed=0)
+
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     def test_increment_std_matches_sigma_at(self, hurst):
         # Monte Carlo against the closed-form oracle, 2^16 samples, rms
@@ -258,6 +265,17 @@ class TestSpectrumCache:
         assert np.array_equal(cold, warm)
         assert not np.array_equal(self.sample(0.8, seed=6), cold)
         assert _fgn_spectrum.cache_info().maxsize == 4
+
+    def test_cache_miss_logged(self, caplog):
+        from fiberphase.noise import _fgn_spectrum
+
+        _fgn_spectrum.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            self.sample(0.8)
+            self.sample(0.8, seed=6)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("fiberphase.noise", logging.DEBUG,
+             "fGn spectrum cache miss: 1000 steps at hurst=0.8")]
 
     def test_hurst_values_do_not_share_an_entry(self):
         from fiberphase.noise import _fgn_spectrum
@@ -391,6 +409,16 @@ class TestPhaseTrace:
             PhaseTrace(t0=0.0, dt=1e-6, samples=samples, segments=((2, 3), (3, 6)))
         with pytest.raises(DomainError, match="sample 1 "):
             PhaseTrace(t0=0.0, dt=1e-6, samples=samples)
+
+    def test_in_segments_mask(self):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(8),
+                           segments=((1, 3), (3, 4), (6, 8)))
+        mask = trace.in_segments()
+        assert mask.dtype == bool
+        assert mask.tolist() == [False, True, True, True, False, False, True, True]
+        assert PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3)).in_segments().all()
+        empty = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3), segments=())
+        assert empty.in_segments().tolist() == [False] * 3
 
     def test_non_finite_sample_outside_segments(self):
         samples = np.array([np.nan, 0.1, 0.2, np.inf, 0.5, np.nan])
