@@ -136,17 +136,19 @@ class NoiseParams:
         rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
         sigma_step = self.sigma_at(dt)
         fgn = sigma_step != 0.0 and self.hurst != 0.5
-        if fgn and n_steps > MAX_FGN_STEPS:
-            raise ResourceLimitError(
-                f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
-                f"of {MAX_FGN_STEPS}"
-            )
+        if fgn:
+            if n_steps > MAX_FGN_STEPS:
+                raise ResourceLimitError(
+                    f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
+                    f"of {MAX_FGN_STEPS}"
+                )
+            # Before the trace buffer exists: the FFT's inputs are freed by
+            # then, which keeps the peak down.
+            increments = _fgn_circulant(n_steps, self.hurst, rng)
         # phi(0) = 0, then the running sum of the increments, in one buffer.
         samples = np.zeros(n_steps + 1)
         if sigma_step != 0.0:
-            if fgn:
-                increments = _fgn_circulant(n_steps, self.hurst, rng)
-            else:
+            if not fgn:
                 increments = rng.standard_normal(out=samples[1:])
             increments *= sigma_step
             np.cumsum(increments, out=samples[1:])
@@ -272,6 +274,7 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     np.multiply(half, z1[1:n], out=w.real[1:n])
     np.multiply(half, z2, out=w.imag[1:n])
     np.negative(w.imag[1:n], out=w.imag[1:n])
+    del z1, z2  # freed before the FFT allocates its output
     return np.fft.irfft(w, 2 * n, norm="forward")[:n]
 
 
