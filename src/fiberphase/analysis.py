@@ -224,7 +224,10 @@ def extract_phase(
     for start, stop in zip(edges[::2], edges[1::2]):
         if stop - start < 2:
             continue
-        samples[start:stop] = np.arccos(2.0 * u[start:stop] - 1.0)
+        phi = samples[start:stop]  # arccos(2u - 1), written in place
+        np.multiply(u[start:stop], 2.0, out=phi)
+        phi -= 1.0
+        np.arccos(phi, out=phi)
         segments.append((int(start), int(stop)))
     if len(segments) < edges.size // 2:
         _log.debug("extract_phase: dropped %d one-sample runs inside the band",
