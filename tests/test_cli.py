@@ -410,7 +410,7 @@ class TestFullPipeline:
             f"analyze dphi --in {phase} --tau-max-us 100 --histogram-tau-us 20 "
             f"--histogram-out {hist} --out {curve}".split()
         ) == 0
-        lines = open(hist, encoding="utf-8").read().splitlines()
+        lines = hist.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# fiberphase-histogram v1"
 
     def test_diffusion_command(self, tmp_path):

@@ -103,7 +103,7 @@ class TestTraceRoundTrip:
     def test_header_line(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_trace(path, PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(2)))
-        first = open(path, encoding="utf-8").readline().rstrip("\n")
+        first = (tmp_path / "t.csv").read_text(encoding="utf-8").split("\n")[0]
         assert first == "# fiberphase-trace v1"
 
 
@@ -242,7 +242,7 @@ class TestHistogramExport:
         rng = np.random.Generator(np.random.Philox(key=6))
         hist = fit_gaussian(0.2 * rng.standard_normal(400))
         write_histogram(path, hist)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = (tmp_path / "hist.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# fiberphase-histogram v1"
         assert lines[1] == "bin_center_rad,count"
         assert len(lines) == 2 + hist.counts.size
@@ -562,12 +562,12 @@ class TestReport:
         b = str(tmp_path / "b.json")
         write_report(a, self.make_report())
         write_report(b, self.make_report())
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_sorted_keys_and_schema(self, tmp_path):
         path = str(tmp_path / "r.json")
         write_report(path, self.make_report())
-        text = open(path, encoding="utf-8").read()
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert data["schema_version"] == "v1"
         assert data["tool"]["name"] == "fiberphase"
@@ -578,14 +578,14 @@ class TestReport:
         path = str(tmp_path / "r.json")
         report = ReportDocument(config={}, results={"x": {"v": math.pi}})
         write_report(path, report)
-        data = json.loads(open(path, encoding="utf-8").read())
+        data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["v"] == float(f"{math.pi:.12g}")
 
     def test_non_finite_serialized_as_strings(self, tmp_path):
         path = str(tmp_path / "r.json")
         report = ReportDocument(config={}, results={"x": {"v": math.nan}})
         write_report(path, report)
-        data = json.loads(open(path, encoding="utf-8").read())
+        data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["v"] == "nan"
 
     def test_input_digest_recorded(self, tmp_path):
