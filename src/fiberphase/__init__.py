@@ -53,11 +53,8 @@ from .fileio import TOOL_VERSION as __version__
 from .interferometer import (
     FringeScan,
     IntensityTrace,
-    sagnac_effective_sigma,
-    sigma_from_visibility,
     simulate_fringe_scan,
     simulate_mz_trace,
-    visibility_from_sigma,
 )
 from .noise import (
     DEFAULT_GROUP_INDEX,
@@ -67,7 +64,10 @@ from .noise import (
     PhaseTrace,
     build_process,
     from_sagnac_calibration,
+    sagnac_effective_sigma,
+    sigma_from_visibility,
     travel_time,
+    visibility_from_sigma,
 )
 from .presets import preset_params
 from .repeater import (

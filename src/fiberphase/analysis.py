@@ -26,9 +26,10 @@ from .errors import (
     ThresholdNotReachedError,
     check_finite,
     check_scalar,
+    frozen,
 )
-from .interferometer import MEAN_ABS_FACTOR, FringeScan, IntensityTrace, sigma_from_visibility
-from .noise import PhaseTrace
+from .interferometer import FringeScan, IntensityTrace
+from .noise import MEAN_ABS_FACTOR, PhaseTrace, sigma_from_visibility
 
 __all__ = [
     "FringeFit",
@@ -109,10 +110,9 @@ class PhaseStats:
             raise DomainError("give increments=, or mean_abs_change= and sigma_per_tau=")
         for name, value in values.items():
             if value is not None:
-                value = np.array(value, dtype=int if name == "n_increments" else float)
+                value = frozen(value, int if name == "n_increments" else float)
                 if value.shape != np.shape(self.taus):
                     raise DomainError(f"{name} must hold one value per lag")
-                value.setflags(write=False)
                 object.__setattr__(self, name, value)
         check_finite("taus", self.taus)
         if np.any(np.diff(self.taus) <= 0):

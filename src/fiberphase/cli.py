@@ -27,11 +27,11 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import analysis, fileio, interferometer, repeater
+from . import analysis, fileio, interferometer, noise, repeater
 from .errors import DomainError, FiberPhaseError
 from .fileio import ReportDocument
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
-from .presets import preset_params
+from .presets import DPHI_TARGET, preset_params
 
 DEFAULT_SEED = 12345
 
@@ -364,11 +364,11 @@ def _run_simulate_fringe(config, out):
         detector_noise=p["detector_noise"], seed=config.seed, i0=p["i0"],
     )
     fileio.write_fringe_scan(out["scan"], scan)
-    sigma = interferometer.sagnac_effective_sigma(process, p["loop_km"])
+    sigma = noise.sagnac_effective_sigma(process, p["loop_km"])
     return {"fringe_scan": {
         "loop_km": p["loop_km"],
         "effective_sigma_rad": sigma,
-        "expected_visibility": interferometer.visibility_from_sigma(sigma),
+        "expected_visibility": noise.visibility_from_sigma(sigma),
         "n_points": p["n_points"],
     }}
 
@@ -377,7 +377,7 @@ def _run_analyze_fringe(config, out):
     scan = fileio.read_fringe_scan(config.inputs["scan"])
     fit = analysis.fit_fringe(scan)
     sigma = (
-        interferometer.sigma_from_visibility(fit.visibility)
+        noise.sigma_from_visibility(fit.visibility)
         if 0 < fit.visibility <= 1
         else None
     )
@@ -496,7 +496,7 @@ def _run_repeater_fidelity(config, out):
     if p["sigma_rad"] is not None:
         sigma = p["sigma_rad"]
     elif p["visibility"] is not None:
-        sigma = interferometer.sigma_from_visibility(p["visibility"])
+        sigma = noise.sigma_from_visibility(p["visibility"])
     else:
         chain = repeater.RepeaterChain(
             link_lengths=tuple(p["link_km"]), diffusion=p["diffusion"]
@@ -559,9 +559,9 @@ _COMMANDS = {
     ]),
     ("analyze", "phase"): _Command("extract phase from an intensity trace", _run_analyze_phase, [
         _Flag("--in", "inputs.trace", str, required=True, help="intensity trace CSV"),
-        _Flag("--band-lo", "band_lo", default=0.2,
+        _Flag("--band-lo", "band_lo", default=analysis.DEFAULT_BAND[0],
               help="lower edge of the usable normalized-intensity band"),
-        _Flag("--band-hi", "band_hi", default=0.8),
+        _Flag("--band-hi", "band_hi", default=analysis.DEFAULT_BAND[1]),
         _Flag("--out", "outputs.phase", str, required=True, help="phase trace CSV to write"),
         _REPORT,
     ], check=(lambda a: 0 < a.band_lo < a.band_hi < 1, lambda a: (
@@ -583,7 +583,7 @@ _COMMANDS = {
     ("analyze", "tau-threshold"): _Command(
         "lag at which dphi reaches a target", _run_analyze_tau_threshold, [
         _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
-        _Flag("--dphi", "target_rad", check=_POSITIVE, default=0.1,
+        _Flag("--dphi", "target_rad", check=_POSITIVE, default=DPHI_TARGET,
               help="target mean phase change (rad)"),
         _REPORT,
     ]),

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all fiberphase modules, and the finiteness
-checks that value objects raise DomainError from."""
+"""Exception hierarchy shared by all fiberphase modules, and the checks,
+read-only copies and field-wise equality that value objects are built on."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,3 +73,20 @@ def check_finite(name: str, values: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")
+
+
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of `values` as an array of `dtype`."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+def fields_equal(self, other) -> bool:
+    """``__eq__`` of a value object: same type and every field equal, arrays
+    element-wise with NaN equal to NaN."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+               for a, b in pairs)

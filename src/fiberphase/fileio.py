@@ -307,8 +307,6 @@ class ReportDocument:
     config: dict
     results: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
-    tool_name: str = TOOL_NAME
-    tool_version: str = TOOL_VERSION
 
     def add_input(self, path: str) -> None:
         self.inputs.append({"path": str(path), "sha256": sha256_of_file(path)})
@@ -341,7 +339,7 @@ def write_report(path: str, report: ReportDocument) -> None:
     """
     payload = {
         "schema_version": "v1",
-        "tool": {"name": report.tool_name, "version": report.tool_version},
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "config": _normalize(report.config, round12=False),
         "inputs": _normalize(report.inputs, round12=False),
         "results": _normalize(report.results, round12=True),

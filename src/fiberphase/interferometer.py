@@ -1,10 +1,9 @@
 """Forward models of Sagnac and Mach-Zehnder interferometers.
 
-A Sagnac loop probed by counterpropagating pulses cancels phase noise
-slower than its effective delay (half the loop travel time); the residual
-gaussian phase jitter of width sigma washes fringe contrast out as
-V = exp(-sigma^2 / 2).  A Mach-Zehnder maps the instantaneous arm phase
-difference phi(t) onto intensity between calibration extremes.
+A Sagnac fringe scan jitters each pulse by the loop's effective phase
+noise (the Sagnac model and the gaussian washout live in `noise`).  A
+Mach-Zehnder maps the instantaneous arm phase difference phi(t) onto
+intensity between calibration extremes.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_scalar
-from .noise import NoiseParams, travel_time
+from .errors import DomainError, check_finite, check_scalar, fields_equal, frozen
+from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma
 
 __all__ = [
     "FringeScan",
     "IntensityTrace",
-    "visibility_from_sigma",
-    "sigma_from_visibility",
-    "sagnac_effective_sigma",
     "simulate_fringe_scan",
     "simulate_mz_trace",
 ]
@@ -50,10 +46,8 @@ class FringeScan:
     def __post_init__(self):
         check_scalar("detector_noise", self.detector_noise)
         check_scalar("i0", self.i0, positive=True)
-        phase = np.asarray(self.applied_phase, dtype=float).copy()
-        area = np.asarray(self.pulse_area, dtype=float).copy()
-        phase.setflags(write=False)
-        area.setflags(write=False)
+        phase = frozen(self.applied_phase, float)
+        area = frozen(self.pulse_area, float)
         object.__setattr__(self, "applied_phase", phase)
         object.__setattr__(self, "pulse_area", area)
         if phase.size != area.size:
@@ -69,104 +63,37 @@ class FringeScan:
         if np.any(area - self.detector_noise < -tol):
             raise DomainError("pulse_area is negative after detector-noise subtraction")
 
+    __eq__ = fields_equal
+
     @property
     def n_points(self) -> int:
         return int(self.applied_phase.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FringeScan):
-            return NotImplemented
-        return (
-            self.detector_noise == other.detector_noise
-            and self.i0 == other.i0
-            and np.array_equal(self.applied_phase, other.applied_phase)
-            and np.array_equal(self.pulse_area, other.pulse_area)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class IntensityTrace:
+class IntensityTrace(SampledTrace):
     """Detector record of a Mach-Zehnder output vs time.
 
     i_max/i_min are the finite calibration extremes of the fringe; samples
-    must be finite and stay inside them up to a small tolerance.  `t0` and
-    `dt` are finite, `dt` > 0.
+    must be finite and stay inside them up to a small tolerance.
     """
 
-    t0: float
-    dt: float
-    samples: np.ndarray
     i_max: float
     i_min: float
 
     def __post_init__(self):
-        check_scalar("dt", self.dt, positive=True)
-        check_scalar("t0", self.t0)
+        super().__post_init__()
         if not (self.i_max > self.i_min):
             raise DomainError(
                 f"i_max must exceed i_min, got i_max={self.i_max}, i_min={self.i_min}"
             )
         check_scalar("i_max", self.i_max)
         check_scalar("i_min", self.i_min)
-        samples = np.asarray(self.samples, dtype=float).copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        check_finite("samples", samples)
-        if samples.size:
+        check_finite("samples", self.samples)
+        if self.samples.size:
             eps = _INTENSITY_BOUND_TOL * (self.i_max - self.i_min)
-            if samples.min() < self.i_min - eps or samples.max() > self.i_max + eps:
+            if self.samples.min() < self.i_min - eps or self.samples.max() > self.i_max + eps:
                 raise DomainError("intensity samples fall outside [i_min, i_max]")
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntensityTrace):
-            return NotImplemented
-        return (
-            self.t0 == other.t0
-            and self.dt == other.dt
-            and self.i_max == other.i_max
-            and self.i_min == other.i_min
-            and np.array_equal(self.samples, other.samples, equal_nan=True)
-        )
-
-
-MEAN_ABS_FACTOR = math.sqrt(2.0 / math.pi)  # <|x|> / sigma for gaussian x
-
-
-def visibility_from_sigma(sigma: float) -> float:
-    """Fringe visibility left by gaussian phase noise of width `sigma`."""
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    return math.exp(-0.5 * sigma * sigma)
-
-
-def sigma_from_visibility(visibility: float) -> float:
-    """Gaussian phase-noise width implied by a measured visibility.
-
-    Exact inverse of :func:`visibility_from_sigma` on (0, 1].
-    """
-    if not (0 < visibility <= 1):
-        raise DomainError(f"visibility must be in (0, 1], got {visibility}")
-    return math.sqrt(-2.0 * math.log(visibility))
-
-
-def sagnac_effective_sigma(process: NoiseParams, loop_km: float) -> float:
-    """Effective phase-noise width seen by a Sagnac loop of `loop_km`.
-
-    Counterpropagating pulses sample each fiber element with a mean time
-    offset of half the loop travel time, so the loop is sensitive to
-    sigma at that half-loop delay.
-    """
-    if not (loop_km > 0):
-        raise DomainError(f"loop_km must be > 0, got {loop_km}")
-    return process.sigma_at(travel_time(loop_km, process.group_index) / 2.0)
 
 
 def simulate_fringe_scan(

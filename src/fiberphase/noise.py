@@ -15,6 +15,10 @@ J. Time Ser. Anal. 24, 505, 2003).
 
 Loop/arm lengths convert to delays through the group index; the default
 n = 1.5 corresponds to 5 us of one-way travel time per km of fiber.
+
+The module owns the gaussian relations (visibility V = exp(-sigma^2 / 2),
+mean absolute phase change sqrt(2/pi) * sigma) and the Sagnac model (a loop
+sees the phase noise at half its travel time) that the other modules use.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, check_scalar
+from .errors import DomainError, ResourceLimitError, check_scalar, fields_equal, frozen
 
 # Propagation speed convention: c/n with c rounded to 3e5 km/s, i.e. exactly
 # 5 us/km at the default group index 1.5.
@@ -36,17 +40,24 @@ DEFAULT_GROUP_INDEX = 1.5
 # Hard limit for hurst != 0.5 synthesis (number of increments).
 MAX_FGN_STEPS = 1 << 21
 
+MEAN_ABS_FACTOR = math.sqrt(2.0 / math.pi)  # <|x|> / sigma for gaussian x
+
 _log = logging.getLogger(__name__)
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
     "DEFAULT_GROUP_INDEX",
+    "MEAN_ABS_FACTOR",
     "NoiseParams",
+    "SampledTrace",
     "PhaseTrace",
     "PhaseProcess",
     "build_process",
     "from_sagnac_calibration",
+    "sagnac_effective_sigma",
+    "sigma_from_visibility",
     "travel_time",
+    "visibility_from_sigma",
 ]
 
 
@@ -158,29 +169,48 @@ class NoiseParams:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseTrace:
-    """Sampled phase-vs-time series with valid-region bookkeeping.
+class SampledTrace:
+    """Samples on the regular time grid t0 + k * dt.
 
-    `t0` and `dt` are finite, `dt` > 0.  `segments` is a tuple of half-open
-    (start, stop) index ranges marking contiguous runs of meaningful
-    samples, which must be finite; samples outside every segment are NaN
-    for extracted traces.  A freshly simulated trace has one segment
-    covering everything.
+    `t0` and `dt` are finite, `dt` > 0; `samples` is stored as a read-only
+    float copy.
     """
 
     t0: float
     dt: float
     samples: np.ndarray
-    segments: tuple[tuple[int, int], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         check_scalar("dt", self.dt, positive=True)
         check_scalar("t0", self.t0)
-        samples = np.asarray(self.samples, dtype=float)
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        n = samples.size
+        object.__setattr__(self, "samples", frozen(self.samples, float))
+
+    __eq__ = fields_equal
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.samples.size)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.t0 + self.dt * np.arange(self.samples.size)
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTrace(SampledTrace):
+    """Sampled phase-vs-time series with valid-region bookkeeping.
+
+    `segments` is a tuple of half-open (start, stop) index ranges marking
+    contiguous runs of meaningful samples, which must be finite; samples
+    outside every segment are NaN for extracted traces.  A freshly
+    simulated trace has one segment covering everything.
+    """
+
+    segments: tuple[tuple[int, int], ...] = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.n_samples
         if self.segments is None:
             segs = ((0, n),) if n else ()
         else:
@@ -193,35 +223,17 @@ class PhaseTrace:
             if a < prev_stop:
                 raise DomainError("segments must be sorted and disjoint")
             prev_stop = b
-        bad = np.flatnonzero(self.in_segments() & ~np.isfinite(samples))
+        bad = np.flatnonzero(self.in_segments() & ~np.isfinite(self.samples))
         if bad.size:
             raise DomainError(
-                f"sample {bad[0]} inside a segment is not finite: {samples[bad[0]]}"
+                f"sample {bad[0]} inside a segment is not finite: {self.samples[bad[0]]}"
             )
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.samples.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
 
     def in_segments(self) -> np.ndarray:
         """Boolean mask of the samples that lie inside a segment."""
         bounds = [0, *(i for segment in self.segments for i in segment), self.n_samples]
         # The runs between bounds alternate: outside, inside, outside, ...
         return np.repeat(np.resize([False, True], len(bounds) - 1), np.diff(bounds))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhaseTrace):
-            return NotImplemented
-        return (
-            self.t0 == other.t0
-            and self.dt == other.dt
-            and self.segments == other.segments
-            and np.array_equal(self.samples, other.samples, equal_nan=True)
-        )
 
 
 def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:
@@ -287,6 +299,45 @@ def build_process(params: NoiseParams) -> NoiseParams:
 
 # The process is fully described by its calibration; the old name stays bound.
 PhaseProcess = NoiseParams
+
+
+def visibility_from_variance(variance: float) -> float:
+    """Visibility exp(-variance / 2) left by gaussian phase noise (rad^2)."""
+    return math.exp(-0.5 * variance)
+
+
+def variance_from_visibility(visibility: float) -> float:
+    """Gaussian phase variance -2 ln(visibility) (rad^2), visibility in (0, 1]."""
+    if not (0 < visibility <= 1):
+        raise DomainError(f"visibility must be in (0, 1], got {visibility}")
+    return -2.0 * math.log(visibility)
+
+
+def visibility_from_sigma(sigma: float) -> float:
+    """Fringe visibility left by gaussian phase noise of width `sigma`."""
+    if sigma < 0:
+        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    return visibility_from_variance(sigma * sigma)
+
+
+def sigma_from_visibility(visibility: float) -> float:
+    """Gaussian phase-noise width implied by a measured visibility.
+
+    Exact inverse of :func:`visibility_from_sigma` on (0, 1].
+    """
+    return math.sqrt(variance_from_visibility(visibility))
+
+
+def sagnac_effective_sigma(process: NoiseParams, loop_km: float) -> float:
+    """Effective phase-noise width seen by a Sagnac loop of `loop_km`.
+
+    Counterpropagating pulses sample each fiber element with a mean time
+    offset of half the loop travel time, so the loop is sensitive to
+    sigma at that half-loop delay.
+    """
+    if not (loop_km > 0):
+        raise DomainError(f"loop_km must be > 0, got {loop_km}")
+    return process.sigma_at(travel_time(loop_km, process.group_index) / 2.0)
 
 
 def from_sagnac_calibration(

@@ -14,10 +14,8 @@ bars of the corresponding field values (97.1 +- 2.4% and 99.0 +- 0.7%).
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError
-from .noise import NoiseParams
+from .noise import MEAN_ABS_FACTOR, NoiseParams
 
 __all__ = [
     "DPHI_TARGET",
@@ -43,7 +41,7 @@ def preset_params(name: str, hurst: float = 0.5) -> NoiseParams:
     if name not in _ANCHORS:
         raise DomainError(f"unknown preset {name!r}; choose 'day' or 'night'")
     return NoiseParams(
-        sigma_ref=math.sqrt(math.pi / 2.0) * DPHI_TARGET,
+        sigma_ref=DPHI_TARGET / MEAN_ABS_FACTOR,
         tau_ref=_ANCHORS[name],
         hurst=hurst,
         length_km=PRESET_ARM_KM,

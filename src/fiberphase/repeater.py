@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .interferometer import MEAN_ABS_FACTOR, visibility_from_sigma
+from .noise import (
+    MEAN_ABS_FACTOR,
+    variance_from_visibility,
+    visibility_from_sigma,
+    visibility_from_variance,
+)
 
 __all__ = [
     "RepeaterChain",
@@ -143,7 +148,7 @@ def budget_per_segment(
         raise DomainError(
             f"segment_km must be in (0, {link_km:g}] (one link), got {segment_km}"
         )
-    total_variance = -2.0 * math.log(2.0 * target_fidelity - 1.0)
+    total_variance = variance_from_visibility(2.0 * target_fidelity - 1.0)
     link_variance = total_variance / n_links
     segment_variance = link_variance * (segment_km / link_km)
     sigma_limit = math.sqrt(segment_variance)
@@ -162,7 +167,7 @@ def predict_visibility(diffusion: float, length_km: float) -> float:
         raise DomainError(f"diffusion must be >= 0, got {diffusion}")
     if not (length_km > 0):
         raise DomainError(f"length_km must be > 0, got {length_km}")
-    return math.exp(-0.5 * diffusion * length_km)
+    return visibility_from_variance(diffusion * length_km)
 
 
 def fidelity_visibility_convert(value: float, direction: str) -> float:
