@@ -26,6 +26,7 @@ from .errors import (
     ThresholdNotReachedError,
     check_finite,
     check_scalar,
+    fields_equal,
     frozen,
 )
 from .interferometer import FringeScan, IntensityTrace
@@ -150,14 +151,15 @@ def _sample_sigma(n: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianHistogram:
     """Binned increment distribution at one lag, with a gaussian fit.
 
     `sigma` is the sample standard deviation (the primary estimate); the
     fit_* fields come from a least-squares gaussian on the histogram and
     exist for reporting/figures only.  `degenerate` marks distributions
-    with zero spread, where no fit is possible.
+    with zero spread, where no fit is possible.  `bin_edges` and `counts`
+    are read-only copies.
     """
 
     sigma: float
@@ -167,6 +169,12 @@ class GaussianHistogram:
     fit_mean: float
     fit_sigma: float
     degenerate: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "bin_edges", frozen(self.bin_edges, float))
+        object.__setattr__(self, "counts", frozen(self.counts, int))
+
+    __eq__ = fields_equal
 
     @property
     def bin_centers(self) -> np.ndarray:

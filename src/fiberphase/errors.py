@@ -84,9 +84,9 @@ def frozen(values, dtype) -> np.ndarray:
 
 def fields_equal(self, other) -> bool:
     """``__eq__`` of a value object: same type and every field equal, arrays
-    element-wise with NaN equal to NaN."""
+    element-wise, with NaN equal to NaN in arrays and scalars alike."""
     if type(other) is not type(self):
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
-    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-               for a, b in pairs)
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+               else a == b or a != a and b != b for a, b in pairs)

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -105,6 +105,7 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
     n_rows = min(map(len, values))
     step = max(1, _BLOCK // 32)  # a trace row is about 32 characters
     starts = range(0, n_rows, step)
+    row = ",".join(["%r"] * len(columns)) + "\n"
 
     def chunks():
         yield "\n".join([
@@ -114,9 +115,9 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
             "",
         ])
         for a in starts:
-            cells = [map(repr, np.asarray(col[a:a + step], kind).tolist())
-                     for col, (_, kind) in zip(values, columns)]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            b = min(a + step, n_rows)
+            cells = [np.asarray(col[a:b], kind).tolist() for col, (_, kind) in zip(values, columns)]
+            yield (row * (b - a)) % tuple(chain.from_iterable(zip(*cells)))
 
     _atomic_write(path, chunks())
     _log.debug("wrote %s: %d rows in %d blocks", path, n_rows, len(starts))
@@ -175,7 +176,7 @@ def _read_open_table(fh, path: str, table: tuple, skip: tuple):
     while lines := fh.readlines(_BLOCK):
         block = _parse_block(lines, columns, path, first)
         for part, j in zip(parts, keep):
-            part.append(block[j])
+            part.append(block[j].copy())  # a view would keep the whole block alive
         first, blocks, blanks = first + len(lines), blocks + 1, blanks + lines.count("\n")
     arrays = [np.concatenate(part) for part in parts]
     _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
@@ -205,14 +206,19 @@ def _parse_block(lines: list[str], columns, path: str, first: int) -> list[np.nd
 
 
 def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
-    """Parse the non-blank lines column by column; ValueError/OverflowError if one is bad."""
-    rows = list(filter("\n".__ne__, lines))
-    k = len(columns)
-    if not set(map(str.count, rows, repeat(","))) <= {k - 1}:
-        raise ValueError("wrong column count")
-    cells = ",".join(rows).split(",")  # row r, column j is cells[r * k + j]
-    return [np.fromiter(map(kind, cells[j::k]), kind, len(rows))
-            for j, (_, kind) in enumerate(columns)]
+    """Parse the non-blank lines column by column; ValueError/OverflowError if one is bad.
+
+    numpy tokenizes the rows.  A float cell takes the syntax of `float()`
+    without `_` digit separators or non-ASCII digits; an int cell that of `int()`.
+    """
+    if not any(map("\n".__ne__, lines)):  # loadtxt warns on a block without rows
+        return [np.empty(0, kind) for _, kind in columns]
+    # numpy strips these around a cell as whitespace, but no number holds them.
+    if any(map("".join(lines).__contains__, "\x1c\x1d\x1e\x1f")):
+        raise ValueError("separator character in a cell")
+    table = np.loadtxt(lines, dtype=list(columns), delimiter=",", comments=None, ndmin=1,
+                       converters={j: int for j, (_, kind) in enumerate(columns) if kind is int})
+    return [table[name] for name, _ in columns]
 
 
 def _meta_float(meta: dict, key: str, path: str) -> float:

@@ -341,6 +341,111 @@ class TestTableCodec:
             reader(str(path))
 
 
+def reference_columns(lines, columns):
+    """The per-cell rules of the codec's first row parser: blank lines
+    skipped, then `float()` or `int()` on every cell of a row."""
+    rows = [line.rstrip("\n").split(",") for line in lines if line != "\n"]
+    if any(len(cells) != len(columns) for cells in rows):
+        raise ValueError("wrong column count")
+    return [np.array([kind(cells[j]) for cells in rows], kind).reshape(len(rows))
+            for j, (_, kind) in enumerate(columns)]
+
+
+def parse_outcome(parse, lines, columns):
+    """The bits of each parsed column, or None if the rows are rejected."""
+    try:
+        return [column.tobytes() for column in parse(lines, columns)]
+    except (ValueError, OverflowError):
+        return None
+
+
+def spelled_beyond_numpy(cell):
+    """A float cell that `float()` reads but numpy does not: `_` digit
+    separators or non-ASCII decimal digits."""
+    return "_" in cell or any(c.isdecimal() and not c.isascii() for c in cell)
+
+
+# Number-like characters and words, the whitespace `float()` strips, and the
+# characters it does not.
+CELL_TOKENS = [*"0123456789.eE+-_ ", "nan", "inf", "١", "\x00", "\t", "\x0b", "\x0c",
+               "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "　"]
+TOKEN_CELLS = st.lists(st.sampled_from(CELL_TOKENS), max_size=6).map("".join)
+PADDING = st.lists(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x85", "　"]),
+                   max_size=2).map("".join)
+FLOATS = st.floats().map(repr)
+INTEGERS = st.integers().map(str)
+DPHI_COLUMNS = fileio._DPHI[1]  # three float columns and one int column
+
+
+@st.composite
+def row_blocks(draw):
+    """1-2 rows for the dphi format, mostly of 4 cells, with blank lines between.
+
+    A cell is a padded well-formed number three times in four, so that many
+    rows parse and their bits are compared, else a string of tokens.
+    """
+    def cell(numbers):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(TOKEN_CELLS)
+        return draw(PADDING) + draw(numbers) + draw(PADDING)
+
+    lines = []
+    for _ in range(draw(st.integers(1, 2))):
+        lines += ["\n"] * draw(st.integers(0, 1))
+        cells = [cell(FLOATS), cell(FLOATS), cell(FLOATS), cell(INTEGERS), cell(FLOATS)]
+        lines.append(",".join(cells[:draw(st.sampled_from([3, 4, 4, 4, 5]))]) + "\n")
+    return lines
+
+
+class TestNumpyTokenizerParity:
+    """The block parser against `reference_columns`: numpy accepts no row the
+    reference refuses, gives the same bits, and refuses only float cells
+    spelled with `_` or non-ASCII digits."""
+
+    @settings(max_examples=600)
+    @given(lines=row_blocks())
+    def test_same_rows_accepted_with_same_bits(self, lines):
+        got = parse_outcome(fileio._parse_columns, lines, DPHI_COLUMNS)
+        want = parse_outcome(reference_columns, lines, DPHI_COLUMNS)
+        if got is not None:
+            assert got == want
+        elif want is not None:
+            float_cells = [cell for line in lines if line != "\n"
+                           for cell in line.rstrip("\n").split(",")[:3]]
+            assert any(map(spelled_beyond_numpy, float_cells))
+
+    @pytest.mark.parametrize("row,accepted", [
+        ("1_0,0.1,0.2,3", False),  # float() reads 10.0
+        ("1e-06,١,0.2,3", False),  # float() reads 1.0
+        ("1e-06,0.1,５,3", False),  # fullwidth 5; float() reads 5.0
+        ("1e-06,0.1,0.2,1_0", True),  # int() reads 10, through the int converter
+        ("1e-06,0.1,0.2,١", True),  # int() reads 1
+        ("1e-06,0.1,0.2,12.0", False),  # not an integer, whatever the numpy version
+        ("1e-06,0.1,0.2,1e3", False),
+        ("1e-06\x1c,0.1,0.2,3", False),  # numpy alone would strip U+001C as whitespace
+        ("1e-06,0.1,\x1f0.2,3", False),
+        ("　1e-06\x85,\t0.1\x0b,0.2\x0c,3 ", True),  # whitespace both strip
+        ("-nan,inf,-Infinity,-0", True),
+    ])
+    def test_known_cases(self, row, accepted):
+        lines = [row + "\n"]
+        got = parse_outcome(fileio._parse_columns, lines, DPHI_COLUMNS)
+        assert (got is not None) == accepted
+        if accepted:
+            assert got == parse_outcome(reference_columns, lines, DPHI_COLUMNS)
+
+    def test_underscore_float_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(TestTableCodec.CURVE.format(count=498) + "3e-06,0.0_3,0.5,497\n",
+                        encoding="utf-8")
+        with pytest.raises(TraceParseError, match="line 6: .*unparseable number in '3e-06,0.0_3"):
+            read_dphi_curve(str(path))
+
+    def test_all_blank_block_gives_empty_columns(self):
+        columns = fileio._parse_columns(["\n", "\n"], DPHI_COLUMNS)
+        assert [(c.dtype, c.size) for c in columns] == [(np.float64, 0)] * 3 + [(np.int64, 0)]
+
+
 # One valid file per format, as the golden test writes it.
 FUZZ_BASES = [
     (read_trace, GOLDEN[0][2], (PhaseTrace, IntensityTrace)),

@@ -78,6 +78,13 @@ def _scan(**changes):
     return fp.FringeScan(**fields)
 
 
+def _histogram(**changes):
+    fields = dict(sigma=0.1, bin_edges=[-0.5, 0.0, 0.5], counts=[3, 4], fit_amplitude=4.2,
+                  fit_mean=np.nan, fit_sigma=0.11, degenerate=False)
+    fields.update(changes)
+    return fp.GaussianHistogram(**fields)
+
+
 # (builder, field, changed value): one case per field of each value object.
 FIELD_CHANGES = [
     (_phase, "t0", 0.0),
@@ -95,11 +102,18 @@ FIELD_CHANGES = [
     (_scan, "pulse_area", [1.0, 0.7, 0.3, 0.1, 0.45]),
     (_scan, "detector_noise", 0.0),
     (_scan, "i0", 1.0),
+    (_histogram, "sigma", 0.2),
+    (_histogram, "bin_edges", [-0.5, 0.0, 0.6]),
+    (_histogram, "counts", [3, 5]),
+    (_histogram, "fit_amplitude", 4.0),
+    (_histogram, "fit_mean", 0.0),
+    (_histogram, "fit_sigma", np.nan),
+    (_histogram, "degenerate", True),
 ]
 
 
 class TestValueObjectEquality:
-    @pytest.mark.parametrize("build", [_phase, _intensity, _scan])
+    @pytest.mark.parametrize("build", [_phase, _intensity, _scan, _histogram])
     def test_equals_rebuilt_copy(self, build):
         first, second = build(), build()
         assert first == second
@@ -116,6 +130,16 @@ class TestValueObjectEquality:
         trace = _phase()
         assert np.isnan(trace.samples[2])
         assert trace == _phase(samples=np.array(trace.samples))
+
+    def test_fitted_histograms_compare_and_stay_read_only(self):
+        rng = np.random.Generator(np.random.Philox(key=6))
+        draws = 0.2 * rng.standard_normal(400)
+        for increments in (draws, np.full(100, 0.3)):  # the second one is degenerate
+            hist = fp.fit_gaussian(increments)
+            assert hist == fp.fit_gaussian(increments)
+            for array in (hist.bin_edges, hist.counts):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
     def test_phase_and_intensity_on_one_grid_are_unequal(self):
         samples = [0.2, 0.4, 0.6, 0.8, 0.5]
