@@ -1,9 +1,18 @@
 """Bit-exact file formats: trace/fringe/curve CSV and the JSON report.
 
-All floats are written in their shortest round-trip decimal form, so
-read(write(x)) == x holds bit-exactly.  Writes are whole-file atomic
-(write to a uniquely named temp file in the same directory, then rename).
-Tables are read and written one bounded block of rows at a time.
+All floats are written in their shortest round-trip decimal form, the
+bytes of `repr(float(x))`, so read(write(x)) == x holds bit-exactly.
+Writes are whole-file atomic (write to a uniquely named temp file in the
+same directory, then rename).  Tables are read and written one bounded
+block of rows at a time.
+
+A block's float cells are rendered by one numpy kernel (`_render`).  NaN,
+±inf and ±0 are constant strings.  A finite cell with 1e-6 <= |x| < 1e17
+is scaled by an exact 10**s, s in [0, 22], into X in [1e16, 1e17), which
+Dekker's two-product gives exactly; its digits are the multiple of 100, of
+10 or of 1 nearest X that lies in x's round-trip interval, tested in
+exact int64 arithmetic.  The few cells outside that domain, or at an exact
+tie between two candidates, and all integer cells are written by `repr`.
 """
 
 from __future__ import annotations
@@ -11,10 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import functools
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -58,10 +67,10 @@ _HISTOGRAM = "# fiberphase-histogram v1", (("bin_center_rad", float), ("count", 
 
 
 def _atomic_write(path: str, chunks) -> None:
-    """Write the text chunks to a fresh temp file, then rename it over `path`."""
+    """Write the byte chunks to a fresh temp file, then rename it over `path`."""
     # A fresh name, created exclusively, so that no other file is touched.
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "xb")
     try:
         with fh:
             fh.writelines(chunks)
@@ -103,24 +112,195 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
     per column."""
     magic, columns = table
     n_rows = min(map(len, values))
-    step = max(1, _BLOCK // 32)  # a trace row is about 32 characters
+    width = len(columns) * (_WIDTH + 1)  # bytes of a row before its NULs are dropped
+    step = max(1, _BLOCK // width)
     starts = range(0, n_rows, step)
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    by_repr = 0
 
     def chunks():
+        nonlocal by_repr
         yield "\n".join([
             magic,
             *(f"# {k}: {v if isinstance(v, str) else repr(float(v))}" for k, v in meta.items()),
             ",".join(name for name, _ in columns),
             "",
-        ])
+        ]).encode("utf-8")
         for a in starts:
             b = min(a + step, n_rows)
-            cells = [np.asarray(col[a:b], kind).tolist() for col, (_, kind) in zip(values, columns)]
-            yield (row * (b - a)) % tuple(chain.from_iterable(zip(*cells)))
+            # Each cell padded with NULs to _WIDTH, then its separator.
+            text = bytearray((b - a) * width)
+            rows = np.frombuffer(text, np.uint8).reshape(b - a, len(columns), _WIDTH + 1)
+            for j, (col, (_, kind)) in enumerate(zip(values, columns)):
+                by_repr += _render(np.asarray(col[a:b], kind), rows[:, j, :_WIDTH])
+            rows[:, :, _WIDTH] = ord(",")
+            rows[:, -1, _WIDTH] = ord("\n")
+            del rows  # text cannot change size while an array views it
+            yield text.translate(None, b"\0")
 
     _atomic_write(path, chunks())
-    _log.debug("wrote %s: %d rows in %d blocks", path, n_rows, len(starts))
+    _log.debug("wrote %s: %d rows in %d blocks, %d cells by repr",
+               path, n_rows, len(starts), by_repr)
+
+
+# ---------------------------------------------------------------------------
+# Cells: repr(float(x)) for a block of float64 cells at once
+#
+# A rendered cell is a row of _WIDTH bytes, NUL where it holds no character:
+# column 0 the sign, 1-5 the "0.000" of a positional x < 1, then digit j of
+# 17 at column 4 + 2j with a slot at 5 + 2j for a "." or a padding "0", and
+# 39-42 the suffix ("0" of ".0", or "e-05").  Digits stay in fixed columns,
+# so a layout is one row of a table keyed by (sign, decimal point, digit
+# count).  Dropping the NULs leaves repr's text.
+
+_WIDTH = 43
+_DEC = range(-5, 19)  # decimal-point positions of the scaled domain
+_POW10 = np.array([float(10**k) for k in range(24)])  # exact up to 10**22
+_POW5 = 5 ** np.arange(23, dtype=np.int64)
+_POW2 = 2.0 ** np.arange(64)
+_MANTISSA = (1 << 52) - 1
+# Keys after the (sign, decimal point, digit count) layouts: a constant, the
+# same constant with its sign bit set, and the empty row of a cell by repr.
+_NAN, _INF, _ZERO, _BY_REPR = range(2 * len(_DEC) * 17, 2 * len(_DEC) * 17 + 7, 2)
+
+
+def _layout(sign: int, decpt: int, n: int) -> bytes:
+    """repr's layout of 0.d1...dn x 10**decpt, digits left out."""
+    row = bytearray(_WIDTH)
+    row[0] = ord("-") * sign
+    if -4 < decpt <= 16:
+        if decpt <= 0:
+            row[1:3 - decpt] = b"0." + b"0" * -decpt
+        else:
+            row[5 + 2 * decpt] = ord(".")
+            for j in range(n, decpt):  # the zeros of a long integer part
+                row[5 + 2 * j] = ord("0")
+            if decpt >= n:
+                row[39] = ord("0")
+    else:
+        if n > 1:
+            row[7] = ord(".")
+        row[39:43] = b"e%+03d" % (decpt - 1)
+    return bytes(row)
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout rows by key, the 4-digit groups and their trailing zeros.
+
+    Groups 10000-19999 render k as its 4 digits with trailing zeros NUL.
+    """
+    constants = (b"nan", b"nan", b"inf", b"-inf", b"0.0", b"-0.0", b"")
+    layouts = [_layout(sign, decpt, n) for sign in (0, 1) for decpt in _DEC for n in range(1, 18)]
+    layouts += [c.ljust(_WIDTH, b"\0") for c in constants]
+    quads = [b"%04d" % k for k in range(10000)]
+    quads += [q.rstrip(b"0").ljust(4, b"\0") for q in quads]
+    zeros = [4] + [len(q) - len(q.rstrip(b"0")) for q in quads[1:10000]]
+    return (np.frombuffer(b"".join(layouts), np.uint8).reshape(-1, _WIDTH),
+            np.frombuffer(b"".join(quads), np.uint32), np.array(zeros, np.int64))
+
+
+def _render(cells: np.ndarray, out: np.ndarray) -> int:
+    """Write each cell's repr into its row of `out`, NUL-padded; return the
+    number of cells that `repr` itself rendered."""
+    if cells.dtype.kind != "f":
+        out[:] = _by_repr(cells)
+        return cells.size
+    layouts, quads, zeros = _tables()
+    a = np.abs(cells)
+    key = np.full(cells.shape, _BY_REPR, np.intp)
+    key[a == 0] = _ZERO
+    key[a == np.inf] = _INF
+    key[np.isnan(a)] = _NAN
+    key[(key != _BY_REPR) & np.signbit(cells)] += 1
+    idx = np.flatnonzero((a >= 1e-6) & (a < 1e17))
+    if idx.size:
+        digits, decpt, ok = _shortest(a[idx])
+        groups = np.empty((5, idx.size), np.int64)  # digits = groups in base 10**4
+        for j in range(4, 0, -1):
+            digits, groups[j] = np.divmod(digits, 10000)
+        groups[0] = digits
+        # tail[j]: every group after groups[j + 1] is zero, so its trailing zeros are the cell's
+        tail = np.ones((4, idx.size), bool)
+        tail[:3] = np.logical_and.accumulate(groups[:1:-1] == 0, axis=0)[::-1]
+        n = 17 - (zeros[groups[1:]] * tail).sum(axis=0)
+        sign = np.signbit(cells[idx])
+        key[idx] = np.where(ok, (sign * len(_DEC) + decpt - _DEC[0]) * 17 + n - 1, _BY_REPR)
+    layouts.take(key, axis=0, out=out, mode="clip")
+    if idx.size:
+        out[idx, 6] = ord("0") + groups[0]
+        out[idx, 8:39:2] = np.ascontiguousarray(quads[groups[1:] + 10000 * tail].T).view(np.uint8)
+    slow = np.flatnonzero(key == _BY_REPR)
+    out[slow] = _by_repr(cells[slow])
+    return slow.size
+
+
+def _by_repr(cells: np.ndarray) -> np.ndarray:
+    """The repr of each cell, NUL-padded to _WIDTH bytes."""
+    text = np.array(list(map(repr, cells.tolist())), f"S{_WIDTH}")
+    return text.view(np.uint8).reshape(-1, _WIDTH)
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest round-trip digits of each positive a in [1e-6, 1e17).
+
+    Returns N in [1e16, 1e17) with a ~ N * 10**(decpt - 17) and repr's digits
+    N without trailing zeros, decpt, and whether the cell was exact here
+    (False: outside the scaled domain or an exact tie; use repr).
+    """
+    bits = a.view(np.int64)
+    q = (bits >> 52) - 1075  # a = m * 2**q, m = 2**52 | mantissa
+    s = 16 - (((q + 52) * 78913) >> 18)  # 16 - floor(log10(2**(q + 52)))
+    s -= a * _POW10[s] >= 1e17
+    ok = (s >= 0) & (s <= 22)
+    s = np.minimum(np.maximum(s, 0), 22)
+    b = _POW10[s]
+    p = a * b
+    # Dekker's two-product, Veltkamp splits: X = a * b = p + e exactly
+    t = a * 134217729.0
+    ah = t - (t - a)
+    al = a - ah
+    t = b * 134217729.0
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    ok &= (p >= 1e16) & (p < 1e17) & ((p != 1e16) | (e >= 0))
+    # In units of 2**-sh, X's fraction and the half-gaps to x's neighbours
+    # (10**s * 2**(q - 1), and half that below a power of two) are integers.
+    sh = np.maximum(2 - q - s, 0)
+    ee = (e * _POW2[sh]).astype(np.int64)
+    xi = p.astype(np.int64) + (ee >> sh)  # floor(X)
+    frac = ee - ((ee >> sh) << sh)
+    # A candidate at distance d below (above) X reads back as x iff d <= hm
+    # (d <= hp): the interval is closed when m is even.
+    odd = bits & 1
+    hp = (_POW5[s] << (q + s - 1 + sh)) - odd
+    hm = (_POW5[s] << (q + s - 1 + sh - ((bits & _MANTISSA) == 0))) - odd
+
+    def nearest(unit):
+        """The multiple of `unit` below X and its distances to X, scaled."""
+        r = xi - xi // unit * unit
+        lo = (r << sh) + frac
+        return xi - r, lo, (np.int64(unit) << sh) - lo
+
+    # <= 15 digits: at most one multiple of 100 is in an interval this narrow.
+    base, lo, hi = nearest(100)
+    short = lo <= hm
+    done = short | (hi <= hp)
+    digits = np.where(short, base, base + 100)
+    # 16 digits: the multiple of 10 nearest X among those inside.
+    base, lo, hi = nearest(10)
+    below, above = lo <= hm, hi <= hp
+    pick = ~done & (below | above)
+    ok &= ~(pick & below & above & (lo == hi))
+    digits = np.where(pick, np.where(below & (~above | (lo < hi)), base, base + 10), digits)
+    done |= pick
+    # 17 digits: the integer nearest X, always inside.
+    base, lo, hi = nearest(1)
+    ok &= done | np.where(lo < hi, lo <= hm, (hi <= hp) & (hi < lo))
+    digits = np.where(done, digits, np.where(lo < hi, base, base + 1))
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    return digits, 17 - s + carry, ok
 
 
 def _read_table(path: str, table: tuple, skip: tuple = ()):
@@ -177,7 +357,9 @@ def _read_open_table(fh, path: str, table: tuple, skip: tuple):
         block = _parse_block(lines, columns, path, first)
         for part, j in zip(parts, keep):
             part.append(block[j].copy())  # a view would keep the whole block alive
-        first, blocks, blanks = first + len(lines), blocks + 1, blanks + lines.count("\n")
+        first, blocks = first + len(lines), blocks + 1
+        if _log.isEnabledFor(logging.DEBUG):
+            blanks += lines.count("\n")
     arrays = [np.concatenate(part) for part in parts]
     _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
                path, arrays[0].size, blocks, blanks)
@@ -350,4 +532,4 @@ def write_report(path: str, report: ReportDocument) -> None:
         "inputs": _normalize(report.inputs, round12=False),
         "results": _normalize(report.results, round12=True),
     }
-    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), "\n"])
+    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False).encode(), b"\n"])

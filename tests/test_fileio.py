@@ -397,6 +397,77 @@ def row_blocks(draw):
     return lines
 
 
+def rendered(values) -> tuple[list[str], int]:
+    """Each value as the table writer renders it, and the cells left to repr."""
+    cells = np.asarray(values)
+    rows = np.zeros((cells.size, fileio._WIDTH + 1), np.uint8)
+    by_repr = fileio._render(cells, rows[:, :-1])
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1], by_repr
+
+
+def repr_mismatches(values) -> list[tuple[float, str]]:
+    """Cells whose rendering differs from repr(float(x)), rendered in blocks."""
+    values = np.asarray(values, np.float64)
+    bad = []
+    for a in range(0, values.size, 1 << 16):
+        block = values[a:a + (1 << 16)].tolist()
+        got, _ = rendered(block)
+        bad += [(x, text) for x, text in zip(block, got) if text != repr(x)]
+    return bad
+
+
+def repr_corpus(seed: int = 20071205) -> np.ndarray:
+    """About 1.1e6 floats from the families where shortest-repr digits go wrong."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    decimals = rng.integers(1, 10 ** rng.integers(1, 7, 100_000)) * 10.0 ** rng.integers(
+        -12, 19, 100_000)
+    straddle = np.array([1e-6, 1e-5, 1e-4, 1e15, 1e16, 1e17])
+    k = np.arange(100_000)
+    return np.concatenate([
+        rng.standard_normal(300_000) * 10.0 ** rng.uniform(-8, 18, 300_000),
+        np.ldexp(1.0, np.arange(-1074, 1024)) * np.array([[1.0], [-1.0]]),
+        decimals, np.nextafter(decimals, np.inf), np.nextafter(decimals, -np.inf),
+        rng.integers(-2**53, 2**53, 100_000) / 2.0 ** rng.integers(0, 80, 100_000),
+        *(t0 + dt * k for t0, dt in ((0.0, 1e-6), (1.5e-3, 2.5e-7), (0.0, 1e-3))),
+        (straddle[:, None] * (1 + 2.0**-52 * np.arange(-2000, 2000))).ravel(),
+        # exact ties: X ends in 5 at the 16th digit, or in .5 at the 17th
+        rng.integers(2**46, 2**47, 50_000) + rng.choice([0.125, 0.375, 0.625, 0.875], 50_000),
+        (2 * rng.integers(2 * 10**15, 2**51, 50_000) + 1) / 4.0,
+    ], axis=None)
+
+
+class TestCellRendering:
+    """Cells are written as the bytes of repr(float(x)), without calling repr
+    except on the few cells outside the kernel's domain or at an exact tie."""
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_every_float64_as_repr(self, values):
+        got, _ = rendered(values)
+        assert got == [repr(float(x)) for x in values]
+
+    def test_corpus_as_repr(self):
+        corpus = repr_corpus()
+        assert corpus.size >= 1_000_000
+        assert repr_mismatches(corpus) == []
+
+    @pytest.mark.parametrize("values,by_repr", [
+        ([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], 0),
+        ([1e-7, 1e17, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308], 5),
+        ([1e-6, 1.0000000000000002e-06, 9.999999999999998e16], 1),  # 1e-6 is below 10**-6
+        ([0.1, 1e15, 1e16, 1e-5, 1e-4, 123.456, -0.000123], 0),
+        ([74620162280687.375, 1000000000000000.25], 2),  # ties at the 16th and 17th digit
+    ])
+    def test_cells_by_repr(self, values, by_repr):
+        got, count = rendered(values)
+        assert got == [repr(x) for x in values]
+        assert count == by_repr
+
+    def test_integer_cells_by_repr(self):
+        values = np.array([0, -1, 12, 2**63 - 1, -2**63], np.int64)
+        assert rendered(values) == ([repr(int(v)) for v in values], values.size)
+
+
 class TestNumpyTokenizerParity:
     """The block parser against `reference_columns`: numpy accepts no row the
     reference refuses, gives the same bits, and refuses only float cells
@@ -642,15 +713,19 @@ class TestCodecLogging:
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_debug_records_rows_blocks_and_blank_lines(self, tmp_path, caplog, monkeypatch):
-        monkeypatch.setattr(fileio, "_BLOCK", 32 * 10)  # 10 rows per written block
+        # 10 rows of two NUL-padded cells per written block
+        monkeypatch.setattr(fileio, "_BLOCK", 2 * (fileio._WIDTH + 1) * 10)
         path = str(tmp_path / "t.csv")
+        samples = np.zeros(25)
+        samples[[3, 17]] = 5e-324, 1e300  # outside the kernel's domain
         with caplog.at_level(logging.DEBUG, logger="fiberphase"):
-            write_trace(path, PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(25)))
+            write_trace(path, PhaseTrace(t0=1.0, dt=1e-6, samples=samples))
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write("\n\n")
             read_trace(path)
         assert [r.name for r in caplog.records] == ["fiberphase.fileio"] * 2
-        assert caplog.records[0].getMessage() == f"wrote {path}: 25 rows in 3 blocks"
+        assert caplog.records[0].getMessage() == (
+            f"wrote {path}: 25 rows in 3 blocks, 2 cells by repr")
         assert caplog.records[1].getMessage().startswith(f"read {path}: 25 rows in ")
         assert caplog.records[1].getMessage().endswith(" blocks, 2 blank lines skipped")
 
