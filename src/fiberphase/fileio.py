@@ -17,10 +17,10 @@ tie between two candidates, and all integer cells are written by `repr`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -134,7 +134,6 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
                 by_repr += _render(np.asarray(col[a:b], kind), rows[:, j, :_WIDTH])
             rows[:, :, _WIDTH] = ord(",")
             rows[:, -1, _WIDTH] = ord("\n")
-            del rows  # text cannot change size while an array views it
             yield text.translate(None, b"\0")
 
     _atomic_write(path, chunks())
@@ -213,22 +212,20 @@ def _render(cells: np.ndarray, out: np.ndarray) -> int:
     key[np.isnan(a)] = _NAN
     key[(key != _BY_REPR) & np.signbit(cells)] += 1
     idx = np.flatnonzero((a >= 1e-6) & (a < 1e17))
-    if idx.size:
-        digits, decpt, ok = _shortest(a[idx])
-        groups = np.empty((5, idx.size), np.int64)  # digits = groups in base 10**4
-        for j in range(4, 0, -1):
-            digits, groups[j] = np.divmod(digits, 10000)
-        groups[0] = digits
-        # tail[j]: every group after groups[j + 1] is zero, so its trailing zeros are the cell's
-        tail = np.ones((4, idx.size), bool)
-        tail[:3] = np.logical_and.accumulate(groups[:1:-1] == 0, axis=0)[::-1]
-        n = 17 - (zeros[groups[1:]] * tail).sum(axis=0)
-        sign = np.signbit(cells[idx])
-        key[idx] = np.where(ok, (sign * len(_DEC) + decpt - _DEC[0]) * 17 + n - 1, _BY_REPR)
-    layouts.take(key, axis=0, out=out, mode="clip")
-    if idx.size:
-        out[idx, 6] = ord("0") + groups[0]
-        out[idx, 8:39:2] = np.ascontiguousarray(quads[groups[1:] + 10000 * tail].T).view(np.uint8)
+    digits, decpt, ok = _shortest(a[idx])
+    groups = np.empty((5, idx.size), np.int64)  # the digits in base 10**4
+    for j in range(4, 0, -1):
+        digits, groups[j] = np.divmod(digits, 10000)
+    groups[0] = digits
+    # tail[j]: every group after groups[j + 1] is zero, so its trailing zeros are the cell's
+    tail = np.ones((4, idx.size), bool)
+    tail[:3] = np.logical_and.accumulate(groups[:1:-1] == 0, axis=0)[::-1]
+    n = 17 - (zeros[groups[1:]] * tail).sum(axis=0)
+    sign = np.signbit(cells[idx])
+    key[idx] = np.where(ok, (sign * len(_DEC) + decpt - _DEC[0]) * 17 + n - 1, _BY_REPR)
+    layouts.take(key, axis=0, out=out, mode="clip")  # "clip" writes to `out` unbuffered
+    out[idx, 6] = ord("0") + groups[0]
+    out[idx, 8:39:2] = np.ascontiguousarray(quads[groups[1:] + 10000 * tail].T).view(np.uint8)
     slow = np.flatnonzero(key == _BY_REPR)
     out[slow] = _by_repr(cells[slow])
     return slow.size
@@ -251,8 +248,8 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = (bits >> 52) - 1075  # a = m * 2**q, m = 2**52 | mantissa
     s = 16 - (((q + 52) * 78913) >> 18)  # 16 - floor(log10(2**(q + 52)))
     s -= a * _POW10[s] >= 1e17
-    ok = (s >= 0) & (s <= 22)
-    s = np.minimum(np.maximum(s, 0), 22)
+    ok = s <= 22  # 10**23 is not a double
+    s = np.minimum(s, 22)
     b = _POW10[s]
     p = a * b
     # Dekker's two-product, Veltkamp splits: X = a * b = p + e exactly
@@ -294,9 +291,9 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ok &= ~(pick & below & above & (lo == hi))
     digits = np.where(pick, np.where(below & (~above | (lo < hi)), base, base + 10), digits)
     done |= pick
-    # 17 digits: the integer nearest X, always inside.
+    # 17 digits: the integer nearest X, inside as both half-gaps exceed 0.55.
     base, lo, hi = nearest(1)
-    ok &= done | np.where(lo < hi, lo <= hm, (hi <= hp) & (hi < lo))
+    ok &= done | (lo != hi)
     digits = np.where(done, digits, np.where(lo < hi, base, base + 1))
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
