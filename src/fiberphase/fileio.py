@@ -240,15 +240,16 @@ def _by_repr(cells: np.ndarray) -> np.ndarray:
 def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shortest round-trip digits of each positive a in [1e-6, 1e17).
 
-    Returns N in [1e16, 1e17) with a ~ N * 10**(decpt - 17) and repr's digits
-    N without trailing zeros, decpt, and whether the cell was exact here
-    (False: outside the scaled domain or an exact tie; use repr).
+    Returns (N, decpt, ok).  repr's digits are those of N, in [1e16, 1e17),
+    without its trailing zeros, and a ~ 0.N * 10**decpt.  ok is False where
+    `repr` must render the cell: outside the scaled domain, or at an exact
+    tie between two candidates.
     """
     bits = a.view(np.int64)
     q = (bits >> 52) - 1075  # a = m * 2**q, m = 2**52 | mantissa
     s = 16 - (((q + 52) * 78913) >> 18)  # 16 - floor(log10(2**(q + 52)))
     s -= a * _POW10[s] >= 1e17
-    ok = s <= 22  # 10**23 is not a double
+    ok = s <= 22  # 10**23 is not exact
     s = np.minimum(s, 22)
     b = _POW10[s]
     p = a * b
