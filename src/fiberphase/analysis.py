@@ -19,6 +19,7 @@ from dataclasses import InitVar, dataclass, fields
 import numpy as np
 
 from .errors import (
+    Adopted,
     DomainError,
     EmptySegmentsError,
     FitError,
@@ -225,18 +226,20 @@ def extract_phase(
     np.clip(u, 0.0, 1.0, out=u)
     in_band = (u >= lo) & (u <= hi)
 
-    samples = np.full(u.size, np.nan)
-    segments = []
-    padded = np.concatenate([[0], in_band.astype(np.int8), [0]])
-    edges = np.flatnonzero(np.diff(padded))
+    # The phase overwrites u: arccos(2u - 1) on each segment, NaN between.
+    segments, done = [], 0
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], in_band, [False]])))
     for start, stop in zip(edges[::2], edges[1::2]):
         if stop - start < 2:
             continue
-        phi = samples[start:stop]  # arccos(2u - 1), written in place
-        np.multiply(u[start:stop], 2.0, out=phi)
+        u[done:start] = np.nan
+        phi = u[start:stop]
+        phi *= 2.0
         phi -= 1.0
         np.arccos(phi, out=phi)
         segments.append((int(start), int(stop)))
+        done = stop
+    u[done:] = np.nan
     if len(segments) < edges.size // 2:
         _log.debug("extract_phase: dropped %d one-sample runs inside the band",
                    edges.size // 2 - len(segments))
@@ -245,7 +248,7 @@ def extract_phase(
             "no contiguous run of >= 2 samples inside the intensity band "
             f"[{lo}, {hi}]"
         )
-    return PhaseTrace(t0=trace.t0, dt=trace.dt, samples=samples, segments=tuple(segments))
+    return PhaseTrace(t0=trace.t0, dt=trace.dt, samples=Adopted(u), segments=tuple(segments))
 
 
 def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all fiberphase modules, and the checks,
-read-only copies and field-wise equality that value objects are built on."""
+read-only arrays and field-wise equality that value objects are built on."""
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,24 @@ def check_finite(name: str, values: np.ndarray) -> None:
         raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")
 
 
+class Adopted(NamedTuple):
+    """A buffer the library has just built and drops: a value object given
+    one keeps it, read-only, instead of a copy (see `frozen`)."""
+
+    array: np.ndarray
+
+
 def frozen(values, dtype) -> np.ndarray:
-    """A read-only copy of `values` as an array of `dtype`."""
+    """A read-only copy of `values` as an array of `dtype`.
+
+    An `Adopted` array that owns its data, is writeable and has `dtype`
+    already is flagged read-only and returned itself; any other is copied.
+    """
+    if isinstance(values, Adopted):
+        values = values.array
+        if values.base is None and values.flags.writeable and values.dtype == dtype:
+            values.setflags(write=False)
+            return values
     array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import GaussianHistogram, PhaseStats
-from .errors import DomainError, TraceParseError
+from .errors import Adopted, DomainError, TraceParseError
 from .interferometer import FringeScan, IntensityTrace
 from .noise import PhaseTrace
 
@@ -438,10 +438,11 @@ def read_trace(path: str) -> PhaseTrace | IntensityTrace:
                 segments.append((int(a), int(b)))
             except ValueError:
                 raise TraceParseError(f"{path}: bad segment token {token!r}", line=2) from None
-        return PhaseTrace(t0=t0, dt=dt, samples=samples, segments=tuple(segments))
+        return PhaseTrace(t0=t0, dt=dt, samples=Adopted(samples), segments=tuple(segments))
     if kind == "intensity":
         i_max, i_min = (_meta_float(meta, key, path) for key in ("i_max", "i_min"))
-        return IntensityTrace(t0=t0, dt=dt, samples=samples, i_max=i_max, i_min=i_min)
+        return IntensityTrace(t0=t0, dt=dt, samples=Adopted(samples), i_max=i_max,
+                              i_min=i_min)
     raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=2)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_scalar, fields_equal, frozen
+from .errors import Adopted, DomainError, check_finite, check_scalar, fields_equal, frozen
 from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma
 
 __all__ = [
@@ -162,11 +162,14 @@ def simulate_mz_trace(
     if not (i_max > i_min):
         raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}")
     phase = process.sample_trace(duration, dt, seed)
-    # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in one buffer
-    values = np.add(phase.samples, phi0)
+    # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the phase's
+    # own buffer: the phase trace is dropped here, so no one else sees it.
+    values = phase.samples
+    values.setflags(write=True)
+    values += phi0
     np.cos(values, out=values)
     values += 1.0
     values *= 0.5 * (i_max - i_min)
     values += i_min
     np.clip(values, i_min, i_max, out=values)
-    return IntensityTrace(t0=phase.t0, dt=dt, samples=values, i_max=i_max, i_min=i_min)
+    return IntensityTrace(t0=phase.t0, dt=dt, samples=Adopted(values), i_max=i_max, i_min=i_min)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, check_scalar, fields_equal, frozen
+from .errors import Adopted, DomainError, ResourceLimitError, check_scalar, fields_equal, frozen
 
 # Propagation speed convention: c/n with c rounded to 3e5 km/s, i.e. exactly
 # 5 us/km at the default group index 1.5.
@@ -165,15 +165,16 @@ class NoiseParams:
             np.cumsum(increments, out=samples[1:])
         if self.drift_rate != 0.0:
             samples += self.drift_rate * (dt * np.arange(n_steps + 1))
-        return PhaseTrace(t0=0.0, dt=dt, samples=samples)
+        return PhaseTrace(t0=0.0, dt=dt, samples=Adopted(samples))
 
 
 @dataclass(frozen=True, eq=False)
 class SampledTrace:
     """Samples on the regular time grid t0 + k * dt.
 
-    `t0` and `dt` are finite, `dt` > 0; `samples` is stored as a read-only
-    float copy.
+    `t0` and `dt` are finite, `dt` > 0.  `samples` is read-only: the array a
+    caller passes is copied, while a buffer the library has just built is
+    adopted without a copy (`errors.Adopted`), so a trace holds one copy.
     """
 
     t0: float

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import logging
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,19 +468,13 @@ class TestStreamingReduction:
         with pytest.raises(DomainError):
             PhaseStats(taus=[1e-6], increments=[np.zeros(3)], n_increments=[4], dt=1e-6)
 
-    def test_peak_memory_does_not_grow_with_lags(self):
+    def test_peak_memory_does_not_grow_with_lags(self, traced_peak):
         # Keeping every increment would take 8 bytes per sample per lag
         # (~580 B/sample here); one lag at a time needs a few O(n) arrays.
         phase = extracted_night_trace(seed=1, duration=0.2)
         taus = default_lag_grid(1e-6, 600e-6)
         assert taus.size > 50
-        tracemalloc.start()
-        try:
-            increment_sets(phase, taus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 40 * phase.n_samples
+        assert traced_peak(increment_sets, phase, taus) <= 40 * phase.n_samples
 
 
 class TestMeanPhaseChange:

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import logging
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -679,16 +678,6 @@ class TestBlockBoundaries:
         assert path.read_bytes() == expected.encode("utf-8")
 
 
-def traced_peak(fn, *args):
-    """tracemalloc's peak, in bytes, over one call of fn(*args)."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamingMemory:
     """A table's memory is its column arrays plus one block, not the whole text.
 
@@ -698,7 +687,7 @@ class TestStreamingMemory:
 
     BOUND = 16e6  # bytes, for each of write_trace and read_trace
 
-    def test_read_and_write_peaks(self, tmp_path):
+    def test_read_and_write_peaks(self, tmp_path, traced_peak):
         rng = np.random.Generator(np.random.Philox(key=11))
         trace = IntensityTrace(t0=0.0, dt=1e-6, samples=rng.uniform(0.0, 1.0, 200_000),
                                i_max=1.0, i_min=0.0)
