@@ -80,14 +80,14 @@ class PhaseStats:
     """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
     The sample interval `dt` is finite and > 0; the lags `taus` are finite
-    and strictly increasing.  Per lag: the count `n_increments`, the mean
-    absolute increment `mean_abs_change` (dphi), the sample standard
-    deviation `sigma_per_tau` (ddof=1; NaN below two increments), and the
-    signed mean and sum of squared deviations `m2` that :func:`pool_stats`
-    merges.  Arrays are read-only copies.  Give either per-lag `increments`
-    (any iterable of arrays, reduced here and not stored) or the curve
-    `mean_abs_change` and `sigma_per_tau`; a curve read from a file has no
-    signed moments and cannot be pooled.
+    and strictly increasing.  Per lag: the count `n_increments` (>= 1), the
+    mean absolute increment `mean_abs_change` (dphi; finite, >= 0), the
+    sample standard deviation `sigma_per_tau` (ddof=1; finite, >= 0, NaN
+    only below two increments), and the signed mean and sum of squared
+    deviations `m2` that :func:`pool_stats` merges.  Arrays are read-only
+    copies.  Give either per-lag `increments` (any iterable of arrays,
+    reduced here and not stored) or the curve `mean_abs_change` and
+    `sigma_per_tau`; a curve read from a file has no signed moments.
     """
 
     taus: np.ndarray
@@ -119,6 +119,12 @@ class PhaseStats:
         check_finite("taus", self.taus)
         if np.any(np.diff(self.taus) <= 0):
             raise DomainError("lags must be strictly increasing")
+        check_finite("mean_abs_change", self.mean_abs_change)
+        sigma, n = self.sigma_per_tau, self.n_increments
+        if np.any(self.mean_abs_change < 0) or np.any(n < 1):
+            raise DomainError("need mean_abs_change >= 0 and n_increments >= 1 at every lag")
+        if not np.all((sigma >= 0) & (sigma < np.inf) | np.isnan(sigma) & (n < 2)):
+            raise DomainError("sigma_per_tau must be finite and >= 0 (NaN below two increments)")
 
     def lag_index(self, tau: float) -> int:
         """Index of the stored lag matching `tau` (within half a sample)."""
@@ -157,10 +163,10 @@ class GaussianHistogram:
     """Binned increment distribution at one lag, with a gaussian fit.
 
     `sigma` is the sample standard deviation (the primary estimate); the
-    fit_* fields come from a least-squares gaussian on the histogram and
-    exist for reporting/figures only.  `degenerate` marks distributions
-    with zero spread, where no fit is possible.  `bin_edges` and `counts`
-    are read-only copies.
+    fit_* fields come from a weighted log-parabola fit of a gaussian to the
+    histogram (NaN where it has no peak) and exist for reporting/figures
+    only.  `degenerate` marks distributions with zero spread, where no fit
+    is possible.  `bin_edges` and `counts` are read-only copies.
     """
 
     sigma: float
@@ -366,8 +372,8 @@ def fit_gaussian(increments) -> GaussianHistogram:
     """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``.
 
     The primary sigma is the (bias-free, bin-free) sample standard deviation;
-    a ceil(sqrt(n))-bin histogram with a least-squares gaussian is attached
-    for reporting.  Needs >= 100 increments.
+    a ceil(sqrt(n))-bin histogram with a weighted log-parabola gaussian fit
+    is attached for reporting.  Needs >= 100 increments.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.size < 100:
@@ -376,39 +382,30 @@ def fit_gaussian(increments) -> GaussianHistogram:
     n_bins = math.ceil(math.sqrt(inc.size))
     degenerate = sigma == 0.0
     if degenerate:
-        # All increments identical: a single spike, nothing to fit.
+        # All increments identical: a single spike in one bin, nothing to fit.
         center = float(inc[0])
         width = max(abs(center) * 1e-6, 1e-12)
         edges = np.linspace(center - width, center + width, n_bins + 1)
         counts, _ = np.histogram(inc, bins=edges)
-        amp, mu, fit_sig = math.nan, math.nan, math.nan
     else:
         counts, edges = np.histogram(inc, bins=n_bins)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        amp, mu, fit_sig = _lsq_gaussian(centers, counts, sigma)
-    return GaussianHistogram(
-        sigma=sigma,
-        bin_edges=edges,
-        counts=counts,
-        fit_amplitude=amp,
-        fit_mean=mu,
-        fit_sigma=fit_sig,
-        degenerate=degenerate,
-    )
+    fit = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
+    return GaussianHistogram(sigma, edges, counts, *fit, degenerate)
 
 
-def _lsq_gaussian(x: np.ndarray, y: np.ndarray, sigma0: float) -> tuple[float, float, float]:
-    from scipy.optimize import curve_fit
-
-    def model(t, amp, mu, sig):
-        return amp * np.exp(-0.5 * ((t - mu) / sig) ** 2)
-
-    p0 = (float(y.max()), float(np.average(x, weights=np.maximum(y, 1e-12))), sigma0)
-    try:
-        popt, _ = curve_fit(model, x, y.astype(float), p0=p0, maxfev=10000)
-        return float(popt[0]), float(popt[1]), float(abs(popt[2]))
-    except RuntimeError:
+def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(A, mu, sigma) of a gaussian through the non-empty bins: least squares
+    of ln y on (1, x, x^2) with each row scaled by its count y (Caruana et al.,
+    Anal. Chem. 58, 1162, 1986; Guo, IEEE Signal Process. Mag. 28(5), 134,
+    2011).  NaN when under three bins are non-empty or the fit is not concave."""
+    keep = y > 0
+    x, y = x[keep], y[keep].astype(float)
+    design = np.column_stack([y, y * x, y * x * x])
+    (a, b, c), *_ = np.linalg.lstsq(design, y * np.log(y), rcond=None)
+    if y.size < 3 or not c < 0:
         return math.nan, math.nan, math.nan
+    mu = -b / (2.0 * c)
+    return math.exp(a - c * mu * mu), float(mu), math.sqrt(-0.5 / c)
 
 
 def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:

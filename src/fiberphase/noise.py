@@ -224,11 +224,10 @@ class PhaseTrace(SampledTrace):
             if a < prev_stop:
                 raise DomainError("segments must be sorted and disjoint")
             prev_stop = b
-        bad = np.flatnonzero(self.in_segments() & ~np.isfinite(self.samples))
-        if bad.size:
-            raise DomainError(
-                f"sample {bad[0]} inside a segment is not finite: {self.samples[bad[0]]}"
-            )
+            finite = np.isfinite(self.samples[a:b])  # one segment's mask at a time
+            if not finite.all():
+                i = a + int(np.argmin(finite))
+                raise DomainError(f"sample {i} inside a segment is not finite: {self.samples[i]}")
 
     def in_segments(self) -> np.ndarray:
         """Boolean mask of the samples that lie inside a segment."""

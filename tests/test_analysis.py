@@ -38,6 +38,7 @@ from fiberphase import (
     simulate_mz_trace,
     tau_threshold,
 )
+from fiberphase.analysis import _lsq_gaussian
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -254,6 +255,23 @@ class TestIncrementSets:
                 taus=np.array([1e-6, bad, 3e-6]), n_increments=np.array([9, 8, 7]), dt=1e-6,
                 mean_abs_change=np.full(3, 0.1), sigma_per_tau=np.full(3, np.nan),
             )
+
+    @pytest.mark.parametrize("column,bad,message", [
+        ("mean_abs_change", math.nan, r"mean_abs_change\[1\] is not finite"),
+        ("mean_abs_change", math.inf, r"mean_abs_change\[1\] is not finite"),
+        ("mean_abs_change", -0.1, "mean_abs_change >= 0"),
+        ("n_increments", 0, "n_increments >= 1"),
+        ("sigma_per_tau", -0.1, "sigma_per_tau must be finite and >= 0"),
+        ("sigma_per_tau", math.inf, "sigma_per_tau must be finite and >= 0"),
+        ("sigma_per_tau", math.nan, "sigma_per_tau must be finite and >= 0"),
+    ])
+    def test_curve_values_checked(self, column, bad, message):
+        curve = {"n_increments": np.array([9, 8, 7]), "mean_abs_change": np.full(3, 0.1),
+                 "sigma_per_tau": np.full(3, 0.12)}
+        curve[column] = curve[column].astype(type(bad))
+        curve[column][1] = bad
+        with pytest.raises(DomainError, match=message):
+            PhaseStats(taus=np.array([1e-6, 2e-6, 3e-6]), dt=1e-6, **curve)
 
     def test_segment_boundaries_not_bridged(self):
         samples = np.arange(20.0) * 0.01
@@ -517,6 +535,18 @@ class TestFitGaussian:
     def test_fit_sigma_agrees_on_gaussian_data(self):
         hist = fit_gaussian(gaussian_increments(0.2, 10_000, seed=52))
         assert hist.fit_sigma == pytest.approx(hist.sigma, rel=0.1)
+
+    def test_closed_form_fit_recovers_exact_gaussian_counts(self):
+        x = np.linspace(-1.0, 1.3, 40)
+        counts = 37.5 * np.exp(-((x - 0.12) ** 2) / (2 * 0.3**2))
+        assert _lsq_gaussian(x, counts) == pytest.approx((37.5, 0.12, 0.3), rel=1e-9)
+
+    @pytest.mark.parametrize("counts", [
+        np.where(np.isin(np.arange(40), [11, 25]), 50, 0),  # two non-empty bins
+        1.0 + np.linspace(-1.0, 1.3, 40) ** 2,  # convex: no peak to fit
+    ], ids=["two_bins", "convex"])
+    def test_closed_form_fit_without_a_peak_is_nan(self, counts):
+        assert np.isnan(_lsq_gaussian(np.linspace(-1.0, 1.3, 40), counts)).all()
 
     def test_degenerate_flagged(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(200))

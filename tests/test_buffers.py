@@ -131,6 +131,14 @@ class TestTraceMemory:
         peak = traced_peak(params.sample_trace, self.DURATION, self.DT, 1)
         assert peak <= self.BYTES_PER_SAMPLE * ((1 << 20) + 1)
 
+    def test_sample_trace_checks_one_segment_at_a_time(self, traced_peak):
+        # The samples plus one bool per sample for the finiteness check.  The
+        # whole-trace masks of the earlier check peaked at 10 bytes per sample.
+        params = preset_params("night")
+        params.sample_trace(4 * self.DT, self.DT, 1)  # its first call imports modules
+        peak = traced_peak(params.sample_trace, self.DURATION, self.DT, 1)
+        assert peak <= 9 * ((1 << 20) + 1) + (1 << 16)
+
     def test_simulate_mz_trace(self, traced_peak):
         peak = traced_peak(simulate_mz_trace, preset_params("night"), self.DURATION, self.DT,
                            1.0, 0.0, math.pi / 2, 1)

@@ -115,6 +115,13 @@ MALFORMED_INPUTS = [
     (b"# fiberphase-dphi v1\n# dt: inf\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,8\n",
      "analyze tau-threshold --in {f} --dphi 0.1", "dt must be finite, got inf"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\n2e-06,nan,0.25,8\n3e-06,0.1,0.12,7\n4e-06,0.2,0.2,6\n",
+     "analyze exponent --in {f} --tau-min-us 1 --tau-max-us 4",
+     "mean_abs_change[1] is not finite: nan"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\n2e-06,inf,0.25,8\n3e-06,0.1,0.12,7\n4e-06,0.2,0.2,6\n",
+     "analyze tau-threshold --in {f} --dphi 0.08", "mean_abs_change[1] is not finite: inf"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -228,7 +235,8 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize(
         "data,template,fragment", MALFORMED_INPUTS,
         ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count",
-             "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt"],
+             "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt",
+             "nan_curve_dphi", "inf_curve_dphi"],
     )
     def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
         path = tmp_path / "in.csv"

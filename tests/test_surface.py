@@ -5,7 +5,9 @@ attributes."""
 import hashlib
 import importlib
 import os
+import pathlib
 import pkgutil
+import subprocess
 import sys
 import types
 
@@ -187,6 +189,26 @@ class TestPublicSurface:
     ])
     def test_traced_attribute_resolves(self, module, attribute):
         assert callable(getattr(importlib.import_module(f"fiberphase.{module}"), attribute))
+
+    def test_histogram_fit_runs_on_numpy_only(self, tmp_path):
+        # A fresh interpreter, since the test suite itself imports scipy.
+        script = ("import sys; from fiberphase.cli import main; "
+                  "print([main(c.split()) for c in sys.argv[1:]], 'scipy' in sys.modules)")
+        commands = [
+            f"simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 2 --dt-us 1 "
+            f"--out {tmp_path}/p.csv",
+            f"analyze dphi --in {tmp_path}/p.csv --tau-max-us 100 --out {tmp_path}/c.csv "
+            f"--histogram-tau-us 20 --histogram-out {tmp_path}/h.csv",
+        ]
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
+        assert (tmp_path / "h.csv").exists()
+
+    def test_no_source_file_names_scipy(self):
+        for path in pathlib.Path(ROOT, "src").rglob("*.py"):
+            assert "scipy" not in path.read_text(encoding="utf-8"), path
 
     def test_traced_method_resolves(self):
         from fiberphase import noise
