@@ -140,14 +140,17 @@ del PhaseStats.increments  # the InitVar's class default; instances hold no incr
 def _moments(increments) -> tuple[int, float, float, float]:
     # (n, mean |x|, mean x, sum of squared deviations), reduced exactly as
     # np.mean(np.abs(x)) and np.std(x, ddof=1) do, so the curve is
-    # bit-identical to them; two-pass m2 does not cancel under drift.
+    # bit-identical to them; two-pass m2 does not cancel under drift.  One
+    # temporary holds |x|, then the squared deviations.
     x = np.asarray(increments, dtype=float)
     n = x.size
     if n == 0:
         raise DomainError("every lag needs at least one increment")
+    tmp = np.abs(x)
+    mean_abs = np.add.reduce(tmp) / n
     mean = np.add.reduce(x) / n
-    dev = x - mean
-    return n, np.add.reduce(np.abs(x)) / n, mean, np.add.reduce(np.square(dev, out=dev))
+    np.subtract(x, mean, out=tmp)
+    return n, mean_abs, mean, np.add.reduce(np.square(tmp, out=tmp))
 
 
 def _sample_sigma(n: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -277,19 +280,35 @@ def _lag_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _increments(phase: PhaseTrace, steps):
-    """Signed increments at each lag step in `steps`, one array at a time.
+def _pair_layout(phase: PhaseTrace, steps: np.ndarray):
+    """Segment lengths L, and per lag step k the valid pairs, sum(max(L - k, 0))."""
+    lengths = np.fromiter((b - a for a, b in phase.segments), dtype=np.intp,
+                          count=len(phase.segments))
+    by_length = np.sort(lengths)
+    shorter = np.searchsorted(by_length, steps, side="right")
+    total = np.concatenate([[0], np.cumsum(by_length)])
+    return lengths, total[-1] - total[shorter] - steps * (lengths.size - shorter)
 
-    The in-segment samples are concatenated once, with `room`, the number of
-    samples from each one to the end of its segment.  A pair (i, i + k) lies
-    in one segment exactly when room[i] > k, and then keeps lag k in the
-    concatenation, so each lag reduces over in-segment samples only.
+
+def _increments(phase: PhaseTrace, steps: np.ndarray, lengths, counts):
+    """Signed increments at each lag step in `steps`, one array at a time, in
+    time order; `lengths` and `counts` are the :func:`_pair_layout` of `steps`.
+
+    Each segment longer than the lag writes its pairs s[a+k:b] - s[a:b-k]
+    into one buffer, allocated once at the largest count, and each lag
+    yields a view of it that the next lag overwrites: 8 B per in-segment
+    sample, whatever the number of lags.  Each segment costs one ufunc
+    call per lag.
     """
-    lengths = np.array([b - a for a, b in phase.segments], dtype=int)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(lengths.sum())
-    samples = phase.samples[phase.in_segments()]
-    for k in steps:
-        yield (samples[k:] - samples[:-k])[room[:-k] > k]
+    buf = np.empty(counts.max())
+    samples = phase.samples
+    for k, n in zip(steps.tolist(), counts.tolist()):
+        o = 0
+        for i in np.flatnonzero(lengths > k).tolist():
+            a, b = phase.segments[i]
+            np.subtract(samples[a + k:b], samples[a:b - k], out=buf[o:o + b - a - k])
+            o += b - a - k
+        yield buf[:n]
 
 
 def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
@@ -299,15 +318,17 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     discarded (the phase is unobservable through omitted extrema).  `tau`
     must be a positive multiple of the sample interval.
     """
-    return next(_increments(phase, [_lag_steps(tau, phase.dt)]))
+    steps = np.array([_lag_steps(tau, phase.dt)])
+    return next(_increments(phase, steps, *_pair_layout(phase, steps)))
 
 
 def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     """The dphi(tau) curve of a phase trace over a grid of lags.
 
-    The increments of :func:`increments_at` are made and reduced one lag at
-    a time, so memory is O(samples) whatever the number of lags.  Lags
-    with no valid pair are dropped.
+    The increments of :func:`increments_at` are gathered and reduced one lag
+    at a time (see `_increments`), so memory does not grow with the number
+    of lags: 16 B per in-segment sample, the shared buffer and one
+    temporary of the reduction.  Lags with no valid pair are dropped.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
@@ -315,15 +336,15 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
-    lengths = np.array([b - a for a, b in phase.segments])
-    counts = np.array([np.maximum(lengths - k, 0).sum() for k in steps])
+    lengths, counts = _pair_layout(phase, steps)
     if not counts.all():
         _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
                    np.count_nonzero(counts == 0), taus[counts == 0][0])
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=_increments(phase, steps))
+    increments = _increments(phase, steps, lengths, counts)
+    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
 
 
 def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:

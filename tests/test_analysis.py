@@ -420,6 +420,18 @@ class TestStreamingReduction:
         for tau in taus:  # every lag, kept or dropped
             assert np.array_equal(increments_at(phase, tau), reference_increments(phase, tau))
 
+    def test_short_segments_between_two_long(self):
+        # 200 segments of 3-8 samples: lags shorter and longer than they
+        # are, so the shared buffer is refilled from fewer segments as the
+        # lag grows.  Segments are separated by one NaN sample.
+        lengths = [5000] + [3, 8, 4, 7, 5, 6] * 33 + [3, 8] + [5000]
+        starts = np.cumsum([0] + [n + 1 for n in lengths[:-1]])
+        segments = tuple((int(a), int(a + n)) for a, n in zip(starts, lengths))
+        walk = np.cumsum(gaussian_increments(0.1, segments[-1][1], seed=11))
+        walk[starts[1:] - 1] = np.nan
+        phase = PhaseTrace(0.0, 1e-6, walk, segments=segments)
+        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 600e-6))
+
     def test_multi_segment_lag_longer_than_every_segment(self):
         phase = PhaseTrace(0.0, 1e-6, np.arange(12.0), segments=((0, 4), (4, 9), (9, 12)))
         stats = increment_sets(phase, [3e-6, 4e-6, 5e-6, 8e-6])
@@ -493,6 +505,15 @@ class TestStreamingReduction:
         taus = default_lag_grid(1e-6, 600e-6)
         assert taus.size > 50
         assert traced_peak(increment_sets, phase, taus) <= 40 * phase.n_samples
+
+    def test_peak_memory_of_one_long_segment(self, traced_peak):
+        # Every lag is gathered into one buffer (8 B per sample), and the
+        # reduction needs one temporary of the same size.
+        proc = build_process(NoiseParams(sigma_ref=0.1, tau_ref=1e-4))
+        phase = proc.sample_trace(2**20 * 1e-6, 1e-6, seed=5)
+        assert phase.segments == ((0, phase.n_samples),)
+        taus = default_lag_grid(1e-6, 600e-6)
+        assert traced_peak(increment_sets, phase, taus) <= 20 * phase.n_samples + 64 * 1024
 
 
 class TestMeanPhaseChange:
