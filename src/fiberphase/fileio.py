@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,10 @@ TOOL_VERSION = "0.1.0"
 
 _log = logging.getLogger(__name__)
 
-# Characters of row text parsed or formatted at a time: a table's memory is
-# its column arrays plus one block.
-_BLOCK = 1 << 20
+# Characters of row text parsed at a time: a table read holds its kept
+# columns once plus one block.  A write renders 4 * _BLOCK bytes of NUL-padded
+# cells (about 1.5 * _BLOCK characters) at a time.
+_BLOCK = 1 << 18
 
 # Each CSV format: its magic line and the (name, type) of each column.  An int
 # column holds 64-bit integers; `12.0`, `nan` and `inf` are not integers.
@@ -113,7 +115,7 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
     magic, columns = table
     n_rows = min(map(len, values))
     width = len(columns) * (_WIDTH + 1)  # bytes of a row before its NULs are dropped
-    step = max(1, _BLOCK // width)
+    step = max(1, 4 * _BLOCK // width)
     starts = range(0, n_rows, step)
     by_repr = 0
 
@@ -306,12 +308,15 @@ def _read_table(path: str, table: tuple, skip: tuple = ()):
 
     Blank lines are skipped; any other deviation raises TraceParseError
     with its 1-based line number.  Rows are parsed one block of about
-    `_BLOCK` characters at a time.  Columns named in `skip` are parsed and
-    checked like the others, but not kept or returned.
+    `_BLOCK` characters at a time into one array per kept column, allocated
+    once at a bound on the row count and trimmed in place at the end.
+    Columns named in `skip` are parsed and checked like the others, but not
+    kept or returned.
     """
     try:
+        breaks = _line_breaks(path)
         with open(path, "r", encoding="utf-8") as fh:
-            return _read_open_table(fh, path, table, skip)
+            return _read_open_table(fh, path, table, skip, breaks)
     except (UnicodeDecodeError, TraceParseError):
         # A byte that is not UTF-8 is reported wherever it sits in the file,
         # so the error does not depend on how far the parse got before it.
@@ -319,6 +324,19 @@ def _read_table(path: str, table: tuple, skip: tuple = ()):
         if line is None:
             raise
         raise TraceParseError(f"{path}: not UTF-8 text", line=line) from None
+
+
+def _line_breaks(path: str) -> int:
+    """The file's LF and CR bytes: at least the line breaks that text mode
+    splits on, as it also splits on a bare CR (CRLF counts twice).  0 for a
+    pipe or other stream, which can be read only once."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return 0
+    count = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            count += chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r"))
+    return count
 
 
 def _first_non_utf8_line(path: str) -> int | None:
@@ -332,7 +350,7 @@ def _first_non_utf8_line(path: str) -> int | None:
     return None
 
 
-def _read_open_table(fh, path: str, table: tuple, skip: tuple):
+def _read_open_table(fh, path: str, table: tuple, skip: tuple, breaks: int):
     magic, columns = table
     if fh.readline().rstrip("\n") != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
@@ -349,18 +367,25 @@ def _read_open_table(fh, path: str, table: tuple, skip: tuple):
     if line.rstrip("\n") != header:
         raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
     keep = [j for j, (name, _) in enumerate(columns) if name not in skip]
-    parts = [[np.empty(0, columns[j][1])] for j in keep]
-    first, blocks, blanks = number + 1, 0, 0
+    # Each header line ended in a break, and the last row may have none.
+    bound = max(breaks - number + 1, 0)
+    arrays = [np.empty(bound, columns[j][1]) for j in keep]
+    rows, first, blocks, blanks = 0, number + 1, 0, 0
     while lines := fh.readlines(_BLOCK):
         block = _parse_block(lines, columns, path, first)
-        for part, j in zip(parts, keep):
-            part.append(block[j].copy())  # a view would keep the whole block alive
-        first, blocks = first + len(lines), blocks + 1
+        end = rows + block[0].size
+        for array, j in zip(arrays, keep):
+            if end > array.size:  # the file grew after its lines were counted
+                array.resize(2 * end, refcheck=False)
+            array[rows:end] = block[j]
+        rows, first, blocks = end, first + len(lines), blocks + 1
         if _log.isEnabledFor(logging.DEBUG):
             blanks += lines.count("\n")
-    arrays = [np.concatenate(part) for part in parts]
+        del lines, block  # so that two blocks are never held at once
+    for array in arrays:
+        array.resize(rows, refcheck=False)  # no view of it exists yet
     _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
-               path, arrays[0].size, blocks, blanks)
+               path, rows, blocks, blanks)
     return meta, arrays, number
 
 

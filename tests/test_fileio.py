@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -647,6 +648,36 @@ class TestBlockBoundaries:
         crlf.write_bytes((CURVE_HEAD + CURVE_ROWS).replace("\n", "\r\n").encode())
         assert self.outcome(crlf, tiny_block) == self.outcome(lf)
 
+    def test_bare_cr_reads_as_lf(self, tmp_path, tiny_block):
+        # text mode splits on a bare CR too, so the row bound counts CR bytes
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        cr.write_bytes((CURVE_HEAD + CURVE_ROWS).replace("\n", "\r").encode())
+        assert fileio._line_breaks(cr) == fileio._line_breaks(lf) == 33
+        assert self.outcome(cr, tiny_block) == self.outcome(lf)
+
+    @pytest.mark.parametrize("undercount", [0, 1, 20])
+    def test_rows_past_the_counted_bound(self, tmp_path, tiny_block, monkeypatch, undercount):
+        # as if the file grew between the count and the parse
+        path = tmp_path / "curve.csv"
+        path.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        expected = self.outcome(path)
+        monkeypatch.setattr(fileio, "_line_breaks", lambda _: undercount)
+        assert self.outcome(path, tiny_block) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_reads_as_file(self, tmp_path, tiny_block):
+        # a pipe can be read once, so its rows are not counted first
+        path = tmp_path / "curve.csv"
+        path.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            assert self.outcome(f"/dev/fd/{r}", tiny_block) == self.outcome(path)
+        finally:
+            os.close(r)
+
     @pytest.mark.parametrize("reader,text,line,message", [
         (read_dphi_curve, CURVE_HEAD + "\n\n", 3, "empty curve"),
         (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
@@ -682,7 +713,8 @@ class TestStreamingMemory:
     """A table's memory is its column arrays plus one block, not the whole text.
 
     On a 2e5-row intensity trace (6.3 MB of text, 3.2 MB of column arrays)
-    whole-text reading and writing peaked at 24 MB and 32 MB.
+    whole-text reading and writing peaked at 24 MB and 32 MB.  Reading the
+    kept column as 1 MiB block parts joined at the end peaked at 7.9 MB.
     """
 
     BOUND = 16e6  # bytes, for each of write_trace and read_trace
@@ -693,7 +725,10 @@ class TestStreamingMemory:
                                i_max=1.0, i_min=0.0)
         path = str(tmp_path / "mz.csv")
         assert traced_peak(write_trace, path, trace) < self.BOUND
-        assert traced_peak(read_trace, path) < self.BOUND
+        read_peak = traced_peak(read_trace, path)
+        assert read_peak < self.BOUND
+        # the kept column once, plus one block and its parse
+        assert read_peak <= 1.25 * trace.samples.nbytes + 1.5 * 2**20
 
 
 class TestCodecLogging:
@@ -702,8 +737,8 @@ class TestCodecLogging:
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_debug_records_rows_blocks_and_blank_lines(self, tmp_path, caplog, monkeypatch):
-        # 10 rows of two NUL-padded cells per written block
-        monkeypatch.setattr(fileio, "_BLOCK", 2 * (fileio._WIDTH + 1) * 10)
+        # 10 rows of two NUL-padded cells per written block of 4 * _BLOCK bytes
+        monkeypatch.setattr(fileio, "_BLOCK", 2 * (fileio._WIDTH + 1) * 10 // 4)
         path = str(tmp_path / "t.csv")
         samples = np.zeros(25)
         samples[[3, 17]] = 5e-324, 1e300  # outside the kernel's domain
