@@ -12,9 +12,11 @@ Subcommands::
     repeater budget|fidelity
 
 Exit codes: 0 on success; 1 on an invalid value or file, with the flag or
-file named; 2 on a usage error.  Non-finite values are rejected, and paired
-flags (--histogram-tau-us/--histogram-out, --diffusion/--link-km) must be
-given together.  Set FIBERPHASE_OUT_DIR to redirect relative output paths.
+file named; 2 on a usage error.  A library message, in SI units, gets its
+flags in front (``--points: n_points must be >= 4, got 3``).  Non-finite
+values are rejected, and paired flags (--histogram-tau-us/--histogram-out,
+--diffusion/--link-km) must be given together.  Set FIBERPHASE_OUT_DIR to
+redirect relative output paths.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
-from .errors import DomainError, FiberPhaseError
+from .errors import DomainError, FiberPhaseError, TraceParseError
 from .fileio import ReportDocument
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
@@ -78,15 +81,10 @@ def _resolve_out(path: str) -> str:
 
 # ---------------------------------------------------------------------------
 # flag table: each flag is declared once, with the RunConfig entry it fills,
-# the factor that takes it to SI units and the check it must pass
+# the factor that takes it to SI units and the checks the library cannot make
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_VISIBILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
-
-
-def _at_least(n: int) -> tuple:
-    return (lambda v: v >= n, f"must be >= {n}")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,10 +92,13 @@ class _Flag:
     """One command-line flag.
 
     `key` is a params key, ``process.<key>`` (the noise-process block),
-    ``inputs.<role>``, ``outputs.<role>`` or ``seed``.  `type` is float, int,
-    str, bool (a switch) or list (comma-separated floats).  `check` is a
-    (predicate, wording) pair on the value as given; `scale` then takes it to
-    SI.  `needs` names the flag without which this one has no effect.
+    ``inputs.<role>``, ``outputs.<role>`` or ``seed``; its last part less an
+    ``_s``/``_rad`` unit is the parameter, the name library errors give the
+    value.  `type` is float, int, str, bool (a switch) or list (comma-separated
+    floats).  `check` is a (predicate, wording) pair on the value as given, for
+    a rule the library checks late, under another name or not at all; `scale`
+    then takes it to SI.  `needs` names the flag without which this one has no
+    effect.
     """
 
     name: str
@@ -156,10 +157,8 @@ _REPORT = _Flag("--report", "outputs.report", str)
 _SEED = _Flag("--seed", "seed", int, default=DEFAULT_SEED,
               help=f"random seed (default {DEFAULT_SEED})")
 _PROCESS = _Section("noise process", [
-    _Flag("--sigma-ref", "process.sigma_ref", check=_NON_NEGATIVE,
-          help="phase std-dev at the reference lag (rad)"),
-    _Flag("--tau-ref-us", "process.tau_ref_s", scale=1e-6, check=_POSITIVE,
-          help="reference lag (us)"),
+    _Flag("--sigma-ref", "process.sigma_ref", help="phase std-dev at the reference lag (rad)"),
+    _Flag("--tau-ref-us", "process.tau_ref_s", scale=1e-6, help="reference lag (us)"),
     _Flag("--hurst", "process.hurst", default=0.5, help="scaling exponent in (0,1)"),
     _Flag("--drift-rate", "process.drift_rate", default=0.0, help="linear phase drift (rad/s)"),
     _Flag("--length-km", "process.length_km", help="fiber length the calibration refers to (km)"),
@@ -170,10 +169,8 @@ _PROCESS = _Section("noise process", [
     ]),
 ])
 _GRID = [
-    _Flag("--duration-ms", "duration_s", scale=1e-3, check=_POSITIVE, required=True,
-          help="trace duration (ms)"),
-    _Flag("--dt-us", "dt_s", scale=1e-6, check=_POSITIVE, required=True,
-          help="sample interval (us)"),
+    _Flag("--duration-ms", "duration_s", scale=1e-3, required=True, help="trace duration (ms)"),
+    _Flag("--dt-us", "dt_s", scale=1e-6, required=True, help="sample interval (us)"),
 ]
 
 
@@ -233,17 +230,27 @@ def _process_block(values: dict) -> dict:
     for flag, key in (("--sigma-ref", "sigma_ref"), ("--tau-ref-us", "tau_ref_s")):
         if values[key] is None:
             raise DomainError(f"{flag} is required without --day/--night")
-    try:
+    with _naming(_PROCESS.flags):
         process = _params_to_process(values)
-    except DomainError as exc:  # NoiseParams messages open with the field name
-        names = {flag.key: flag.name for flag in _flags(_PROCESS.flags)}
-        flag = names.get("process." + str(exc).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise DomainError(f"{flag}: {exc}") from exc
     block = dataclasses.asdict(process)
     block["tau_ref_s"] = block.pop("tau_ref")
     return block
+
+
+@contextlib.contextmanager
+def _naming(entries):
+    """Prefix a library DomainError with the flags whose parameter (see _Flag)
+    is a word of its message; paths name none, so a file error stays bare."""
+    try:
+        yield
+    except DomainError as exc:
+        words = set(re.findall(r"\w+", str(exc)))
+        names = [flag.name for flag in _flags(entries)
+                 if flag.key.partition(".")[0] not in ("inputs", "outputs")
+                 and re.sub(r"_(s|rad)$", "", flag.key.rpartition(".")[2]) in words]
+        if not names:
+            raise
+        raise DomainError(f"{'/'.join(names)}: {exc}") from exc
 
 
 def _params_to_process(block: dict) -> NoiseParams:
@@ -253,10 +260,13 @@ def _params_to_process(block: dict) -> NoiseParams:
 
 
 def parse_cli(argv=None) -> RunConfig:
-    """Parse and validate argv into a fully-resolved RunConfig.
+    """Parse argv into a fully-resolved RunConfig.
 
-    Unknown flags or subcommands exit with code 2 (argparse usage error);
-    invalid values raise DomainError, which main() maps to exit code 1.
+    Unknown flags or subcommands exit with code 2 (argparse usage error).
+    The table's checks, finiteness, list syntax, flag pairs, the preset
+    conflict and the noise-process fields raise DomainError here; the other
+    values raise it from the library in run(), with the flag named.  main()
+    maps both to exit code 1.
     """
     args = build_parser().parse_args(argv)
     command = (args.group, args.command)
@@ -301,7 +311,9 @@ def run(config: RunConfig) -> int:
     out = {k: _resolve_out(v) for k, v in config.outputs.items()}
     for path in config.inputs.values():
         report.add_input(path)
-    blocks = _COMMANDS[config.command].run(config, out)
+    command = _COMMANDS[config.command]
+    with _naming(command.flags):
+        blocks = command.run(config, out)
     for name, values in blocks.items():
         report.results[name] = values
         print(_summarize(name, values))
@@ -312,23 +324,9 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _grid_flags():
-    """Name --duration-ms and --dt-us in the library's `duration >= dt` error."""
-    try:
-        yield
-    except DomainError as exc:
-        if not str(exc).startswith("duration "):
-            raise
-        raise DomainError(f"--duration-ms/--dt-us: {exc}") from exc
-
-
 def _run_simulate_noise(config, out):
     process = _params_to_process(config.params["process"])
-    with _grid_flags():
-        trace = process.sample_trace(
-            config.params["duration_s"], config.params["dt_s"], config.seed
-        )
+    trace = process.sample_trace(config.params["duration_s"], config.params["dt_s"], config.seed)
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
         "kind": "phase",
@@ -341,11 +339,10 @@ def _run_simulate_noise(config, out):
 def _run_simulate_mz(config, out):
     p = config.params
     process = _params_to_process(p["process"])
-    with _grid_flags():
-        trace = interferometer.simulate_mz_trace(
-            process, p["duration_s"], p["dt_s"],
-            i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config.seed,
-        )
+    trace = interferometer.simulate_mz_trace(
+        process, p["duration_s"], p["dt_s"],
+        i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config.seed,
+    )
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
         "kind": "intensity",
@@ -395,7 +392,7 @@ def _run_analyze_phase(config, out):
     path = config.inputs["trace"]
     trace = fileio.read_trace(path)
     if not isinstance(trace, interferometer.IntensityTrace):
-        raise DomainError(f"{path} is not an intensity trace")
+        raise TraceParseError(f"{path} is not an intensity trace")
     band = (config.params["band_lo"], config.params["band_hi"])
     phase = analysis.extract_phase(trace, band=band)
     fileio.write_trace(out["phase"], phase)
@@ -411,7 +408,7 @@ def _run_analyze_dphi(config, out):
     path = config.inputs["phase"]
     trace = fileio.read_trace(path)
     if not isinstance(trace, PhaseTrace):
-        raise DomainError(f"{path} is not a phase trace")
+        raise TraceParseError(f"{path} is not a phase trace")
     taus = analysis.default_lag_grid(
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )
@@ -508,7 +505,7 @@ def _run_repeater_fidelity(config, out):
         "fidelity": fidelity,
         "visibility": repeater.fidelity_visibility_convert(fidelity, "to_visibility"),
     }
-    if p["monte_carlo_samples"]:
+    if p["monte_carlo_samples"] is not None:
         block["monte_carlo_fidelity"] = repeater.monte_carlo_fidelity(
             sigma, p["monte_carlo_samples"], seed=config.seed
         )
@@ -539,17 +536,14 @@ _COMMANDS = {
               help="static arm phase offset (rad); default pi/2 (mid-fringe)"),
         _Flag("--out", "outputs.trace", str, required=True, help="intensity trace CSV to write"),
         _REPORT,
-    ], check=(lambda a: a.i_max > a.i_min,
-              lambda a: f"--i-max must exceed --i-min, got {a.i_max} and {a.i_min}")),
+    ]),
     ("simulate", "fringe"): _Command("scan a Sagnac fringe", _run_simulate_fringe, [
         _PROCESS, _SEED,
-        _Flag("--loop-km", "loop_km", check=_POSITIVE, required=True,
-              help="Sagnac loop length (km)"),
-        _Flag("--points", "n_points", int, check=_at_least(4), default=50,
-              help="scan points over one fringe"),
-        _Flag("--pulses-per-point", "pulses_per_point", int, check=_at_least(1), default=1000),
+        _Flag("--loop-km", "loop_km", required=True, help="Sagnac loop length (km)"),
+        _Flag("--points", "n_points", int, default=50, help="scan points over one fringe"),
+        _Flag("--pulses-per-point", "pulses_per_point", int, default=1000),
         _Flag("--detector-noise", "detector_noise", default=0.0),
-        _Flag("--i0", "i0", check=_POSITIVE, default=1.0, help="mean full intensity"),
+        _Flag("--i0", "i0", default=1.0, help="mean full intensity"),
         _Flag("--out", "outputs.scan", str, required=True, help="fringe scan CSV to write"),
         _REPORT,
     ]),
@@ -570,7 +564,7 @@ _COMMANDS = {
         _Flag("--in", "inputs.phase", str, required=True, help="phase trace CSV"),
         _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True,
               help="largest lag (us)"),
-        _Flag("--max-lags", "max_lags", int, check=_at_least(1),
+        _Flag("--max-lags", "max_lags", int, check=_AT_LEAST_ONE,
               default=analysis.DEFAULT_MAX_LAGS),
         _Flag("--histogram-tau-us", "histogram_tau_s", scale=1e-6, check=_POSITIVE,
               help="also export the increment histogram at this lag (us)",
@@ -597,33 +591,28 @@ _COMMANDS = {
     ("analyze", "diffusion"): _Command(
         "diffusion coefficient from sigma or visibility", _run_analyze_diffusion, [
         _OneOf(True, [
-            _Flag("--visibility", "visibility", check=_VISIBILITY),
-            _Flag("--sigma", "sigma_rad", check=_NON_NEGATIVE),
+            _Flag("--visibility", "visibility"),
+            _Flag("--sigma", "sigma_rad"),
         ]),
-        _Flag("--length-km", "length_km", check=_POSITIVE, required=True),
+        _Flag("--length-km", "length_km", required=True),
         _REPORT,
     ]),
     ("repeater", "budget"): _Command("per-segment phase allowance", _run_repeater_budget, [
-        _Flag("--total-km", "total_km", check=_POSITIVE, required=True),
-        _Flag("--links", "n_links", int, check=_at_least(1), required=True),
-        _Flag("--fidelity", "target_fidelity", required=True,
-              check=(lambda v: 0.5 < v < 1, "must be in (0.5, 1)")),
-        _Flag("--segment-km", "segment_km", check=_POSITIVE, required=True),
+        _Flag("--total-km", "total_km", required=True),
+        _Flag("--links", "n_links", int, required=True),
+        _Flag("--fidelity", "target_fidelity", required=True),
+        _Flag("--segment-km", "segment_km", required=True),
         _REPORT,
-    ], check=(lambda a: a.segment_km <= a.total_km / a.links, lambda a: (
-        f"--segment-km must not exceed one link ({a.total_km / a.links:g} km), "
-        f"got {a.segment_km}"))),
+    ]),
     ("repeater", "fidelity"): _Command("fidelity from phase noise", _run_repeater_fidelity, [
         _OneOf(True, [
-            _Flag("--sigma", "sigma_rad", check=_NON_NEGATIVE,
-                  help="total phase-noise width (rad)"),
-            _Flag("--visibility", "visibility", check=_VISIBILITY),
-            _Flag("--diffusion", "diffusion", check=_NON_NEGATIVE,
-                  help="rad^2/km, with --link-km", needs="--link-km"),
+            _Flag("--sigma", "sigma_rad", help="total phase-noise width (rad)"),
+            _Flag("--visibility", "visibility"),
+            _Flag("--diffusion", "diffusion", help="rad^2/km, with --link-km", needs="--link-km"),
         ]),
         _Flag("--link-km", "link_km", list, check=_POSITIVE,
               help="comma-separated link lengths (km)", needs="--diffusion"),
-        _Flag("--monte-carlo", "monte_carlo_samples", int, check=_at_least(1),
+        _Flag("--monte-carlo", "monte_carlo_samples", int, check=_AT_LEAST_ONE,
               help="also estimate by Monte Carlo with this many samples"),
         _SEED,
         _REPORT,

@@ -116,6 +116,7 @@ def simulate_fringe_scan(
         raise DomainError(f"n_points must be >= 4, got {n_points}")
     if pulses_per_point < 1:
         raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}")
+    check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
     # Point i draws from the key's stream jumped by i * 2^128, as

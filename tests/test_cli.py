@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fiberphase import read_trace
+from fiberphase import DomainError, read_trace
 from fiberphase.cli import DEFAULT_SEED, RunConfig, main, parse_cli, run
 
 
@@ -243,8 +243,18 @@ class TestValidationExitCodes:
         path.write_bytes(data)
         assert main(template.format(f=path, d=tmp_path).split()) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and fragment in err
+        assert err.startswith("error: " + fragment)
         assert not (tmp_path / "c.csv").exists()
+
+    def test_wrong_trace_kind_names_no_flag(self, capsys, tmp_path):
+        # the directory shares its name with the parameter of --tau-max-us
+        mz = tmp_path / "tau_max" / "mz.csv"
+        mz.parent.mkdir()
+        assert main(f"simulate mz --night --duration-ms 1 --dt-us 1 --out {mz}".split()) == 0
+        capsys.readouterr()
+        code = main(f"analyze dphi --in {mz} --tau-max-us 100 --out {tmp_path/'c.csv'}".split())
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {mz} is not a phase trace\n"
 
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(f"analyze fringe --in {tmp_path/'missing.csv'}".split())
@@ -255,7 +265,8 @@ class TestValidationExitCodes:
         # {d} holds no input file: every value check runs before any read
         code = main(template.format(d=tmp_path).split())
         assert code == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate noise --sigma-ref 0.1 --tau-ref-us 100",
                                          "simulate mz --night"])
@@ -275,6 +286,20 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags)
         assert not list(tmp_path.iterdir())
+
+
+    def test_replayed_library_error_names_flag(self, tmp_path):
+        report = tmp_path / "budget.json"
+        assert main(
+            f"repeater budget --total-km 1000 --links 8 --fidelity 0.9 "
+            f"--segment-km 36.5 --report {report}".split()
+        ) == 0
+        replay = RunConfig.from_dict(load_report(report)["config"])
+        replay.params["total_km"] = 0.0
+        replay.outputs = {}
+        with pytest.raises(DomainError) as excinfo:
+            run(replay)
+        assert str(excinfo.value).startswith("--total-km: ")
 
 
 class TestRepeaterCommands:
@@ -319,6 +344,17 @@ class TestRepeaterCommands:
         block = load_report(report_path)["results"]["fidelity"]
         assert block["fidelity"] == pytest.approx(0.9686274478063388, rel=1e-9)
         assert block["monte_carlo_fidelity"] == pytest.approx(0.96863, abs=0.002)
+
+    def test_replayed_zero_monte_carlo_samples_rejected(self, tmp_path):
+        report = tmp_path / "fid.json"
+        assert main(
+            f"repeater fidelity --sigma 0.36 --monte-carlo 10 --report {report}".split()
+        ) == 0
+        replay = RunConfig.from_dict(load_report(report)["config"])
+        replay.params["monte_carlo_samples"] = 0
+        replay.outputs = {}
+        with pytest.raises(DomainError, match="n_samples must be >= 1"):
+            run(replay)
 
 
 class TestSimulateCommands:

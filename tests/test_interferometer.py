@@ -155,6 +155,17 @@ class TestSimulateFringeScan:
         with pytest.raises(DomainError):
             simulate_fringe_scan(proc, 71.5, 20, 0, seed=0)
 
+    def test_bad_i0_rejected_before_sampling(self, monkeypatch):
+        import fiberphase.interferometer as interferometer
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking i0")
+
+        monkeypatch.setattr(interferometer, "sagnac_effective_sigma", no_sampling)
+        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        with pytest.raises(DomainError, match="i0 must be > 0, got 0.0"):
+            simulate_fringe_scan(proc, 71.5, 20, 100, i0=0.0)
+
     @pytest.mark.parametrize("pulses,noise,digest", [
         (10000, 0.0, "1524af3a48f70bb940bc200bc3c99f39881f99b95a7780072c83fc03b7fe5b83"),
         (10000, 0.05, "f9977ddfee222070b28e2af4af50dc6fccc8d2d022732121e3ea4ed4ca5fcd3d"),
