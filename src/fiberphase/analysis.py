@@ -56,6 +56,7 @@ _log = logging.getLogger(__name__)
 
 DEFAULT_BAND = (0.2, 0.8)
 DEFAULT_MAX_LAGS = 100
+_EDGE_CHUNK = 1 << 16  # samples of the in-band mask that extract_phase holds at once
 
 
 @dataclass(frozen=True)
@@ -233,11 +234,10 @@ def extract_phase(
     u = np.subtract(trace.samples, trace.i_min)
     u /= trace.i_max - trace.i_min
     np.clip(u, 0.0, 1.0, out=u)
-    in_band = (u >= lo) & (u <= hi)
 
     # The phase overwrites u: arccos(2u - 1) on each segment, NaN between.
     segments, done = [], 0
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], in_band, [False]])))
+    edges = _run_edges(u, lo, hi)
     for start, stop in zip(edges[::2], edges[1::2]):
         if stop - start < 2:
             continue
@@ -260,6 +260,17 @@ def extract_phase(
     return PhaseTrace(t0=trace.t0, dt=trace.dt, samples=Adopted(u), segments=tuple(segments))
 
 
+def _run_edges(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Interleaved starts and stops of the runs of `lo <= u <= hi`, by chunks."""
+    parts, last = [np.empty(0, np.intp)], False
+    for c in range(0, u.size, _EDGE_CHUNK):
+        chunk = u[c:c + _EDGE_CHUNK]
+        in_band = (chunk >= lo) & (chunk <= hi)
+        parts.append(np.flatnonzero(np.diff(in_band, prepend=last)) + c)
+        last = in_band[-1]
+    return np.concatenate(parts + [np.full(int(last), u.size)])
+
+
 def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS) -> np.ndarray:
     """Lags (s) from dt up to tau_max: every sample step, geometrically
     thinned once there would be more than `max_lags` of them."""
@@ -280,32 +291,31 @@ def _lag_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _pair_layout(phase: PhaseTrace, steps: np.ndarray):
-    """Segment lengths L, and per lag step k the valid pairs, sum(max(L - k, 0))."""
-    lengths = np.fromiter((b - a for a, b in phase.segments), dtype=np.intp,
-                          count=len(phase.segments))
-    by_length = np.sort(lengths)
+def _pair_counts(phase: PhaseTrace, steps: np.ndarray) -> np.ndarray:
+    """Per lag step k the valid pairs, sum(max(L - k, 0)) over segment lengths L."""
+    by_length = np.sort(np.fromiter((b - a for a, b in phase.segments), dtype=np.intp,
+                                    count=len(phase.segments)))
     shorter = np.searchsorted(by_length, steps, side="right")
     total = np.concatenate([[0], np.cumsum(by_length)])
-    return lengths, total[-1] - total[shorter] - steps * (lengths.size - shorter)
+    return total[-1] - total[shorter] - steps * (by_length.size - shorter)
 
 
-def _increments(phase: PhaseTrace, steps: np.ndarray, lengths, counts):
-    """Signed increments at each lag step in `steps`, one array at a time, in
-    time order; `lengths` and `counts` are the :func:`_pair_layout` of `steps`.
+def _increments(phase: PhaseTrace, steps: np.ndarray, counts):
+    """Signed increments at each lag step in `steps` (ascending), one array
+    at a time, in time order; `counts` is the :func:`_pair_counts` of `steps`.
 
-    Each segment longer than the lag writes its pairs s[a+k:b] - s[a:b-k]
-    into one buffer, allocated once at the largest count, and each lag
-    yields a view of it that the next lag overwrites: 8 B per in-segment
-    sample, whatever the number of lags.  Each segment costs one ufunc
-    call per lag.
+    Each segment longer than the lag (filtered from the previous lag's) writes
+    its pairs s[a+k:b] - s[a:b-k] into one buffer, allocated once at the
+    largest count, and each lag yields a view of it that the next lag
+    overwrites: 8 B per in-segment sample, whatever the number of lags.  Each
+    segment costs one ufunc call per lag.
     """
     buf = np.empty(counts.max())
-    samples = phase.samples
+    samples, active = phase.samples, phase.segments
     for k, n in zip(steps.tolist(), counts.tolist()):
         o = 0
-        for i in np.flatnonzero(lengths > k).tolist():
-            a, b = phase.segments[i]
+        active = [s for s in active if s[1] - s[0] > k]
+        for a, b in active:
             np.subtract(samples[a + k:b], samples[a:b - k], out=buf[o:o + b - a - k])
             o += b - a - k
         yield buf[:n]
@@ -319,7 +329,7 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     must be a positive multiple of the sample interval.
     """
     steps = np.array([_lag_steps(tau, phase.dt)])
-    return next(_increments(phase, steps, *_pair_layout(phase, steps)))
+    return next(_increments(phase, steps, _pair_counts(phase, steps)))
 
 
 def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
@@ -336,14 +346,14 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
-    lengths, counts = _pair_layout(phase, steps)
+    counts = _pair_counts(phase, steps)
     if not counts.all():
         _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
                    np.count_nonzero(counts == 0), taus[counts == 0][0])
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    increments = _increments(phase, steps, lengths, counts)
+    increments = _increments(phase, steps, counts)
     return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
 
 

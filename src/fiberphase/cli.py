@@ -388,13 +388,19 @@ def _run_analyze_fringe(config, out):
     }}
 
 
-def _run_analyze_phase(config, out):
-    path = config.inputs["trace"]
+def _read_trace_as(path, kind, noun):
+    """The trace in `path`, which must be a `kind`; `noun` names one."""
     trace = fileio.read_trace(path)
-    if not isinstance(trace, interferometer.IntensityTrace):
-        raise TraceParseError(f"{path} is not an intensity trace")
+    if not isinstance(trace, kind):
+        raise TraceParseError(f"{path} is not {noun}")
+    return trace
+
+
+def _run_analyze_phase(config, out):
+    # The intensity is never bound to a name, so it is freed before the write.
     band = (config.params["band_lo"], config.params["band_hi"])
-    phase = analysis.extract_phase(trace, band=band)
+    phase = analysis.extract_phase(_read_trace_as(
+        config.inputs["trace"], interferometer.IntensityTrace, "an intensity trace"), band=band)
     fileio.write_trace(out["phase"], phase)
     n_valid = sum(b - a for a, b in phase.segments)
     return {"phase_extraction": {
@@ -405,10 +411,7 @@ def _run_analyze_phase(config, out):
 
 
 def _run_analyze_dphi(config, out):
-    path = config.inputs["phase"]
-    trace = fileio.read_trace(path)
-    if not isinstance(trace, PhaseTrace):
-        raise TraceParseError(f"{path} is not a phase trace")
+    trace = _read_trace_as(config.inputs["phase"], PhaseTrace, "a phase trace")
     taus = analysis.default_lag_grid(
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )

@@ -17,6 +17,7 @@ tie between two candidates, and all integer cells are written by `repr`.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import hashlib
 import json
@@ -57,6 +58,7 @@ _log = logging.getLogger(__name__)
 # columns once plus one block.  A write renders 4 * _BLOCK bytes of NUL-padded
 # cells (about 1.5 * _BLOCK characters) at a time.
 _BLOCK = 1 << 18
+_BYTES = 1 << 16  # bytes per block of a pass over a file's raw bytes
 
 # Each CSV format: its magic line and the (name, type) of each column.  An int
 # column holds 64-bit integers; `12.0`, `nan` and `inf` are not integers.
@@ -334,19 +336,24 @@ def _line_breaks(path: str) -> int:
         return 0
     count = 0
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
+        for chunk in iter(lambda: fh.read(_BYTES), b""):
             count += chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r"))
     return count
 
 
 def _first_non_utf8_line(path: str) -> int | None:
+    """1 + the LF, CR and CRLF before the file's first byte that is not UTF-8
+    (as bytes.splitlines counts them), or None; decoded `_BYTES` at a time.
+    An error may start in the decoder's pending bytes, which hold no break."""
+    def breaks(text):  # a CRLF may straddle `last`, the previous block's end
+        return text.count("\n") + text.count("\r") - (last + text).count("\r\n")
+    line, last = 1, ""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # 1 + the line breaks (those text mode splits on) before the bad byte
-        return len((data[:exc.start] + b"x").splitlines())
+        try:
+            for text in codecs.iterdecode(iter(lambda: fh.read(_BYTES), b""), "utf-8"):
+                line, last = line + breaks(text), text[-1]
+        except UnicodeDecodeError as exc:
+            return line + breaks(exc.object[:exc.start].decode())
     return None
 
 

@@ -5,9 +5,11 @@ import hashlib
 import logging
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fiberphase import (
     DomainError,
@@ -38,6 +40,7 @@ from fiberphase import (
     simulate_mz_trace,
     tau_threshold,
 )
+from fiberphase import analysis
 from fiberphase.analysis import _lsq_gaussian
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -209,6 +212,50 @@ class TestExtractPhase:
         assert hashlib.sha256(phase.samples.tobytes()).hexdigest() == samples_digest
         segments = np.array(phase.segments, dtype=np.int64)
         assert hashlib.sha256(segments.tobytes()).hexdigest() == segments_digest
+
+
+def whole_array_edges(u, lo, hi):
+    """The run edges of the in-band mask, from the whole mask at once."""
+    in_band = (u >= lo) & (u <= hi)
+    return np.flatnonzero(np.diff(np.concatenate([[False], in_band, [False]])))
+
+
+class TestChunkedRunEdges:
+    """extract_phase finds the run edges one chunk of the mask at a time;
+    the whole-array formula is the oracle."""
+
+    # in band: 0.2, 0.5 and 0.8; out: the others
+    LEVELS = [0.0, 0.19999999999999998, 0.2, 0.5, 0.8, 0.8000000000000002, 1.0]
+
+    @settings(max_examples=300)
+    @given(levels=st.lists(st.sampled_from(LEVELS), max_size=40),
+           chunk=st.sampled_from([1, 2, 3, 7]))
+    @example(levels=[], chunk=1)  # an empty trace
+    @example(levels=[0.5] * 14, chunk=7)  # all in band
+    @example(levels=[1.0] * 14, chunk=7)  # none in band
+    @example(levels=[0.0] * 6 + [0.5] + [0.0] * 6 + [0.5], chunk=7)  # one-sample runs at edges
+    @example(levels=[0.0] + [0.5] * 12 + [0.0], chunk=3)  # a run across several edges
+    def test_matches_whole_array_formula(self, levels, chunk):
+        u = np.array(levels, dtype=float)
+        with mock.patch.object(analysis, "_EDGE_CHUNK", chunk):
+            edges = analysis._run_edges(u, 0.2, 0.8)
+        expected = whole_array_edges(u, 0.2, 0.8)
+        assert edges.dtype == expected.dtype
+        assert np.array_equal(edges, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
+    def test_extract_phase_same_at_any_chunk(self, chunk, caplog):
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5, length_km=36.5)
+        mz = simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4)
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            expected = extract_phase(mz)
+            with mock.patch.object(analysis, "_EDGE_CHUNK", chunk):
+                phase = extract_phase(mz)
+        assert len(expected.segments) > 50
+        assert phase.segments == expected.segments
+        assert phase.samples.tobytes() == expected.samples.tobytes()
+        first, second = [r.getMessage() for r in caplog.records]
+        assert first == second and "one-sample runs" in first
 
 
 class TestIncrementSets:
@@ -514,6 +561,23 @@ class TestStreamingReduction:
         assert phase.segments == ((0, phase.n_samples),)
         taus = default_lag_grid(1e-6, 600e-6)
         assert traced_peak(increment_sets, phase, taus) <= 20 * phase.n_samples + 64 * 1024
+
+    def test_peak_memory_of_many_short_segments(self, traced_peak):
+        # 44 480 segments of 2-5 samples: each lag keeps the previous lag's
+        # segment tuples that are still longer than it.  An index array and
+        # its list of ints per lag peaked at 21.7 B per in-segment sample.
+        rng = np.random.Generator(np.random.Philox(key=12))
+        lengths = rng.integers(2, 6, 44_480)
+        starts = np.cumsum(lengths + 1) - lengths - 1
+        samples = np.full(int(starts[-1] + lengths[-1] + 1), np.nan)
+        for a, n in zip(starts.tolist(), lengths.tolist()):
+            samples[a:a + n] = rng.standard_normal(n)
+        phase = PhaseTrace(t0=0.0, dt=1e-6, samples=samples,
+                           segments=tuple(zip(starts.tolist(), (starts + lengths).tolist())))
+        taus = default_lag_grid(1e-6, 600e-6)
+        increment_sets(phase, taus)  # its first call may import or cache
+        peak = traced_peak(increment_sets, phase, taus)
+        assert peak <= 16 * int(lengths.sum()) + 64 * 1024
 
 
 class TestMeanPhaseChange:

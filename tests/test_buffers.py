@@ -147,4 +147,6 @@ class TestTraceMemory:
     def test_extract_phase(self, traced_peak):
         mz = simulate_mz_trace(preset_params("night"), self.DURATION, self.DT,
                                phi0=math.pi / 2, seed=1)
-        assert traced_peak(extract_phase, mz) <= self.BYTES_PER_SAMPLE * mz.n_samples
+        # The phase overwrites its one float64 buffer, and the run edges are
+        # found one chunk at a time: whole-trace masks peaked at 11.0 B/sample.
+        assert traced_peak(extract_phase, mz) <= 8 * mz.n_samples + 512 * 1024

@@ -1,11 +1,12 @@
 """End-to-end tests of the fiberphase command-line interface."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from fiberphase import DomainError, read_trace
+from fiberphase import DomainError, fileio, read_trace
 from fiberphase.cli import DEFAULT_SEED, RunConfig, main, parse_cli, run
 
 
@@ -465,6 +466,26 @@ class TestFullPipeline:
         ) == 0
         d = load_report(report)["results"]["diffusion"]["diffusion_rad2_per_km"]
         assert d == pytest.approx(5.651106941963487e-4, rel=1e-9)
+
+    def test_analyze_phase_frees_the_intensity_before_the_write(self, tmp_path, monkeypatch):
+        # Otherwise the write's block scratch comes on top of both traces.
+        mz, phase = tmp_path / "mz.csv", tmp_path / "phase.csv"
+        assert main(f"simulate mz --night --duration-ms 1 --dt-us 1 --out {mz}".split()) == 0
+        read, write, refs, alive = fileio.read_trace, fileio.write_trace, [], []
+
+        def read_trace(path):
+            trace = read(path)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        def write_trace(path, trace):
+            alive.append([ref() is not None for ref in refs])
+            write(path, trace)
+
+        monkeypatch.setattr(fileio, "read_trace", read_trace)
+        monkeypatch.setattr(fileio, "write_trace", write_trace)
+        assert main(f"analyze phase --in {mz} --out {phase}".split()) == 0
+        assert alive == [[False]]
 
     def test_file_analyze_phase_matches_in_memory(self, tmp_path):
         # running analyze phase on a written MZ trace reproduces the

@@ -709,6 +709,54 @@ class TestBlockBoundaries:
         assert path.read_bytes() == expected.encode("utf-8")
 
 
+def whole_file_non_utf8_line(data):
+    """The first non-UTF-8 byte's line, from the whole file decoded at once."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len((data[:exc.start] + b"x").splitlines())
+    return None
+
+
+# line breaks, ASCII, whole and cut multibyte characters, and bytes that are
+# never UTF-8 or start an invalid sequence
+UTF8_ATOMS = [b"a", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
+              b"\xe2\x82", b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+class TestFirstNonUtf8Line:
+    """The bad byte's line is found one block of bytes at a time; decoding
+    the whole file at once is the oracle."""
+
+    @staticmethod
+    def line(tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("utf8") / "in.csv"
+        path.write_bytes(data)
+        with mock.patch.object(fileio, "_BYTES", block):
+            return fileio._first_non_utf8_line(str(path))
+
+    @settings(max_examples=400)
+    @given(atoms=st.lists(st.sampled_from(UTF8_ATOMS), max_size=30),
+           block=st.sampled_from([1, 2, 3, 4, 5, 7]))
+    def test_matches_whole_file_decode(self, tmp_path_factory, atoms, block):
+        data = b"".join(atoms)
+        assert self.line(tmp_path_factory, data, block) == whole_file_non_utf8_line(data)
+
+    @pytest.mark.parametrize("data,expected", [
+        (b"ab\r\ncd\r\n\xff", 3),  # CRLF split across each 3-byte block edge
+        (b"ab\r\r\n\xff", 3),  # CR, then CRLF split at the edge
+        (b"a\n\xe2\x82\xac\n\xff", 3),  # a character split at both edges
+        (b"a\n\xe2\x82\nb", 2),  # a cut character: the break is after the bad byte
+        (b"ab\n\xe2\x82", 2),  # a cut character at the end of the file
+        (b"ab\nc\xff", 2),  # the bad byte is the first of a block
+        (b"ab\r\n\xe2\x82\xac", None),
+    ])
+    def test_block_edges(self, tmp_path_factory, data, expected):
+        assert whole_file_non_utf8_line(data) == expected
+        for block in (1, 2, 3, 4, 1 << 16):
+            assert self.line(tmp_path_factory, data, block) == expected
+
+
 class TestStreamingMemory:
     """A table's memory is its column arrays plus one block, not the whole text.
 
@@ -729,6 +777,24 @@ class TestStreamingMemory:
         assert read_peak < self.BOUND
         # the kept column once, plus one block and its parse
         assert read_peak <= 1.25 * trace.samples.nbytes + 1.5 * 2**20
+
+    def test_failing_read_peak(self, tmp_path, traced_peak):
+        # A parse error looks for a non-UTF-8 byte one block at a time:
+        # decoding the whole file at once peaked at 13.6 MiB here.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        trace = IntensityTrace(t0=0.0, dt=1e-6, samples=rng.uniform(0.0, 1.0, 200_000),
+                               i_max=1.0, i_min=0.0)
+        path = tmp_path / "mz.csv"
+        write_trace(str(path), trace)
+        bad_line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"0.2,x\n")
+
+        def read():
+            with pytest.raises(TraceParseError, match=f"line {bad_line}: .*unparseable"):
+                read_trace(str(path))
+
+        assert traced_peak(read) <= 1.25 * trace.samples.nbytes + 1.5 * 2**20
 
 
 class TestCodecLogging:
