@@ -127,6 +127,8 @@ class PhaseStats:
         if not np.all((sigma >= 0) & (sigma < np.inf) | np.isnan(sigma) & (n < 2)):
             raise DomainError("sigma_per_tau must be finite and >= 0 (NaN below two increments)")
 
+    __eq__ = fields_equal
+
     def lag_index(self, tau: float) -> int:
         """Index of the stored lag matching `tau` (within half a sample)."""
         idx = int(np.argmin(np.abs(self.taus - tau)))

@@ -101,9 +101,11 @@ def frozen(values, dtype) -> np.ndarray:
 
 def fields_equal(self, other) -> bool:
     """``__eq__`` of a value object: same type and every field equal, arrays
-    element-wise, with NaN equal to NaN in arrays and scalars alike."""
+    element-wise, with NaN equal to NaN in arrays and scalars alike.  An
+    array never equals None."""
     if type(other) is not type(self):
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
-    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+    return all(np.array_equal(a, b, equal_nan=True)
+               if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
                else a == b or a != a and b != b for a, b in pairs)

@@ -4,7 +4,8 @@ All floats are written in their shortest round-trip decimal form, the
 bytes of `repr(float(x))`, so read(write(x)) == x holds bit-exactly.
 Writes are whole-file atomic (write to a uniquely named temp file in the
 same directory, then rename).  Tables are read and written one bounded
-block of rows at a time.
+block of rows at a time.  A read parses the text once, front to back, and
+reports its first faulty line, a byte that is not UTF-8 included.
 
 A block's float cells are rendered by one numpy kernel (`_render`).  NaN,
 ±inf and ±0 are constant strings.  A finite cell with 1e-6 <= |x| < 1e17
@@ -17,13 +18,13 @@ tie between two candidates, and all integer cells are written by `repr`.
 
 from __future__ import annotations
 
-import codecs
 import functools
 import hashlib
 import json
 import logging
 import math
 import os
+import re
 import stat
 from dataclasses import dataclass, field
 
@@ -59,6 +60,8 @@ _log = logging.getLogger(__name__)
 # cells (about 1.5 * _BLOCK characters) at a time.
 _BLOCK = 1 << 18
 _BYTES = 1 << 16  # bytes per block of a pass over a file's raw bytes
+# The lone surrogates that stand for bytes that are not UTF-8 (PEP 383).
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 # Each CSV format: its magic line and the (name, type) of each column.  An int
 # column holds 64-bit integers; `12.0`, `nan` and `inf` are not integers.
@@ -308,24 +311,20 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _read_table(path: str, table: tuple, skip: tuple = ()):
     """Read `table`: (metadata dict, one array per column, header line number).
 
-    Blank lines are skipped; any other deviation raises TraceParseError
-    with its 1-based line number.  Rows are parsed one block of about
-    `_BLOCK` characters at a time into one array per kept column, allocated
-    once at a bound on the row count and trimmed in place at the end.
-    Columns named in `skip` are parsed and checked like the others, but not
-    kept or returned.
+    Blank lines are skipped; the first faulty line of the file, a byte that
+    is not UTF-8 included, raises TraceParseError with its 1-based line
+    number.  The text is parsed in one forward pass and the path is not
+    opened after it, so a pipe or FIFO fails as a regular file does.  Rows
+    are parsed one block of about `_BLOCK` characters at a time into one
+    array per kept column, allocated once at a bound on the row count and
+    trimmed in place at the end.  Columns named in `skip` are parsed and
+    checked like the others, but not kept or returned.
     """
-    try:
-        breaks = _line_breaks(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_open_table(fh, path, table, skip, breaks)
-    except (UnicodeDecodeError, TraceParseError):
-        # A byte that is not UTF-8 is reported wherever it sits in the file,
-        # so the error does not depend on how far the parse got before it.
-        line = _first_non_utf8_line(path)
-        if line is None:
-            raise
-        raise TraceParseError(f"{path}: not UTF-8 text", line=line) from None
+    breaks = _line_breaks(path)
+    # A byte that is not UTF-8 reads as a lone surrogate (PEP 383), which
+    # fails its own line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return _read_open_table(fh, path, table, skip, breaks)
 
 
 def _line_breaks(path: str) -> int:
@@ -341,37 +340,29 @@ def _line_breaks(path: str) -> int:
     return count
 
 
-def _first_non_utf8_line(path: str) -> int | None:
-    """1 + the LF, CR and CRLF before the file's first byte that is not UTF-8
-    (as bytes.splitlines counts them), or None; decoded `_BYTES` at a time.
-    An error may start in the decoder's pending bytes, which hold no break."""
-    def breaks(text):  # a CRLF may straddle `last`, the previous block's end
-        return text.count("\n") + text.count("\r") - (last + text).count("\r\n")
-    line, last = 1, ""
-    with open(path, "rb") as fh:
-        try:
-            for text in codecs.iterdecode(iter(lambda: fh.read(_BYTES), b""), "utf-8"):
-                line, last = line + breaks(text), text[-1]
-        except UnicodeDecodeError as exc:
-            return line + breaks(exc.object[:exc.start].decode())
-    return None
-
-
 def _read_open_table(fh, path: str, table: tuple, skip: tuple, breaks: int):
     magic, columns = table
-    if fh.readline().rstrip("\n") != magic:
+    number = 0
+
+    def header_line() -> str:
+        """The next line of the header, less its break; `number` is its line."""
+        nonlocal number
+        line, number = fh.readline(), number + 1
+        if _NOT_UTF8.search(line):
+            raise TraceParseError(f"{path}: not UTF-8 text", line=number)
+        return line.rstrip("\n")
+
+    if header_line() != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
     meta: dict[str, str] = {}
-    line, number = fh.readline(), 2
-    while line.startswith("#"):
-        body = line.rstrip("\n")[1:].strip()
+    while (line := header_line()).startswith("#"):
+        body = line[1:].strip()
         if ":" not in body:
             raise TraceParseError(f"{path}: malformed metadata {body!r}", line=number)
         key, _, value = body.partition(":")
         meta[key.strip()] = value.strip()
-        line, number = fh.readline(), number + 1
     header = ",".join(name for name, _ in columns)
-    if line.rstrip("\n") != header:
+    if line != header:
         raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
     keep = [j for j, (name, _) in enumerate(columns) if name not in skip]
     # Each header line ended in a break, and the last row may have none.
@@ -412,7 +403,8 @@ def _parse_block(lines: list[str], columns, path: str, first: int) -> list[np.nd
         except (ValueError, OverflowError):
             hi = mid
     raw, got = lines[lo].rstrip("\n"), lines[lo].count(",") + 1
-    problem = (f"expected {len(columns)} columns, got {got}" if got != len(columns)
+    problem = ("not UTF-8 text" if _NOT_UTF8.search(raw)
+               else f"expected {len(columns)} columns, got {got}" if got != len(columns)
                else f"unparseable number in {raw!r}")
     raise TraceParseError(f"{path}: {problem}", line=first + lo)
 

@@ -229,12 +229,6 @@ class PhaseTrace(SampledTrace):
                 i = a + int(np.argmin(finite))
                 raise DomainError(f"sample {i} inside a segment is not finite: {self.samples[i]}")
 
-    def in_segments(self) -> np.ndarray:
-        """Boolean mask of the samples that lie inside a segment."""
-        bounds = [0, *(i for segment in self.segments for i in segment), self.n_samples]
-        # The runs between bounds alternate: outside, inside, outside, ...
-        return np.repeat(np.resize([False, True], len(bounds) - 1), np.diff(bounds))
-
 
 def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:
     """Autocovariance of unit-variance fractional gaussian noise at lags

@@ -69,10 +69,6 @@ class RepeaterChain:
         if self.diffusion is not None and self.diffusion < 0:
             raise DomainError(f"diffusion must be >= 0, got {self.diffusion}")
 
-    @property
-    def n_links(self) -> int:
-        return len(self.link_lengths)
-
 
 @dataclass(frozen=True)
 class BudgetReport:

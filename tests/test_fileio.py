@@ -5,6 +5,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -40,6 +42,8 @@ from fiberphase import (
     write_trace,
 )
 from fiberphase import fileio
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestTraceRoundTrip:
@@ -313,6 +317,19 @@ def test_golden_bytes(tmp_path, write, obj, expected):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+TRACE_HEAD = b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+FRINGE_HEAD = b"# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+READER_IDS = ["trace", "fringe", "dphi_curve"]
+
+# Each reader on its own format, with a byte that is not UTF-8 in the row at line 6.
+NON_UTF8_FILES = [
+    (read_trace, TRACE_HEAD + b"time_s,value\n0.0,0.\xff2\n"),
+    (read_fringe_scan, FRINGE_HEAD + b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0,0.\xff7\n"),
+    (read_dphi_curve, b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,"
+     b"n_increments\n1e-06,0.01,0.0125,499\n2e-06,0.02,0.025,498\n3e-06,0.03,\xff,497\n"),
+]
+
+
 class TestTableCodec:
     CURVE = (
         "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
@@ -333,12 +350,12 @@ class TestTableCodec:
         path.write_text(self.CURVE.replace("499\n", "499\n\n\n").format(count=498))
         assert list(read_dphi_curve(str(path)).n_increments) == [499, 498]
 
-    @pytest.mark.parametrize("reader", [read_trace, read_fringe_scan, read_dphi_curve])
-    def test_non_utf8_names_line(self, tmp_path, reader):
+    @pytest.mark.parametrize("reader,data", NON_UTF8_FILES, ids=READER_IDS)
+    def test_non_utf8_names_line(self, tmp_path, reader, data):
         path = tmp_path / "bad.csv"
-        path.write_bytes(self.CURVE.format(count=498).encode() + b"3e-06,0.03,\xff,497\n")
-        with pytest.raises(TraceParseError, match="line 6: .*not UTF-8"):
-            reader(str(path))
+        path.write_bytes(data)
+        assert read_outcome(reader, str(path)) == (
+            TraceParseError, 6, f"line 6: {path}: not UTF-8 text")
 
 
 def reference_columns(lines, columns):
@@ -690,14 +707,16 @@ class TestBlockBoundaries:
         with pytest.raises(TraceParseError, match=f"line {line}: .*{message}"):
             reader(str(path))
 
-    def test_non_utf8_byte_outranks_earlier_bad_row(self, tmp_path, tiny_block):
-        # past the first 8 KiB that text mode decodes, so the parse reaches
-        # the bad row before the decoder reaches the bad byte
+    @pytest.mark.parametrize("early,late,problem", [
+        (b"1e-06,x,0.5,3\n", b"\xff\n", "unparseable number in '1e-06,x,0.5,3'"),
+        (b"\xff\n", b"1e-06,x,0.5,3\n", "not UTF-8 text"),
+    ], ids=["bad_row_first", "non_utf8_first"])
+    def test_first_of_two_faults_named(self, tmp_path, tiny_block, early, late, problem):
+        # the later fault at line 3005 lies past the first 8 KiB that text
+        # mode decodes, which a reader that looked ahead would meet first
         path = tmp_path / "curve.csv"
-        rows = CURVE_ROWS * 100
-        path.write_bytes((CURVE_HEAD + "1e-06,x,0.5,3\n" + rows).encode() + b"\xff\n")
-        with pytest.raises(TraceParseError, match=f"line {3 + 1 + 3000 + 1}: .*not UTF-8"):
-            read_dphi_curve(str(path))
+        path.write_bytes(CURVE_HEAD.encode() + early + (CURVE_ROWS * 100).encode() + late)
+        assert self.outcome(path, tiny_block) == (TraceParseError, 4, f"line 4: {path}: {problem}")
 
     @pytest.mark.parametrize(
         "write,obj,expected", GOLDEN,
@@ -718,43 +737,147 @@ def whole_file_non_utf8_line(data):
     return None
 
 
-# line breaks, ASCII, whole and cut multibyte characters, and bytes that are
-# never UTF-8 or start an invalid sequence
-UTF8_ATOMS = [b"a", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
-              b"\xe2\x82", b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+# Whole characters of one to four bytes, and atoms that are never UTF-8: a
+# cut character, bytes that never occur in it, an overlong form, an encoded
+# surrogate and a code point past U+10FFFF.
+WHOLE_CHARACTERS = [b"a", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80"]
+NOT_UTF8 = [b"\xe2\x82", b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+BREAKS = [b"\n", b"\r", b"\r\n"]
+# A cell's padding: none, or whitespace of one, two or three bytes.
+CELL_PADDING = [b"", b" ", b"\xc2\x85", b"\xe3\x80\x80"]
+ROWS_HEAD = TRACE_HEAD + b"time_s,value\n"
 
 
-class TestFirstNonUtf8Line:
-    """The bad byte's line is found one block of bytes at a time; decoding
-    the whole file at once is the oracle."""
+@st.composite
+def trace_files(draw):
+    """(bytes, row count) of a phase trace of `0.0,0.5` rows.
 
-    @staticmethod
-    def line(tmp_path_factory, data, block):
-        path = tmp_path_factory.mktemp("utf8") / "in.csv"
-        path.write_bytes(data)
-        with mock.patch.object(fileio, "_BYTES", block):
-            return fileio._first_non_utf8_line(str(path))
+    A `# note:` line holds whole characters, and each row pads its cells
+    and ends in one or two of LF, CR and CRLF.  Then up to two of the note's
+    characters or the rows' paddings become atoms that are not UTF-8.
+    """
+    pieces, slots = [TRACE_HEAD + b"# note: "], []
+
+    def slot(atom):
+        slots.append(len(pieces))
+        pieces.append(atom)
+
+    for char in draw(st.lists(st.sampled_from(WHOLE_CHARACTERS), max_size=3)):
+        slot(char)
+    pieces.append(b"\ntime_s,value\n")
+    n_rows = draw(st.integers(0, 6))
+    for _ in range(n_rows):
+        for text in (b"0.0", b",", b"0.5", b""):
+            slot(draw(st.sampled_from(CELL_PADDING)))
+            pieces.append(text)
+        pieces.append(b"".join(draw(st.lists(st.sampled_from(BREAKS), min_size=1, max_size=2))))
+    for k in draw(st.lists(st.sampled_from(slots), max_size=2)) if slots else ():
+        pieces[k] = draw(st.sampled_from(NOT_UTF8))
+    return b"".join(pieces), n_rows
+
+
+def non_utf8_outcome(path, data, n_rows):
+    """read_outcome of read_trace on `data`, a phase trace of `n_rows` rows
+    `0.0,0.5` whose only faults are bytes that are not UTF-8."""
+    line = whole_file_non_utf8_line(data)
+    if line is None:
+        return bits(PhaseTrace(t0=0.0, dt=1e-6, samples=np.full(n_rows, 0.5), segments=()))
+    return TraceParseError, line, f"line {line}: {path}: not UTF-8 text"
+
+
+class TestNonUtf8Line:
+    """A byte that is not UTF-8 fails its own line, in the header or in a
+    row, whatever the block size; decoding the whole file at once is the
+    oracle."""
 
     @settings(max_examples=400)
-    @given(atoms=st.lists(st.sampled_from(UTF8_ATOMS), max_size=30),
-           block=st.sampled_from([1, 2, 3, 4, 5, 7]))
-    def test_matches_whole_file_decode(self, tmp_path_factory, atoms, block):
-        data = b"".join(atoms)
-        assert self.line(tmp_path_factory, data, block) == whole_file_non_utf8_line(data)
+    @given(case=trace_files(), block=st.sampled_from([1, 7, 40, DEFAULT_BLOCK]))
+    def test_matches_whole_file_decode(self, tmp_path_factory, case, block):
+        data, n_rows = case
+        path = tmp_path_factory.mktemp("utf8") / "in.csv"
+        path.write_bytes(data)
+        with mock.patch.object(fileio, "_BLOCK", block):
+            assert read_outcome(read_trace, str(path)) == non_utf8_outcome(path, data, n_rows)
 
     @pytest.mark.parametrize("data,expected", [
-        (b"ab\r\ncd\r\n\xff", 3),  # CRLF split across each 3-byte block edge
-        (b"ab\r\r\n\xff", 3),  # CR, then CRLF split at the edge
-        (b"a\n\xe2\x82\xac\n\xff", 3),  # a character split at both edges
-        (b"a\n\xe2\x82\nb", 2),  # a cut character: the break is after the bad byte
-        (b"ab\n\xe2\x82", 2),  # a cut character at the end of the file
-        (b"ab\nc\xff", 2),  # the bad byte is the first of a block
-        (b"ab\r\n\xe2\x82\xac", None),
-    ])
-    def test_block_edges(self, tmp_path_factory, data, expected):
+        (ROWS_HEAD + b"0.0,0.5\r\n0.0,0.5\r\n\xff", 8),  # rows that end in CRLF
+        (ROWS_HEAD + b"0.0,0.5\r\r\n\xff", 8),  # CR, then CRLF: a blank line
+        (ROWS_HEAD + b"0.0,0.5\n\xe3\x80\x800.0,0.5\n\xff", 8),  # a whole character
+        (ROWS_HEAD + b"0.0,0.5\n\xe2\x82\n0.0,0.5", 7),  # a cut character, then a break
+        (ROWS_HEAD + b"0.0,0.5\n\xe2\x82", 7),  # a cut character at the end of the file
+        (ROWS_HEAD + b"0.0,0.5\n0.0,\xff", 7),  # the bad byte ends a row
+        (ROWS_HEAD + b"0.0,0.5\r\n0.0,0.5\xe3\x80\x80", None),  # two rows, no bad byte
+        (TRACE_HEAD + b"# note: \xe2\x82\xac\xff\n" + b"time_s,value\n0.0,0.5\n", 5),
+    ], ids=["crlf", "cr_crlf", "whole_char", "cut_char", "cut_char_at_end", "row_end",
+            "valid", "metadata"])
+    def test_block_edges(self, tmp_path, tiny_block, data, expected):
         assert whole_file_non_utf8_line(data) == expected
-        for block in (1, 2, 3, 4, 1 << 16):
-            assert self.line(tmp_path_factory, data, block) == expected
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        assert read_outcome(read_trace, str(path)) == non_utf8_outcome(path, data, 2)
+
+
+# Reads a file through a pipe in a fresh interpreter and prints the error:
+# the arguments are the reader's name, "fifo" or "pipe", the file's bytes in
+# hex and a path for the FIFO.
+STREAM_READ = """
+import os, sys, threading
+from fiberphase import FiberPhaseError, fileio
+reader = getattr(fileio, sys.argv[1])
+kind, data, path = sys.argv[2], bytes.fromhex(sys.argv[3]), sys.argv[4]
+if kind == "fifo":
+    os.mkfifo(path)
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(data)
+    threading.Thread(target=feed).start()
+else:
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    path = f"/dev/fd/{r}"
+try:
+    reader(path)
+except FiberPhaseError as exc:
+    print(type(exc).__name__, exc.line, str(exc).replace(path, "PATH"))
+"""
+
+# Each reader on its own format with a malformed row: its line and problem.
+MALFORMED_ROW_FILES = [
+    (read_trace, ROWS_HEAD + b"0.0,0.5\n1e-06,x\n", 7, "unparseable number in '1e-06,x'"),
+    (read_fringe_scan, FRINGE_HEAD + b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0\n", 6,
+     "expected 2 columns, got 1"),
+    (read_dphi_curve, CURVE_HEAD.encode() + b"1e-06,0.01,0.0125,499\n2e-06,0.02,0.025,4x\n", 5,
+     "unparseable number in '2e-06,0.02,0.025,4x'"),
+]
+
+
+class TestStreams:
+    """A named FIFO or an anonymous pipe can be read once: a malformed one
+    raises TraceParseError at its line, from a read that never opens the
+    path again.  Each read runs in a fresh interpreter with a timeout, so a
+    read that blocks fails instead of hanging the suite."""
+
+    @staticmethod
+    def read(tmp_path, reader, kind, data):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-c", STREAM_READ, reader.__name__, kind, data.hex(),
+             str(tmp_path / "in.fifo")], env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.rstrip("\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("reader,data,line,problem", MALFORMED_ROW_FILES, ids=READER_IDS)
+    def test_malformed_fifo(self, tmp_path, reader, data, line, problem):
+        assert self.read(tmp_path, reader, "fifo", data) == (
+            f"TraceParseError {line} line {line}: PATH: {problem}")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("reader,data", NON_UTF8_FILES, ids=READER_IDS)
+    def test_non_utf8_pipe(self, tmp_path, reader, data):
+        assert self.read(tmp_path, reader, "pipe", data) == (
+            "TraceParseError 6 line 6: PATH: not UTF-8 text")
 
 
 class TestStreamingMemory:
@@ -779,8 +902,9 @@ class TestStreamingMemory:
         assert read_peak <= 1.25 * trace.samples.nbytes + 1.5 * 2**20
 
     def test_failing_read_peak(self, tmp_path, traced_peak):
-        # A parse error looks for a non-UTF-8 byte one block at a time:
-        # decoding the whole file at once peaked at 13.6 MiB here.
+        # A parse error is raised at its line as the parse reaches it;
+        # decoding the whole file again to look for a non-UTF-8 byte peaked
+        # at 13.6 MiB here.
         rng = np.random.Generator(np.random.Philox(key=11))
         trace = IntensityTrace(t0=0.0, dt=1e-6, samples=rng.uniform(0.0, 1.0, 200_000),
                                i_max=1.0, i_min=0.0)

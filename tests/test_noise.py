@@ -410,16 +410,6 @@ class TestPhaseTrace:
         with pytest.raises(DomainError, match="sample 1 "):
             PhaseTrace(t0=0.0, dt=1e-6, samples=samples)
 
-    def test_in_segments_mask(self):
-        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(8),
-                           segments=((1, 3), (3, 4), (6, 8)))
-        mask = trace.in_segments()
-        assert mask.dtype == bool
-        assert mask.tolist() == [False, True, True, True, False, False, True, True]
-        assert PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3)).in_segments().all()
-        empty = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3), segments=())
-        assert empty.in_segments().tolist() == [False] * 3
-
     def test_non_finite_sample_outside_segments(self):
         samples = np.array([np.nan, 0.1, 0.2, np.inf, 0.5, np.nan])
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=samples, segments=((1, 3), (4, 5)))

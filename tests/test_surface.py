@@ -87,6 +87,14 @@ def _histogram(**changes):
     return fp.GaussianHistogram(**fields)
 
 
+def _stats(**changes):
+    fields = dict(taus=[1e-6, 2e-6], n_increments=[3, 1], dt=1e-6,
+                  mean_abs_change=[0.2, 0.4], sigma_per_tau=[0.25, np.nan],
+                  signed_mean=[0.07, 0.4], m2=[0.13, 0.0])
+    fields.update(changes)
+    return fp.PhaseStats(**fields)
+
+
 # (builder, field, changed value): one case per field of each value object.
 FIELD_CHANGES = [
     (_phase, "t0", 0.0),
@@ -111,11 +119,19 @@ FIELD_CHANGES = [
     (_histogram, "fit_mean", 0.0),
     (_histogram, "fit_sigma", np.nan),
     (_histogram, "degenerate", True),
+    (_stats, "taus", [1e-6, 3e-6]),
+    (_stats, "n_increments", [4, 1]),
+    (_stats, "dt", 2e-6),
+    (_stats, "mean_abs_change", [0.2, 0.5]),
+    (_stats, "sigma_per_tau", [0.25, 0.0]),
+    (_stats, "signed_mean", [0.07, -0.4]),
+    (_stats, "signed_mean", None),  # as a curve read from a file
+    (_stats, "m2", [0.13, 0.1]),
 ]
 
 
 class TestValueObjectEquality:
-    @pytest.mark.parametrize("build", [_phase, _intensity, _scan, _histogram])
+    @pytest.mark.parametrize("build", [_phase, _intensity, _scan, _histogram, _stats])
     def test_equals_rebuilt_copy(self, build):
         first, second = build(), build()
         assert first == second
@@ -127,6 +143,15 @@ class TestValueObjectEquality:
     def test_single_field_change_is_unequal(self, build, name, value):
         assert build() != build(**{name: value})
         assert not (build() == build(**{name: value}))
+        assert build(**{name: value}) != build()
+
+    def test_curves_of_one_trace_compare_equal(self):
+        curve = fp.increment_sets(_phase(), [1e-6])
+        assert curve == fp.increment_sets(_phase(), [1e-6])
+        read_back = fp.PhaseStats(curve.taus, curve.n_increments, curve.dt,
+                                  mean_abs_change=curve.mean_abs_change,
+                                  sigma_per_tau=curve.sigma_per_tau)
+        assert curve != read_back and read_back != curve  # no signed moments
 
     def test_nan_outside_segments_compares_equal(self):
         trace = _phase()
