@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -145,7 +146,11 @@ _OneOf = NamedTuple("_OneOf", [("required", bool), ("flags", list)])  # mutually
 
 
 class _Command(NamedTuple):
-    """A subcommand: its --help line, handler, flags and cross-flag rule."""
+    """A subcommand: its --help line, handler, flags and cross-flag rule.
+
+    The handler takes the RunConfig, the output paths by role and a hashlib
+    object by input role, empty without a report, that its readers update.
+    """
 
     help: str
     run: Callable
@@ -306,14 +311,19 @@ def _summarize(block_name: str, values: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a RunConfig: compute, write outputs, print one summary per block."""
+    """Execute a RunConfig: compute, write outputs, print one summary per block.
+
+    For a report, each input is hashed from the bytes its reader reads, so
+    a pipe or FIFO is read once; without one, nothing is hashed.
+    """
     report = ReportDocument(config=config.to_dict())
     out = {k: _resolve_out(v) for k, v in config.outputs.items()}
-    for path in config.inputs.values():
-        report.add_input(path)
+    digests = {role: hashlib.sha256() for role in config.inputs} if "report" in out else {}
     command = _COMMANDS[config.command]
     with _naming(command.flags):
-        blocks = command.run(config, out)
+        blocks = command.run(config, out, digests)
+    for role, digest in digests.items():
+        report.add_input(config.inputs[role], digest)
     for name, values in blocks.items():
         report.results[name] = values
         print(_summarize(name, values))
@@ -324,7 +334,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _run_simulate_noise(config, out):
+def _run_simulate_noise(config, out, digests):
     process = _params_to_process(config.params["process"])
     trace = process.sample_trace(config.params["duration_s"], config.params["dt_s"], config.seed)
     fileio.write_trace(out["trace"], trace)
@@ -336,7 +346,7 @@ def _run_simulate_noise(config, out):
     }}
 
 
-def _run_simulate_mz(config, out):
+def _run_simulate_mz(config, out, digests):
     p = config.params
     process = _params_to_process(p["process"])
     trace = interferometer.simulate_mz_trace(
@@ -353,7 +363,7 @@ def _run_simulate_mz(config, out):
     }}
 
 
-def _run_simulate_fringe(config, out):
+def _run_simulate_fringe(config, out, digests):
     p = config.params
     process = _params_to_process(p["process"])
     scan = interferometer.simulate_fringe_scan(
@@ -370,8 +380,8 @@ def _run_simulate_fringe(config, out):
     }}
 
 
-def _run_analyze_fringe(config, out):
-    scan = fileio.read_fringe_scan(config.inputs["scan"])
+def _run_analyze_fringe(config, out, digests):
+    scan = fileio.read_fringe_scan(config.inputs["scan"], digest=digests.get("scan"))
     fit = analysis.fit_fringe(scan)
     sigma = (
         noise.sigma_from_visibility(fit.visibility)
@@ -388,19 +398,20 @@ def _run_analyze_fringe(config, out):
     }}
 
 
-def _read_trace_as(path, kind, noun):
-    """The trace in `path`, which must be a `kind`; `noun` names one."""
-    trace = fileio.read_trace(path)
+def _read_trace_as(config, digests, role, kind, noun):
+    """The trace of input `role`, which must be a `kind`; `noun` names one."""
+    path = config.inputs[role]
+    trace = fileio.read_trace(path, digest=digests.get(role))
     if not isinstance(trace, kind):
         raise TraceParseError(f"{path} is not {noun}")
     return trace
 
 
-def _run_analyze_phase(config, out):
+def _run_analyze_phase(config, out, digests):
     # The intensity is never bound to a name, so it is freed before the write.
     band = (config.params["band_lo"], config.params["band_hi"])
     phase = analysis.extract_phase(_read_trace_as(
-        config.inputs["trace"], interferometer.IntensityTrace, "an intensity trace"), band=band)
+        config, digests, "trace", interferometer.IntensityTrace, "an intensity trace"), band=band)
     fileio.write_trace(out["phase"], phase)
     n_valid = sum(b - a for a, b in phase.segments)
     return {"phase_extraction": {
@@ -410,8 +421,8 @@ def _run_analyze_phase(config, out):
     }}
 
 
-def _run_analyze_dphi(config, out):
-    trace = _read_trace_as(config.inputs["phase"], PhaseTrace, "a phase trace")
+def _run_analyze_dphi(config, out, digests):
+    trace = _read_trace_as(config, digests, "phase", PhaseTrace, "a phase trace")
     taus = analysis.default_lag_grid(
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )
@@ -439,8 +450,8 @@ def _run_analyze_dphi(config, out):
     return blocks
 
 
-def _run_analyze_tau_threshold(config, out):
-    stats = fileio.read_dphi_curve(config.inputs["curve"])
+def _run_analyze_tau_threshold(config, out, digests):
+    stats = fileio.read_dphi_curve(config.inputs["curve"], digest=digests.get("curve"))
     tau = analysis.tau_threshold(stats, config.params["target_rad"])
     return {"tau_threshold": {
         "target_rad": config.params["target_rad"],
@@ -448,8 +459,8 @@ def _run_analyze_tau_threshold(config, out):
     }}
 
 
-def _run_analyze_exponent(config, out):
-    stats = fileio.read_dphi_curve(config.inputs["curve"])
+def _run_analyze_exponent(config, out, digests):
+    stats = fileio.read_dphi_curve(config.inputs["curve"], digest=digests.get("curve"))
     lo, hi = config.params["tau_min_s"], config.params["tau_max_s"]
     exponent = analysis.fit_scaling_exponent(stats, (lo, hi))
     n_used = int(((stats.taus >= lo) & (stats.taus <= hi)).sum())
@@ -461,7 +472,7 @@ def _run_analyze_exponent(config, out):
     }}
 
 
-def _run_analyze_diffusion(config, out):
+def _run_analyze_diffusion(config, out, digests):
     p = config.params
     diffusion = analysis.estimate_diffusion(
         p["length_km"], visibility=p["visibility"], sigma=p["sigma_rad"]
@@ -474,7 +485,7 @@ def _run_analyze_diffusion(config, out):
     }}
 
 
-def _run_repeater_budget(config, out):
+def _run_repeater_budget(config, out, digests):
     p = config.params
     budget = repeater.budget_per_segment(
         p["total_km"], p["n_links"], p["target_fidelity"], p["segment_km"]
@@ -491,7 +502,7 @@ def _run_repeater_budget(config, out):
     }}
 
 
-def _run_repeater_fidelity(config, out):
+def _run_repeater_fidelity(config, out, digests):
     p = config.params
     if p["sigma_rad"] is not None:
         sigma = p["sigma_rad"]

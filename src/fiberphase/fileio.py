@@ -7,19 +7,17 @@ same directory, then rename).  Tables are read and written one bounded
 block of rows at a time.  A read parses the text once, front to back, and
 reports its first faulty line, a byte that is not UTF-8 included.
 
-A block's float cells are rendered by one numpy kernel (`_render`).  NaN,
-±inf and ±0 are constant strings.  A finite cell with 1e-6 <= |x| < 1e17
-is scaled by an exact 10**s, s in [0, 22], into X in [1e16, 1e17), which
-Dekker's two-product gives exactly; its digits are the multiple of 100, of
-10 or of 1 nearest X that lies in x's round-trip interval, tested in
-exact int64 arithmetic.  The few cells outside that domain, or at an exact
-tie between two candidates, and all integer cells are written by `repr`.
+A block's float cells are written and read back by the numpy kernels of
+`decimals`.  A block of rows the read kernel declines is decoded as text
+and tokenized by numpy's `loadtxt`, which alone raises the parse errors,
+so errors and their lines do not depend on the kernel.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import io
+import itertools
 import json
 import logging
 import math
@@ -30,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import decimals
 from .analysis import GaussianHistogram, PhaseStats
 from .errors import Adopted, DomainError, TraceParseError
 from .interferometer import FringeScan, IntensityTrace
@@ -55,9 +54,10 @@ TOOL_VERSION = "0.1.0"
 
 _log = logging.getLogger(__name__)
 
-# Characters of row text parsed at a time: a table read holds its kept
-# columns once plus one block.  A write renders 4 * _BLOCK bytes of NUL-padded
-# cells (about 1.5 * _BLOCK characters) at a time.
+# A table read holds its kept columns once, plus a block of _BLOCK bytes of
+# rows and the kernel's temporaries, about 6 times as large.  A write renders
+# 4 * _BLOCK bytes of NUL-padded cells (about 1.5 * _BLOCK characters) at a
+# time.
 _BLOCK = 1 << 18
 _BYTES = 1 << 16  # bytes per block of a pass over a file's raw bytes
 # The lone surrogates that stand for bytes that are not UTF-8 (PEP 383).
@@ -119,7 +119,7 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
     per column."""
     magic, columns = table
     n_rows = min(map(len, values))
-    width = len(columns) * (_WIDTH + 1)  # bytes of a row before its NULs are dropped
+    width = len(columns) * (decimals.WIDTH + 1)  # bytes of a row before its NULs are dropped
     step = max(1, 4 * _BLOCK // width)
     starts = range(0, n_rows, step)
     by_repr = 0
@@ -134,13 +134,13 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
         ]).encode("utf-8")
         for a in starts:
             b = min(a + step, n_rows)
-            # Each cell padded with NULs to _WIDTH, then its separator.
+            # Each cell padded with NULs to WIDTH, then its separator.
             text = bytearray((b - a) * width)
-            rows = np.frombuffer(text, np.uint8).reshape(b - a, len(columns), _WIDTH + 1)
+            rows = np.frombuffer(text, np.uint8).reshape(b - a, len(columns), decimals.WIDTH + 1)
             for j, (col, (_, kind)) in enumerate(zip(values, columns)):
-                by_repr += _render(np.asarray(col[a:b], kind), rows[:, j, :_WIDTH])
-            rows[:, :, _WIDTH] = ord(",")
-            rows[:, -1, _WIDTH] = ord("\n")
+                by_repr += decimals.render(np.asarray(col[a:b], kind), rows[:, j, :decimals.WIDTH])
+            rows[:, :, decimals.WIDTH] = ord(",")
+            rows[:, -1, decimals.WIDTH] = ord("\n")
             yield text.translate(None, b"\0")
 
     _atomic_write(path, chunks())
@@ -148,183 +148,23 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
                path, n_rows, len(starts), by_repr)
 
 
-# ---------------------------------------------------------------------------
-# Cells: repr(float(x)) for a block of float64 cells at once
-#
-# A rendered cell is a row of _WIDTH bytes, NUL where it holds no character:
-# column 0 the sign, 1-5 the "0.000" of a positional x < 1, then digit j of
-# 17 at column 4 + 2j with a slot at 5 + 2j for a "." or a padding "0", and
-# 39-42 the suffix ("0" of ".0", or "e-05").  Digits stay in fixed columns,
-# so a layout is one row of a table keyed by (sign, decimal point, digit
-# count).  Dropping the NULs leaves repr's text.
+def _read_table(path: str, table: tuple, skip: tuple = (), digest=None):
+    """Read `table`: (metadata, one array per column, header line number).
 
-_WIDTH = 43
-_DEC = range(-5, 19)  # decimal-point positions of the scaled domain
-_POW10 = np.array([float(10**k) for k in range(24)])  # exact up to 10**22
-_POW5 = 5 ** np.arange(23, dtype=np.int64)
-_POW2 = 2.0 ** np.arange(64)
-_MANTISSA = (1 << 52) - 1
-# Keys after the (sign, decimal point, digit count) layouts: a constant, the
-# same constant with its sign bit set, and the empty row of a cell by repr.
-_NAN, _INF, _ZERO, _BY_REPR = range(2 * len(_DEC) * 17, 2 * len(_DEC) * 17 + 7, 2)
-
-
-def _layout(sign: int, decpt: int, n: int) -> bytes:
-    """repr's layout of 0.d1...dn x 10**decpt, digits left out."""
-    row = bytearray(_WIDTH)
-    row[0] = ord("-") * sign
-    if -4 < decpt <= 16:
-        if decpt <= 0:
-            row[1:3 - decpt] = b"0." + b"0" * -decpt
-        else:
-            row[5 + 2 * decpt] = ord(".")
-            for j in range(n, decpt):  # the zeros of a long integer part
-                row[5 + 2 * j] = ord("0")
-            if decpt >= n:
-                row[39] = ord("0")
-    else:
-        if n > 1:
-            row[7] = ord(".")
-        row[39:43] = b"e%+03d" % (decpt - 1)
-    return bytes(row)
-
-
-@functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layout rows by key, the 4-digit groups and their trailing zeros.
-
-    Groups 10000-19999 render k as its 4 digits with trailing zeros NUL.
-    """
-    constants = (b"nan", b"nan", b"inf", b"-inf", b"0.0", b"-0.0", b"")
-    layouts = [_layout(sign, decpt, n) for sign in (0, 1) for decpt in _DEC for n in range(1, 18)]
-    layouts += [c.ljust(_WIDTH, b"\0") for c in constants]
-    quads = [b"%04d" % k for k in range(10000)]
-    quads += [q.rstrip(b"0").ljust(4, b"\0") for q in quads]
-    zeros = [4] + [len(q) - len(q.rstrip(b"0")) for q in quads[1:10000]]
-    return (np.frombuffer(b"".join(layouts), np.uint8).reshape(-1, _WIDTH),
-            np.frombuffer(b"".join(quads), np.uint32), np.array(zeros, np.int64))
-
-
-def _render(cells: np.ndarray, out: np.ndarray) -> int:
-    """Write each cell's repr into its row of `out`, NUL-padded; return the
-    number of cells that `repr` itself rendered."""
-    if cells.dtype.kind != "f":
-        out[:] = _by_repr(cells)
-        return cells.size
-    layouts, quads, zeros = _tables()
-    a = np.abs(cells)
-    key = np.full(cells.shape, _BY_REPR, np.intp)
-    key[a == 0] = _ZERO
-    key[a == np.inf] = _INF
-    key[np.isnan(a)] = _NAN
-    key[(key != _BY_REPR) & np.signbit(cells)] += 1
-    idx = np.flatnonzero((a >= 1e-6) & (a < 1e17))
-    digits, decpt, ok = _shortest(a[idx])
-    groups = np.empty((5, idx.size), np.int64)  # the digits in base 10**4
-    for j in range(4, 0, -1):
-        digits, groups[j] = np.divmod(digits, 10000)
-    groups[0] = digits
-    # tail[j]: every group after groups[j + 1] is zero, so its trailing zeros are the cell's
-    tail = np.ones((4, idx.size), bool)
-    tail[:3] = np.logical_and.accumulate(groups[:1:-1] == 0, axis=0)[::-1]
-    n = 17 - (zeros[groups[1:]] * tail).sum(axis=0)
-    sign = np.signbit(cells[idx])
-    key[idx] = np.where(ok, (sign * len(_DEC) + decpt - _DEC[0]) * 17 + n - 1, _BY_REPR)
-    layouts.take(key, axis=0, out=out, mode="clip")  # "clip" writes to `out` unbuffered
-    out[idx, 6] = ord("0") + groups[0]
-    out[idx, 8:39:2] = np.ascontiguousarray(quads[groups[1:] + 10000 * tail].T).view(np.uint8)
-    slow = np.flatnonzero(key == _BY_REPR)
-    out[slow] = _by_repr(cells[slow])
-    return slow.size
-
-
-def _by_repr(cells: np.ndarray) -> np.ndarray:
-    """The repr of each cell, NUL-padded to _WIDTH bytes."""
-    text = np.array(list(map(repr, cells.tolist())), f"S{_WIDTH}")
-    return text.view(np.uint8).reshape(-1, _WIDTH)
-
-
-def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest round-trip digits of each positive a in [1e-6, 1e17).
-
-    Returns (N, decpt, ok).  repr's digits are those of N, in [1e16, 1e17),
-    without its trailing zeros, and a ~ 0.N * 10**decpt.  ok is False where
-    `repr` must render the cell: outside the scaled domain, or at an exact
-    tie between two candidates.
-    """
-    bits = a.view(np.int64)
-    q = (bits >> 52) - 1075  # a = m * 2**q, m = 2**52 | mantissa
-    s = 16 - (((q + 52) * 78913) >> 18)  # 16 - floor(log10(2**(q + 52)))
-    s -= a * _POW10[s] >= 1e17
-    ok = s <= 22  # 10**23 is not exact
-    s = np.minimum(s, 22)
-    b = _POW10[s]
-    p = a * b
-    # Dekker's two-product, Veltkamp splits: X = a * b = p + e exactly
-    t = a * 134217729.0
-    ah = t - (t - a)
-    al = a - ah
-    t = b * 134217729.0
-    bh = t - (t - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    ok &= (p >= 1e16) & (p < 1e17) & ((p != 1e16) | (e >= 0))
-    # In units of 2**-sh, X's fraction and the half-gaps to x's neighbours
-    # (10**s * 2**(q - 1), and half that below a power of two) are integers.
-    sh = np.maximum(2 - q - s, 0)
-    ee = (e * _POW2[sh]).astype(np.int64)
-    xi = p.astype(np.int64) + (ee >> sh)  # floor(X)
-    frac = ee - ((ee >> sh) << sh)
-    # A candidate at distance d below (above) X reads back as x iff d <= hm
-    # (d <= hp): the interval is closed when m is even.
-    odd = bits & 1
-    hp = (_POW5[s] << (q + s - 1 + sh)) - odd
-    hm = (_POW5[s] << (q + s - 1 + sh - ((bits & _MANTISSA) == 0))) - odd
-
-    def nearest(unit):
-        """The multiple of `unit` below X and its distances to X, scaled."""
-        r = xi - xi // unit * unit
-        lo = (r << sh) + frac
-        return xi - r, lo, (np.int64(unit) << sh) - lo
-
-    # <= 15 digits: at most one multiple of 100 is in an interval this narrow.
-    base, lo, hi = nearest(100)
-    short = lo <= hm
-    done = short | (hi <= hp)
-    digits = np.where(short, base, base + 100)
-    # 16 digits: the multiple of 10 nearest X among those inside.
-    base, lo, hi = nearest(10)
-    below, above = lo <= hm, hi <= hp
-    pick = ~done & (below | above)
-    ok &= ~(pick & below & above & (lo == hi))
-    digits = np.where(pick, np.where(below & (~above | (lo < hi)), base, base + 10), digits)
-    done |= pick
-    # 17 digits: the integer nearest X, inside as both half-gaps exceed 0.55.
-    base, lo, hi = nearest(1)
-    ok &= done | (lo != hi)
-    digits = np.where(done, digits, np.where(lo < hi, base, base + 1))
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
-    return digits, 17 - s + carry, ok
-
-
-def _read_table(path: str, table: tuple, skip: tuple = ()):
-    """Read `table`: (metadata dict, one array per column, header line number).
-
-    Blank lines are skipped; the first faulty line of the file, a byte that
-    is not UTF-8 included, raises TraceParseError with its 1-based line
-    number.  The text is parsed in one forward pass and the path is not
-    opened after it, so a pipe or FIFO fails as a regular file does.  Rows
-    are parsed one block of about `_BLOCK` characters at a time into one
-    array per kept column, allocated once at a bound on the row count and
-    trimmed in place at the end.  Columns named in `skip` are parsed and
-    checked like the others, but not kept or returned.
+    `metadata` maps each key to its (value, line); the last line that sets
+    a key wins.  Blank lines are skipped; the first faulty line of the file,
+    a byte that is not UTF-8 included, raises TraceParseError with its
+    1-based line number.  The bytes are read in one forward pass, and the
+    path is not opened after it, so a pipe or FIFO fails as a regular file
+    does.  Rows are parsed one block of about `_BLOCK` bytes at a time into
+    one array per kept column, allocated once at a bound on the row count
+    and trimmed in place at the end.  Columns named in `skip` are checked
+    like the others, but not kept or returned.  `digest`, a hashlib object,
+    is updated with every byte read.
     """
     breaks = _line_breaks(path)
-    # A byte that is not UTF-8 reads as a lone surrogate (PEP 383), which
-    # fails its own line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return _read_open_table(fh, path, table, skip, breaks)
+    with open(path, "rb") as fh:
+        return _read_open_table(_blocks(fh, digest), path, table, skip, breaks)
 
 
 def _line_breaks(path: str) -> int:
@@ -340,27 +180,60 @@ def _line_breaks(path: str) -> int:
     return count
 
 
-def _read_open_table(fh, path: str, table: tuple, skip: tuple, breaks: int):
+def _blocks(fh, digest):
+    """The bytes of `fh` in blocks of whole lines of about `_BLOCK` bytes,
+    each behind `decimals.HEAD` and ending in a LF.  No CRLF is split, and a
+    LF is added only after a CR or at the end of the file, where it starts
+    no line."""
+    rest = b""
+    while chunk := fh.read(_BLOCK):
+        if digest is not None:
+            digest.update(chunk)
+        rest += chunk
+        del chunk
+        cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            block, rest = decimals.HEAD + rest[:cut] + b"\n" * (rest[cut - 1] != 10), rest[cut:]
+            yield block
+    if rest:
+        yield decimals.HEAD + rest + b"\n" * (rest[-1] != 10)
+
+
+# One line of a block, less its break.  Text mode's universal newlines: LF,
+# CR and CRLF each end a line.
+_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)?")
+
+
+def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
     magic, columns = table
-    number = 0
+    number, block, pos = 0, b"", 0
 
     def header_line() -> str:
         """The next line of the header, less its break; `number` is its line."""
-        nonlocal number
-        line, number = fh.readline(), number + 1
+        nonlocal number, block, pos
+        number += 1
+        while pos == len(block):
+            block, pos = next(blocks, None), len(decimals.HEAD)
+            if block is None:
+                block = b""
+                return ""
+        match = _LINE.match(block, pos)
+        pos = match.end()
+        # A byte that is not UTF-8 reads as a lone surrogate (PEP 383).
+        line = match[1].decode("utf-8", "surrogateescape")
         if _NOT_UTF8.search(line):
             raise TraceParseError(f"{path}: not UTF-8 text", line=number)
-        return line.rstrip("\n")
+        return line
 
     if header_line() != magic:
         raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}
     while (line := header_line()).startswith("#"):
         body = line[1:].strip()
         if ":" not in body:
             raise TraceParseError(f"{path}: malformed metadata {body!r}", line=number)
         key, _, value = body.partition(":")
-        meta[key.strip()] = value.strip()
+        meta[key.strip()] = value.strip(), number
     header = ",".join(name for name, _ in columns)
     if line != header:
         raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
@@ -368,22 +241,33 @@ def _read_open_table(fh, path: str, table: tuple, skip: tuple, breaks: int):
     # Each header line ended in a break, and the last row may have none.
     bound = max(breaks - number + 1, 0)
     arrays = [np.empty(bound, columns[j][1]) for j in keep]
-    rows, first, blocks, blanks = 0, number + 1, 0, 0
-    while lines := fh.readlines(_BLOCK):
-        block = _parse_block(lines, columns, path, first)
-        end = rows + block[0].size
-        for array, j in zip(arrays, keep):
+    # The rows in the header's last block come first.
+    blocks = itertools.chain([decimals.HEAD + block[pos:]] if pos < len(block) else [], blocks)
+    block = None
+    rows, first, n_blocks, by_loadtxt, blanks = 0, number + 1, 0, 0, 0
+    for data in blocks:
+        parsed = decimals.parse(data, columns, keep)
+        if parsed is None:  # outside the kernel's language: numpy parses the text
+            text = data[len(decimals.HEAD):].decode("utf-8", "surrogateescape")
+            lines = io.StringIO(text, newline=None).readlines()
+            parsed = _parse_block(lines, columns, path, first)
+            parsed = [parsed[j] for j in keep]
+            first, by_loadtxt = first + len(lines), by_loadtxt + 1
+            blanks += lines.count("\n")
+            del text, lines
+        else:
+            first += parsed[0].size
+        end = rows + parsed[0].size
+        for array, column in zip(arrays, parsed):
             if end > array.size:  # the file grew after its lines were counted
                 array.resize(2 * end, refcheck=False)
-            array[rows:end] = block[j]
-        rows, first, blocks = end, first + len(lines), blocks + 1
-        if _log.isEnabledFor(logging.DEBUG):
-            blanks += lines.count("\n")
-        del lines, block  # so that two blocks are never held at once
+            array[rows:end] = column
+        rows, n_blocks = end, n_blocks + 1
+        del data, parsed  # so that two blocks are never held at once
     for array in arrays:
         array.resize(rows, refcheck=False)  # no view of it exists yet
-    _log.debug("read %s: %d rows in %d blocks, %d blank lines skipped",
-               path, rows, blocks, blanks)
+    _log.debug("read %s: %d rows in %d blocks, %d by loadtxt, %d blank lines skipped",
+               path, rows, n_blocks, by_loadtxt, blanks)
     return meta, arrays, number
 
 
@@ -425,13 +309,15 @@ def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
     return [table[name] for name, _ in columns]
 
 
-def _meta_float(meta: dict, key: str, path: str) -> float:
+def _meta_float(meta: dict, key: str, path: str, header_line: int) -> float:
+    """Metadata `key` as a float; a missing key names the column-header line."""
     if key not in meta:
-        raise TraceParseError(f"{path}: missing metadata key {key!r}", line=2)
+        raise TraceParseError(f"{path}: missing metadata key {key!r}", line=header_line)
+    value, line = meta[key]
     try:
-        return float(meta[key])
+        return float(value)
     except ValueError:
-        raise TraceParseError(f"{path}: bad value for {key!r}: {meta[key]!r}", line=2)
+        raise TraceParseError(f"{path}: bad value for {key!r}: {value!r}", line=line) from None
 
 
 def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
@@ -448,26 +334,30 @@ def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
     _write_table(path, _TRACE, meta, (times, trace.samples))
 
 
-def read_trace(path: str) -> PhaseTrace | IntensityTrace:
-    """Read a trace CSV v1 file back into its original type."""
+def read_trace(path: str, *, digest=None) -> PhaseTrace | IntensityTrace:
+    """Read a trace CSV v1 file back into its original type.
+
+    `digest`, a hashlib object, is updated with every byte of the file.
+    """
     # The time column is checked, but t0 and dt define the grid.
-    meta, (samples,), _ = _read_table(path, _TRACE, skip=("time_s",))
-    kind = meta.get("kind")
-    t0, dt = (_meta_float(meta, key, path) for key in ("t0", "dt"))
+    meta, (samples,), header_line = _read_table(path, _TRACE, skip=("time_s",), digest=digest)
+    kind, kind_line = meta.get("kind", (None, header_line))
+    t0, dt = (_meta_float(meta, key, path, header_line) for key in ("t0", "dt"))
     if kind == "phase":
+        text, line = meta.get("segments", ("", header_line))
         segments = []
-        for token in meta["segments"].split(",") if meta.get("segments") else ():
+        for token in text.split(",") if text else ():
             a, _, b = token.partition(":")
             try:
                 segments.append((int(a), int(b)))
             except ValueError:
-                raise TraceParseError(f"{path}: bad segment token {token!r}", line=2) from None
+                raise TraceParseError(f"{path}: bad segment token {token!r}", line=line) from None
         return PhaseTrace(t0=t0, dt=dt, samples=Adopted(samples), segments=tuple(segments))
     if kind == "intensity":
-        i_max, i_min = (_meta_float(meta, key, path) for key in ("i_max", "i_min"))
+        i_max, i_min = (_meta_float(meta, key, path, header_line) for key in ("i_max", "i_min"))
         return IntensityTrace(t0=t0, dt=dt, samples=Adopted(samples), i_max=i_max,
                               i_min=i_min)
-    raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=2)
+    raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=kind_line)
 
 
 def write_fringe_scan(path: str, scan: FringeScan) -> None:
@@ -475,12 +365,14 @@ def write_fringe_scan(path: str, scan: FringeScan) -> None:
     _write_table(path, _FRINGE, meta, (scan.applied_phase, scan.pulse_area))
 
 
-def read_fringe_scan(path: str) -> FringeScan:
-    meta, (phase, area), header_line = _read_table(path, _FRINGE)
+def read_fringe_scan(path: str, *, digest=None) -> FringeScan:
+    """Read a fringe scan CSV v1 file; `digest` as in `read_trace`."""
+    meta, (phase, area), header_line = _read_table(path, _FRINGE, digest=digest)
     if phase.size < 4:
         raise TraceParseError(f"{path}: a fringe scan needs >= 4 rows", line=header_line)
-    noise = _meta_float(meta, "detector_noise", path)
-    return FringeScan(phase, area, detector_noise=noise, i0=_meta_float(meta, "i0", path))
+    noise = _meta_float(meta, "detector_noise", path, header_line)
+    return FringeScan(phase, area, detector_noise=noise,
+                      i0=_meta_float(meta, "i0", path, header_line))
 
 
 def write_dphi_curve(path: str, stats: PhaseStats) -> None:
@@ -489,12 +381,13 @@ def write_dphi_curve(path: str, stats: PhaseStats) -> None:
     _write_table(path, _DPHI, {"dt": stats.dt}, values)
 
 
-def read_dphi_curve(path: str) -> PhaseStats:
-    """Read a curve file back as PhaseStats (without signed moments)."""
-    meta, (taus, dphi, sigma, counts), header_line = _read_table(path, _DPHI)
+def read_dphi_curve(path: str, *, digest=None) -> PhaseStats:
+    """Read a curve file back as PhaseStats (without signed moments);
+    `digest` as in `read_trace`."""
+    meta, (taus, dphi, sigma, counts), header_line = _read_table(path, _DPHI, digest=digest)
     if not taus.size:
         raise TraceParseError(f"{path}: empty curve", line=header_line)
-    dt = _meta_float(meta, "dt", path)
+    dt = _meta_float(meta, "dt", path, header_line)
     return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)
 
 
@@ -519,8 +412,11 @@ class ReportDocument:
     results: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
 
-    def add_input(self, path: str) -> None:
-        self.inputs.append({"path": str(path), "sha256": sha256_of_file(path)})
+    def add_input(self, path: str, digest=None) -> None:
+        """Record `path` with its SHA-256: that of `digest`, a hashlib object
+        that has read the file, or else of the file read again."""
+        sha256 = digest.hexdigest() if digest is not None else sha256_of_file(path)
+        self.inputs.append({"path": str(path), "sha256": sha256})
 
 
 def _normalize(obj, round12: bool):

@@ -1,7 +1,12 @@
 """End-to-end tests of the fiberphase command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,6 +400,57 @@ class TestSimulateCommands:
         assert len(inputs[0]["sha256"]) == 64
 
 
+CURVE = (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+         b"1e-06,0.005,0.006,499\n2e-06,0.02,0.025,498\n")
+
+# Runs `analyze tau-threshold --in <fifo> --report <report>` in a fresh
+# interpreter, fed by a thread; the arguments are the curve's bytes in hex,
+# the FIFO's path and the report's path.
+FIFO_REPORT = """
+import os, sys, threading
+from fiberphase.cli import main
+data, fifo, report = bytes.fromhex(sys.argv[1]), sys.argv[2], sys.argv[3]
+os.mkfifo(fifo)
+def feed():
+    with open(fifo, "wb") as fh:
+        fh.write(data)
+threading.Thread(target=feed).start()
+sys.exit(main(["analyze", "tau-threshold", "--in", fifo, "--dphi", "0.01", "--report", report]))
+"""
+
+
+class TestInputDigests:
+    """A report records the SHA-256 of each input, taken from the bytes its
+    reader reads; without a report nothing is hashed."""
+
+    @pytest.mark.parametrize("report", [True, False])
+    def test_hashed_once_and_only_for_a_report(self, tmp_path, report):
+        curve, out = tmp_path / "c.csv", tmp_path / "t.json"
+        curve.write_bytes(CURVE)
+        argv = f"analyze tau-threshold --in {curve} --dphi 0.01".split()
+        with mock.patch.object(fileio, "read_dphi_curve", wraps=fileio.read_dphi_curve) as read, \
+                mock.patch.object(fileio, "sha256_of_file", side_effect=AssertionError):
+            assert main(argv + ["--report", str(out)] * report) == 0
+        digest = read.call_args.kwargs["digest"]
+        assert (digest is None) != report
+        if report:
+            assert load_report(out)["inputs"] == [
+                {"path": str(curve), "sha256": hashlib.sha256(CURVE).hexdigest()}]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_with_report(self, tmp_path):
+        fifo, out = tmp_path / "in.fifo", tmp_path / "t.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", FIFO_REPORT, CURVE.hex(), str(fifo), str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert load_report(out)["inputs"] == [
+            {"path": str(fifo), "sha256": hashlib.sha256(CURVE).hexdigest()}]
+        assert load_report(out)["results"]["tau_threshold"]["tau_threshold_s"] == pytest.approx(
+            1e-6 + 1e-6 * (0.01 - 0.005) / (0.02 - 0.005))
+
+
 class TestFullPipeline:
     def run_pipeline(self, tmp_path, preset, duration_ms, tau_max_us, seed):
         mz = tmp_path / "mz.csv"
@@ -473,8 +529,8 @@ class TestFullPipeline:
         assert main(f"simulate mz --night --duration-ms 1 --dt-us 1 --out {mz}".split()) == 0
         read, write, refs, alive = fileio.read_trace, fileio.write_trace, [], []
 
-        def read_trace(path):
-            trace = read(path)
+        def read_trace(path, **kwargs):
+            trace = read(path, **kwargs)
             refs.append(weakref.ref(trace))
             return trace
 

@@ -5,8 +5,10 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -34,6 +36,7 @@ from fiberphase import (
     read_dphi_curve,
     read_fringe_scan,
     read_trace,
+    simulate_fringe_scan,
     simulate_mz_trace,
     write_dphi_curve,
     write_fringe_scan,
@@ -41,7 +44,7 @@ from fiberphase import (
     write_report,
     write_trace,
 )
-from fiberphase import fileio
+from fiberphase import decimals, fileio
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -151,6 +154,34 @@ class TestTraceParseErrors:
         path.write_text("# fiberphase-trace v1\n# kind: phase\ntime_s,value\n")
         with pytest.raises(TraceParseError):
             read_trace(str(path))
+
+    @pytest.mark.parametrize("reader,text,line,problem", [
+        (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: abc\n"
+         "time_s,value\n0.0,0.1\n", 4, "bad value for 'dt': 'abc'"),
+        (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+         "# segments: 0:1,x\ntime_s,value\n0.0,0.1\n", 5, "bad segment token 'x'"),
+        (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# note: no dt\n"
+         "time_s,value\n0.0,0.1\n", 5, "missing metadata key 'dt'"),
+        (read_trace, "# fiberphase-trace v1\n# t0: 0.0\n# dt: 1e-06\n# kind: sine\n"
+         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind 'sine'"),
+        (read_trace, "# fiberphase-trace v1\n# t0: 0.0\n# dt: 1e-06\n"
+         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind None"),
+        (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+         "# i_max: 1.0\n# i_min: 0.0\n# i_max: high\ntime_s,value\n0.0,0.1\n", 7,
+         "bad value for 'i_max': 'high'"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# detector_noise: 0.0\n"
+         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 3, "missing metadata key 'i0'"),
+        (read_dphi_curve, "# fiberphase-dphi v1\n# note: x\n# dt: 1 us\n"
+         "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.01,0.0125,499\n", 3,
+         "bad value for 'dt': '1 us'"),
+    ], ids=["bad_dt", "bad_segment", "missing_dt", "unknown_kind", "missing_kind",
+            "repeated_key", "fringe_missing_i0", "curve_bad_dt"])
+    def test_metadata_error_names_its_line(self, tmp_path, reader, text, line, problem):
+        # a missing key names the column-header line
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(reader, str(path)) == (
+            TraceParseError, line, f"line {line}: {path}: {problem}")
 
     def test_nan_inside_segment(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -417,8 +448,8 @@ def row_blocks(draw):
 def rendered(values) -> tuple[list[str], int]:
     """Each value as the table writer renders it, and the cells left to repr."""
     cells = np.asarray(values)
-    rows = np.zeros((cells.size, fileio._WIDTH + 1), np.uint8)
-    by_repr = fileio._render(cells, rows[:, :-1])
+    rows = np.zeros((cells.size, decimals.WIDTH + 1), np.uint8)
+    by_repr = decimals.render(cells, rows[:, :-1])
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0").decode().split("\n")[:-1], by_repr
 
@@ -577,6 +608,18 @@ def read_outcome(reader, path):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
+@pytest.fixture(scope="class", params=["kernel", "loadtxt"])
+def parser(request):
+    """Rows read by the block kernel where it can, or by numpy alone, as if
+    the kernel declined every block."""
+    if request.param == "kernel":
+        yield
+    else:
+        with mock.patch.object(decimals, "parse", lambda *args: None):
+            yield
+
+
+@pytest.mark.usefixtures("parser")
 class TestParserFuzz:
     """Any input gives a valid object or a FiberPhaseError, never another exception.
 
@@ -623,6 +666,7 @@ CURVE_ROWS = "".join(f"{k}e-06,0.{k:02d},0.5,{100 - k}\n" for k in range(1, 31))
 CURVE_HEAD = "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
 
 
+@pytest.mark.usefixtures("parser")
 class TestBlockBoundaries:
     """Rows read or written in blocks of a few characters, against the default block."""
 
@@ -785,6 +829,7 @@ def non_utf8_outcome(path, data, n_rows):
     return TraceParseError, line, f"line {line}: {path}: not UTF-8 text"
 
 
+@pytest.mark.usefixtures("parser")
 class TestNonUtf8Line:
     """A byte that is not UTF-8 fails its own line, in the header or in a
     row, whatever the block size; decoding the whole file at once is the
@@ -880,6 +925,183 @@ class TestStreams:
             "TraceParseError 6 line 6: PATH: not UTF-8 text")
 
 
+def kernel_bits(cells):
+    """The kernel's reading of `cells`, one row each of a one-column table,
+    as int64 bits; None if it declines the block."""
+    data = decimals.HEAD + "".join(f"{cell}\n" for cell in cells).encode()
+    parsed = decimals.parse(data, (("x", float),), [0])
+    return None if parsed is None else parsed[0].view(np.int64).tolist()
+
+
+def float_bits(cells):
+    return np.array([float(cell) for cell in cells]).view(np.int64).tolist()
+
+
+def decimal_forms(value: Fraction) -> list[str]:
+    """A positive dyadic fraction's finite decimal expansion: positional,
+    as d.ddd...e+-XX and as ddd...e-XX."""
+    k = value.denominator.bit_length() - 1
+    whole, frac = divmod(value.numerator * 5**k, 10**k)
+    frac = str(frac).rjust(k, "0") if k else ""
+    digits = (str(whole) + frac).lstrip("0")
+    head = digits[0] + "." + digits[1:] if len(digits) > 1 else digits
+    return [str(whole) + "." * bool(frac) + frac, f"{head}e{len(digits) - 1 - len(frac):+03d}",
+            f"{digits}e{-len(frac):+d}"]
+
+
+def binade_corpus(seed: int = 20071205) -> list[str]:
+    """The repr of doubles from every binade, subnormals, powers of two and
+    their neighbours, and +-0: positional and exponent forms."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bits = rng.integers(0, 0x7FF0000000000000, 60_000)  # finite, positive
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([
+        bits.view(np.float64), powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.arange(1, 2000) * 5e-324, [0.0, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ])
+    values[rng.random(values.size) < 0.5] *= -1
+    return [repr(x) for x in values.tolist()]
+
+
+def decimal_corpus(seed: int = 20071205) -> list[str]:
+    """Decimals of 1-25 digits, leading zeros included, that are not
+    shortest reprs: with and without a point, a sign and an exponent."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cells = []
+    for _ in range(20_000):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 26))))
+        point = int(rng.integers(0, len(digits)))
+        text = digits[:point] + "." + digits[point:] if point else digits
+        if rng.random() < 0.5:
+            text += "e" + rng.choice(["+", "-"]) + str(rng.integers(0, 340)).rjust(
+                int(rng.integers(1, 5)), "0")
+        cells.append("-" * (rng.random() < 0.3) + text)
+    return cells
+
+
+def halfway_corpus(seed: int = 20071205) -> list[str]:
+    """Decimals exactly halfway between adjacent doubles, which round to
+    the even one: positional and in two exponent forms.  Those of at most
+    19 digits are decided by the kernel's correction, the others by
+    `float()`."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cells = []
+    for exponent in range(-80, 80):
+        for x in np.ldexp(1.0 + rng.random(40), exponent).tolist() + [2.0**exponent]:
+            mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+            forms = decimal_forms(mid)
+            assert all(Fraction(cell) == mid for cell in forms)
+            cells += forms
+    return cells
+
+
+# -?D+(.D+)?(e[+-]D+)?: the kernel's language, leading zeros included
+DIGITS = st.text("0123456789", min_size=1, max_size=13)
+DECIMALS = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp, st.sampled_from(["", "-"]), DIGITS,
+    st.one_of(st.just(""), DIGITS.map(".".__add__)),
+    st.one_of(st.just(""), st.builds("e{}{}".format, st.sampled_from("+-"),
+                                     st.text("0123456789", min_size=1, max_size=4))))
+
+
+class TestCellKernel:
+    """The block kernel reads each cell bit for bit as `float()` does, and
+    declines a block outside the writer's language."""
+
+    @pytest.mark.parametrize("corpus", [binade_corpus, decimal_corpus, halfway_corpus])
+    def test_corpus_as_float(self, corpus):
+        cells = corpus()
+        assert kernel_bits(cells) == float_bits(cells)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_every_repr_as_float(self, values):
+        cells = [repr(x) for x in values]
+        assert kernel_bits(cells) == float_bits(cells)
+
+    @settings(max_examples=300)
+    @given(st.lists(DECIMALS, min_size=1, max_size=40))
+    def test_every_decimal_as_float(self, cells):
+        assert kernel_bits(cells) == float_bits(cells)
+
+    def test_halfway_integers_round_to_even(self):
+        # 2**53 + 1 and 2**53 + 3 lie halfway: even below, even above
+        cells = ["9007199254740993", "9007199254740995", "9007199254740993.0e+0",
+                 "90071992547409930e-1", "nan", "-0.0"]
+        assert kernel_bits(cells) == float_bits(cells)
+        assert kernel_bits(cells)[:2] == np.array([2.0**53, 2.0**53 + 4]).view(np.int64).tolist()
+
+    def test_nearest_from_either_neighbour(self):
+        # the correction decides ties and one-off candidates alike
+        rng = np.random.Generator(np.random.Philox(key=3))
+        x = np.ldexp(1.0 + rng.random(2000), rng.integers(53, 61, 2000))
+        half = (np.nextafter(x, np.inf) - x) / 2
+        sig = np.concatenate([x, x + half, x - half / 2]).astype(np.int64)
+        want = np.array([float(v) for v in sig.tolist()])
+        for candidate in (np.nextafter(want, 0), want, np.nextafter(want, np.inf)):
+            got, undecided = decimals._nearest(sig, np.zeros(sig.size, np.int64), candidate)
+            assert not undecided.any()
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("cell", [
+        "1.", ".5", "1e5", "1E+5", "+1.0", "inf", "-inf", "-nan", "NaN", "nan0", "na", " 1.0",
+        "1.0 ", "1.0\r", "1_0", "0x1p3", "١", "1.0.0", "1e+5.0", "1e+", "--1", "-", "",
+    ])
+    def test_declines_outside_the_language(self, cell):
+        assert kernel_bits(["0.5", cell, "0.25"]) is None
+
+    def test_declines_other_shapes(self):
+        two = (("a", float), ("b", float))
+        for data in (b"0.5,0.25\n0.5\n", b"0.5,0.25,1.0\n", b"0.5\n0.25\n", b"0.5,0.25\n\n"):
+            assert decimals.parse(decimals.HEAD + data, two, [0, 1]) is None
+        assert decimals.parse(decimals.HEAD + b"0.5,3\n", (("a", float), ("n", int)),
+                                   [0, 1]) is None
+        assert [c.tolist() for c in decimals.parse(decimals.HEAD + b"0.5,0.25\n", two,
+                                                        [1])] == [[0.25]]
+
+    @settings(max_examples=100)
+    @given(columns=st.lists(st.floats(width=64), min_size=0, max_size=60).map(
+        lambda v: (np.array(v), np.array(v[::-1]))), block=st.sampled_from([1, 40, 1000]))
+    def test_reads_as_loadtxt(self, tmp_path_factory, columns, block):
+        path = str(tmp_path_factory.mktemp("kernel") / "t.csv")
+        fileio._write_table(path, fileio._FRINGE, {}, columns)
+        with mock.patch.object(fileio, "_BLOCK", block):
+            _, got, _ = fileio._read_table(path, fileio._FRINGE)
+            with mock.patch.object(decimals, "parse", lambda *args: None):
+                _, want, _ = fileio._read_table(path, fileio._FRINGE)
+        assert [c.view(np.int64).tolist() for c in got] == [
+            c.view(np.int64).tolist() for c in want]
+        assert all(np.array_equal(g, c, equal_nan=True) for g, c in zip(got, columns))
+
+
+def mz_trace(seed=5):
+    return simulate_mz_trace(build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)),
+                             0.2, 1e-6, phi0=math.pi / 2, seed=seed)
+
+
+class TestKernelCoverage:
+    """Files the writer makes are read without numpy's parser: the read's
+    DEBUG record counts 0 blocks by loadtxt."""
+
+    @pytest.mark.parametrize("write,read,make", [
+        (write_trace, read_trace, mz_trace),
+        (write_trace, read_trace, lambda: extract_phase(mz_trace())),
+        (write_fringe_scan, read_fringe_scan, lambda: simulate_fringe_scan(
+            build_process(NoiseParams(sigma_ref=0.3, tau_ref=100e-6)), 50.0, 50, 200,
+            detector_noise=0.01, seed=3)),
+    ], ids=["intensity", "nan_padded_phase", "fringe"])
+    def test_no_block_by_loadtxt(self, tmp_path, caplog, write, read, make):
+        obj = make()
+        path = str(tmp_path / "t.csv")
+        write(path, obj)
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            assert read(path) == obj
+        message = caplog.records[-1].getMessage()
+        assert re.fullmatch(rf"read {re.escape(path)}: \d+ rows in \d+ blocks, 0 by loadtxt, "
+                            r"0 blank lines skipped", message), message
+
+
 class TestStreamingMemory:
     """A table's memory is its column arrays plus one block, not the whole text.
 
@@ -928,7 +1150,7 @@ class TestCodecLogging:
 
     def test_debug_records_rows_blocks_and_blank_lines(self, tmp_path, caplog, monkeypatch):
         # 10 rows of two NUL-padded cells per written block of 4 * _BLOCK bytes
-        monkeypatch.setattr(fileio, "_BLOCK", 2 * (fileio._WIDTH + 1) * 10 // 4)
+        monkeypatch.setattr(fileio, "_BLOCK", 2 * (decimals.WIDTH + 1) * 10 // 4)
         path = str(tmp_path / "t.csv")
         samples = np.zeros(25)
         samples[[3, 17]] = 5e-324, 1e300  # outside the kernel's domain
@@ -941,7 +1163,9 @@ class TestCodecLogging:
         assert caplog.records[0].getMessage() == (
             f"wrote {path}: 25 rows in 3 blocks, 2 cells by repr")
         assert caplog.records[1].getMessage().startswith(f"read {path}: 25 rows in ")
-        assert caplog.records[1].getMessage().endswith(" blocks, 2 blank lines skipped")
+        # the appended blank lines put the last block outside the kernel's language
+        assert caplog.records[1].getMessage().endswith(
+            " blocks, 1 by loadtxt, 2 blank lines skipped")
 
 
 class TestReport:

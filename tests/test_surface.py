@@ -205,8 +205,8 @@ class TestPublicSurface:
 
     def test_modules(self):
         assert {m.name for m in pkgutil.iter_modules(fp.__path__)} == {
-            "analysis", "cli", "errors", "fileio", "interferometer", "noise", "presets",
-            "repeater",
+            "analysis", "cli", "decimals", "errors", "fileio", "interferometer", "noise",
+            "presets", "repeater",
         }
 
     @pytest.mark.parametrize("module,attribute", [
