@@ -25,6 +25,7 @@ from .errors import (
     FitError,
     InsufficientDataError,
     ThresholdNotReachedError,
+    check_all,
     check_finite,
     check_scalar,
     fields_equal,
@@ -118,14 +119,14 @@ class PhaseStats:
                     raise DomainError(f"{name} must hold one value per lag")
                 object.__setattr__(self, name, value)
         check_finite("taus", self.taus)
-        if np.any(np.diff(self.taus) <= 0):
-            raise DomainError("lags must be strictly increasing")
+        check_all("taus", np.diff(self.taus, prepend=-np.inf) > 0,
+                  "lags must be strictly increasing")
         check_finite("mean_abs_change", self.mean_abs_change)
         sigma, n = self.sigma_per_tau, self.n_increments
-        if np.any(self.mean_abs_change < 0) or np.any(n < 1):
-            raise DomainError("need mean_abs_change >= 0 and n_increments >= 1 at every lag")
-        if not np.all((sigma >= 0) & (sigma < np.inf) | np.isnan(sigma) & (n < 2)):
-            raise DomainError("sigma_per_tau must be finite and >= 0 (NaN below two increments)")
+        check_all("mean_abs_change", (self.mean_abs_change >= 0) & (n >= 1),
+                  "need mean_abs_change >= 0 and n_increments >= 1 at every lag")
+        check_all("sigma_per_tau", (sigma >= 0) & (sigma < np.inf) | np.isnan(sigma) & (n < 2),
+                  "sigma_per_tau must be finite and >= 0 (NaN below two increments)")
 
     __eq__ = fields_equal
 
@@ -219,7 +220,7 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
 
 
 def extract_phase(
-    trace: IntensityTrace, band: tuple[float, float] = DEFAULT_BAND
+    trace: IntensityTrace | Adopted, band: tuple[float, float] = DEFAULT_BAND
 ) -> PhaseTrace:
     """Invert an intensity record to phase on fringe slopes.
 
@@ -229,11 +230,25 @@ def extract_phase(
     carry no increment information).  Within each segment the phase is
     arccos(2u - 1); the band must exclude the extrema u = 0 and 1, where
     the phase folds.  Samples outside all segments are NaN.
+
+    u is computed in a copy of the samples.  A trace handed over as
+    ``Adopted(trace)`` is consumed instead: u and then the phase are
+    computed in its own samples buffer, which the returned trace keeps, so
+    the caller must not use the trace again.
     """
     lo, hi = band
     if not (0 < lo < hi < 1):
         raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
-    u = np.subtract(trace.samples, trace.i_min)
+    if isinstance(trace, Adopted):
+        trace = trace.array
+        if not isinstance(trace, IntensityTrace):
+            raise DomainError(f"only an IntensityTrace can be handed over, got "
+                              f"{type(trace).__name__}")
+        u = trace.samples  # a trace owns its samples buffer, so it can be written again
+        u.setflags(write=True)
+        u -= trace.i_min
+    else:
+        u = np.subtract(trace.samples, trace.i_min)
     u /= trace.i_max - trace.i_min
     np.clip(u, 0.0, 1.0, out=u)
 

@@ -32,7 +32,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
-from .errors import DomainError, FiberPhaseError, TraceParseError
+from .errors import Adopted, DomainError, FiberPhaseError
 from .fileio import ReportDocument
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
@@ -398,20 +398,13 @@ def _run_analyze_fringe(config, out, digests):
     }}
 
 
-def _read_trace_as(config, digests, role, kind, noun):
-    """The trace of input `role`, which must be a `kind`; `noun` names one."""
-    path = config.inputs[role]
-    trace = fileio.read_trace(path, digest=digests.get(role))
-    if not isinstance(trace, kind):
-        raise TraceParseError(f"{path} is not {noun}")
-    return trace
-
-
 def _run_analyze_phase(config, out, digests):
-    # The intensity is never bound to a name, so it is freed before the write.
+    # The intensity trace is handed over: its buffer becomes the phase, and
+    # no name keeps the trace, so the command holds one trace buffer.
     band = (config.params["band_lo"], config.params["band_hi"])
-    phase = analysis.extract_phase(_read_trace_as(
-        config, digests, "trace", interferometer.IntensityTrace, "an intensity trace"), band=band)
+    phase = analysis.extract_phase(Adopted(fileio.read_trace(
+        config.inputs["trace"], digest=digests.get("trace"),
+        expect=interferometer.IntensityTrace)), band=band)
     fileio.write_trace(out["phase"], phase)
     n_valid = sum(b - a for a, b in phase.segments)
     return {"phase_extraction": {
@@ -422,7 +415,8 @@ def _run_analyze_phase(config, out, digests):
 
 
 def _run_analyze_dphi(config, out, digests):
-    trace = _read_trace_as(config, digests, "phase", PhaseTrace, "a phase trace")
+    trace = fileio.read_trace(config.inputs["phase"], digest=digests.get("phase"),
+                              expect=PhaseTrace)
     taus = analysis.default_lag_grid(
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )

@@ -13,7 +13,16 @@ class FiberPhaseError(Exception):
 
 
 class DomainError(FiberPhaseError, ValueError):
-    """An input value violates a documented precondition or invariant."""
+    """An input value violates a documented precondition or invariant.
+
+    A value object's check names its offending `field` and, for an array,
+    the `index` of its first offending entry, so that a reader can name the
+    line of the file the value came from.
+    """
+
+    def __init__(self, message: str, field: str | None = None, index: int | None = None):
+        super().__init__(message)
+        self.field, self.index = field, index
 
 
 class ResourceLimitError(FiberPhaseError, RuntimeError):
@@ -64,21 +73,32 @@ class TraceParseError(FiberPhaseError, ValueError):
 def check_scalar(name: str, value: float, positive: bool = False) -> None:
     """Raise DomainError unless `value` is finite and, if `positive`, > 0."""
     if positive and not (value > 0):
-        raise DomainError(f"{name} must be > 0, got {value}")
+        raise DomainError(f"{name} must be > 0, got {value}", name)
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
+        raise DomainError(f"{name} must be finite, got {value}", name)
 
 
 def check_finite(name: str, values: np.ndarray) -> None:
     """Raise DomainError naming the first non-finite entry of `values`."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}")
+        raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}", name, int(bad[0]))
+
+
+def check_all(name: str, ok: np.ndarray, message: str) -> None:
+    """Raise DomainError(message) naming the first entry of `name` where `ok` is False."""
+    if not ok.all():
+        raise DomainError(message, name, int(np.argmin(ok)))
 
 
 class Adopted(NamedTuple):
     """A buffer the library has just built and drops: a value object given
-    one keeps it, read-only, instead of a copy (see `frozen`)."""
+    one keeps it, read-only, instead of a copy (see `frozen`).
+
+    `analysis.extract_phase` also takes an `IntensityTrace` handed over this
+    way.  The trace is consumed: its samples buffer becomes the phase, and
+    the caller must not use the trace again.
+    """
 
     array: np.ndarray
 

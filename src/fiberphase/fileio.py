@@ -15,6 +15,7 @@ so errors and their lines do not depend on the kernel.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -149,7 +150,8 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
 
 
 def _read_table(path: str, table: tuple, skip: tuple = (), digest=None):
-    """Read `table`: (metadata, one array per column, header line number).
+    """Read `table`: (metadata, one array per column, header line number,
+    the line numbers of the blank lines skipped, ascending).
 
     `metadata` maps each key to its (value, line); the last line that sets
     a key wins.  Blank lines are skipped; the first faulty line of the file,
@@ -244,7 +246,7 @@ def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
     # The rows in the header's last block come first.
     blocks = itertools.chain([decimals.HEAD + block[pos:]] if pos < len(block) else [], blocks)
     block = None
-    rows, first, n_blocks, by_loadtxt, blanks = 0, number + 1, 0, 0, 0
+    rows, first, n_blocks, by_loadtxt, blanks = 0, number + 1, 0, 0, []
     for data in blocks:
         parsed = decimals.parse(data, columns, keep)
         if parsed is None:  # outside the kernel's language: numpy parses the text
@@ -252,8 +254,8 @@ def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
             lines = io.StringIO(text, newline=None).readlines()
             parsed = _parse_block(lines, columns, path, first)
             parsed = [parsed[j] for j in keep]
+            blanks += [first + i for i, line in enumerate(lines) if line == "\n"]
             first, by_loadtxt = first + len(lines), by_loadtxt + 1
-            blanks += lines.count("\n")
             del text, lines
         else:
             first += parsed[0].size
@@ -267,8 +269,8 @@ def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
     for array in arrays:
         array.resize(rows, refcheck=False)  # no view of it exists yet
     _log.debug("read %s: %d rows in %d blocks, %d by loadtxt, %d blank lines skipped",
-               path, rows, n_blocks, by_loadtxt, blanks)
-    return meta, arrays, number
+               path, rows, n_blocks, by_loadtxt, len(blanks))
+    return meta, arrays, number, blanks
 
 
 def _parse_block(lines: list[str], columns, path: str, first: int) -> list[np.ndarray]:
@@ -334,30 +336,58 @@ def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
     _write_table(path, _TRACE, meta, (times, trace.samples))
 
 
-def read_trace(path: str, *, digest=None) -> PhaseTrace | IntensityTrace:
+@contextlib.contextmanager
+def _located(path: str, meta: dict, header_line: int, blanks: list):
+    """Turn a value object's DomainError into a TraceParseError at the line
+    its value came from: that of the offending row, or of the metadata key of
+    its field, else the column header."""
+    try:
+        yield
+    except DomainError as exc:
+        if exc.index is None:
+            line = meta.get(exc.field, (None, header_line))[1]
+        else:
+            line = header_line + 1 + exc.index
+            for blank in blanks:  # each blank line at or before the row moves it down
+                line += blank <= line
+        raise TraceParseError(f"{path}: {exc}", line=line) from exc
+
+
+_KINDS = {"phase": PhaseTrace, "intensity": IntensityTrace}
+
+
+def read_trace(path: str, *, digest=None,
+               expect: type | None = None) -> PhaseTrace | IntensityTrace:
     """Read a trace CSV v1 file back into its original type.
 
-    `digest`, a hashlib object, is updated with every byte of the file.
+    `expect`, PhaseTrace or IntensityTrace, is the type the file must hold:
+    another kind raises TraceParseError at the `# kind:` line.  `digest`, a
+    hashlib object, is updated with every byte of the file.
     """
     # The time column is checked, but t0 and dt define the grid.
-    meta, (samples,), header_line = _read_table(path, _TRACE, skip=("time_s",), digest=digest)
+    meta, (samples,), header_line, blanks = _read_table(path, _TRACE, skip=("time_s",),
+                                                        digest=digest)
     kind, kind_line = meta.get("kind", (None, header_line))
     t0, dt = (_meta_float(meta, key, path, header_line) for key in ("t0", "dt"))
-    if kind == "phase":
-        text, line = meta.get("segments", ("", header_line))
-        segments = []
-        for token in text.split(",") if text else ():
-            a, _, b = token.partition(":")
-            try:
-                segments.append((int(a), int(b)))
-            except ValueError:
-                raise TraceParseError(f"{path}: bad segment token {token!r}", line=line) from None
-        return PhaseTrace(t0=t0, dt=dt, samples=Adopted(samples), segments=tuple(segments))
-    if kind == "intensity":
+    if kind not in _KINDS:
+        raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=kind_line)
+    if expect not in (None, _KINDS[kind]):
+        raise TraceParseError(f"{path}: expected a {expect.__name__}, got kind {kind!r}",
+                              line=kind_line)
+    with _located(path, meta, header_line, blanks):
+        if kind == "phase":
+            text, line = meta.get("segments", ("", header_line))
+            segments = []
+            for token in text.split(",") if text else ():
+                a, _, b = token.partition(":")
+                try:
+                    segments.append((int(a), int(b)))
+                except ValueError:
+                    raise TraceParseError(f"{path}: bad segment token {token!r}",
+                                          line=line) from None
+            return PhaseTrace(t0=t0, dt=dt, samples=Adopted(samples), segments=tuple(segments))
         i_max, i_min = (_meta_float(meta, key, path, header_line) for key in ("i_max", "i_min"))
-        return IntensityTrace(t0=t0, dt=dt, samples=Adopted(samples), i_max=i_max,
-                              i_min=i_min)
-    raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=kind_line)
+        return IntensityTrace(t0=t0, dt=dt, samples=Adopted(samples), i_max=i_max, i_min=i_min)
 
 
 def write_fringe_scan(path: str, scan: FringeScan) -> None:
@@ -367,12 +397,13 @@ def write_fringe_scan(path: str, scan: FringeScan) -> None:
 
 def read_fringe_scan(path: str, *, digest=None) -> FringeScan:
     """Read a fringe scan CSV v1 file; `digest` as in `read_trace`."""
-    meta, (phase, area), header_line = _read_table(path, _FRINGE, digest=digest)
+    meta, (phase, area), header_line, blanks = _read_table(path, _FRINGE, digest=digest)
     if phase.size < 4:
         raise TraceParseError(f"{path}: a fringe scan needs >= 4 rows", line=header_line)
     noise = _meta_float(meta, "detector_noise", path, header_line)
-    return FringeScan(phase, area, detector_noise=noise,
-                      i0=_meta_float(meta, "i0", path, header_line))
+    i0 = _meta_float(meta, "i0", path, header_line)
+    with _located(path, meta, header_line, blanks):
+        return FringeScan(phase, area, detector_noise=noise, i0=i0)
 
 
 def write_dphi_curve(path: str, stats: PhaseStats) -> None:
@@ -384,11 +415,13 @@ def write_dphi_curve(path: str, stats: PhaseStats) -> None:
 def read_dphi_curve(path: str, *, digest=None) -> PhaseStats:
     """Read a curve file back as PhaseStats (without signed moments);
     `digest` as in `read_trace`."""
-    meta, (taus, dphi, sigma, counts), header_line = _read_table(path, _DPHI, digest=digest)
+    meta, (taus, dphi, sigma, counts), header_line, blanks = _read_table(path, _DPHI,
+                                                                         digest=digest)
     if not taus.size:
         raise TraceParseError(f"{path}: empty curve", line=header_line)
     dt = _meta_float(meta, "dt", path, header_line)
-    return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)
+    with _located(path, meta, header_line, blanks):
+        return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)
 
 
 def write_histogram(path: str, hist: GaussianHistogram) -> None:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Adopted, DomainError, check_finite, check_scalar, fields_equal, frozen
+from .errors import (
+    Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen,
+)
 from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma
 
 __all__ = [
@@ -60,8 +62,8 @@ class FringeScan:
         for name, values in (("applied_phase", phase), ("pulse_area", area)):
             check_finite(name, values)
         tol = _AREA_NEGATIVE_TOL * (abs(self.i0) + abs(self.detector_noise)) + 1e-12
-        if np.any(area - self.detector_noise < -tol):
-            raise DomainError("pulse_area is negative after detector-noise subtraction")
+        check_all("pulse_area", area - self.detector_noise >= -tol,
+                  "pulse_area is negative after detector-noise subtraction")
 
     __eq__ = fields_equal
 
@@ -85,15 +87,18 @@ class IntensityTrace(SampledTrace):
         super().__post_init__()
         if not (self.i_max > self.i_min):
             raise DomainError(
-                f"i_max must exceed i_min, got i_max={self.i_max}, i_min={self.i_min}"
+                f"i_max must exceed i_min, got i_max={self.i_max}, i_min={self.i_min}", "i_max"
             )
         check_scalar("i_max", self.i_max)
         check_scalar("i_min", self.i_min)
         check_finite("samples", self.samples)
         if self.samples.size:
             eps = _INTENSITY_BOUND_TOL * (self.i_max - self.i_min)
-            if self.samples.min() < self.i_min - eps or self.samples.max() > self.i_max + eps:
-                raise DomainError("intensity samples fall outside [i_min, i_max]")
+            lo, hi = self.i_min - eps, self.i_max + eps
+            if self.samples.min() < lo or self.samples.max() > hi:
+                i = int(np.argmax((self.samples < lo) | (self.samples > hi)))
+                raise DomainError(f"samples[{i}] falls outside [i_min, i_max]: "
+                                  f"{self.samples[i]}", "samples", i)
 
 
 def simulate_fringe_scan(

@@ -220,14 +220,15 @@ class PhaseTrace(SampledTrace):
         prev_stop = 0
         for a, b in self.segments:
             if not (0 <= a < b <= n):
-                raise DomainError(f"segment ({a}, {b}) out of bounds for {n} samples")
+                raise DomainError(f"segment ({a}, {b}) out of bounds for {n} samples", "segments")
             if a < prev_stop:
-                raise DomainError("segments must be sorted and disjoint")
+                raise DomainError("segments must be sorted and disjoint", "segments")
             prev_stop = b
             finite = np.isfinite(self.samples[a:b])  # one segment's mask at a time
             if not finite.all():
                 i = a + int(np.argmin(finite))
-                raise DomainError(f"sample {i} inside a segment is not finite: {self.samples[i]}")
+                raise DomainError(f"sample {i} inside a segment is not finite: {self.samples[i]}",
+                                  "samples", i)
 
 
 def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:

@@ -6,17 +6,22 @@ trace flags it read-only and keeps it without a copy.
 """
 
 import dataclasses
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fiberphase import (
+    DomainError,
     FringeScan,
     GaussianHistogram,
     IntensityTrace,
+    NoiseParams,
     PhaseStats,
     PhaseTrace,
+    analysis,
     extract_phase,
     preset_params,
     read_trace,
@@ -114,6 +119,64 @@ class TestAdoptedBuffers:
         assert not np.shares_memory(read.samples, mz.samples)
 
 
+def busy_mz():
+    """An intensity trace whose phase has many segments and one-sample runs."""
+    proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5, length_km=36.5)
+    return simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4)
+
+
+class TestAdoptedTrace:
+    """extract_phase(Adopted(trace)) consumes the trace: the phase is
+    computed in its samples buffer, bit for bit as from a copy."""
+
+    @staticmethod
+    def extracted(trace, caplog):
+        """The phase's samples as int64 bits, its segments and the DEBUG record."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fiberphase.analysis"):
+            phase = extract_phase(trace)
+        return (phase.samples.view(np.int64).tolist(), phase.segments,
+                [r.getMessage() for r in caplog.records])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096, analysis._EDGE_CHUNK])
+    @pytest.mark.parametrize("source", ["simulated", "csv"])
+    def test_same_as_the_copy(self, tmp_path, caplog, chunk, source):
+        make = busy_mz
+        if source == "csv":
+            path = str(tmp_path / "mz.csv")
+            write_trace(path, busy_mz())
+            make = lambda: read_trace(path)  # noqa: E731
+        with mock.patch.object(analysis, "_EDGE_CHUNK", chunk):
+            copied = self.extracted(make(), caplog)
+            adopted = self.extracted(Adopted(make()), caplog)
+        assert len(copied[1]) > 50 and "one-sample runs" in copied[2][0]
+        assert adopted == copied
+
+    def test_buffer_becomes_the_phase(self):
+        mz = busy_mz()
+        buffer = mz.samples
+        phase = extract_phase(Adopted(mz))
+        assert phase.samples is buffer
+        assert not phase.samples.flags.writeable
+
+    def test_plain_call_leaves_the_trace(self):
+        mz = busy_mz()
+        before = mz.samples.tobytes()
+        phase = extract_phase(mz)
+        assert mz.samples.tobytes() == before
+        assert not mz.samples.flags.writeable
+        assert not np.shares_memory(phase.samples, mz.samples)
+
+    @pytest.mark.parametrize("make", [
+        lambda: PhaseTrace(t0=0.0, dt=1e-6, samples=np.linspace(0.0, 1.0, 8)),
+        lambda: np.linspace(0.0, 1.0, 8),
+        lambda: FringeScan(np.linspace(0.0, 6.0, 8), np.linspace(0.2, 1.0, 8)),
+    ], ids=["phase_trace", "array", "fringe_scan"])
+    def test_only_an_intensity_trace_can_be_handed_over(self, make):
+        with pytest.raises(DomainError, match="only an IntensityTrace"):
+            extract_phase(Adopted(make()))
+
+
 class TestTraceMemory:
     """A trace the library builds holds one float64 buffer of its samples
     and needs at most one more of scratch while it is built.
@@ -150,3 +213,10 @@ class TestTraceMemory:
         # The phase overwrites its one float64 buffer, and the run edges are
         # found one chunk at a time: whole-trace masks peaked at 11.0 B/sample.
         assert traced_peak(extract_phase, mz) <= 8 * mz.n_samples + 512 * 1024
+
+    def test_extract_phase_adopted(self, traced_peak):
+        # A handed-over trace's buffer becomes the phase: only the run edges'
+        # chunk scratch is allocated.
+        mz = simulate_mz_trace(preset_params("night"), self.DURATION, self.DT,
+                               phi0=math.pi / 2, seed=1)
+        assert traced_peak(extract_phase, Adopted(mz)) <= 512 * 1024

@@ -95,39 +95,41 @@ NON_FINITE_VALUES = [
 ]
 
 # Input files that every analyze command must reject with exit 1: (file
-# bytes, command reading {f}, text the error must contain).
+# bytes, command reading {f}, start of the error message, in which {f} stands
+# for the file).
 MALFORMED_INPUTS = [
     (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n# segments: 0:2\n"
      b"time_s,value\n0.0,0.1\n1e-06,0.\xff2\n",
      "analyze dphi --in {f} --tau-max-us 1 --out {d}/c.csv", "line 8: "),
     (b"# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
      b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0,0.7\nnan,0.3\n3.0,0.1\n4.0,0.4\n",
-     "analyze fringe --in {f}", "applied_phase[2] is not finite"),
+     "analyze fringe --in {f}", "line 7: {f}: applied_phase[2] is not finite"),
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\nnan,0.2,0.25,8\n",
-     "analyze tau-threshold --in {f} --dphi 0.1", "taus[1] is not finite"),
+     "analyze tau-threshold --in {f} --dphi 0.1", "line 5: {f}: taus[1] is not finite"),
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,nan\n",
      "analyze tau-threshold --in {f} --dphi 0.1", "line 5: "),
     (b"# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n# i_max: 1.0\n"
      b"# i_min: 0.0\ntime_s,value\n0.0,0.5\n1e-06,0.6\n2e-06,nan\n3e-06,0.4\n",
-     "analyze phase --in {f} --out {d}/c.csv", "samples[2] is not finite: nan"),
+     "analyze phase --in {f} --out {d}/c.csv", "line 10: {f}: samples[2] is not finite: nan"),
     (b"# fiberphase-trace v1\n# kind: phase\n# t0: nan\n# dt: 1e-06\n# segments: 0:3\n"
      b"time_s,value\n0.0,0.1\n1e-06,0.2\n2e-06,0.3\n",
-     "analyze dphi --in {f} --tau-max-us 1 --out {d}/c.csv", "t0 must be finite"),
+     "analyze dphi --in {f} --tau-max-us 1 --out {d}/c.csv", "line 3: {f}: t0 must be finite"),
     (b"# fiberphase-fringe v1\n# i0: nan\n# detector_noise: 0.0\n"
      b"applied_phase_rad,pulse_area\n0.0,1.0\n1.0,0.7\n2.0,0.3\n3.0,0.1\n4.0,0.4\n",
-     "analyze fringe --in {f}", "i0 must be > 0, got nan"),
+     "analyze fringe --in {f}", "line 2: {f}: i0 must be > 0, got nan"),
     (b"# fiberphase-dphi v1\n# dt: inf\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,0.2,0.25,8\n",
-     "analyze tau-threshold --in {f} --dphi 0.1", "dt must be finite, got inf"),
+     "analyze tau-threshold --in {f} --dphi 0.1", "line 2: {f}: dt must be finite, got inf"),
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,nan,0.25,8\n3e-06,0.1,0.12,7\n4e-06,0.2,0.2,6\n",
      "analyze exponent --in {f} --tau-min-us 1 --tau-max-us 4",
-     "mean_abs_change[1] is not finite: nan"),
+     "line 5: {f}: mean_abs_change[1] is not finite: nan"),
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"1e-06,0.05,0.06,9\n2e-06,inf,0.25,8\n3e-06,0.1,0.12,7\n4e-06,0.2,0.2,6\n",
-     "analyze tau-threshold --in {f} --dphi 0.08", "mean_abs_change[1] is not finite: inf"),
+     "analyze tau-threshold --in {f} --dphi 0.08",
+     "line 5: {f}: mean_abs_change[1] is not finite: inf"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -249,7 +251,7 @@ class TestValidationExitCodes:
         path.write_bytes(data)
         assert main(template.format(f=path, d=tmp_path).split()) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: " + fragment)
+        assert err.startswith("error: " + fragment.format(f=path))
         assert not (tmp_path / "c.csv").exists()
 
     def test_wrong_trace_kind_names_no_flag(self, capsys, tmp_path):
@@ -260,7 +262,8 @@ class TestValidationExitCodes:
         capsys.readouterr()
         code = main(f"analyze dphi --in {mz} --tau-max-us 100 --out {tmp_path/'c.csv'}".split())
         assert code == 1
-        assert capsys.readouterr().err == f"error: {mz} is not a phase trace\n"
+        assert capsys.readouterr().err == (
+            f"error: line 2: {mz}: expected a PhaseTrace, got kind 'intensity'\n")
 
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(f"analyze fringe --in {tmp_path/'missing.csv'}".split())
@@ -524,7 +527,9 @@ class TestFullPipeline:
         assert d == pytest.approx(5.651106941963487e-4, rel=1e-9)
 
     def test_analyze_phase_frees_the_intensity_before_the_write(self, tmp_path, monkeypatch):
-        # Otherwise the write's block scratch comes on top of both traces.
+        # The intensity trace is handed over to extract_phase, whose phase
+        # takes its buffer, and no name keeps the trace: nothing of it is
+        # alive while the phase is written.
         mz, phase = tmp_path / "mz.csv", tmp_path / "phase.csv"
         assert main(f"simulate mz --night --duration-ms 1 --dt-us 1 --out {mz}".split()) == 0
         read, write, refs, alive = fileio.read_trace, fileio.write_trace, [], []
@@ -542,6 +547,23 @@ class TestFullPipeline:
         monkeypatch.setattr(fileio, "write_trace", write_trace)
         assert main(f"analyze phase --in {mz} --out {phase}".split()) == 0
         assert alive == [[False]]
+
+    def test_analyze_phase_holds_one_trace_buffer(self, tmp_path, traced_peak):
+        # 8 B per sample from read to write, plus the write's block scratch:
+        # 4 * _BLOCK bytes of padded cells and the cell kernel's temporaries,
+        # 14.2 * _BLOCK at 2^20 samples.  Copying the intensity for the phase
+        # peaked at 16.4 B per sample.
+        from fiberphase import preset_params, simulate_mz_trace
+
+        n = 1 << 20
+        mz, phase = str(tmp_path / "mz.csv"), str(tmp_path / "phase.csv")
+        trace = simulate_mz_trace(preset_params("night"), (n - 1) * 1e-6, 1e-6,
+                                  phi0=np.pi / 2, seed=1)
+        assert trace.n_samples == n
+        fileio.write_trace(mz, trace)
+        del trace
+        peak = traced_peak(main, f"analyze phase --in {mz} --out {phase}".split())
+        assert peak <= 8 * n + 16 * fileio._BLOCK
 
     def test_file_analyze_phase_matches_in_memory(self, tmp_path):
         # running analyze phase on a written MZ trace reproduces the

@@ -114,6 +114,11 @@ class TestTraceRoundTrip:
         assert first == "# fiberphase-trace v1"
 
 
+PHASE_HEAD = "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
+INTENSITY_HEAD = ("# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+                  "# i_max: 1.0\n# i_min: 0.0\n")
+
+
 class TestTraceParseErrors:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -183,6 +188,56 @@ class TestTraceParseErrors:
         assert read_outcome(reader, str(path)) == (
             TraceParseError, line, f"line {line}: {path}: {problem}")
 
+    @pytest.mark.parametrize("reader,text,line,problem", [
+        (read_trace, PHASE_HEAD + "# segments: 0:3\ntime_s,value\n0.0,0.1\n1e-06,nan\n"
+         "2e-06,0.3\n", 8, "sample 1 inside a segment is not finite: nan"),
+        (read_trace, PHASE_HEAD + "# segments: 0:9\ntime_s,value\n0.0,0.1\n1e-06,0.2\n"
+         "2e-06,0.3\n", 5, "segment (0, 9) out of bounds for 3 samples"),
+        (read_trace, PHASE_HEAD + "# segments: 0:2,1:3\ntime_s,value\n0.0,0.1\n1e-06,0.2\n"
+         "2e-06,0.3\n", 5, "segments must be sorted and disjoint"),
+        (read_trace, INTENSITY_HEAD + "time_s,value\n0.0,0.5\n1e-06,1.5\n2e-06,-0.5\n", 9,
+         "samples[1] falls outside [i_min, i_max]: 1.5"),
+        (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+         "# i_max: 0.0\n# i_min: 1.0\ntime_s,value\n0.0,0.5\n", 5,
+         "i_max must exceed i_min, got i_max=0.0, i_min=1.0"),
+        (read_trace, "# fiberphase-trace v1\n# kind: phase\n# dt: -1e-06\n# t0: 0.0\n"
+         "time_s,value\n0.0,0.1\n", 3, "dt must be > 0, got -1e-06"),
+        (read_dphi_curve, "# fiberphase-dphi v1\n# dt: 1e-06\n"
+         "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.05,0.06,9\n1e-06,0.2,0.25,8\n", 5,
+         "lags must be strictly increasing"),
+        (read_dphi_curve, "# fiberphase-dphi v1\n# dt: 1e-06\n"
+         "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.05,0.06,9\n2e-06,0.2,-0.25,8\n", 5,
+         "sigma_per_tau must be finite and >= 0 (NaN below two increments)"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+         "applied_phase_rad,pulse_area\n0.0,1.0\n1.0,-0.5\n2.0,0.3\n3.0,0.1\n", 6,
+         "pulse_area is negative after detector-noise subtraction"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# detector_noise: inf\n# i0: 1.0\n"
+         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 2,
+         "detector_noise must be finite, got inf"),
+    ], ids=["nan_in_segment", "segment_out_of_bounds", "segments_overlap", "out_of_range",
+            "i_max_below_i_min", "negative_dt", "repeated_lag", "negative_sigma",
+            "negative_area", "inf_detector_noise"])
+    def test_value_error_names_its_line(self, tmp_path, reader, text, line, problem):
+        # a bad row value names its row; a bad metadata value, its key's line
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(reader, str(path)) == (
+            TraceParseError, line, f"line {line}: {path}: {problem}")
+
+    @pytest.mark.parametrize("block", [1, 7, 40, fileio._BLOCK])
+    @pytest.mark.parametrize("rows,line", [
+        ("\n0.0,0.1\n\n\n1e-06,nan\n\n2e-06,0.3\n", 11),
+        ("0.0,0.1\r\n\r\n1e-06,nan\r\n2e-06,0.3\r\n", 9),
+        ("0.0,0.1\n1e-06,nan\n\n\n2e-06,0.3\n\n", 8),
+    ], ids=["blanks_before", "crlf_blank", "blanks_after"])
+    def test_blank_lines_do_not_shift_the_row(self, tmp_path, block, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((PHASE_HEAD + "# segments: 0:3\ntime_s,value\n" + rows).encode())
+        with mock.patch.object(fileio, "_BLOCK", block):
+            assert read_outcome(read_trace, str(path)) == (
+                TraceParseError, line,
+                f"line {line}: {path}: sample 1 inside a segment is not finite: nan")
+
     def test_nan_inside_segment(self, tmp_path):
         path = tmp_path / "bad.csv"
         values = ["0.1", "0.2", "nan", "0.4", "0.5"]
@@ -191,8 +246,8 @@ class TestTraceParseErrors:
             "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
             "# segments: 0:5\ntime_s,value\n" + rows
         )
-        with pytest.raises(DomainError, match="sample 2 "):
-            read_trace(str(path))
+        assert read_outcome(read_trace, str(path)) == (
+            TraceParseError, 9, f"line 9: {path}: sample 2 inside a segment is not finite: nan")
 
     def test_nan_intensity_sample(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -202,8 +257,8 @@ class TestTraceParseErrors:
             "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
             "# i_max: 1.0\n# i_min: 0.0\ntime_s,value\n" + rows
         )
-        with pytest.raises(DomainError, match=r"samples\[3\] is not finite: nan"):
-            read_trace(str(path))
+        assert read_outcome(read_trace, str(path)) == (
+            TraceParseError, 11, f"line 11: {path}: samples[3] is not finite: nan")
 
 
 class TestFringeScanRoundTrip:
@@ -1067,9 +1122,9 @@ class TestCellKernel:
         path = str(tmp_path_factory.mktemp("kernel") / "t.csv")
         fileio._write_table(path, fileio._FRINGE, {}, columns)
         with mock.patch.object(fileio, "_BLOCK", block):
-            _, got, _ = fileio._read_table(path, fileio._FRINGE)
+            _, got, *_ = fileio._read_table(path, fileio._FRINGE)
             with mock.patch.object(decimals, "parse", lambda *args: None):
-                _, want, _ = fileio._read_table(path, fileio._FRINGE)
+                _, want, *_ = fileio._read_table(path, fileio._FRINGE)
         assert [c.view(np.int64).tolist() for c in got] == [
             c.view(np.int64).tolist() for c in want]
         assert all(np.array_equal(g, c, equal_nan=True) for g, c in zip(got, columns))
