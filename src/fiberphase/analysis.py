@@ -116,7 +116,7 @@ class PhaseStats:
             if value is not None:
                 value = frozen(value, int if name == "n_increments" else float)
                 if value.shape != np.shape(self.taus):
-                    raise DomainError(f"{name} must hold one value per lag")
+                    raise DomainError(f"{name} must hold one value per lag", name)
                 object.__setattr__(self, name, value)
         check_finite("taus", self.taus)
         check_all("taus", np.diff(self.taus, prepend=-np.inf) > 0,
@@ -134,7 +134,7 @@ class PhaseStats:
         """Index of the stored lag matching `tau` (within half a sample)."""
         idx = int(np.argmin(np.abs(self.taus - tau)))
         if abs(self.taus[idx] - tau) > 0.5 * self.dt:
-            raise DomainError(f"no stored lag near tau={tau:g} s")
+            raise DomainError(f"no stored lag near tau={tau:g} s", "tau")
         return idx
 
 
@@ -238,7 +238,7 @@ def extract_phase(
     """
     lo, hi = band
     if not (0 < lo < hi < 1):
-        raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
+        raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})", "band")
     if isinstance(trace, Adopted):
         trace = trace.array
         if not isinstance(trace, IntensityTrace):
@@ -292,7 +292,8 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     """Lags (s) from dt up to tau_max: every sample step, geometrically
     thinned once there would be more than `max_lags` of them."""
     if not (dt > 0) or not (tau_max >= dt):
-        raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}")
+        raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}",
+                          "tau_max", "dt")
     k_max = int(math.floor(tau_max / dt + 1e-9))
     if k_max <= max_lags:
         ks = np.arange(1, k_max + 1)
@@ -359,9 +360,9 @@ def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
-        raise DomainError("at least one lag is required")
+        raise DomainError("at least one lag is required", "taus")
     if np.any(np.diff(taus) <= 0):
-        raise DomainError("lags must be strictly increasing")
+        raise DomainError("lags must be strictly increasing", "taus")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
     counts = _pair_counts(phase, steps)
     if not counts.all():
@@ -386,7 +387,7 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
         raise DomainError("nothing to pool")
     dt = stats_list[0].dt
     if any(s.dt != dt for s in stats_list):
-        raise DomainError("pooled statistics must share the same sample interval")
+        raise DomainError("pooled statistics must share the same sample interval", "dt")
     if any(s.m2 is None for s in stats_list):
         raise DomainError("cannot pool a curve without signed moments (read from a file?)")
     steps = [np.rint(s.taus / dt).astype(int) for s in stats_list]
@@ -478,8 +479,7 @@ def tau_threshold(stats: PhaseStats, target: float) -> float:
     Raises ThresholdNotReachedError, carrying the maximum observed value,
     when the curve never gets there.
     """
-    if not (target > 0):
-        raise DomainError(f"target must be > 0, got {target}")
+    check_scalar("target", target, positive=True)
     curve = stats.mean_abs_change
     above = np.flatnonzero(curve >= target)
     if above.size == 0:
@@ -496,15 +496,14 @@ def fit_scaling_exponent(stats: PhaseStats, tau_range: tuple[float, float]) -> f
     """Slope of log dphi vs log tau over lags inside `tau_range`."""
     lo, hi = tau_range
     if not (0 < lo < hi):
-        raise DomainError(f"need 0 < tau_min < tau_max, got ({lo}, {hi})")
+        raise DomainError(f"need 0 < tau_min < tau_max, got ({lo}, {hi})", "tau_min", "tau_max")
     curve = stats.mean_abs_change
     mask = (stats.taus >= lo) & (stats.taus <= hi)
     if mask.sum() < 3:
-        raise DomainError(
-            f"need >= 3 lags in [{lo:g}, {hi:g}] s, have {int(mask.sum())}"
-        )
+        raise DomainError(f"need >= 3 lags in [{lo:g}, {hi:g}] s, have {int(mask.sum())}",
+                          "tau_min", "tau_max")
     if np.any(curve[mask] <= 0):
-        raise DomainError("dphi must be positive over the fit range")
+        raise DomainError("dphi must be positive over the fit range", "mean_abs_change")
     slope, _ = np.polyfit(np.log(stats.taus[mask]), np.log(curve[mask]), 1)
     return float(slope)
 
@@ -520,12 +519,11 @@ def estimate_diffusion(
     Give exactly one of `visibility` (converted through the gaussian
     washout V = exp(-sigma^2/2), i.e. D = -2 ln(V) / L) or `sigma`.
     """
-    if not (length_km > 0):
-        raise DomainError(f"length_km must be > 0, got {length_km}")
+    check_scalar("length_km", length_km, positive=True)
     if (visibility is None) == (sigma is None):
-        raise DomainError("give exactly one of visibility= or sigma=")
+        raise DomainError("give exactly one of visibility= or sigma=", "visibility", "sigma")
     if visibility is not None:
         sigma = sigma_from_visibility(visibility)
     if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
     return sigma * sigma / length_km

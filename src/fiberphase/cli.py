@@ -12,11 +12,11 @@ Subcommands::
     repeater budget|fidelity
 
 Exit codes: 0 on success; 1 on an invalid value or file, with the flag or
-file named; 2 on a usage error.  A library message, in SI units, gets its
-flags in front (``--points: n_points must be >= 4, got 3``).  Non-finite
-values are rejected, and paired flags (--histogram-tau-us/--histogram-out,
---diffusion/--link-km) must be given together.  Set FIBERPHASE_OUT_DIR to
-redirect relative output paths.
+file named; 2 on a usage error.  A library message, in SI units, gets the
+flags of its fields in front (``--points: n_points must be >= 4, got 3``).
+Non-finite values are rejected, and paired flags
+(--histogram-tau-us/--histogram-out, --diffusion/--link-km) must be given
+together.  Set FIBERPHASE_OUT_DIR to redirect relative output paths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import dataclasses
 import hashlib
 import math
 import os
-import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -94,12 +93,15 @@ class _Flag:
 
     `key` is a params key, ``process.<key>`` (the noise-process block),
     ``inputs.<role>``, ``outputs.<role>`` or ``seed``; its last part less an
-    ``_s``/``_rad`` unit is the parameter, the name library errors give the
-    value.  `type` is float, int, str, bool (a switch) or list (comma-separated
-    floats).  `check` is a (predicate, wording) pair on the value as given, for
-    a rule the library checks late, under another name or not at all; `scale`
-    then takes it to SI.  `needs` names the flag without which this one has no
-    effect.
+    ``_s``/``_rad`` unit is the parameter.  A library check names the fields
+    it rejects (`DomainError.fields`), and the flags of those fields go in
+    front of its message; an error whose fields no flag carries stays bare,
+    as ``no stored lag near tau=...`` (field ``tau``) does for a
+    --histogram-tau-us off the curve's grid.  `type` is float, int, str, bool
+    (a switch) or list (comma-separated floats).  `check` is a (predicate,
+    wording) pair on the value as given, for a rule the library checks late,
+    under another name or not at all; `scale` then takes it to SI.  `needs`
+    names the flag without which this one has no effect.
     """
 
     name: str
@@ -245,14 +247,12 @@ def _process_block(values: dict) -> dict:
 @contextlib.contextmanager
 def _naming(entries):
     """Prefix a library DomainError with the flags whose parameter (see _Flag)
-    is a word of its message; paths name none, so a file error stays bare."""
+    is one of its fields; an error with no such field stays bare."""
     try:
         yield
     except DomainError as exc:
-        words = set(re.findall(r"\w+", str(exc)))
-        names = [flag.name for flag in _flags(entries)
-                 if flag.key.partition(".")[0] not in ("inputs", "outputs")
-                 and re.sub(r"_(s|rad)$", "", flag.key.rpartition(".")[2]) in words]
+        names = [flag.name for flag in _flags(entries) if flag.key.rpartition(".")[2]
+                 .removesuffix("_s").removesuffix("_rad") in exc.fields]
         if not names:
             raise
         raise DomainError(f"{'/'.join(names)}: {exc}") from exc

@@ -15,14 +15,15 @@ class FiberPhaseError(Exception):
 class DomainError(FiberPhaseError, ValueError):
     """An input value violates a documented precondition or invariant.
 
-    A value object's check names its offending `field` and, for an array,
-    the `index` of its first offending entry, so that a reader can name the
-    line of the file the value came from.
+    A library check names the `fields` of the values it rejects, both of a
+    rule on two values, and, for an array, the `index` of its first offending
+    entry.  They are the one channel to the value's source: the CLI names the
+    flags of those fields, and a file reader the line of the first one.
     """
 
-    def __init__(self, message: str, field: str | None = None, index: int | None = None):
+    def __init__(self, message: str, *fields: str, index: int | None = None):
         super().__init__(message)
-        self.field, self.index = field, index
+        self.fields, self.index = fields, index
 
 
 class ResourceLimitError(FiberPhaseError, RuntimeError):
@@ -82,13 +83,14 @@ def check_finite(name: str, values: np.ndarray) -> None:
     """Raise DomainError naming the first non-finite entry of `values`."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}", name, int(bad[0]))
+        raise DomainError(f"{name}[{bad[0]}] is not finite: {values[bad[0]]}", name,
+                          index=int(bad[0]))
 
 
 def check_all(name: str, ok: np.ndarray, message: str) -> None:
     """Raise DomainError(message) naming the first entry of `name` where `ok` is False."""
     if not ok.all():
-        raise DomainError(message, name, int(np.argmin(ok)))
+        raise DomainError(message, name, index=int(np.argmin(ok)))
 
 
 class Adopted(NamedTuple):

@@ -57,8 +57,9 @@ _log = logging.getLogger(__name__)
 
 # A table read holds its kept columns once, plus a block of _BLOCK bytes of
 # rows and the kernel's temporaries, about 6 times as large.  A write renders
-# 4 * _BLOCK bytes of NUL-padded cells (about 1.5 * _BLOCK characters) at a
-# time.
+# blocks of 4 * _BLOCK bytes of NUL-padded cells (about 1.5 * _BLOCK
+# characters); with the temporaries of `decimals.render`, most of it, a write
+# peaks at about 14 * _BLOCK (3.7 MB traced for a 2^20-sample trace).
 _BLOCK = 1 << 18
 _BYTES = 1 << 16  # bytes per block of a pass over a file's raw bytes
 # The lone surrogates that stand for bytes that are not UTF-8 (PEP 383).
@@ -340,12 +341,12 @@ def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
 def _located(path: str, meta: dict, header_line: int, blanks: list):
     """Turn a value object's DomainError into a TraceParseError at the line
     its value came from: that of the offending row, or of the metadata key of
-    its field, else the column header."""
+    its first field, else the column header."""
     try:
         yield
     except DomainError as exc:
         if exc.index is None:
-            line = meta.get(exc.field, (None, header_line))[1]
+            line = meta.get(exc.fields[0] if exc.fields else None, (None, header_line))[1]
         else:
             line = header_line + 1 + exc.index
             for blank in blanks:  # each blank line at or before the row moves it down

@@ -53,12 +53,11 @@ class FringeScan:
         object.__setattr__(self, "applied_phase", phase)
         object.__setattr__(self, "pulse_area", area)
         if phase.size != area.size:
-            raise DomainError(
-                f"applied_phase and pulse_area lengths differ: "
-                f"{phase.size} vs {area.size}"
-            )
+            raise DomainError(f"applied_phase and pulse_area lengths differ: "
+                              f"{phase.size} vs {area.size}", "applied_phase", "pulse_area")
         if phase.size < 4:
-            raise DomainError(f"a fringe scan needs >= 4 points, got {phase.size}")
+            raise DomainError(f"a fringe scan needs >= 4 points, got {phase.size}",
+                              "applied_phase")
         for name, values in (("applied_phase", phase), ("pulse_area", area)):
             check_finite(name, values)
         tol = _AREA_NEGATIVE_TOL * (abs(self.i0) + abs(self.detector_noise)) + 1e-12
@@ -86,9 +85,8 @@ class IntensityTrace(SampledTrace):
     def __post_init__(self):
         super().__post_init__()
         if not (self.i_max > self.i_min):
-            raise DomainError(
-                f"i_max must exceed i_min, got i_max={self.i_max}, i_min={self.i_min}", "i_max"
-            )
+            raise DomainError(f"i_max must exceed i_min, got i_max={self.i_max}, "
+                              f"i_min={self.i_min}", "i_max", "i_min")
         check_scalar("i_max", self.i_max)
         check_scalar("i_min", self.i_min)
         check_finite("samples", self.samples)
@@ -98,7 +96,7 @@ class IntensityTrace(SampledTrace):
             if self.samples.min() < lo or self.samples.max() > hi:
                 i = int(np.argmax((self.samples < lo) | (self.samples > hi)))
                 raise DomainError(f"samples[{i}] falls outside [i_min, i_max]: "
-                                  f"{self.samples[i]}", "samples", i)
+                                  f"{self.samples[i]}", "samples", index=i)
 
 
 def simulate_fringe_scan(
@@ -118,9 +116,10 @@ def simulate_fringe_scan(
     deterministic substreams of `seed`.
     """
     if n_points < 4:
-        raise DomainError(f"n_points must be >= 4, got {n_points}")
+        raise DomainError(f"n_points must be >= 4, got {n_points}", "n_points")
     if pulses_per_point < 1:
-        raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}")
+        raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}",
+                          "pulses_per_point")
     check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
@@ -166,7 +165,8 @@ def simulate_mz_trace(
     per seed.
     """
     if not (i_max > i_min):
-        raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}")
+        raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}",
+                          "i_max", "i_min")
     phase = process.sample_trace(duration, dt, seed)
     # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the phase's
     # own buffer: the phase trace is dropped here, so no one else sees it.

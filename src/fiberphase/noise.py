@@ -67,9 +67,9 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
     36.5 km at n = 1.5 gives 182.5 us.
     """
     if length_km < 0:
-        raise DomainError(f"length_km must be >= 0, got {length_km}")
+        raise DomainError(f"length_km must be >= 0, got {length_km}", "length_km")
     if group_index <= 1:
-        raise DomainError(f"group_index must be > 1, got {group_index}")
+        raise DomainError(f"group_index must be > 1, got {group_index}", "group_index")
     return length_km * group_index / SPEED_OF_LIGHT_KM_S
 
 
@@ -107,25 +107,22 @@ class NoiseParams:
 
     def __post_init__(self):
         if not (self.sigma_ref >= 0):
-            raise DomainError(f"sigma_ref must be >= 0, got {self.sigma_ref}")
-        if not (self.tau_ref > 0):
-            raise DomainError(f"tau_ref must be > 0, got {self.tau_ref}")
+            raise DomainError(f"sigma_ref must be >= 0, got {self.sigma_ref}", "sigma_ref")
+        check_scalar("tau_ref", self.tau_ref, positive=True)
         if not (0 < self.hurst < 1):
-            raise DomainError(f"hurst out of range (0, 1): got {self.hurst}")
+            raise DomainError(f"hurst out of range (0, 1): got {self.hurst}", "hurst")
         if not (self.group_index > 1):
-            raise DomainError(f"group_index must be > 1, got {self.group_index}")
-        if not math.isfinite(self.drift_rate):
-            raise DomainError(f"drift_rate must be finite, got {self.drift_rate}")
+            raise DomainError(f"group_index must be > 1, got {self.group_index}", "group_index")
+        check_scalar("drift_rate", self.drift_rate)
         if self.length_km is None:
             derived = self.tau_ref * SPEED_OF_LIGHT_KM_S / self.group_index
             object.__setattr__(self, "length_km", derived)
-        if not (self.length_km > 0):
-            raise DomainError(f"length_km must be > 0, got {self.length_km}")
+        check_scalar("length_km", self.length_km, positive=True)
 
     def sigma_at(self, tau: float) -> float:
         """Phase-increment standard deviation (rad) at time lag `tau`."""
         if tau < 0:
-            raise DomainError(f"tau must be >= 0, got {tau}")
+            raise DomainError(f"tau must be >= 0, got {tau}", "tau")
         if tau == 0:
             return 0.0
         return self.sigma_ref * (tau / self.tau_ref) ** self.hurst
@@ -138,10 +135,10 @@ class NoiseParams:
         t = duration when duration is a multiple of dt.  Identical
         (params, duration, dt, seed) give bit-identical output.
         """
-        if not (dt > 0):
-            raise DomainError(f"dt must be > 0, got {dt}")
+        check_scalar("dt", dt, positive=True)
         if not (duration >= dt):
-            raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}")
+            raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}",
+                              "duration", "dt")
         n_steps = int(math.floor(duration / dt + 1e-9))
 
         rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
@@ -228,7 +225,7 @@ class PhaseTrace(SampledTrace):
             if not finite.all():
                 i = a + int(np.argmin(finite))
                 raise DomainError(f"sample {i} inside a segment is not finite: {self.samples[i]}",
-                                  "samples", i)
+                                  "samples", index=i)
 
 
 def _fgn_autocov(hurst: float, max_lag: int) -> np.ndarray:
@@ -288,7 +285,7 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
 def build_process(params: NoiseParams) -> NoiseParams:
     """Check that `params` is a validated NoiseParams and return it."""
     if not isinstance(params, NoiseParams):
-        raise DomainError(f"expected NoiseParams, got {type(params).__name__}")
+        raise DomainError(f"expected NoiseParams, got {type(params).__name__}", "params")
     return params
 
 
@@ -304,14 +301,14 @@ def visibility_from_variance(variance: float) -> float:
 def variance_from_visibility(visibility: float) -> float:
     """Gaussian phase variance -2 ln(visibility) (rad^2), visibility in (0, 1]."""
     if not (0 < visibility <= 1):
-        raise DomainError(f"visibility must be in (0, 1], got {visibility}")
+        raise DomainError(f"visibility must be in (0, 1], got {visibility}", "visibility")
     return -2.0 * math.log(visibility)
 
 
 def visibility_from_sigma(sigma: float) -> float:
     """Fringe visibility left by gaussian phase noise of width `sigma`."""
     if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
     return visibility_from_variance(sigma * sigma)
 
 
@@ -330,8 +327,7 @@ def sagnac_effective_sigma(process: NoiseParams, loop_km: float) -> float:
     offset of half the loop travel time, so the loop is sensitive to
     sigma at that half-loop delay.
     """
-    if not (loop_km > 0):
-        raise DomainError(f"loop_km must be > 0, got {loop_km}")
+    check_scalar("loop_km", loop_km, positive=True)
     return process.sigma_at(travel_time(loop_km, process.group_index) / 2.0)
 
 
@@ -349,9 +345,8 @@ def from_sagnac_calibration(
     built on the result has effective variance D * loop_km exactly.
     """
     if diffusion < 0:
-        raise DomainError(f"diffusion coefficient must be >= 0, got {diffusion}")
-    if not (loop_km > 0):
-        raise DomainError(f"loop_km must be > 0, got {loop_km}")
+        raise DomainError(f"diffusion coefficient must be >= 0, got {diffusion}", "diffusion")
+    check_scalar("loop_km", loop_km, positive=True)
     return NoiseParams(
         sigma_ref=math.sqrt(diffusion * loop_km),
         tau_ref=travel_time(loop_km, group_index) / 2.0,

@@ -39,7 +39,7 @@ _ANCHORS = {
 def preset_params(name: str, hurst: float = 0.5) -> NoiseParams:
     """Noise parameters for the 'day' or 'night' urban-fiber calibration."""
     if name not in _ANCHORS:
-        raise DomainError(f"unknown preset {name!r}; choose 'day' or 'night'")
+        raise DomainError(f"unknown preset {name!r}; choose 'day' or 'night'", "name")
     return NoiseParams(
         sigma_ref=DPHI_TARGET / MEAN_ABS_FACTOR,
         tau_ref=_ANCHORS[name],

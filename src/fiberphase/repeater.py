@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_scalar
 from .noise import (
     MEAN_ABS_FACTOR,
     variance_from_visibility,
@@ -52,22 +52,22 @@ class RepeaterChain:
         lengths = tuple(float(x) for x in self.link_lengths)
         object.__setattr__(self, "link_lengths", lengths)
         if not lengths:
-            raise DomainError("a chain needs at least one link")
+            raise DomainError("a chain needs at least one link", "link_lengths")
         if any(not (x > 0) for x in lengths):
-            raise DomainError(f"link lengths must be > 0, got {lengths}")
+            raise DomainError(f"link lengths must be > 0, got {lengths}", "link_lengths")
         if self.link_sigmas is not None:
             sigmas = tuple(float(x) for x in self.link_sigmas)
             object.__setattr__(self, "link_sigmas", sigmas)
             if len(sigmas) != len(lengths):
-                raise DomainError(
-                    f"{len(sigmas)} sigmas for {len(lengths)} links"
-                )
+                raise DomainError(f"{len(sigmas)} sigmas for {len(lengths)} links",
+                                  "link_sigmas", "link_lengths")
             if any(x < 0 for x in sigmas):
-                raise DomainError(f"link sigmas must be >= 0, got {sigmas}")
+                raise DomainError(f"link sigmas must be >= 0, got {sigmas}", "link_sigmas")
         elif self.diffusion is None:
-            raise DomainError("give link_sigmas or a diffusion coefficient")
+            raise DomainError("give link_sigmas or a diffusion coefficient",
+                              "link_sigmas", "diffusion")
         if self.diffusion is not None and self.diffusion < 0:
-            raise DomainError(f"diffusion must be >= 0, got {self.diffusion}")
+            raise DomainError(f"diffusion must be >= 0, got {self.diffusion}", "diffusion")
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class BudgetReport:
 
     def __post_init__(self):
         if not (0.5 <= self.fidelity <= 1.0):
-            raise DomainError(f"fidelity must be in [0.5, 1], got {self.fidelity}")
+            raise DomainError(f"fidelity must be in [0.5, 1], got {self.fidelity}", "fidelity")
         if abs(self.visibility - (2.0 * self.fidelity - 1.0)) > 1e-12:
-            raise DomainError("visibility must equal 2*fidelity - 1")
+            raise DomainError("visibility must equal 2*fidelity - 1", "visibility", "fidelity")
 
 
 def fidelity_from_sigma(sigma: float) -> float:
@@ -100,9 +100,9 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     :func:`fidelity_from_sigma`.
     """
     if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
     if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}", "n_samples")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
     delta = sigma * rng.standard_normal(n_samples)
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
@@ -131,19 +131,16 @@ def budget_per_segment(
     is reported both as a gaussian width and as the matching mean absolute
     phase change sqrt(2/pi) * sigma.
     """
-    if not (total_km > 0):
-        raise DomainError(f"total_km must be > 0, got {total_km}")
+    check_scalar("total_km", total_km, positive=True)
     if n_links < 1:
-        raise DomainError(f"n_links must be >= 1, got {n_links}")
+        raise DomainError(f"n_links must be >= 1, got {n_links}", "n_links")
     if not (0.5 < target_fidelity < 1.0):
-        raise DomainError(
-            f"target_fidelity must be in (0.5, 1), got {target_fidelity}"
-        )
+        raise DomainError(f"target_fidelity must be in (0.5, 1), got {target_fidelity}",
+                          "target_fidelity")
     link_km = total_km / n_links
     if not (0 < segment_km <= link_km):
-        raise DomainError(
-            f"segment_km must be in (0, {link_km:g}] (one link), got {segment_km}"
-        )
+        raise DomainError(f"segment_km must be in (0, {link_km:g}] (one link), got {segment_km}",
+                          "segment_km")
     total_variance = variance_from_visibility(2.0 * target_fidelity - 1.0)
     link_variance = total_variance / n_links
     segment_variance = link_variance * (segment_km / link_km)
@@ -160,9 +157,8 @@ def budget_per_segment(
 def predict_visibility(diffusion: float, length_km: float) -> float:
     """Sagnac visibility predicted for a loop of `length_km` at diffusion D."""
     if diffusion < 0:
-        raise DomainError(f"diffusion must be >= 0, got {diffusion}")
-    if not (length_km > 0):
-        raise DomainError(f"length_km must be > 0, got {length_km}")
+        raise DomainError(f"diffusion must be >= 0, got {diffusion}", "diffusion")
+    check_scalar("length_km", length_km, positive=True)
     return visibility_from_variance(diffusion * length_km)
 
 
@@ -174,12 +170,12 @@ def fidelity_visibility_convert(value: float, direction: str) -> float:
     """
     if direction == "to_visibility":
         if not (0.5 <= value <= 1.0):
-            raise DomainError(f"fidelity must be in [0.5, 1], got {value}")
+            raise DomainError(f"fidelity must be in [0.5, 1], got {value}", "value")
         return 2.0 * value - 1.0
     if direction == "to_fidelity":
         if not (0.0 <= value <= 1.0):
-            raise DomainError(f"visibility must be in [0, 1], got {value}")
+            raise DomainError(f"visibility must be in [0, 1], got {value}", "value")
         return 0.5 * (1.0 + value)
     raise DomainError(
-        f"direction must be 'to_visibility' or 'to_fidelity', got {direction!r}"
+        f"direction must be 'to_visibility' or 'to_fidelity', got {direction!r}", "direction"
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fiberphase import DomainError, fileio, read_trace
-from fiberphase.cli import DEFAULT_SEED, RunConfig, main, parse_cli, run
+from fiberphase.cli import _COMMANDS, DEFAULT_SEED, RunConfig, _naming, main, parse_cli, run
 
 
 def read_bytes(path):
@@ -46,13 +46,13 @@ INVALID_VALUES = [
      "--out {d}/x.csv", "--sigma-ref"),
     ("simulate noise --sigma-ref 0.1 --tau-ref-us 0 --duration-ms 1 --dt-us 1 "
      "--out {d}/x.csv", "--tau-ref-us"),
-    (_NOISE + " --duration-ms 0 --dt-us 1", "--duration-ms"),
+    (_NOISE + " --duration-ms 0 --dt-us 1", "--duration-ms/--dt-us"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 1.5", "--hurst"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 0", "--hurst"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --group-index 1", "--group-index"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --length-km -1", "--length-km"),
     (_NOISE + " --duration-ms 1 --dt-us -1", "--dt-us"),
-    (_MZ + " --i-max 0.5 --i-min 0.5", "--i-max"),
+    (_MZ + " --i-max 0.5 --i-min 0.5", "--i-max/--i-min"),
     (_FRINGE + " --loop-km 0", "--loop-km"),
     (_FRINGE + " --loop-km 40 --points 3", "--points"),
     (_FRINGE + " --loop-km 40 --pulses-per-point 0", "--pulses-per-point"),
@@ -94,9 +94,9 @@ NON_FINITE_VALUES = [
     ("repeater fidelity --diffusion 8e-4 --link-km 35,inf", "--link-km"),
 ]
 
-# Input files that every analyze command must reject with exit 1: (file
-# bytes, command reading {f}, start of the error message, in which {f} stands
-# for the file).
+# Input files that an analyze command must reject with exit 1: (file bytes,
+# command reading {f}, start of the error message, in which {f} stands for the
+# file).
 MALFORMED_INPUTS = [
     (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n# segments: 0:2\n"
      b"time_s,value\n0.0,0.1\n1e-06,0.\xff2\n",
@@ -130,6 +130,10 @@ MALFORMED_INPUTS = [
      b"1e-06,0.05,0.06,9\n2e-06,inf,0.25,8\n3e-06,0.1,0.12,7\n4e-06,0.2,0.2,6\n",
      "analyze tau-threshold --in {f} --dphi 0.08",
      "line 5: {f}: mean_abs_change[1] is not finite: inf"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"1e-06,0.05,0.06,9\n2e-06,0.07,0.08,8\n3e-06,0.1,0.12,7\n",
+     "analyze exponent --in {f} --tau-min-us 2 --tau-max-us 4",
+     "--tau-min-us/--tau-max-us: need >= 3 lags in [2e-06, 4e-06] s, have 2\n"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -225,6 +229,14 @@ class TestValidationExitCodes:
         assert code == 1
         assert "no stored lag near" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields,prefix", [(("duration",), "--duration-ms: "), ((), "")],
+                             ids=["field", "no_field"])
+    def test_flags_come_from_fields_not_words(self, fields, prefix):
+        message = "hurst and dt are words here, not fields"
+        with pytest.raises(DomainError) as excinfo, _naming(_COMMANDS["simulate", "noise"].flags):
+            raise DomainError(message, *fields)
+        assert str(excinfo.value) == prefix + message
+
     def test_nan_inside_phase_segment(self, capsys, tmp_path):
         phase = tmp_path / "p.csv"
         values = ["0.1", "0.2", "nan", "0.4", "0.5"]
@@ -244,7 +256,7 @@ class TestValidationExitCodes:
         "data,template,fragment", MALFORMED_INPUTS,
         ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count",
              "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt",
-             "nan_curve_dphi", "inf_curve_dphi"],
+             "nan_curve_dphi", "inf_curve_dphi", "too_few_lags_in_range"],
     )
     def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
         path = tmp_path / "in.csv"
@@ -275,7 +287,7 @@ class TestValidationExitCodes:
         code = main(template.format(d=tmp_path).split())
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert err.startswith((f"error: {flag}: ", f"error: {flag} ")) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate noise --sigma-ref 0.1 --tau-ref-us 100",
                                          "simulate mz --night"])

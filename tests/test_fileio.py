@@ -188,41 +188,45 @@ class TestTraceParseErrors:
         assert read_outcome(reader, str(path)) == (
             TraceParseError, line, f"line {line}: {path}: {problem}")
 
-    @pytest.mark.parametrize("reader,text,line,problem", [
+    @pytest.mark.parametrize("reader,text,line,problem,fields", [
         (read_trace, PHASE_HEAD + "# segments: 0:3\ntime_s,value\n0.0,0.1\n1e-06,nan\n"
-         "2e-06,0.3\n", 8, "sample 1 inside a segment is not finite: nan"),
+         "2e-06,0.3\n", 8, "sample 1 inside a segment is not finite: nan", ("samples",)),
         (read_trace, PHASE_HEAD + "# segments: 0:9\ntime_s,value\n0.0,0.1\n1e-06,0.2\n"
-         "2e-06,0.3\n", 5, "segment (0, 9) out of bounds for 3 samples"),
+         "2e-06,0.3\n", 5, "segment (0, 9) out of bounds for 3 samples", ("segments",)),
         (read_trace, PHASE_HEAD + "# segments: 0:2,1:3\ntime_s,value\n0.0,0.1\n1e-06,0.2\n"
-         "2e-06,0.3\n", 5, "segments must be sorted and disjoint"),
+         "2e-06,0.3\n", 5, "segments must be sorted and disjoint", ("segments",)),
         (read_trace, INTENSITY_HEAD + "time_s,value\n0.0,0.5\n1e-06,1.5\n2e-06,-0.5\n", 9,
-         "samples[1] falls outside [i_min, i_max]: 1.5"),
+         "samples[1] falls outside [i_min, i_max]: 1.5", ("samples",)),
         (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
          "# i_max: 0.0\n# i_min: 1.0\ntime_s,value\n0.0,0.5\n", 5,
-         "i_max must exceed i_min, got i_max=0.0, i_min=1.0"),
+         "i_max must exceed i_min, got i_max=0.0, i_min=1.0", ("i_max", "i_min")),
         (read_trace, "# fiberphase-trace v1\n# kind: phase\n# dt: -1e-06\n# t0: 0.0\n"
-         "time_s,value\n0.0,0.1\n", 3, "dt must be > 0, got -1e-06"),
+         "time_s,value\n0.0,0.1\n", 3, "dt must be > 0, got -1e-06", ("dt",)),
         (read_dphi_curve, "# fiberphase-dphi v1\n# dt: 1e-06\n"
          "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.05,0.06,9\n1e-06,0.2,0.25,8\n", 5,
-         "lags must be strictly increasing"),
+         "lags must be strictly increasing", ("taus",)),
         (read_dphi_curve, "# fiberphase-dphi v1\n# dt: 1e-06\n"
          "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.05,0.06,9\n2e-06,0.2,-0.25,8\n", 5,
-         "sigma_per_tau must be finite and >= 0 (NaN below two increments)"),
+         "sigma_per_tau must be finite and >= 0 (NaN below two increments)", ("sigma_per_tau",)),
         (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
          "applied_phase_rad,pulse_area\n0.0,1.0\n1.0,-0.5\n2.0,0.3\n3.0,0.1\n", 6,
-         "pulse_area is negative after detector-noise subtraction"),
+         "pulse_area is negative after detector-noise subtraction", ("pulse_area",)),
         (read_fringe_scan, "# fiberphase-fringe v1\n# detector_noise: inf\n# i0: 1.0\n"
          "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 2,
-         "detector_noise must be finite, got inf"),
+         "detector_noise must be finite, got inf", ("detector_noise",)),
     ], ids=["nan_in_segment", "segment_out_of_bounds", "segments_overlap", "out_of_range",
             "i_max_below_i_min", "negative_dt", "repeated_lag", "negative_sigma",
             "negative_area", "inf_detector_noise"])
-    def test_value_error_names_its_line(self, tmp_path, reader, text, line, problem):
-        # a bad row value names its row; a bad metadata value, its key's line
+    def test_value_error_names_its_line(self, tmp_path, reader, text, line, problem, fields):
+        # a bad row value names its row; a bad metadata value, the line of its
+        # first field's key: i_max <= i_min names both fields, and fails at `# i_max:`
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
-        assert read_outcome(reader, str(path)) == (
-            TraceParseError, line, f"line {line}: {path}: {problem}")
+        with pytest.raises(TraceParseError) as excinfo:
+            reader(str(path))
+        assert (excinfo.value.line, str(excinfo.value)) == (
+            line, f"line {line}: {path}: {problem}")
+        assert excinfo.value.__cause__.fields == fields
 
     @pytest.mark.parametrize("block", [1, 7, 40, fileio._BLOCK])
     @pytest.mark.parametrize("rows,line", [
@@ -233,10 +237,13 @@ class TestTraceParseErrors:
     def test_blank_lines_do_not_shift_the_row(self, tmp_path, block, rows, line):
         path = tmp_path / "bad.csv"
         path.write_bytes((PHASE_HEAD + "# segments: 0:3\ntime_s,value\n" + rows).encode())
-        with mock.patch.object(fileio, "_BLOCK", block):
-            assert read_outcome(read_trace, str(path)) == (
-                TraceParseError, line,
-                f"line {line}: {path}: sample 1 inside a segment is not finite: nan")
+        with mock.patch.object(fileio, "_BLOCK", block), pytest.raises(TraceParseError) as excinfo:
+            read_trace(str(path))
+        assert (excinfo.value.line, str(excinfo.value)) == (
+            line, f"line {line}: {path}: sample 1 inside a segment is not finite: nan")
+        # the row's index is passed by keyword, apart from the field it belongs to
+        cause = excinfo.value.__cause__
+        assert (cause.fields, cause.index) == (("samples",), 1)
 
     def test_nan_inside_segment(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -177,6 +177,30 @@ class TestValueObjectEquality:
         assert intensity != phase
 
 
+_NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
+
+
+# One call per library check that takes an infinite value for its field as
+# it takes any other out-of-range one, with that field.
+@pytest.mark.parametrize("call,field", [
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=np.inf), "tau_ref"),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, length_km=np.inf), "length_km"),
+    (lambda: _NIGHT.sample_trace(1e-3, np.inf, seed=1), "dt"),
+    (lambda: fp.sagnac_effective_sigma(_NIGHT, np.inf), "loop_km"),
+    (lambda: fp.from_sagnac_calibration(8e-4, np.inf), "loop_km"),
+    (lambda: fp.tau_threshold(_stats(), np.inf), "target"),
+    (lambda: fp.estimate_diffusion(np.inf, sigma=0.1), "length_km"),
+    (lambda: fp.budget_per_segment(np.inf, 8, 0.9, 36.5), "total_km"),
+    (lambda: fp.predict_visibility(8e-4, np.inf), "length_km"),
+], ids=["params_tau_ref", "params_length_km", "sample_trace_dt", "sagnac_sigma_loop_km",
+        "sagnac_calibration_loop_km", "tau_threshold_target", "diffusion_length_km",
+        "budget_total_km", "predict_visibility_length_km"])
+def test_infinite_value_names_its_field(call, field):
+    with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got inf$") as excinfo:
+        call()
+    assert (excinfo.value.fields, excinfo.value.index) == ((field,), None)
+
+
 # The non-underscore, non-module names of the package, as released.
 PUBLIC_NAMES = {
     "BudgetReport", "DEFAULT_GROUP_INDEX", "DomainError", "EmptySegmentsError",
