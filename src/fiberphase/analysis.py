@@ -309,18 +309,19 @@ def _lag_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _pair_counts(phase: PhaseTrace, steps: np.ndarray) -> np.ndarray:
+def _pair_counts(segments, steps: np.ndarray) -> np.ndarray:
     """Per lag step k the valid pairs, sum(max(L - k, 0)) over segment lengths L."""
-    by_length = np.sort(np.fromiter((b - a for a, b in phase.segments), dtype=np.intp,
-                                    count=len(phase.segments)))
+    by_length = np.sort(np.fromiter((b - a for a, b in segments), dtype=np.intp,
+                                    count=len(segments)))
     shorter = np.searchsorted(by_length, steps, side="right")
     total = np.concatenate([[0], np.cumsum(by_length)])
     return total[-1] - total[shorter] - steps * (by_length.size - shorter)
 
 
-def _increments(phase: PhaseTrace, steps: np.ndarray, counts):
-    """Signed increments at each lag step in `steps` (ascending), one array
-    at a time, in time order; `counts` is the :func:`_pair_counts` of `steps`.
+def _increments(samples: np.ndarray, segments, steps: np.ndarray, counts):
+    """Signed increments of the `segments` of `samples` at each lag step in
+    `steps` (ascending), one array at a time, in time order; `counts` is the
+    :func:`_pair_counts` of `steps`.
 
     Each segment longer than the lag (filtered from the previous lag's) writes
     its pairs s[a+k:b] - s[a:b-k] into one buffer, allocated once at the
@@ -329,11 +330,10 @@ def _increments(phase: PhaseTrace, steps: np.ndarray, counts):
     segment costs one ufunc call per lag.
     """
     buf = np.empty(counts.max())
-    samples, active = phase.samples, phase.segments
     for k, n in zip(steps.tolist(), counts.tolist()):
         o = 0
-        active = [s for s in active if s[1] - s[0] > k]
-        for a, b in active:
+        segments = [s for s in segments if s[1] - s[0] > k]
+        for a, b in segments:
             np.subtract(samples[a + k:b], samples[a:b - k], out=buf[o:o + b - a - k])
             o += b - a - k
         yield buf[:n]
@@ -347,32 +347,60 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     must be a positive multiple of the sample interval.
     """
     steps = np.array([_lag_steps(tau, phase.dt)])
-    return next(_increments(phase, steps, _pair_counts(phase, steps)))
+    return next(_increments(phase.samples, phase.segments, steps,
+                            _pair_counts(phase.segments, steps)))
 
 
-def increment_sets(phase: PhaseTrace, taus) -> PhaseStats:
+def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     """The dphi(tau) curve of a phase trace over a grid of lags.
 
     The increments of :func:`increments_at` are gathered and reduced one lag
     at a time (see `_increments`), so memory does not grow with the number
     of lags: 16 B per in-segment sample, the shared buffer and one
     temporary of the reduction.  Lags with no valid pair are dropped.
+
+    The trace is only read.  A trace handed over as ``Adopted(trace)`` is
+    consumed instead: its segments are packed, in time order, to the front
+    of its own samples buffer, which then shrinks to them, so the NaN
+    padding is freed before the reduction.  The curve is the same bit for
+    bit, and the caller must not use the trace again.
     """
+    adopted = isinstance(phase, Adopted)
+    if adopted:
+        phase = phase.array
+        if not isinstance(phase, PhaseTrace):
+            raise DomainError(f"only a PhaseTrace can be handed over, got "
+                              f"{type(phase).__name__}")
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise DomainError("at least one lag is required", "taus")
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing", "taus")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
-    counts = _pair_counts(phase, steps)
+    counts = _pair_counts(phase.segments, steps)
     if not counts.all():
         _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
                    np.count_nonzero(counts == 0), taus[counts == 0][0])
     steps, counts = steps[counts > 0], counts[counts > 0]
     if steps.size == 0:
         raise InsufficientDataError("no lag has a valid increment pair on any segment")
-    increments = _increments(phase, steps, counts)
+    samples, segments = _packed(phase) if adopted else (phase.samples, phase.segments)
+    increments = _increments(samples, segments, steps, counts)
     return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
+
+
+def _packed(phase: PhaseTrace) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The segments of a consumed trace, moved in time order to the front of
+    its samples buffer, which shrinks to them; and their new bounds."""
+    samples = phase.samples  # a trace owns its samples buffer, so it can be written again
+    samples.setflags(write=True)
+    segments, o = [], 0
+    for a, b in phase.segments:
+        samples[o:o + b - a] = samples[a:b]  # a forward move: o <= a
+        segments.append((o, o + b - a))
+        o += b - a
+    samples.resize(o, refcheck=False)
+    return samples, segments
 
 
 def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:

@@ -420,9 +420,10 @@ def _run_analyze_dphi(config, out, digests):
     taus = analysis.default_lag_grid(
         trace.dt, config.params["tau_max_s"], config.params["max_lags"]
     )
-    stats = analysis.increment_sets(trace, taus)
-    blocks = {}
     hist_tau = config.params.get("histogram_tau_s")
+    # The histogram reads the trace after the curve, so only then is it kept.
+    stats = analysis.increment_sets(Adopted(trace) if hist_tau is None else trace, taus)
+    blocks = {}
     if hist_tau is not None:
         hist_tau = float(stats.taus[stats.lag_index(hist_tau)])
         hist = analysis.fit_gaussian(analysis.increments_at(trace, hist_tau))

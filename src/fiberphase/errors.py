@@ -97,9 +97,11 @@ class Adopted(NamedTuple):
     """A buffer the library has just built and drops: a value object given
     one keeps it, read-only, instead of a copy (see `frozen`).
 
-    `analysis.extract_phase` also takes an `IntensityTrace` handed over this
-    way.  The trace is consumed: its samples buffer becomes the phase, and
-    the caller must not use the trace again.
+    Two analyses also take a trace handed over this way, and consume it, so
+    the caller must not use the trace again.  `analysis.extract_phase` takes
+    an `IntensityTrace`: its samples buffer becomes the phase.
+    `analysis.increment_sets` takes a `PhaseTrace`: its segments are packed
+    to the front of its samples buffer, which shrinks to them.
     """
 
     array: np.ndarray

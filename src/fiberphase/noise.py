@@ -136,6 +136,7 @@ class NoiseParams:
         (params, duration, dt, seed) give bit-identical output.
         """
         check_scalar("dt", dt, positive=True)
+        check_scalar("duration", duration)
         if not (duration >= dt):
             raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}",
                               "duration", "dt")
@@ -309,6 +310,7 @@ def visibility_from_sigma(sigma: float) -> float:
     """Fringe visibility left by gaussian phase noise of width `sigma`."""
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
+    check_scalar("sigma", sigma)
     return visibility_from_variance(sigma * sigma)
 
 

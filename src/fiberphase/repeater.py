@@ -101,6 +101,7 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
+    check_scalar("sigma", sigma)
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}", "n_samples")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
@@ -111,10 +112,14 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
 def chain_sigma(chain: RepeaterChain) -> float:
     """Total phase-noise width of a chain: link variances add in quadrature."""
     if chain.link_sigmas is not None:
-        variances = [s * s for s in chain.link_sigmas]
+        variances, fields = [s * s for s in chain.link_sigmas], ("link_sigmas",)
     else:
         variances = [chain.diffusion * length for length in chain.link_lengths]
-    return math.sqrt(sum(variances))
+        fields = ("diffusion", "link_lengths")
+    variance = sum(variances)
+    if not math.isfinite(variance):
+        raise DomainError(f"the chain's phase variance is not finite: {variance}", *fields)
+    return math.sqrt(variance)
 
 
 def budget_per_segment(

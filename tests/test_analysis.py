@@ -42,6 +42,7 @@ from fiberphase import (
 )
 from fiberphase import analysis
 from fiberphase.analysis import _lsq_gaussian
+from fiberphase.errors import Adopted
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -388,11 +389,25 @@ def extracted_night_trace(seed, duration=20e-3):
     return extract_phase(simulate_mz_trace(proc, duration, 1e-6, phi0=math.pi / 2, seed=seed))
 
 
-class TestStreamingReduction:
-    """The per-lag summaries against the stored-increment reduction."""
+def handed_over_curve(phase, taus):
+    """increment_sets of a copy of `phase` handed over, so packed in the copy's buffer."""
+    copy = PhaseTrace(t0=phase.t0, dt=phase.dt, samples=phase.samples, segments=phase.segments)
+    return increment_sets(Adopted(copy), taus)
 
-    def assert_curve_is_reference(self, phase, taus):
-        stats = increment_sets(phase, taus)
+
+CURVE_PATHS = {"plain": increment_sets, "handed_over": handed_over_curve}
+
+
+class TestStreamingReduction:
+    """The per-lag summaries against the stored-increment reduction, on a
+    trace read in place and on a copy handed over."""
+
+    @pytest.fixture(params=CURVE_PATHS.values(), ids=CURVE_PATHS.keys())
+    def curve(self, request):
+        return request.param
+
+    def assert_curve_is_reference(self, curve, phase, taus):
+        stats = curve(phase, taus)
         refs = [reference_increments(phase, tau) for tau in taus]
         kept = [(tau, ref) for tau, ref in zip(taus, refs) if ref.size]
         assert np.array_equal(stats.taus, [round(tau / phase.dt) * phase.dt for tau, _ in kept])
@@ -405,10 +420,10 @@ class TestStreamingReduction:
         for tau, ref in kept:
             assert np.array_equal(increments_at(phase, tau), ref)
 
-    def test_multi_segment_extracted_trace_bit_identical(self):
+    def test_multi_segment_extracted_trace_bit_identical(self, curve):
         phase = extracted_night_trace(seed=4)
         assert len(phase.segments) > 5
-        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 600e-6))
+        self.assert_curve_is_reference(curve, phase, default_lag_grid(1e-6, 600e-6))
 
     @pytest.mark.parametrize("name,digest", [
         ("taus", "793740083d389f00def189dd252f1cb4e73bad55a9ccabb7e26a6668d9ed1b50"),
@@ -418,15 +433,15 @@ class TestStreamingReduction:
         ("signed_mean", "578aaaba640131b7089a5426aca8a50aa2db9399b1ef85a7ad7ab017d8ec8863"),
         ("m2", "338e50f791c340f7ec8d270f7c4a0673162d902eb88c48f44a88a96dde3b7412"),
     ])
-    def test_golden_bytes(self, name, digest):
+    def test_golden_bytes(self, curve, name, digest):
         # SHA-256 of each curve array on an extracted H = 0.8 trace.
         proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.8, length_km=36.5)
         phase = extract_phase(simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4))
         assert len(phase.segments) == 7
-        stats = increment_sets(phase, default_lag_grid(1e-6, 600e-6))
+        stats = curve(phase, default_lag_grid(1e-6, 600e-6))
         assert hashlib.sha256(getattr(stats, name).tobytes()).hexdigest() == digest
 
-    def test_drifting_trace_bit_identical(self):
+    def test_drifting_trace_bit_identical(self, curve):
         # 2000 rad/s drift: the increment mean dwarfs the spread, where a raw
         # sum of squares would cancel; adjacent segments must not be bridged.
         proc = build_process(
@@ -437,7 +452,7 @@ class TestStreamingReduction:
             t0=0.0, dt=1e-6, samples=truth.samples,
             segments=((0, 3000), (3100, 9000), (9000, 9600), (9600, 20001)),
         )
-        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 700e-6))
+        self.assert_curve_is_reference(curve, phase, default_lag_grid(1e-6, 700e-6))
 
     # Segment layouts on 20 samples: lengths 2, k = 4 and k + 1 = 5,
     # adjacent segments, a segment ending at the last sample, and lags up to
@@ -452,7 +467,7 @@ class TestStreamingReduction:
         ((0, 20),),
     ], ids=["length_2", "length_k_and_k_plus_1", "adjacent", "adjacent_2_k_k_plus_1",
             "ends_at_last_sample", "single_samples", "whole_trace"])
-    def test_segment_layouts_bit_identical(self, segments):
+    def test_segment_layouts_bit_identical(self, curve, segments):
         walk = np.cumsum(gaussian_increments(0.1, 20, seed=9))
         inside = np.zeros(20, dtype=bool)
         for a, b in segments:
@@ -461,13 +476,13 @@ class TestStreamingReduction:
         taus = 1e-6 * np.arange(1, 13)
         if not any(b - a > 1 for a, b in segments):
             with pytest.raises(InsufficientDataError):
-                increment_sets(phase, taus)
+                curve(phase, taus)
         else:
-            self.assert_curve_is_reference(phase, taus)
+            self.assert_curve_is_reference(curve, phase, taus)
         for tau in taus:  # every lag, kept or dropped
             assert np.array_equal(increments_at(phase, tau), reference_increments(phase, tau))
 
-    def test_short_segments_between_two_long(self):
+    def test_short_segments_between_two_long(self, curve):
         # 200 segments of 3-8 samples: lags shorter and longer than they
         # are, so the shared buffer is refilled from fewer segments as the
         # lag grows.  Segments are separated by one NaN sample.
@@ -477,7 +492,7 @@ class TestStreamingReduction:
         walk = np.cumsum(gaussian_increments(0.1, segments[-1][1], seed=11))
         walk[starts[1:] - 1] = np.nan
         phase = PhaseTrace(0.0, 1e-6, walk, segments=segments)
-        self.assert_curve_is_reference(phase, default_lag_grid(1e-6, 600e-6))
+        self.assert_curve_is_reference(curve, phase, default_lag_grid(1e-6, 600e-6))
 
     def test_multi_segment_lag_longer_than_every_segment(self):
         phase = PhaseTrace(0.0, 1e-6, np.arange(12.0), segments=((0, 4), (4, 9), (9, 12)))

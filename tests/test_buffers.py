@@ -177,6 +177,67 @@ class TestAdoptedTrace:
             extract_phase(Adopted(make()))
 
 
+def night_phase():
+    return extract_phase(busy_mz())
+
+
+def csv_phase(tmp_path):
+    path = str(tmp_path / "phase.csv")
+    write_trace(path, night_phase())
+    return read_trace(path)
+
+
+class TestAdoptedPhase:
+    """increment_sets(Adopted(trace)) consumes the trace: its segments are
+    packed into its samples buffer, and the curve is the plain call's."""
+
+    # (trace, largest lag): the last grid runs past every segment.
+    CASES = {
+        "one_segment": (lambda tmp: preset_params("night").sample_trace(5e-3, 1e-6, 3), 600e-6),
+        "many_segments": (lambda tmp: night_phase(), 600e-6),
+        "csv": (csv_phase, 600e-6),
+        "dropped_lags": (lambda tmp: night_phase(), 20e-3),
+    }
+
+    @staticmethod
+    def curve(trace, tau_max, caplog):
+        """The curve and the DEBUG records of increment_sets."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fiberphase.analysis"):
+            stats = analysis.increment_sets(trace, analysis.default_lag_grid(1e-6, tau_max))
+        return stats, [r.getMessage() for r in caplog.records]
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_same_as_the_plain_call(self, tmp_path, caplog, case):
+        make, tau_max = case
+        plain = self.curve(make(tmp_path), tau_max, caplog)
+        adopted = self.curve(Adopted(make(tmp_path)), tau_max, caplog)
+        assert adopted == plain
+        assert any("dropped" in m for m in plain[1]) == (tau_max > 1e-3)
+
+    def test_buffer_is_packed_and_shrunk(self):
+        phase = night_phase()
+        buffer = phase.samples
+        in_segments = np.concatenate([buffer[a:b] for a, b in phase.segments])
+        assert len(phase.segments) > 50 and in_segments.size < buffer.size
+        analysis.increment_sets(Adopted(phase), [1e-6, 2e-6])
+        assert phase.samples is buffer
+        assert buffer.tobytes() == in_segments.tobytes()
+
+    def test_plain_call_leaves_the_trace(self):
+        phase = night_phase()
+        before, segments = phase.samples.tobytes(), phase.segments
+        analysis.increment_sets(phase, [1e-6, 2e-6])
+        assert phase.samples.tobytes() == before and phase.segments == segments
+        assert not phase.samples.flags.writeable
+
+    @pytest.mark.parametrize("make", [busy_mz, lambda: np.linspace(0.0, 1.0, 8)],
+                             ids=["intensity_trace", "array"])
+    def test_only_a_phase_trace_can_be_handed_over(self, make):
+        with pytest.raises(DomainError, match="only a PhaseTrace"):
+            analysis.increment_sets(Adopted(make()), [1e-6])
+
+
 class TestTraceMemory:
     """A trace the library builds holds one float64 buffer of its samples
     and needs at most one more of scratch while it is built.

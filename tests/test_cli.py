@@ -78,6 +78,7 @@ INVALID_VALUES = [
     (_BUDGET + " --total-km 1000 --segment-km 0", "--segment-km"),
     (_BUDGET + " --total-km 1000 --segment-km 200", "--segment-km"),
     ("repeater fidelity --diffusion -1 --link-km 35", "--diffusion"),
+    ("repeater fidelity --diffusion 1e300 --link-km 1e300", "--diffusion"),  # overflows
     ("repeater fidelity --diffusion 8e-4", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km 35,x", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km 35,-1", "--link-km"),
@@ -576,6 +577,25 @@ class TestFullPipeline:
         del trace
         peak = traced_peak(main, f"analyze phase --in {mz} --out {phase}".split())
         assert peak <= 8 * n + 16 * fileio._BLOCK
+
+    def test_analyze_dphi_packs_the_phase(self, tmp_path, traced_peak):
+        # 8 B per sample and the read's block scratch while the trace is
+        # read; the curve is then reduced over the in-segment samples packed
+        # into that buffer, shrunk to them: 24 B per in-segment sample, 45%
+        # of the samples here.  That peaked at 8 B per sample plus 12.4 *
+        # _BLOCK; reducing beside the padded trace peaked at 29.7 * _BLOCK.
+        from fiberphase import extract_phase, preset_params, simulate_mz_trace
+
+        def phase_csv(n):
+            path = str(tmp_path / f"phase{n}.csv")
+            fileio.write_trace(path, extract_phase(simulate_mz_trace(
+                preset_params("night"), (n - 1) * 1e-6, 1e-6, phi0=np.pi / 2, seed=1)))
+            return f"analyze dphi --in {path} --tau-max-us 600 --out {tmp_path}/c.csv".split()
+
+        n = 1 << 20
+        main(phase_csv(1 << 12))  # its first run imports modules
+        argv = phase_csv(n)
+        assert traced_peak(main, argv) <= 8 * n + 16 * fileio._BLOCK
 
     def test_file_analyze_phase_matches_in_memory(self, tmp_path):
         # running analyze phase on a written MZ trace reproduces the

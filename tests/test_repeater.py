@@ -111,6 +111,17 @@ class TestChainSigma:
         with pytest.raises(DomainError):
             RepeaterChain(link_lengths=(10.0,))
 
+    @pytest.mark.parametrize("chain,fields", [
+        (RepeaterChain(link_lengths=(1e300,), diffusion=1e300), ("diffusion", "link_lengths")),
+        (RepeaterChain(link_lengths=(1.0,), diffusion=math.nan), ("diffusion", "link_lengths")),
+        (RepeaterChain(link_lengths=(1.0, 1.0), link_sigmas=(1e200, 0.1)), ("link_sigmas",)),
+    ], ids=["overflow", "nan_diffusion", "overflow_sigmas"])
+    def test_non_finite_variance_names_the_calibration(self, chain, fields):
+        # A width of inf would read as fidelity 0.5; a nan would pass silently.
+        with pytest.raises(DomainError, match="variance is not finite") as excinfo:
+            chain_sigma(chain)
+        assert excinfo.value.fields == fields
+
     def test_invalid_lengths(self):
         with pytest.raises(DomainError):
             RepeaterChain(link_lengths=(10.0, -1.0), diffusion=1e-4)

@@ -180,23 +180,32 @@ class TestValueObjectEquality:
 _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
 
 
-# One call per library check that takes an infinite value for its field as
+# One call per library check that takes a non-finite value for its field as
 # it takes any other out-of-range one, with that field.
-@pytest.mark.parametrize("call,field", [
-    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=np.inf), "tau_ref"),
-    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, length_km=np.inf), "length_km"),
-    (lambda: _NIGHT.sample_trace(1e-3, np.inf, seed=1), "dt"),
-    (lambda: fp.sagnac_effective_sigma(_NIGHT, np.inf), "loop_km"),
-    (lambda: fp.from_sagnac_calibration(8e-4, np.inf), "loop_km"),
-    (lambda: fp.tau_threshold(_stats(), np.inf), "target"),
-    (lambda: fp.estimate_diffusion(np.inf, sigma=0.1), "length_km"),
-    (lambda: fp.budget_per_segment(np.inf, 8, 0.9, 36.5), "total_km"),
-    (lambda: fp.predict_visibility(8e-4, np.inf), "length_km"),
-], ids=["params_tau_ref", "params_length_km", "sample_trace_dt", "sagnac_sigma_loop_km",
-        "sagnac_calibration_loop_km", "tau_threshold_target", "diffusion_length_km",
-        "budget_total_km", "predict_visibility_length_km"])
-def test_infinite_value_names_its_field(call, field):
-    with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got inf$") as excinfo:
+@pytest.mark.parametrize("call,field,got", [
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=np.inf), "tau_ref", "inf"),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, length_km=np.inf), "length_km", "inf"),
+    (lambda: _NIGHT.sample_trace(1e-3, np.inf, seed=1), "dt", "inf"),
+    (lambda: _NIGHT.sample_trace(np.inf, 1e-6, seed=1), "duration", "inf"),
+    (lambda: fp.sagnac_effective_sigma(_NIGHT, np.inf), "loop_km", "inf"),
+    (lambda: fp.from_sagnac_calibration(8e-4, np.inf), "loop_km", "inf"),
+    (lambda: fp.tau_threshold(_stats(), np.inf), "target", "inf"),
+    (lambda: fp.estimate_diffusion(np.inf, sigma=0.1), "length_km", "inf"),
+    (lambda: fp.budget_per_segment(np.inf, 8, 0.9, 36.5), "total_km", "inf"),
+    (lambda: fp.predict_visibility(8e-4, np.inf), "length_km", "inf"),
+    (lambda: fp.visibility_from_sigma(np.inf), "sigma", "inf"),
+    (lambda: fp.visibility_from_sigma(np.nan), "sigma", "nan"),
+    (lambda: fp.fidelity_from_sigma(np.inf), "sigma", "inf"),
+    (lambda: fp.fidelity_from_sigma(np.nan), "sigma", "nan"),
+    (lambda: fp.monte_carlo_fidelity(np.inf, 10), "sigma", "inf"),
+    (lambda: fp.monte_carlo_fidelity(np.nan, 10), "sigma", "nan"),
+], ids=["params_tau_ref", "params_length_km", "sample_trace_dt", "sample_trace_duration",
+        "sagnac_sigma_loop_km", "sagnac_calibration_loop_km", "tau_threshold_target",
+        "diffusion_length_km", "budget_total_km", "predict_visibility_length_km",
+        "visibility_sigma_inf", "visibility_sigma_nan", "fidelity_sigma_inf",
+        "fidelity_sigma_nan", "monte_carlo_sigma_inf", "monte_carlo_sigma_nan"])
+def test_infinite_value_names_its_field(call, field, got):
+    with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got {got}$") as excinfo:
         call()
     assert (excinfo.value.fields, excinfo.value.index) == ((field,), None)
 
