@@ -132,6 +132,7 @@ class PhaseStats:
 
     def lag_index(self, tau: float) -> int:
         """Index of the stored lag matching `tau` (within half a sample)."""
+        check_scalar("tau", tau)
         idx = int(np.argmin(np.abs(self.taus - tau)))
         if abs(self.taus[idx] - tau) > 0.5 * self.dt:
             raise DomainError(f"no stored lag near tau={tau:g} s", "tau")
@@ -291,6 +292,7 @@ def _run_edges(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS) -> np.ndarray:
     """Lags (s) from dt up to tau_max: every sample step, geometrically
     thinned once there would be more than `max_lags` of them."""
+    check_scalar("tau_max", tau_max)
     if not (dt > 0) or not (tau_max >= dt):
         raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}",
                           "tau_max", "dt")
@@ -298,11 +300,13 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     if k_max <= max_lags:
         ks = np.arange(1, k_max + 1)
     else:
-        ks = np.unique(np.round(np.geomspace(1, k_max, max_lags)).astype(int))
+        ks = np.round(np.geomspace(1, k_max, max_lags)).astype(int)
+        ks = ks[np.diff(ks, prepend=0) > 0]  # sorted already: np.unique would import numpy.ma
     return ks * dt
 
 
 def _lag_steps(tau: float, dt: float) -> int:
+    check_scalar("tau", tau)
     k = int(round(tau / dt))
     if k < 1 or abs(tau - k * dt) > 1e-6 * dt:
         raise DomainError(f"lag {tau:g} s is not a positive multiple of dt = {dt:g} s")
@@ -552,6 +556,5 @@ def estimate_diffusion(
         raise DomainError("give exactly one of visibility= or sigma=", "visibility", "sigma")
     if visibility is not None:
         sigma = sigma_from_visibility(visibility)
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
+    check_scalar("sigma", sigma, minimum=0)
     return sigma * sigma / length_km

@@ -131,6 +131,8 @@ class _Flag:
             try:
                 items = [float(x) for x in value.split(",") if x.strip()]
             except ValueError:
+                items = []
+            if not items:
                 raise DomainError(f"{self.name} must be comma-separated numbers, got {value!r}")
             return [self._checked(x) for x in items]
         return self._checked(value)

@@ -71,10 +71,15 @@ class TraceParseError(FiberPhaseError, ValueError):
         super().__init__(message)
 
 
-def check_scalar(name: str, value: float, positive: bool = False) -> None:
-    """Raise DomainError unless `value` is finite and, if `positive`, > 0."""
+def check_scalar(name: str, value: float, positive: bool = False,
+                 minimum: float | None = None) -> None:
+    """Raise DomainError unless `value` is finite, > 0 if `positive` and
+    >= `minimum` if given.  The bounds are tested before finiteness, so -inf
+    names its bound, and nan names finiteness unless `positive` is set."""
     if positive and not (value > 0):
         raise DomainError(f"{name} must be > 0, got {value}", name)
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}", name)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}", name)
 

@@ -115,11 +115,8 @@ def simulate_fringe_scan(
     from N(0, sagnac_effective_sigma^2); scan points use independent
     deterministic substreams of `seed`.
     """
-    if n_points < 4:
-        raise DomainError(f"n_points must be >= 4, got {n_points}", "n_points")
-    if pulses_per_point < 1:
-        raise DomainError(f"pulses_per_point must be >= 1, got {pulses_per_point}",
-                          "pulses_per_point")
+    check_scalar("n_points", n_points, minimum=4)
+    check_scalar("pulses_per_point", pulses_per_point, minimum=1)
     check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
@@ -167,6 +164,7 @@ def simulate_mz_trace(
     if not (i_max > i_min):
         raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}",
                           "i_max", "i_min")
+    check_scalar("phi0", phi0)
     phase = process.sample_trace(duration, dt, seed)
     # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the phase's
     # own buffer: the phase trace is dropped here, so no one else sees it.

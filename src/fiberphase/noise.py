@@ -66,10 +66,10 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
 
     36.5 km at n = 1.5 gives 182.5 us.
     """
-    if length_km < 0:
-        raise DomainError(f"length_km must be >= 0, got {length_km}", "length_km")
+    check_scalar("length_km", length_km, minimum=0)
     if group_index <= 1:
         raise DomainError(f"group_index must be > 1, got {group_index}", "group_index")
+    check_scalar("group_index", group_index)
     return length_km * group_index / SPEED_OF_LIGHT_KM_S
 
 
@@ -106,13 +106,13 @@ class NoiseParams:
     group_index: float = DEFAULT_GROUP_INDEX
 
     def __post_init__(self):
-        if not (self.sigma_ref >= 0):
-            raise DomainError(f"sigma_ref must be >= 0, got {self.sigma_ref}", "sigma_ref")
+        check_scalar("sigma_ref", self.sigma_ref, minimum=0)
         check_scalar("tau_ref", self.tau_ref, positive=True)
         if not (0 < self.hurst < 1):
             raise DomainError(f"hurst out of range (0, 1): got {self.hurst}", "hurst")
         if not (self.group_index > 1):
             raise DomainError(f"group_index must be > 1, got {self.group_index}", "group_index")
+        check_scalar("group_index", self.group_index)
         check_scalar("drift_rate", self.drift_rate)
         if self.length_km is None:
             derived = self.tau_ref * SPEED_OF_LIGHT_KM_S / self.group_index
@@ -121,8 +121,7 @@ class NoiseParams:
 
     def sigma_at(self, tau: float) -> float:
         """Phase-increment standard deviation (rad) at time lag `tau`."""
-        if tau < 0:
-            raise DomainError(f"tau must be >= 0, got {tau}", "tau")
+        check_scalar("tau", tau, minimum=0)
         if tau == 0:
             return 0.0
         return self.sigma_ref * (tau / self.tau_ref) ** self.hurst
@@ -308,9 +307,7 @@ def variance_from_visibility(visibility: float) -> float:
 
 def visibility_from_sigma(sigma: float) -> float:
     """Fringe visibility left by gaussian phase noise of width `sigma`."""
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
-    check_scalar("sigma", sigma)
+    check_scalar("sigma", sigma, minimum=0)
     return visibility_from_variance(sigma * sigma)
 
 
@@ -346,8 +343,7 @@ def from_sagnac_calibration(
     with sigma_ref = sqrt(D * loop_km), so a loop of length `loop_km`
     built on the result has effective variance D * loop_km exactly.
     """
-    if diffusion < 0:
-        raise DomainError(f"diffusion coefficient must be >= 0, got {diffusion}", "diffusion")
+    check_scalar("diffusion", diffusion, minimum=0)
     check_scalar("loop_km", loop_km, positive=True)
     return NoiseParams(
         sigma_ref=math.sqrt(diffusion * loop_km),

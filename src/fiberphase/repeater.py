@@ -99,11 +99,8 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     (1 + cos(delta_phi)) / 2 with the ideal state; converges to
     :func:`fidelity_from_sigma`.
     """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}", "sigma")
-    check_scalar("sigma", sigma)
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}", "n_samples")
+    check_scalar("sigma", sigma, minimum=0)
+    check_scalar("n_samples", n_samples, minimum=1)
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
     delta = sigma * rng.standard_normal(n_samples)
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
@@ -137,8 +134,7 @@ def budget_per_segment(
     phase change sqrt(2/pi) * sigma.
     """
     check_scalar("total_km", total_km, positive=True)
-    if n_links < 1:
-        raise DomainError(f"n_links must be >= 1, got {n_links}", "n_links")
+    check_scalar("n_links", n_links, minimum=1)
     if not (0.5 < target_fidelity < 1.0):
         raise DomainError(f"target_fidelity must be in (0.5, 1), got {target_fidelity}",
                           "target_fidelity")
@@ -161,8 +157,7 @@ def budget_per_segment(
 
 def predict_visibility(diffusion: float, length_km: float) -> float:
     """Sagnac visibility predicted for a loop of `length_km` at diffusion D."""
-    if diffusion < 0:
-        raise DomainError(f"diffusion must be >= 0, got {diffusion}", "diffusion")
+    check_scalar("diffusion", diffusion, minimum=0)
     check_scalar("length_km", length_km, positive=True)
     return visibility_from_variance(diffusion * length_km)
 

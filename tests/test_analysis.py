@@ -296,6 +296,14 @@ class TestIncrementSets:
         with pytest.raises(DomainError):
             increment_sets(trace, [2e-6, 1e-6])
 
+    @pytest.mark.parametrize("k_max,max_lags", [
+        (101, 100), (150, 100), (600, 100), (1000, 100), (10**5, 100), (10**6, 100),
+        (200, 40), (5000, 2), (5000, 3), (2**20 + 7, 1000), (10**7, 7),
+    ])
+    def test_thinned_lag_grid_is_the_unique_rounded_geomspace(self, k_max, max_lags):
+        expected = np.unique(np.round(np.geomspace(1, k_max, max_lags)).astype(int))
+        np.testing.assert_array_equal(default_lag_grid(1.0, float(k_max), max_lags), expected)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_lags_must_be_finite(self, bad):
         with pytest.raises(DomainError, match=r"taus\[1\] is not finite"):

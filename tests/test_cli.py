@@ -81,6 +81,7 @@ INVALID_VALUES = [
     ("repeater fidelity --diffusion 1e300 --link-km 1e300", "--diffusion"),  # overflows
     ("repeater fidelity --diffusion 8e-4", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km 35,x", "--link-km"),
+    ("repeater fidelity --diffusion 8e-4 --link-km ,", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km 35,-1", "--link-km"),
     ("repeater fidelity --visibility 0", "--visibility"),
     ("repeater fidelity --sigma -0.1", "--sigma"),

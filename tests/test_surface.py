@@ -199,11 +199,60 @@ _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
     (lambda: fp.fidelity_from_sigma(np.nan), "sigma", "nan"),
     (lambda: fp.monte_carlo_fidelity(np.inf, 10), "sigma", "inf"),
     (lambda: fp.monte_carlo_fidelity(np.nan, 10), "sigma", "nan"),
+    (lambda: fp.monte_carlo_fidelity(0.1, np.inf), "n_samples", "inf"),
+    (lambda: fp.monte_carlo_fidelity(0.1, np.nan), "n_samples", "nan"),
+    (lambda: fp.predict_visibility(np.inf, 10), "diffusion", "inf"),
+    (lambda: fp.predict_visibility(np.nan, 10), "diffusion", "nan"),
+    (lambda: fp.estimate_diffusion(10, sigma=np.inf), "sigma", "inf"),
+    (lambda: fp.estimate_diffusion(10, sigma=np.nan), "sigma", "nan"),
+    (lambda: fp.from_sagnac_calibration(np.inf, 10), "diffusion", "inf"),
+    (lambda: fp.from_sagnac_calibration(np.nan, 10), "diffusion", "nan"),
+    (lambda: fp.budget_per_segment(1000, np.inf, 0.9, 36.5), "n_links", "inf"),
+    (lambda: fp.budget_per_segment(1000, np.nan, 0.9, 36.5), "n_links", "nan"),
+    (lambda: fp.travel_time(np.inf), "length_km", "inf"),
+    (lambda: fp.travel_time(np.nan), "length_km", "nan"),
+    (lambda: fp.travel_time(10, np.inf), "group_index", "inf"),
+    (lambda: fp.travel_time(10, np.nan), "group_index", "nan"),
+    (lambda: fp.NoiseParams(sigma_ref=np.inf, tau_ref=1e-4), "sigma_ref", "inf"),
+    (lambda: fp.NoiseParams(sigma_ref=np.nan, tau_ref=1e-4), "sigma_ref", "nan"),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, group_index=np.inf),
+     "group_index", "inf"),
+    (lambda: _NIGHT.sigma_at(np.inf), "tau", "inf"),
+    (lambda: _NIGHT.sigma_at(np.nan), "tau", "nan"),
+    (lambda: _stats().lag_index(np.inf), "tau", "inf"),
+    (lambda: _stats().lag_index(np.nan), "tau", "nan"),
+    (lambda: fp.check_gaussian_relation(_stats(), np.nan), "tau", "nan"),
+    (lambda: fp.default_lag_grid(1e-6, np.inf), "tau_max", "inf"),
+    (lambda: fp.default_lag_grid(1e-6, np.nan), "tau_max", "nan"),
+    (lambda: fp.increment_sets(_phase(), [np.inf]), "tau", "inf"),
+    (lambda: fp.increment_sets(_phase(), [np.nan]), "tau", "nan"),
+    (lambda: fp.increments_at(_phase(), np.inf), "tau", "inf"),
+    (lambda: fp.increments_at(_phase(), np.nan), "tau", "nan"),
+    (lambda: fp.simulate_mz_trace(_NIGHT, 1e-5, 1e-6, phi0=np.inf), "phi0", "inf"),
+    (lambda: fp.simulate_mz_trace(_NIGHT, 1e-5, 1e-6, phi0=np.nan), "phi0", "nan"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, np.inf, 10), "n_points", "inf"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, np.nan, 10), "n_points", "nan"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, np.inf), "pulses_per_point", "inf"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, np.nan), "pulses_per_point", "nan"),
 ], ids=["params_tau_ref", "params_length_km", "sample_trace_dt", "sample_trace_duration",
         "sagnac_sigma_loop_km", "sagnac_calibration_loop_km", "tau_threshold_target",
         "diffusion_length_km", "budget_total_km", "predict_visibility_length_km",
         "visibility_sigma_inf", "visibility_sigma_nan", "fidelity_sigma_inf",
-        "fidelity_sigma_nan", "monte_carlo_sigma_inf", "monte_carlo_sigma_nan"])
+        "fidelity_sigma_nan", "monte_carlo_sigma_inf", "monte_carlo_sigma_nan",
+        "monte_carlo_n_samples_inf", "monte_carlo_n_samples_nan",
+        "predict_visibility_diffusion_inf", "predict_visibility_diffusion_nan",
+        "diffusion_sigma_inf", "diffusion_sigma_nan",
+        "sagnac_calibration_diffusion_inf", "sagnac_calibration_diffusion_nan",
+        "budget_n_links_inf", "budget_n_links_nan",
+        "travel_time_length_km_inf", "travel_time_length_km_nan",
+        "travel_time_group_index_inf", "travel_time_group_index_nan",
+        "params_sigma_ref_inf", "params_sigma_ref_nan", "params_group_index",
+        "sigma_at_tau_inf", "sigma_at_tau_nan", "lag_index_tau_inf", "lag_index_tau_nan",
+        "gaussian_relation_tau_nan", "lag_grid_tau_max_inf", "lag_grid_tau_max_nan",
+        "increment_sets_tau_inf", "increment_sets_tau_nan",
+        "increments_at_tau_inf", "increments_at_tau_nan", "mz_phi0_inf", "mz_phi0_nan",
+        "fringe_n_points_inf", "fringe_n_points_nan",
+        "fringe_pulses_per_point_inf", "fringe_pulses_per_point_nan"])
 def test_infinite_value_names_its_field(call, field, got):
     with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got {got}$") as excinfo:
         call()
@@ -263,6 +312,21 @@ class TestPublicSurface:
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
         assert (tmp_path / "h.csv").exists()
+
+    def test_plain_dphi_curve_leaves_numpy_ma_unimported(self, tmp_path):
+        # A fresh interpreter, since the test suite itself imports numpy.ma.
+        script = ("import sys; from fiberphase.cli import main; "
+                  "print([main(c.split()) for c in sys.argv[1:]], 'numpy.ma' in sys.modules)")
+        commands = [
+            f"simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 2 --dt-us 1 "
+            f"--out {tmp_path}/p.csv",
+            f"analyze dphi --in {tmp_path}/p.csv --tau-max-us 1000 --out {tmp_path}/c.csv",
+        ]
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
+        assert (tmp_path / "c.csv").exists()
 
     def test_no_source_file_names_scipy(self):
         for path in pathlib.Path(ROOT, "src").rglob("*.py"):
