@@ -105,11 +105,9 @@ class PhaseStats:
         check_scalar("dt", self.dt, positive=True)
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dt"}
         if increments is not None:
-            n, dphi, mean, m2 = np.array([_moments(x) for x in increments]).reshape(-1, 4).T
-            if not np.array_equal(self.n_increments, n):
+            values.update(_reduced(increments))
+            if not np.array_equal(self.n_increments, values["n_increments"]):
                 raise DomainError("n_increments does not match the increment arrays")
-            values.update(mean_abs_change=dphi, sigma_per_tau=_sample_sigma(n, m2),
-                          signed_mean=mean, m2=m2)
         elif self.mean_abs_change is None or self.sigma_per_tau is None:
             raise DomainError("give increments=, or mean_abs_change= and sigma_per_tau=")
         for name, value in values.items():
@@ -142,28 +140,32 @@ class PhaseStats:
 del PhaseStats.increments  # the InitVar's class default; instances hold no increments
 
 
-def _moments(increments) -> tuple[int, float, float, float]:
-    # (n, mean |x|, mean x, sum of squared deviations), reduced exactly as
-    # np.mean(np.abs(x)) and np.std(x, ddof=1) do, so the curve is
-    # bit-identical to them; two-pass m2 does not cancel under drift.  One
-    # temporary holds |x|, then the squared deviations.
-    x = np.asarray(increments, dtype=float)
-    n = x.size
-    if n == 0:
-        raise DomainError("every lag needs at least one increment")
-    tmp = np.abs(x)
-    mean_abs = np.add.reduce(tmp) / n
-    mean = np.add.reduce(x) / n
-    np.subtract(x, mean, out=tmp)
-    return n, mean_abs, mean, np.add.reduce(np.square(tmp, out=tmp))
+def _reduced(increments) -> dict[str, np.ndarray]:
+    """The per-lag fields of a curve, from one increment array per lag: its
+    (n, mean |x|, mean x, sum of squared deviations), reduced exactly as
+    np.mean(np.abs(x)) and np.std(x, ddof=1) do, so the curve is bit-identical
+    to them; two-pass m2 does not cancel under drift."""
+    moments = []
+    for x in increments:
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        if n == 0:
+            raise DomainError("every lag needs at least one increment")
+        tmp = np.abs(x)  # |x|, then the squared deviations
+        mean_abs = np.add.reduce(tmp) / n
+        mean = np.add.reduce(x) / n
+        np.subtract(x, mean, out=tmp)
+        moments.append((n, mean_abs, mean, np.add.reduce(np.square(tmp, out=tmp))))
+        del tmp  # freed before the next lag's
+    return _curve(*np.array(moments).reshape(-1, 4).T)
 
 
-def _sample_sigma(n: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """sqrt(m2 / (n - 1)) per lag; NaN where n < 2."""
+def _curve(n, dphi, mean, m2) -> dict[str, np.ndarray]:
+    """The per-lag fields of a curve from its moments; sigma is NaN where n < 2."""
     sigma = np.full(n.shape, np.nan)
     ok = n >= 2
     sigma[ok] = np.sqrt(m2[ok] / (n[ok] - 1))
-    return sigma
+    return dict(n_increments=n, mean_abs_change=dphi, sigma_per_tau=sigma, signed_mean=mean, m2=m2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +295,7 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     """Lags (s) from dt up to tau_max: every sample step, geometrically
     thinned once there would be more than `max_lags` of them."""
     check_scalar("tau_max", tau_max)
+    check_scalar("max_lags", max_lags, minimum=1)
     if not (dt > 0) or not (tau_max >= dt):
         raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}",
                           "tau_max", "dt")
@@ -309,50 +312,45 @@ def _lag_steps(tau: float, dt: float) -> int:
     check_scalar("tau", tau)
     k = int(round(tau / dt))
     if k < 1 or abs(tau - k * dt) > 1e-6 * dt:
-        raise DomainError(f"lag {tau:g} s is not a positive multiple of dt = {dt:g} s")
+        raise DomainError(f"lag {tau:g} s is not a positive multiple of dt = {dt:g} s",
+                          "tau", "dt")
     return k
 
 
-def _pair_counts(segments, steps: np.ndarray) -> np.ndarray:
-    """Per lag step k the valid pairs, sum(max(L - k, 0)) over segment lengths L."""
-    by_length = np.sort(np.fromiter((b - a for a, b in segments), dtype=np.intp,
-                                    count=len(segments)))
-    shorter = np.searchsorted(by_length, steps, side="right")
-    total = np.concatenate([[0], np.cumsum(by_length)])
-    return total[-1] - total[shorter] - steps * (by_length.size - shorter)
-
-
-def _increments(samples: np.ndarray, segments, steps: np.ndarray, counts):
+def _increments(samples: np.ndarray, segments, steps: np.ndarray):
     """Signed increments of the `segments` of `samples` at each lag step in
-    `steps` (ascending), one array at a time, in time order; `counts` is the
-    :func:`_pair_counts` of `steps`.
+    `steps` (ascending), one array at a time, in time order: the pairs with
+    both samples in one segment, until a lag that no segment is longer than.
 
     Each segment longer than the lag (filtered from the previous lag's) writes
-    its pairs s[a+k:b] - s[a:b-k] into one buffer, allocated once at the
-    largest count, and each lag yields a view of it that the next lag
-    overwrites: 8 B per in-segment sample, whatever the number of lags.  Each
-    segment costs one ufunc call per lag.
+    its pairs s[a+k:b] - s[a:b-k] into one buffer, sized at the first lag,
+    which has the most, and the lag yields a view of those it wrote, which the
+    next lag overwrites: 8 B per in-segment sample, whatever the number of
+    lags.  Each segment costs one ufunc call per lag.
     """
-    buf = np.empty(counts.max())
-    for k, n in zip(steps.tolist(), counts.tolist()):
-        o = 0
+    buf = None
+    for k in steps.tolist():
         segments = [s for s in segments if s[1] - s[0] > k]
+        if not segments:
+            return
+        if buf is None:
+            buf = np.empty(sum(b - a - k for a, b in segments))
+        o = 0
         for a, b in segments:
             np.subtract(samples[a + k:b], samples[a:b - k], out=buf[o:o + b - a - k])
             o += b - a - k
-        yield buf[:n]
+        yield buf[:o]
 
 
 def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     """Signed increments phi(t + tau) - phi(t) at one lag, in time order.
 
-    All overlapping pairs are used; pairs spanning a segment boundary are
-    discarded (the phase is unobservable through omitted extrema).  `tau`
-    must be a positive multiple of the sample interval.
+    All overlapping pairs within one segment are used (the phase is
+    unobservable through omitted extrema), so a lag that no segment is longer
+    than has none.  `tau` must be a positive multiple of the sample interval.
     """
     steps = np.array([_lag_steps(tau, phase.dt)])
-    return next(_increments(phase.samples, phase.segments, steps,
-                            _pair_counts(phase.segments, steps)))
+    return next(_increments(phase.samples, phase.segments, steps), np.empty(0))
 
 
 def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
@@ -361,7 +359,7 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     The increments of :func:`increments_at` are gathered and reduced one lag
     at a time (see `_increments`), so memory does not grow with the number
     of lags: 16 B per in-segment sample, the shared buffer and one
-    temporary of the reduction.  Lags with no valid pair are dropped.
+    temporary of the reduction.  Lags that no segment is longer than are dropped.
 
     The trace is only read.  A trace handed over as ``Adopted(trace)`` is
     consumed instead: its segments are packed, in time order, to the front
@@ -373,24 +371,22 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     if adopted:
         phase = phase.array
         if not isinstance(phase, PhaseTrace):
-            raise DomainError(f"only a PhaseTrace can be handed over, got "
-                              f"{type(phase).__name__}")
+            raise DomainError(f"only a PhaseTrace can be handed over, got {type(phase).__name__}")
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise DomainError("at least one lag is required", "taus")
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing", "taus")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
-    counts = _pair_counts(phase.segments, steps)
-    if not counts.all():
-        _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
-                   np.count_nonzero(counts == 0), taus[counts == 0][0])
-    steps, counts = steps[counts > 0], counts[counts > 0]
-    if steps.size == 0:
-        raise InsufficientDataError("no lag has a valid increment pair on any segment")
     samples, segments = _packed(phase) if adopted else (phase.samples, phase.segments)
-    increments = _increments(samples, segments, steps, counts)
-    return PhaseStats(steps * phase.dt, counts, phase.dt, increments=increments)
+    curve = _reduced(_increments(samples, segments, steps))
+    kept = curve["n_increments"].size
+    if kept < steps.size:
+        _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
+                   steps.size - kept, taus[kept])
+    if kept == 0:
+        raise InsufficientDataError("no lag has a valid increment pair on any segment")
+    return PhaseStats(steps[:kept] * phase.dt, dt=phase.dt, **curve)
 
 
 def _packed(phase: PhaseTrace) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -434,8 +430,7 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
         mean[i] += delta * weight
         m2[i] += s.m2 + delta * delta * n[i] * weight
         n[i] = total
-    return PhaseStats(taus=ks * dt, n_increments=n, dt=dt, mean_abs_change=dphi,
-                      sigma_per_tau=_sample_sigma(n, m2), signed_mean=mean, m2=m2)
+    return PhaseStats(taus=ks * dt, dt=dt, **_curve(n, dphi, mean, m2))
 
 
 def mean_phase_change(stats: PhaseStats) -> np.ndarray:

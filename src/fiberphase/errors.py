@@ -80,7 +80,7 @@ def check_scalar(name: str, value: float, positive: bool = False,
         raise DomainError(f"{name} must be > 0, got {value}", name)
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}", name)
-    if not math.isfinite(value):
+    if not (isinstance(value, int) or math.isfinite(value)):  # an int may not fit a float
         raise DomainError(f"{name} must be finite, got {value}", name)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen,
 )
-from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma
+from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma, seeded_rng
 
 __all__ = [
     "FringeScan",
@@ -122,9 +122,8 @@ def simulate_fringe_scan(
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
     # Point i draws from the key's stream jumped by i * 2^128, as
     # Philox.jumped(i) would give, without building a bit generator per point.
-    bits = np.random.Philox(key=int(seed) & (2**64 - 1))
-    start = bits.state
-    rng = np.random.Generator(bits)
+    rng = seeded_rng(seed)
+    bits, start = rng.bit_generator, rng.bit_generator.state
     x = np.empty(pulses_per_point)
     areas = np.empty(n_points)
     for i, phi in enumerate(applied):

@@ -73,6 +73,12 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
     return length_km * group_index / SPEED_OF_LIGHT_KM_S
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every seeded draw in the package: Philox keyed by `seed` mod 2^64."""
+    check_scalar("seed", seed)
+    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Calibration of a fiber phase-noise process, and the process itself.
@@ -141,7 +147,7 @@ class NoiseParams:
                               "duration", "dt")
         n_steps = int(math.floor(duration / dt + 1e-9))
 
-        rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+        rng = seeded_rng(seed)
         sigma_step = self.sigma_at(dt)
         fgn = sigma_step != 0.0 and self.hurst != 0.5
         if fgn:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, check_scalar
 from .noise import (
     MEAN_ABS_FACTOR,
+    seeded_rng,
     variance_from_visibility,
     visibility_from_sigma,
     visibility_from_variance,
@@ -101,8 +102,7 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     """
     check_scalar("sigma", sigma, minimum=0)
     check_scalar("n_samples", n_samples, minimum=1)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    delta = sigma * rng.standard_normal(n_samples)
+    delta = sigma * seeded_rng(seed).standard_normal(n_samples)
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 
 

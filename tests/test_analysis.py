@@ -15,6 +15,7 @@ from fiberphase import (
     DomainError,
     EmptySegmentsError,
     FitError,
+    FringeFit,
     FringeScan,
     InsufficientDataError,
     IntensityTrace,
@@ -117,6 +118,17 @@ class TestFitFringe:
         )
         with pytest.raises(FitError):
             fit_fringe(scan)
+
+    def test_visibility_above_one_raises(self):
+        # A fringe narrower than a sinusoid fits an amplitude above its offset.
+        scan = FringeScan(applied_phase=np.linspace(0.0, 2.0 * math.pi, 8),
+                          pulse_area=[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(FitError, match=r"^fitted visibility out of range: 1\.99"):
+            fit_fringe(scan)
+
+    def test_non_positive_offset_raises(self):
+        with pytest.raises(FitError, match=r"^non-positive fringe offset after fit: 0\.0$"):
+            FringeFit(offset=0.0, cos_amp=0.0, sin_amp=0.0, visibility=0.0, residual_rms=0.0)
 
 
 class TestExtractPhase:
@@ -291,6 +303,16 @@ class TestIncrementSets:
         with pytest.raises(DomainError):
             increments_at(trace, 1.5e-6)
 
+    @pytest.mark.parametrize("call", [lambda trace: increment_sets(trace, [1.5e-6]),
+                                      lambda trace: increments_at(trace, 1.5e-6)],
+                             ids=["increment_sets", "increments_at"])
+    def test_lag_not_on_grid_names_tau_and_dt(self, call):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(10))
+        with pytest.raises(DomainError, match=r"^lag 1\.5e-06 s is not a positive multiple "
+                                              r"of dt = 1e-06 s$") as excinfo:
+            call(trace)
+        assert excinfo.value.fields == ("tau", "dt")
+
     def test_lags_must_increase(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(10))
         with pytest.raises(DomainError):
@@ -368,6 +390,14 @@ class TestIncrementSets:
         with caplog.at_level(logging.DEBUG, logger="fiberphase"):
             increment_sets(trace, [2e-6, 5e-6])
         assert caplog.records == []
+
+    def test_all_lags_dropped_logs_then_raises(self, caplog):
+        trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(6))
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            with pytest.raises(InsufficientDataError, match="no lag has a valid increment"):
+                increment_sets(trace, [6e-6, 7e-6])
+        assert [r.getMessage() for r in caplog.records] == [
+            "increment_sets: dropped 2 lags with no valid pair, from 6e-06 s"]
 
     def test_pool_stats_merges_counts(self):
         traces = [

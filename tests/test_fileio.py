@@ -107,6 +107,12 @@ class TestTraceRoundTrip:
         write_trace(path, trace)
         assert np.array_equal(read_trace(path).samples, trace.samples)
 
+    def test_non_trace_rejected(self, tmp_path):
+        scan = FringeScan(applied_phase=[0.0, 1.0, 2.0, 3.0], pulse_area=[1.0, 0.5, 0.2, 0.6])
+        with pytest.raises(DomainError, match="^cannot serialize FringeScan as a trace$"):
+            write_trace(str(tmp_path / "t.csv"), scan)
+        assert not list(tmp_path.iterdir())
+
     def test_header_line(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_trace(path, PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(2)))
@@ -1267,6 +1273,18 @@ class TestReport:
         write_report(path, report)
         data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["v"] == "nan"
+
+    def test_numpy_integers_serialized_as_ints(self, tmp_path):
+        path = str(tmp_path / "r.json")
+        write_report(path, ReportDocument(config={}, results={"x": {"n": np.int64(7)}}))
+        data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert data["results"]["x"]["n"] == 7 and type(data["results"]["x"]["n"]) is int
+
+    def test_unserializable_value_raises(self, tmp_path):
+        report = ReportDocument(config={}, results={"x": {"v": {1, 2}}})
+        with pytest.raises(DomainError, match="^cannot serialize set into a report$"):
+            write_report(str(tmp_path / "r.json"), report)
+        assert not list(tmp_path.iterdir())
 
     def test_input_digest_recorded(self, tmp_path):
         trace_path = str(tmp_path / "t.csv")

@@ -234,6 +234,14 @@ _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, np.nan, 10), "n_points", "nan"),
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, np.inf), "pulses_per_point", "inf"),
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, np.nan), "pulses_per_point", "nan"),
+    (lambda: fp.default_lag_grid(1e-6, 1e-3, np.inf), "max_lags", "inf"),
+    (lambda: fp.default_lag_grid(1e-6, 1e-3, np.nan), "max_lags", "nan"),
+    (lambda: _NIGHT.sample_trace(1e-3, 1e-6, seed=np.inf), "seed", "inf"),
+    (lambda: _NIGHT.sample_trace(1e-3, 1e-6, seed=np.nan), "seed", "nan"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10, seed=np.inf), "seed", "inf"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10, seed=np.nan), "seed", "nan"),
+    (lambda: fp.monte_carlo_fidelity(0.1, 10, seed=np.inf), "seed", "inf"),
+    (lambda: fp.monte_carlo_fidelity(0.1, 10, seed=np.nan), "seed", "nan"),
 ], ids=["params_tau_ref", "params_length_km", "sample_trace_dt", "sample_trace_duration",
         "sagnac_sigma_loop_km", "sagnac_calibration_loop_km", "tau_threshold_target",
         "diffusion_length_km", "budget_total_km", "predict_visibility_length_km",
@@ -252,11 +260,68 @@ _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
         "increment_sets_tau_inf", "increment_sets_tau_nan",
         "increments_at_tau_inf", "increments_at_tau_nan", "mz_phi0_inf", "mz_phi0_nan",
         "fringe_n_points_inf", "fringe_n_points_nan",
-        "fringe_pulses_per_point_inf", "fringe_pulses_per_point_nan"])
+        "fringe_pulses_per_point_inf", "fringe_pulses_per_point_nan",
+        "lag_grid_max_lags_inf", "lag_grid_max_lags_nan",
+        "sample_trace_seed_inf", "sample_trace_seed_nan", "fringe_seed_inf", "fringe_seed_nan",
+        "monte_carlo_seed_inf", "monte_carlo_seed_nan"])
 def test_infinite_value_names_its_field(call, field, got):
     with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got {got}$") as excinfo:
         call()
     assert (excinfo.value.fields, excinfo.value.index) == ((field,), None)
+
+
+def test_zero_max_lags_names_its_field():
+    with pytest.raises(fp.DomainError, match="^max_lags must be >= 1, got 0$") as excinfo:
+        fp.default_lag_grid(1e-6, 1e-3, 0)
+    assert excinfo.value.fields == ("max_lags",)
+
+
+def test_seed_keeps_its_stream_however_large():
+    # Keys are seeds modulo 2^64, whether the seed is a float, a numpy
+    # integer or a Python int too large for a float.
+    expected = fp.monte_carlo_fidelity(0.3, 16, seed=7)
+    for seed in (7.0, np.int64(7), 7 + 2**64, 7 + 2**1100):
+        assert fp.monte_carlo_fidelity(0.3, 16, seed=seed) == expected
+
+
+# One call per library check of a value's range, shape or kind: its message,
+# and the fields of the values it rejects.
+@pytest.mark.parametrize("call,message,fields", [
+    (lambda: fp.default_lag_grid(0.0, 1e-3), "need tau_max >= dt > 0, got dt=0.0, tau_max=0.001",
+     ("tau_max", "dt")),
+    (lambda: fp.default_lag_grid(1e-3, 1e-6), "need tau_max >= dt > 0, got dt=0.001, "
+     "tau_max=1e-06", ("tau_max", "dt")),
+    (lambda: fp.fit_scaling_exponent(_stats(), (0.0, 2e-6)),
+     "need 0 < tau_min < tau_max, got (0.0, 2e-06)", ("tau_min", "tau_max")),
+    (lambda: fp.fit_scaling_exponent(_stats(), (2e-6, 1e-6)),
+     "need 0 < tau_min < tau_max, got (2e-06, 1e-06)", ("tau_min", "tau_max")),
+    (lambda: fp.increment_sets(_phase(), []), "at least one lag is required", ("taus",)),
+    (lambda: fp.pool_stats([]), "nothing to pool", ()),
+    (lambda: _stats(n_increments=[3]), "n_increments must hold one value per lag",
+     ("n_increments",)),
+    (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[0], dt=1e-6, increments=[[]]),
+     "every lag needs at least one increment", ()),
+    (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[3], dt=1e-6),
+     "give increments=, or mean_abs_change= and sigma_per_tau=", ()),
+    (lambda: fp.preset_params("dusk"), "unknown preset 'dusk'; choose 'day' or 'night'",
+     ("name",)),
+    (lambda: fp.RepeaterChain(link_lengths=()), "a chain needs at least one link",
+     ("link_lengths",)),
+    (lambda: fp.RepeaterChain(link_lengths=(10.0, 20.0), link_sigmas=(0.1,)),
+     "1 sigmas for 2 links", ("link_sigmas", "link_lengths")),
+    (lambda: fp.RepeaterChain(link_lengths=(10.0,), link_sigmas=(-0.1,)),
+     "link sigmas must be >= 0, got (-0.1,)", ("link_sigmas",)),
+    (lambda: fp.BudgetReport(total_sigma=3.0, fidelity=0.4, visibility=-0.2,
+                             per_segment_sigma_limit=1.0, per_segment_dphi_limit=0.8),
+     "fidelity must be in [0.5, 1], got 0.4", ("fidelity",)),
+], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
+        "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
+        "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "unknown_preset",
+        "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity"])
+def test_broken_rule_names_its_fields(call, message, fields):
+    with pytest.raises(fp.DomainError) as excinfo:
+        call()
+    assert (str(excinfo.value), excinfo.value.fields) == (message, fields)
 
 
 # The non-underscore, non-module names of the package, as released.
