@@ -217,7 +217,8 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
         offset=float(a0),
         cos_amp=float(a1),
         sin_amp=float(a2),
-        visibility=float(math.hypot(a1, a2) / a0),
+        # a0 <= 0 is left to FringeFit's offset check, not divided by
+        visibility=float(math.hypot(a1, a2) / a0) if a0 > 0 else math.nan,
         residual_rms=float(np.sqrt(np.mean(residual**2))),
     )
 
@@ -295,7 +296,7 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     """Lags (s) from dt up to tau_max: every sample step, geometrically
     thinned once there would be more than `max_lags` of them."""
     check_scalar("tau_max", tau_max)
-    check_scalar("max_lags", max_lags, minimum=1)
+    check_scalar("max_lags", max_lags, minimum=1, integer=True)
     if not (dt > 0) or not (tau_max >= dt):
         raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}",
                           "tau_max", "dt")

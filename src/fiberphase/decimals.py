@@ -11,7 +11,8 @@ tie between two candidates, and all integer cells are written by `repr`.
 A block's rows are read back by one numpy kernel (`parse`) when they are
 in the writer's own language: ASCII rows of exactly one cell per column,
 each `-?D+(.D+)?(e[+-]D+)?` or `nan`, ending in LF, in a table of float
-columns.  A cell's significand is read 8 digits a word into uint64.
+columns.  A `nan` cell is known by its first token and not decoded; any
+other cell's significand is read 8 digits a word into uint64.
 Below 2**53 with a power of ten of at most 22, it and the power are exact
 doubles, so one multiply or divide rounds once to the nearest (Clinger's
 fast path).  Otherwise a double candidate is corrected by an exact
@@ -279,12 +280,20 @@ def parse(text: bytes, columns, keep) -> list[np.ndarray] | None:
 def _cell_values(text, at, cls, kind, before, after) -> np.ndarray:
     """The cells between the separator tokens `before` and `after`.
 
-    A significand that fits uint64 and is below 2**53, with a power of ten
-    of at most 22, is exact in a double, and one rounding gives the nearest
-    (Clinger, PLDI 1990).  Otherwise `_nearest` corrects a candidate in exact
-    integer arithmetic, and `float()` reads the cells neither decides.
+    A cell whose first token is `nan` is not decoded.  A significand that
+    fits uint64 and is below 2**53, with a power of ten of at most 22, is
+    exact in a double, and one rounding gives the nearest (Clinger, PLDI
+    1990).  Otherwise `_nearest` corrects a candidate in exact integer
+    arithmetic, and `float()` reads the cells neither decides.
     """
-    sig, power, slow, neg, nan, first, stop = _significands(text, at, cls, kind, before, after)
+    nan = kind[before + 1] == _N1
+    if nan.any():  # each cell's value is its own, so the others are decoded alone
+        value = np.full(before.size, np.nan)
+        num = np.flatnonzero(~nan)
+        if num.size:
+            value[num] = _cell_values(text, at, cls, kind, before[num], after[num])
+        return value
+    sig, power, slow, neg, first, stop = _significands(text, at, cls, kind, before, after)
     scale = _POW10.take(np.abs(power), mode="clip")
     value = sig.astype(np.float64)
     np.divide(value, scale, out=value, where=power < 0)
@@ -293,20 +302,17 @@ def _cell_values(text, at, cls, kind, before, after) -> np.ndarray:
     fix = np.flatnonzero(~(slow | fast) & (power <= 0) & (power >= -22) & (sig < 2**62))
     slow |= ~fast
     value[fix], slow[fix] = _nearest(sig[fix].astype(np.int64), -power[fix], value[fix])
-    slow &= ~nan
     for i in np.flatnonzero(slow):
         value[i] = float(text[first[i]:stop[i]])
-    value[nan] = np.nan
     return np.negative(value, out=value, where=neg)
 
 
 def _significands(text, at, cls, kind, before, after) -> tuple[np.ndarray, ...]:
-    """Each cell between the separator tokens `before` and `after` as
-    sig * 10**power: (sig in uint64, power, where sig may be wrong, the
-    minus signs, the nans, and the span of the digits and exponent)."""
+    """Each cell, none of them `nan`, between the separator tokens `before`
+    and `after` as sig * 10**power: (sig in uint64, power, where sig may be
+    wrong, the minus signs, and the span of the digits and exponent)."""
     # Arrays are deleted once dead: a block's peak is in this function.
     token = before + 1  # each cell's first token, or its closing separator
-    nan = kind[token] == _N1
     neg = kind[token] == _LEAD
     token += neg
     dot = kind[token] == _DOT
@@ -328,13 +334,13 @@ def _significands(text, at, cls, kind, before, after) -> tuple[np.ndarray, ...]:
     frac, frac_ok = _digits(text, exp_at, n_frac)
     sig = whole * _cell_tables().pow10.take(n_frac, mode="clip") + frac  # wraps past 2**64
     # a run of more than 24 digits, or a significand that may have wrapped
-    wrong = (nan | (n_int > 24) | (n_frac > 24) | (n_exp > 4) | ~whole_ok | ~frac_ok
+    wrong = ((n_int > 24) | (n_frac > 24) | (n_exp > 4) | ~whole_ok | ~frac_ok
              | ((whole != 0) & (n_int + n_frac > 19)))
     del whole, frac, n_int
     power = _digits(text, stop, n_exp)[0].astype(np.int64)
     power[exp_neg] *= -1
     power -= n_frac
-    return sig, power, wrong, neg, nan, first, stop
+    return sig, power, wrong, neg, first, stop
 
 
 def _digits(text: bytes, end: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

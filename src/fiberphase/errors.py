@@ -3,6 +3,7 @@ read-only arrays and field-wise equality that value objects are built on."""
 
 import dataclasses
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -72,16 +73,19 @@ class TraceParseError(FiberPhaseError, ValueError):
 
 
 def check_scalar(name: str, value: float, positive: bool = False,
-                 minimum: float | None = None) -> None:
-    """Raise DomainError unless `value` is finite, > 0 if `positive` and
-    >= `minimum` if given.  The bounds are tested before finiteness, so -inf
-    names its bound, and nan names finiteness unless `positive` is set."""
+                 minimum: float | None = None, integer: bool = False) -> None:
+    """Raise DomainError unless `value` is finite, > 0 if `positive`, >=
+    `minimum` if given and an integer (of an integer type) if `integer`.
+    The bounds are tested before finiteness, so -inf names its bound, and nan
+    names finiteness unless `positive` is set."""
     if positive and not (value > 0):
         raise DomainError(f"{name} must be > 0, got {value}", name)
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}", name)
     if not (isinstance(value, int) or math.isfinite(value)):  # an int may not fit a float
         raise DomainError(f"{name} must be finite, got {value}", name)
+    if integer and not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value}", name)
 
 
 def check_finite(name: str, values: np.ndarray) -> None:

@@ -57,11 +57,11 @@ _log = logging.getLogger(__name__)
 
 # A table read holds its kept columns once, plus a block of _BLOCK bytes of
 # rows and the kernel's temporaries, about 6 times as large.  A write renders
-# blocks of 4 * _BLOCK bytes of NUL-padded cells (about 1.5 * _BLOCK
-# characters); with the temporaries of `decimals.render`, most of it, a write
-# peaks at about 14 * _BLOCK (3.7 MB traced for a 2^20-sample trace).
+# blocks of rows into one matrix of 4 * _BLOCK bytes of NUL-padded cells
+# (about 1.5 * _BLOCK characters), made once per table; with the
+# temporaries of `decimals.render`, most of it, a write peaks at about
+# 14 * _BLOCK (3.7 MB traced for a 2^20-sample trace).
 _BLOCK = 1 << 18
-_BYTES = 1 << 16  # bytes per block of a pass over a file's raw bytes
 # The lone surrogates that stand for bytes that are not UTF-8 (PEP 383).
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
@@ -134,15 +134,18 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
             ",".join(name for name, _ in columns),
             "",
         ]).encode("utf-8")
+        text = b""
         for a in starts:
             b = min(a + step, n_rows)
-            # Each cell padded with NULs to WIDTH, then its separator.
-            text = bytearray((b - a) * width)
-            rows = np.frombuffer(text, np.uint8).reshape(b - a, len(columns), decimals.WIDTH + 1)
+            # Each cell padded with NULs to WIDTH, then its separator.  `render`
+            # overwrites all WIDTH bytes of a cell, so a full block reuses the matrix.
+            if len(text) != (b - a) * width:  # the first block, or a shorter last one
+                text = bytearray((b - a) * width)
+                rows = np.frombuffer(text, np.uint8).reshape(b - a, len(columns), -1)
+                rows[:, :, decimals.WIDTH] = ord(",")
+                rows[:, -1, decimals.WIDTH] = ord("\n")
             for j, (col, (_, kind)) in enumerate(zip(values, columns)):
                 by_repr += decimals.render(np.asarray(col[a:b], kind), rows[:, j, :decimals.WIDTH])
-            rows[:, :, decimals.WIDTH] = ord(",")
-            rows[:, -1, decimals.WIDTH] = ord("\n")
             yield text.translate(None, b"\0")
 
     _atomic_write(path, chunks())
@@ -178,9 +181,10 @@ def _line_breaks(path: str) -> int:
         return 0
     count = 0
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_BYTES), b""):
-            count += chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r"))
-    return count
+        for chunk in iter(lambda: fh.read(_BLOCK), b""):
+            count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            count += b"\r" in chunk and chunk.count(b"\r")
+    return int(count)
 
 
 def _blocks(fh, digest):

@@ -115,8 +115,8 @@ def simulate_fringe_scan(
     from N(0, sagnac_effective_sigma^2); scan points use independent
     deterministic substreams of `seed`.
     """
-    check_scalar("n_points", n_points, minimum=4)
-    check_scalar("pulses_per_point", pulses_per_point, minimum=1)
+    check_scalar("n_points", n_points, minimum=4, integer=True)
+    check_scalar("pulses_per_point", pulses_per_point, minimum=1, integer=True)
     check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)

@@ -130,6 +130,14 @@ class TestFitFringe:
         with pytest.raises(FitError, match=r"^non-positive fringe offset after fit: 0\.0$"):
             FringeFit(offset=0.0, cos_amp=0.0, sin_amp=0.0, visibility=0.0, residual_rms=0.0)
 
+    def test_flat_scan_at_the_floor_raises_without_warning(self):
+        # The fit's offset is 0, which must not be divided by: the test
+        # settings turn numpy's RuntimeWarning into an error.
+        scan = FringeScan(applied_phase=np.linspace(0.0, 2.0 * math.pi, 8),
+                          pulse_area=np.full(8, 0.1), detector_noise=0.1)
+        with pytest.raises(FitError, match=r"^non-positive fringe offset after fit: 0\.0$"):
+            fit_fringe(scan)
+
 
 class TestExtractPhase:
     def test_midpoint_everywhere(self):

@@ -416,6 +416,44 @@ def test_golden_bytes(tmp_path, write, obj, expected):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def block_for_step(step: int, ncols: int) -> int:
+    """The `_BLOCK` at which a table of `ncols` columns is written `step` rows a block."""
+    return -(-step * ncols * (decimals.WIDTH + 1) // 4)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "write,obj,expected", GOLDEN,
+    ids=["phase_trace", "intensity_trace", "fringe", "dphi_curve", "histogram"],
+)
+def test_golden_bytes_at_each_block_step(tmp_path, monkeypatch, caplog, step, write, obj,
+                                         expected):
+    # row counts of 2-5: a multiple of the step, one short of one, or neither
+    lines = expected.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    n_rows = len(lines) - header - 1
+    monkeypatch.setattr(fileio, "_BLOCK", block_for_step(step, lines[header].count(",") + 1))
+    path = tmp_path / "golden.csv"
+    with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+        write(str(path), obj)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert f" {n_rows} rows in {-(-n_rows // step)} blocks," in caplog.records[-1].getMessage()
+
+
+@pytest.mark.parametrize("n_rows", [28, 27], ids=["multiple", "one_short"])
+def test_rows_a_multiple_of_the_block_step_or_one_short(tmp_path, monkeypatch, n_rows):
+    rng = np.random.Generator(np.random.Philox(key=26))
+    values = rng.normal(0.0, 1.0, n_rows)
+    values[rng.random(n_rows) < 0.6] = np.nan
+    values[[0, 9, 13]] = 5e-324, -0.0, 1e300
+    trace = PhaseTrace(t0=0.5, dt=1e-6, samples=values, segments=())
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    write_trace(str(whole), trace)
+    monkeypatch.setattr(fileio, "_BLOCK", block_for_step(7, 2))
+    write_trace(str(blocks), trace)
+    assert blocks.read_bytes() == whole.read_bytes()
+
+
 TRACE_HEAD = b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
 FRINGE_HEAD = b"# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
 READER_IDS = ["trace", "fringe", "dphi_curve"]
@@ -794,6 +832,19 @@ class TestBlockBoundaries:
         monkeypatch.setattr(fileio, "_line_breaks", lambda _: undercount)
         assert self.outcome(path, tiny_block) == expected
 
+    def test_nan_rows_at_block_edges(self, tmp_path, tiny_block):
+        # nan rows first and last in a block, beside negative, 17-digit,
+        # exponent and float()-fallback cells
+        values = np.array([np.nan, np.nan, -0.5, np.nan, 0.30000000000000004, 1e300, np.nan,
+                           5e-324, np.nan, np.nan, -1.5e-07, 1 / 3, np.nan])
+        columns = (np.arange(values.size) * 1e-6, values)
+        path = str(tmp_path / "t.csv")
+        fileio._write_table(path, fileio._TRACE, {}, columns)
+        with mock.patch.object(fileio, "_BLOCK", tiny_block):
+            _, got, *_ = fileio._read_table(path, fileio._TRACE)
+        assert [c.view(np.int64).tolist() for c in got] == [
+            c.view(np.int64).tolist() for c in columns]
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_reads_as_file(self, tmp_path, tiny_block):
         # a pipe can be read once, so its rows are not counted first
@@ -1091,6 +1142,37 @@ class TestCellKernel:
     @settings(max_examples=300)
     @given(st.lists(DECIMALS, min_size=1, max_size=40))
     def test_every_decimal_as_float(self, cells):
+        assert kernel_bits(cells) == float_bits(cells)
+
+    @pytest.mark.parametrize("cells", [
+        ["nan"] * 5,
+        ["nan", "-0.5", "0.30000000000000004", "1.5e-07", "nan"],
+        ["nan", "-12345678901234567", "nan", "2.5e+22", "nan", "1e+300", "nan", "5e-324", "nan",
+         "1234567890123456789012345", "nan", "-1.7976931348623157e+308", "nan", "9.5e-05"],
+    ], ids=["all_nan", "nan_first_and_last", "nan_beside_each_path"])
+    def test_nan_cells_are_not_decoded(self, cells):
+        # negative, 17-digit, exponent and float()-fallback cells beside nans
+        sizes, significands = [], decimals._significands
+
+        def spy(text, at, cls, kind, before, after):
+            sizes.append(before.size)
+            return significands(text, at, cls, kind, before, after)
+
+        with mock.patch.object(decimals, "_significands", spy):
+            assert kernel_bits(cells) == float_bits(cells)
+        numbers = len(cells) - cells.count("nan")
+        assert sizes == ([numbers] if numbers else [])
+
+    def test_all_nan_column_never_reaches_digits(self):
+        two = (("t", float), ("x", float))
+        data = decimals.HEAD + b"0.5,nan\n-1e-06,nan\n0.25,nan\n"
+        with mock.patch.object(decimals, "_digits", side_effect=AssertionError("decoded")):
+            (x,) = decimals.parse(data, two, [1])
+        assert x.size == 3 and np.isnan(x).all()
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(DECIMALS, st.just("nan")), min_size=1, max_size=40))
+    def test_every_decimal_among_nans_as_float(self, cells):
         assert kernel_bits(cells) == float_bits(cells)
 
     def test_halfway_integers_round_to_even(self):

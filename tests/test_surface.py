@@ -314,10 +314,22 @@ def test_seed_keeps_its_stream_however_large():
     (lambda: fp.BudgetReport(total_sigma=3.0, fidelity=0.4, visibility=-0.2,
                              per_segment_sigma_limit=1.0, per_segment_dphi_limit=0.8),
      "fidelity must be in [0.5, 1], got 0.4", ("fidelity",)),
+    (lambda: fp.default_lag_grid(1e-6, 1e-3, 2.5), "max_lags must be an integer, got 2.5",
+     ("max_lags",)),
+    (lambda: fp.default_lag_grid(1e-6, 1e-5, 50.0), "max_lags must be an integer, got 50.0",
+     ("max_lags",)),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8.5, 10),
+     "n_points must be an integer, got 8.5", ("n_points",)),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10.5),
+     "pulses_per_point must be an integer, got 10.5", ("pulses_per_point",)),
+    (lambda: fp.monte_carlo_fidelity(0.1, 10.5), "n_samples must be an integer, got 10.5",
+     ("n_samples",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "unknown_preset",
-        "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity"])
+        "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
+        "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
+        "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
