@@ -81,14 +81,14 @@ class FringeFit:
 class PhaseStats:
     """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
-    The sample interval `dt` is finite and > 0; the lags `taus` are finite
-    and strictly increasing.  Per lag: the count `n_increments` (>= 1), the
-    mean absolute increment `mean_abs_change` (dphi; finite, >= 0), the
-    sample standard deviation `sigma_per_tau` (ddof=1; finite, >= 0, NaN
-    only below two increments), and the signed mean and sum of squared
-    deviations `m2` that :func:`pool_stats` merges.  Arrays are read-only
-    copies.  Give either per-lag `increments` (any iterable of arrays,
-    reduced here and not stored) or the curve `mean_abs_change` and
+    The sample interval `dt` is finite and > 0; the lags `taus`, one or more,
+    are finite and strictly increasing.  Per lag: the count `n_increments`
+    (>= 1), the mean absolute increment `mean_abs_change` (dphi; finite,
+    >= 0), the sample standard deviation `sigma_per_tau` (ddof=1; finite,
+    >= 0, NaN only below two increments), and the signed mean and sum of
+    squared deviations `m2` that :func:`pool_stats` merges.  Arrays are
+    read-only copies.  Give either per-lag `increments` (any iterable of
+    arrays, reduced here and not stored) or the curve `mean_abs_change` and
     `sigma_per_tau`; a curve read from a file has no signed moments.
     """
 
@@ -116,6 +116,8 @@ class PhaseStats:
                 if value.shape != np.shape(self.taus):
                     raise DomainError(f"{name} must hold one value per lag", name)
                 object.__setattr__(self, name, value)
+        if not self.taus.size:
+            raise DomainError("a dphi curve needs at least one lag", "taus")
         check_finite("taus", self.taus)
         check_all("taus", np.diff(self.taus, prepend=-np.inf) > 0,
                   "lags must be strictly increasing")
@@ -420,7 +422,8 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
     if any(s.m2 is None for s in stats_list):
         raise DomainError("cannot pool a curve without signed moments (read from a file?)")
     steps = [np.rint(s.taus / dt).astype(int) for s in stats_list]
-    ks = np.unique(np.concatenate(steps))
+    ks = np.sort(np.concatenate(steps))
+    ks = ks[np.diff(ks, prepend=ks[0] - 1) > 0]  # np.unique would import numpy.ma
     n, dphi, mean, m2 = np.zeros((4, ks.size))
     for s, k in zip(stats_list, steps):
         i = np.searchsorted(ks, k)

@@ -157,16 +157,16 @@ def _read_table(path: str, table: tuple, skip: tuple = (), digest=None):
     """Read `table`: (metadata, one array per column, header line number,
     the line numbers of the blank lines skipped, ascending).
 
-    `metadata` maps each key to its (value, line); the last line that sets
-    a key wins.  Blank lines are skipped; the first faulty line of the file,
-    a byte that is not UTF-8 included, raises TraceParseError with its
-    1-based line number.  The bytes are read in one forward pass, and the
-    path is not opened after it, so a pipe or FIFO fails as a regular file
-    does.  Rows are parsed one block of about `_BLOCK` bytes at a time into
-    one array per kept column, allocated once at a bound on the row count
-    and trimmed in place at the end.  Columns named in `skip` are checked
-    like the others, but not kept or returned.  `digest`, a hashlib object,
-    is updated with every byte read.
+    `metadata` maps each key to its (value, line); the last line that sets a
+    key wins.  Only the format is checked, not the row count or the values.
+    Blank lines are skipped; the first faulty line, a byte that is not UTF-8
+    included, raises TraceParseError with its 1-based line number.  The bytes
+    are read in one forward pass, and the path is not opened after it, so a
+    pipe or FIFO fails as a regular file does.  Rows are parsed one block of
+    about `_BLOCK` bytes at a time into one array per kept column, allocated
+    once at a bound on the row count and trimmed in place at the end.  Columns
+    named in `skip` are checked like the others, but not kept or returned.
+    `digest`, a hashlib object, is updated with every byte read.
     """
     breaks = _line_breaks(path)
     with open(path, "rb") as fh:
@@ -317,12 +317,12 @@ def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
 
 
 def _meta_float(meta: dict, key: str, path: str, header_line: int) -> float:
-    """Metadata `key` as a float; a missing key names the column-header line."""
+    """Metadata `key`, parsed as a float cell; a missing key names the column-header line."""
     if key not in meta:
         raise TraceParseError(f"{path}: missing metadata key {key!r}", line=header_line)
     value, line = meta[key]
     try:
-        return float(value)
+        return _parse_columns([value + "\n"], ((key, float),))[0].item()
     except ValueError:
         raise TraceParseError(f"{path}: bad value for {key!r}: {value!r}", line=line) from None
 
@@ -403,8 +403,6 @@ def write_fringe_scan(path: str, scan: FringeScan) -> None:
 def read_fringe_scan(path: str, *, digest=None) -> FringeScan:
     """Read a fringe scan CSV v1 file; `digest` as in `read_trace`."""
     meta, (phase, area), header_line, blanks = _read_table(path, _FRINGE, digest=digest)
-    if phase.size < 4:
-        raise TraceParseError(f"{path}: a fringe scan needs >= 4 rows", line=header_line)
     noise = _meta_float(meta, "detector_noise", path, header_line)
     i0 = _meta_float(meta, "i0", path, header_line)
     with _located(path, meta, header_line, blanks):
@@ -422,8 +420,6 @@ def read_dphi_curve(path: str, *, digest=None) -> PhaseStats:
     `digest` as in `read_trace`."""
     meta, (taus, dphi, sigma, counts), header_line, blanks = _read_table(path, _DPHI,
                                                                          digest=digest)
-    if not taus.size:
-        raise TraceParseError(f"{path}: empty curve", line=header_line)
     dt = _meta_float(meta, "dt", path, header_line)
     with _located(path, meta, header_line, blanks):
         return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)

@@ -134,7 +134,7 @@ def budget_per_segment(
     phase change sqrt(2/pi) * sigma.
     """
     check_scalar("total_km", total_km, positive=True)
-    check_scalar("n_links", n_links, minimum=1)
+    check_scalar("n_links", n_links, minimum=1, integer=True)
     if not (0.5 < target_fidelity < 1.0):
         raise DomainError(f"target_fidelity must be in (0.5, 1), got {target_fidelity}",
                           "target_fidelity")

@@ -194,6 +194,32 @@ class TestTraceParseErrors:
         assert read_outcome(reader, str(path)) == (
             TraceParseError, line, f"line {line}: {path}: {problem}")
 
+    @pytest.mark.parametrize("value", [".5", "1E-6", "+1e-6", "1_0e-7", "\u0661e-06"])
+    @pytest.mark.parametrize("reader,text,key", [
+        (read_trace, PHASE_HEAD + "# segments: 0:2\ntime_s,value\n0.0,0.1\n1e-06,0.2\n", "t0"),
+        (read_trace, PHASE_HEAD + "# segments: 0:2\ntime_s,value\n0.0,0.1\n1e-06,0.2\n", "dt"),
+        (read_trace, INTENSITY_HEAD + "time_s,value\n0.0,0.0\n1e-06,1e-06\n", "i_max"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, "i0"),
+        (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
+         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, "detector_noise"),
+        (read_dphi_curve, "# fiberphase-dphi v1\n# dt: 1e-06\n"
+         "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.01,0.0125,499\n", "dt"),
+    ], ids=["trace_t0", "trace_dt", "trace_i_max", "fringe_i0", "fringe_detector_noise",
+            "curve_dt"])
+    def test_metadata_number_takes_cell_syntax(self, tmp_path, reader, text, key, value):
+        # spellings that float() and the cell parser both accept read; `_`
+        # separators and non-ASCII digits, which only float() takes, fail
+        text = re.sub(f"^# {key}: .*$", f"# {key}: {value}", text, count=1, flags=re.M)
+        path = tmp_path / "meta.csv"
+        path.write_text(text, encoding="utf-8")
+        if value.isascii() and "_" not in value:
+            assert getattr(reader(str(path)), key) == float(value)
+        else:
+            line = text.splitlines().index(f"# {key}: {value}") + 1
+            assert read_outcome(reader, str(path)) == (
+                TraceParseError, line, f"line {line}: {path}: bad value for {key!r}: {value!r}")
+
     @pytest.mark.parametrize("reader,text,line,problem,fields", [
         (read_trace, PHASE_HEAD + "# segments: 0:3\ntime_s,value\n0.0,0.1\n1e-06,nan\n"
          "2e-06,0.3\n", 8, "sample 1 inside a segment is not finite: nan", ("samples",)),
@@ -859,9 +885,9 @@ class TestBlockBoundaries:
             os.close(r)
 
     @pytest.mark.parametrize("reader,text,line,message", [
-        (read_dphi_curve, CURVE_HEAD + "\n\n", 3, "empty curve"),
+        (read_dphi_curve, CURVE_HEAD + "\n\n", 3, "a dphi curve needs at least one lag"),
         (read_fringe_scan, "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: 0.0\n"
-         "applied_phase_rad,pulse_area\n\n\n\n", 4, "a fringe scan needs >= 4 rows"),
+         "applied_phase_rad,pulse_area\n\n\n\n", 4, "a fringe scan needs >= 4 points, got 0"),
     ])
     def test_empty_data_section_names_header_line(self, tmp_path, tiny_block, reader, text,
                                                   line, message):

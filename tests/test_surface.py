@@ -303,6 +303,10 @@ def test_seed_keeps_its_stream_however_large():
      "every lag needs at least one increment", ()),
     (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[3], dt=1e-6),
      "give increments=, or mean_abs_change= and sigma_per_tau=", ()),
+    (lambda: fp.PhaseStats(taus=[], n_increments=[], dt=1e-6, mean_abs_change=[],
+                           sigma_per_tau=[]), "a dphi curve needs at least one lag", ("taus",)),
+    (lambda: fp.PhaseStats(taus=[], n_increments=[], dt=1e-6, increments=[]),
+     "a dphi curve needs at least one lag", ("taus",)),
     (lambda: fp.preset_params("dusk"), "unknown preset 'dusk'; choose 'day' or 'night'",
      ("name",)),
     (lambda: fp.RepeaterChain(link_lengths=()), "a chain needs at least one link",
@@ -324,12 +328,16 @@ def test_seed_keeps_its_stream_however_large():
      "pulses_per_point must be an integer, got 10.5", ("pulses_per_point",)),
     (lambda: fp.monte_carlo_fidelity(0.1, 10.5), "n_samples must be an integer, got 10.5",
      ("n_samples",)),
+    (lambda: fp.budget_per_segment(1000, 2.5, 0.9, 36.5), "n_links must be an integer, got 2.5",
+     ("n_links",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
-        "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "unknown_preset",
+        "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
+        "stats_no_lag_increments", "unknown_preset",
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
-        "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction"])
+        "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
+        "budget_n_links_fraction"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
@@ -404,6 +412,18 @@ class TestPublicSurface:
                               capture_output=True, text=True, timeout=120)
         assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stderr
         assert (tmp_path / "c.csv").exists()
+
+    def test_pool_stats_leaves_numpy_ma_unimported(self):
+        # A fresh interpreter, since the test suite itself imports numpy.ma.
+        script = ("import sys, fiberphase as fp; "
+                  "a = fp.PhaseStats([1e-6, 2e-6], [2, 1], 1e-6, increments=[[1, 2], [3]]); "
+                  "b = fp.PhaseStats([2e-6, 4e-6], [2, 1], 1e-6, increments=[[4, 5], [6]]); "
+                  "pooled = fp.pool_stats([a, b, a]); "
+                  "print(pooled.n_increments.tolist(), 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[4, 4, 1] False", done.stderr
 
     def test_no_source_file_names_scipy(self):
         for path in pathlib.Path(ROOT, "src").rglob("*.py"):
