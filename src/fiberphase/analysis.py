@@ -82,7 +82,7 @@ class PhaseStats:
     """Immutable dphi(tau) curve: per-lag summaries of the signed increments.
 
     The sample interval `dt` is finite and > 0; the lags `taus`, one or more,
-    are finite and strictly increasing.  Per lag: the count `n_increments`
+    are finite, > 0 and strictly increasing.  Per lag: the count `n_increments`
     (>= 1), the mean absolute increment `mean_abs_change` (dphi; finite,
     >= 0), the sample standard deviation `sigma_per_tau` (ddof=1; finite,
     >= 0, NaN only below two increments), and the signed mean and sum of
@@ -119,6 +119,7 @@ class PhaseStats:
         if not self.taus.size:
             raise DomainError("a dphi curve needs at least one lag", "taus")
         check_finite("taus", self.taus)
+        check_all("taus", self.taus > 0, "lags must be > 0")
         check_all("taus", np.diff(self.taus, prepend=-np.inf) > 0,
                   "lags must be strictly increasing")
         check_finite("mean_abs_change", self.mean_abs_change)

@@ -19,9 +19,9 @@ fast path).  Otherwise a double candidate is corrected by an exact
 integer test of its distance against half the gap to its neighbours, the
 interval arithmetic of `_shortest` run in reverse.  `float()` reads the
 few cells neither decides.  Each cell is thus bit for bit what `float()`
-gives.  `parse` declines a block with anything else (a CR, a blank line, a
-space, `inf`, a byte that is not ASCII, a wrong cell count, an int
-column), which the caller then parses as text.
+gives.  `parse` declines a block with anything else (a blank line, a
+space, `inf`, a byte that is not ASCII, a wrong cell count, an int column)
+and the caller, which reads CRLF and CR as LF, parses it as text.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ bytes of `repr(float(x))`, so read(write(x)) == x holds bit-exactly.
 Writes are whole-file atomic (write to a uniquely named temp file in the
 same directory, then rename).  Tables are read and written one bounded
 block of rows at a time.  A read parses the text once, front to back, and
-reports its first faulty line, a byte that is not UTF-8 included.
+reports its first faulty line, a byte that is not UTF-8 included.  A LF, a
+CRLF or a bare CR ends a line, as in text mode; `_blocks` makes each a LF.
 
 A block's float cells are written and read back by the numpy kernels of
 `decimals`.  A block of rows the read kernel declines is decoded as text
@@ -174,24 +175,28 @@ def _read_table(path: str, table: tuple, skip: tuple = (), digest=None):
 
 
 def _line_breaks(path: str) -> int:
-    """The file's LF and CR bytes: at least the line breaks that text mode
-    splits on, as it also splits on a bare CR (CRLF counts twice).  0 for a
-    pipe or other stream, which can be read only once."""
+    """At least the file's line breaks as `_blocks` reads them: its LF and bare
+    CR bytes (a CRLF cut by a chunk edge counts twice); 0 for a pipe or stream."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         return 0
     count = 0
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(_BLOCK), b""):
             count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
-            count += b"\r" in chunk and chunk.count(b"\r")
+            count += b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n")
     return int(count)
 
 
 def _blocks(fh, digest):
-    """The bytes of `fh` in blocks of whole lines of about `_BLOCK` bytes,
-    each behind `decimals.HEAD` and ending in a LF.  No CRLF is split, and a
-    LF is added only after a CR or at the end of the file, where it starts
-    no line."""
+    """The bytes of `fh`, all passed to `digest`, in blocks of whole lines of
+    about `_BLOCK` bytes behind `decimals.HEAD`.  No CRLF is split; CRLF and
+    bare CR read as LF, as in text mode, and a LF ends the file."""
+
+    def framed(lines: bytes) -> bytes:
+        if b"\r" in lines:
+            lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return decimals.HEAD + lines
+
     rest = b""
     while chunk := fh.read(_BLOCK):
         if digest is not None:
@@ -200,15 +205,10 @@ def _blocks(fh, digest):
         del chunk
         cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, -1)) + 1
         if cut:
-            block, rest = decimals.HEAD + rest[:cut] + b"\n" * (rest[cut - 1] != 10), rest[cut:]
+            block, rest = framed(rest[:cut]), rest[cut:]
             yield block
-    if rest:
-        yield decimals.HEAD + rest + b"\n" * (rest[-1] != 10)
-
-
-# One line of a block, less its break.  Text mode's universal newlines: LF,
-# CR and CRLF each end a line.
-_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n)?")
+    if rest:  # it holds no LF: the one added ends its last line, after a CR as a CRLF
+        yield framed(rest + b"\n")
 
 
 def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
@@ -216,18 +216,16 @@ def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
     number, block, pos = 0, b"", 0
 
     def header_line() -> str:
-        """The next line of the header, less its break; `number` is its line."""
+        """The next line of the header, less its break, or "" past the end of
+        the file; `number` is its line."""
         nonlocal number, block, pos
         number += 1
-        while pos == len(block):
-            block, pos = next(blocks, None), len(decimals.HEAD)
-            if block is None:
-                block = b""
-                return ""
-        match = _LINE.match(block, pos)
-        pos = match.end()
+        if pos == len(block):  # a block holds whole lines, the empty one past the end too
+            block, pos = next(blocks, decimals.HEAD + b"\n"), len(decimals.HEAD)
+        end = block.index(b"\n", pos)
         # A byte that is not UTF-8 reads as a lone surrogate (PEP 383).
-        line = match[1].decode("utf-8", "surrogateescape")
+        line = block[pos:end].decode("utf-8", "surrogateescape")
+        pos = end + 1
         if _NOT_UTF8.search(line):
             raise TraceParseError(f"{path}: not UTF-8 text", line=number)
         return line
@@ -256,7 +254,7 @@ def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
         parsed = decimals.parse(data, columns, keep)
         if parsed is None:  # outside the kernel's language: numpy parses the text
             text = data[len(decimals.HEAD):].decode("utf-8", "surrogateescape")
-            lines = io.StringIO(text, newline=None).readlines()
+            lines = io.StringIO(text).readlines()
             parsed = _parse_block(lines, columns, path, first)
             parsed = [parsed[j] for j in keep]
             blanks += [first + i for i, line in enumerate(lines) if line == "\n"]

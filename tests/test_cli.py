@@ -136,6 +136,9 @@ MALFORMED_INPUTS = [
      b"1e-06,0.05,0.06,9\n2e-06,0.07,0.08,8\n3e-06,0.1,0.12,7\n",
      "analyze exponent --in {f} --tau-min-us 2 --tau-max-us 4",
      "--tau-min-us/--tau-max-us: need >= 3 lags in [2e-06, 4e-06] s, have 2\n"),
+    (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
+     b"-2e-06,0.05,0.06,9\n-1e-06,0.07,0.08,8\n0.0,0.1,0.12,7\n",
+     "analyze tau-threshold --in {f} --dphi 0.08", "line 4: {f}: lags must be > 0\n"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -258,7 +261,8 @@ class TestValidationExitCodes:
         "data,template,fragment", MALFORMED_INPUTS,
         ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count",
              "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt",
-             "nan_curve_dphi", "inf_curve_dphi", "too_few_lags_in_range"],
+             "nan_curve_dphi", "inf_curve_dphi", "too_few_lags_in_range",
+             "non_positive_curve_lags"],
     )
     def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
         path = tmp_path / "in.csv"

@@ -794,6 +794,13 @@ def tiny_block(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def spell_breaks(request):
+    """The function that spells each LF of a text's bytes as a LF, a CRLF or
+    a bare CR, the line breaks of files that other tools export."""
+    return lambda data: data.replace(b"\n", request.param)
+
+
 CURVE_ROWS = "".join(f"{k}e-06,0.{k:02d},0.5,{100 - k}\n" for k in range(1, 31))
 CURVE_HEAD = "# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
 
@@ -812,21 +819,22 @@ class TestBlockBoundaries:
         ("29e-06,0.29,0.5", "expected 4 columns, got 3"),
         ("29e-06,0.29,0.5,71,1", "expected 4 columns, got 5"),
     ])
-    def test_bad_row_in_later_block_names_global_line(self, tmp_path, tiny_block, row, problem):
+    def test_bad_row_in_later_block_names_global_line(self, tmp_path, tiny_block, spell_breaks,
+                                                      row, problem):
         path = tmp_path / "curve.csv"
         rows = CURVE_ROWS.splitlines(keepends=True)
         rows[28] = row + "\n"
-        path.write_text(CURVE_HEAD + "\n\n" + "".join(rows), encoding="utf-8")
+        path.write_bytes(spell_breaks((CURVE_HEAD + "\n\n" + "".join(rows)).encode()))
         outcome = self.outcome(path, tiny_block)
         assert outcome == self.outcome(path)
         assert outcome[:2] == (TraceParseError, 3 + 2 + 29) and problem in outcome[2]
 
-    def test_blank_runs_across_block_edges_skipped(self, tmp_path, tiny_block):
+    def test_blank_runs_across_block_edges_skipped(self, tmp_path, tiny_block, spell_breaks):
         plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
         plain.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
         rows = CURVE_ROWS.splitlines(keepends=True)
-        gappy.write_text(CURVE_HEAD + "\n" * 9 + "".join(
-            row + "\n" * (k % 5) for k, row in enumerate(rows)) + "\n" * 6, encoding="utf-8")
+        gappy.write_bytes(spell_breaks((CURVE_HEAD + "\n" * 9 + "".join(
+            row + "\n" * (k % 5) for k, row in enumerate(rows)) + "\n" * 6).encode()))
         assert self.outcome(gappy, tiny_block) == self.outcome(plain)
 
     def test_last_row_without_newline(self, tmp_path, tiny_block):
@@ -835,19 +843,19 @@ class TestBlockBoundaries:
         cut.write_text(CURVE_HEAD + CURVE_ROWS.rstrip("\n"), encoding="utf-8")
         assert self.outcome(cut, tiny_block) == self.outcome(full)
 
-    def test_crlf_reads_as_lf(self, tmp_path, tiny_block):
-        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    def test_line_breaks_read_as_lf(self, tmp_path, tiny_block, spell_breaks):
+        # as in text mode, a CRLF and a bare CR each end a line, so the row
+        # bound counts the LF and bare CR bytes
+        lf, spelled = tmp_path / "lf.csv", tmp_path / "spelled.csv"
         lf.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
-        crlf.write_bytes((CURVE_HEAD + CURVE_ROWS).replace("\n", "\r\n").encode())
-        assert self.outcome(crlf, tiny_block) == self.outcome(lf)
-
-    def test_bare_cr_reads_as_lf(self, tmp_path, tiny_block):
-        # text mode splits on a bare CR too, so the row bound counts CR bytes
-        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
-        lf.write_text(CURVE_HEAD + CURVE_ROWS, encoding="utf-8")
-        cr.write_bytes((CURVE_HEAD + CURVE_ROWS).replace("\n", "\r").encode())
-        assert fileio._line_breaks(cr) == fileio._line_breaks(lf) == 33
-        assert self.outcome(cr, tiny_block) == self.outcome(lf)
+        data = spell_breaks(lf.read_bytes())
+        spelled.write_bytes(data)
+        with mock.patch.object(fileio, "_BLOCK", DEFAULT_BLOCK):
+            assert fileio._line_breaks(spelled) == fileio._line_breaks(lf) == 33
+        # a CRLF cut by the edge of a counted chunk counts twice
+        cut = sum(data[k:k + 2] == b"\r\n" for k in range(tiny_block - 1, len(data), tiny_block))
+        assert fileio._line_breaks(spelled) == fileio._line_breaks(lf) + cut
+        assert self.outcome(spelled, tiny_block) == self.outcome(lf)
 
     @pytest.mark.parametrize("undercount", [0, 1, 20])
     def test_rows_past_the_counted_bound(self, tmp_path, tiny_block, monkeypatch, undercount):
@@ -1251,9 +1259,9 @@ class TestCellKernel:
         assert all(np.array_equal(g, c, equal_nan=True) for g, c in zip(got, columns))
 
 
-def mz_trace(seed=5):
+def mz_trace(seed=5, duration=0.2):
     return simulate_mz_trace(build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)),
-                             0.2, 1e-6, phi0=math.pi / 2, seed=seed)
+                             duration, 1e-6, phi0=math.pi / 2, seed=seed)
 
 
 class TestKernelCoverage:
@@ -1277,6 +1285,20 @@ class TestKernelCoverage:
         assert re.fullmatch(rf"read {re.escape(path)}: \d+ rows in \d+ blocks, 0 by loadtxt, "
                             r"0 blank lines skipped", message), message
 
+    def test_line_breaks_read_by_kernel(self, tmp_path, caplog, tiny_block, spell_breaks):
+        # CRLF and bare CR rows read bit for bit as their LF spelling, and
+        # none of their blocks goes to numpy's parser
+        trace = mz_trace(duration=3e-4)
+        lf, spelled = tmp_path / "lf.csv", tmp_path / "spelled.csv"
+        write_trace(str(lf), trace)
+        spelled.write_bytes(spell_breaks(lf.read_bytes()))
+        with caplog.at_level(logging.DEBUG, logger="fiberphase"):
+            got = read_trace(str(spelled))
+        assert bits(got) == bits(read_trace(str(lf))) == bits(trace)
+        message = caplog.records[-1].getMessage()
+        assert re.fullmatch(rf"read {re.escape(str(spelled))}: 301 rows in \d+ blocks, "
+                            r"0 by loadtxt, 0 blank lines skipped", message), message
+
 
 class TestStreamingMemory:
     """A table's memory is its column arrays plus one block, not the whole text.
@@ -1288,13 +1310,15 @@ class TestStreamingMemory:
 
     BOUND = 16e6  # bytes, for each of write_trace and read_trace
 
-    def test_read_and_write_peaks(self, tmp_path, traced_peak):
+    def test_read_and_write_peaks(self, tmp_path, traced_peak, spell_breaks):
+        # the LF file as written, and its CRLF and bare CR spellings
         rng = np.random.Generator(np.random.Philox(key=11))
         trace = IntensityTrace(t0=0.0, dt=1e-6, samples=rng.uniform(0.0, 1.0, 200_000),
                                i_max=1.0, i_min=0.0)
-        path = str(tmp_path / "mz.csv")
-        assert traced_peak(write_trace, path, trace) < self.BOUND
-        read_peak = traced_peak(read_trace, path)
+        path = tmp_path / "mz.csv"
+        assert traced_peak(write_trace, str(path), trace) < self.BOUND
+        path.write_bytes(spell_breaks(path.read_bytes()))
+        read_peak = traced_peak(read_trace, str(path))
         assert read_peak < self.BOUND
         # the kept column once, plus one block and its parse
         assert read_peak <= 1.25 * trace.samples.nbytes + 1.5 * 2**20

@@ -307,6 +307,7 @@ def test_seed_keeps_its_stream_however_large():
                            sigma_per_tau=[]), "a dphi curve needs at least one lag", ("taus",)),
     (lambda: fp.PhaseStats(taus=[], n_increments=[], dt=1e-6, increments=[]),
      "a dphi curve needs at least one lag", ("taus",)),
+    (lambda: _stats(taus=[0.0, 1e-6]), "lags must be > 0", ("taus",)),
     (lambda: fp.preset_params("dusk"), "unknown preset 'dusk'; choose 'day' or 'night'",
      ("name",)),
     (lambda: fp.RepeaterChain(link_lengths=()), "a chain needs at least one link",
@@ -333,7 +334,7 @@ def test_seed_keeps_its_stream_however_large():
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
-        "stats_no_lag_increments", "unknown_preset",
+        "stats_no_lag_increments", "stats_lag_not_positive", "unknown_preset",
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
