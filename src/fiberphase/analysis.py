@@ -422,7 +422,7 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
         raise DomainError("pooled statistics must share the same sample interval", "dt")
     if any(s.m2 is None for s in stats_list):
         raise DomainError("cannot pool a curve without signed moments (read from a file?)")
-    steps = [np.rint(s.taus / dt).astype(int) for s in stats_list]
+    steps = [np.array([_lag_steps(tau, dt) for tau in s.taus.tolist()]) for s in stats_list]
     ks = np.sort(np.concatenate(steps))
     ks = ks[np.diff(ks, prepend=ks[0] - 1) > 0]  # np.unique would import numpy.ma
     n, dphi, mean, m2 = np.zeros((4, ks.size))
@@ -454,9 +454,10 @@ def fit_gaussian(increments) -> GaussianHistogram:
 
     The primary sigma is the (bias-free, bin-free) sample standard deviation;
     a ceil(sqrt(n))-bin histogram with a weighted log-parabola gaussian fit
-    is attached for reporting.  Needs >= 100 increments.
+    is attached for reporting.  Needs >= 100 increments, all finite.
     """
     inc = np.asarray(increments, dtype=float)
+    check_finite("increments", inc)
     if inc.size < 100:
         raise InsufficientDataError(f"need >= 100 increments, have {inc.size}")
     sigma = float(np.std(inc, ddof=1))

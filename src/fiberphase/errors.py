@@ -19,7 +19,8 @@ class DomainError(FiberPhaseError, ValueError):
     A library check names the `fields` of the values it rejects, both of a
     rule on two values, and, for an array, the `index` of its first offending
     entry.  They are the one channel to the value's source: the CLI names the
-    flags of those fields, and a file reader the line of the first one.
+    flags of those fields, and `fileio._read_table` the file line of the row
+    or of the first one, for the readers' own metadata checks too.
     """
 
     def __init__(self, message: str, *fields: str, index: int | None = None):

@@ -5,8 +5,9 @@ bytes of `repr(float(x))`, so read(write(x)) == x holds bit-exactly.
 Writes are whole-file atomic (write to a uniquely named temp file in the
 same directory, then rename).  Tables are read and written one bounded
 block of rows at a time.  A read parses the text once, front to back, and
-reports its first faulty line, a byte that is not UTF-8 included.  A LF, a
-CRLF or a bare CR ends a line, as in text mode; `_blocks` makes each a LF.
+reports its first faulty line: a byte that is not UTF-8, say, or a value
+that breaks a rule, whose line `_read_table` finds from its DomainError.
+A LF, a CRLF or a bare CR ends a line as in text mode; `_blocks` makes each a LF.
 
 A block's float cells are written and read back by the numpy kernels of
 `decimals`.  A block of rows the read kernel declines is decoded as text
@@ -16,7 +17,6 @@ so errors and their lines do not depend on the kernel.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import itertools
@@ -154,24 +154,97 @@ def _write_table(path: str, table: tuple, meta: dict, values: tuple) -> None:
                path, n_rows, len(starts), by_repr)
 
 
-def _read_table(path: str, table: tuple, skip: tuple = (), digest=None):
-    """Read `table`: (metadata, one array per column, header line number,
-    the line numbers of the blank lines skipped, ascending).
+def _read_table(path: str, table: tuple, build, skip: tuple = (), digest=None):
+    """Read `table`, then return `build(metadata, *columns)` once the file is closed.
 
     `metadata` maps each key to its (value, line); the last line that sets a
-    key wins.  Only the format is checked, not the row count or the values.
-    Blank lines are skipped; the first faulty line, a byte that is not UTF-8
-    included, raises TraceParseError with its 1-based line number.  The bytes
-    are read in one forward pass, and the path is not opened after it, so a
-    pipe or FIFO fails as a regular file does.  Rows are parsed one block of
-    about `_BLOCK` bytes at a time into one array per kept column, allocated
-    once at a bound on the row count and trimmed in place at the end.  Columns
-    named in `skip` are checked like the others, but not kept or returned.
-    `digest`, a hashlib object, is updated with every byte read.
+    key wins.  Blank lines are skipped; the first faulty line, a byte that is
+    not UTF-8 included, raises TraceParseError with its 1-based line number.
+    The bytes are read in one forward pass, and the path is not opened after
+    it, so a pipe or FIFO fails as a regular file does.  Rows are parsed one
+    block of about `_BLOCK` bytes at a time into one array per kept column,
+    allocated once at a bound on the row count and trimmed in place at the
+    end.  Columns named in `skip` are checked like the others, but not kept or
+    passed.  `digest`, a hashlib object, is updated with every byte read.
+
+    Only the format is checked here.  A DomainError from `build` becomes a
+    TraceParseError at its value's line: the offending row's, or else that of
+    the metadata key of its first field, or else the column header's.
     """
+    magic, columns = table
     breaks = _line_breaks(path)
+    number, block, pos = 0, b"", 0
+
+    def header_line() -> str:
+        """The next line of the header, less its break, or "" past the end of
+        the file; `number` is its line."""
+        nonlocal number, block, pos
+        number += 1
+        if pos == len(block):  # a block holds whole lines, the empty one past the end too
+            block, pos = next(blocks, decimals.HEAD + b"\n"), len(decimals.HEAD)
+        end = block.index(b"\n", pos)
+        # A byte that is not UTF-8 reads as a lone surrogate (PEP 383).
+        line = block[pos:end].decode("utf-8", "surrogateescape")
+        pos = end + 1
+        if _NOT_UTF8.search(line):
+            raise TraceParseError(f"{path}: not UTF-8 text", line=number)
+        return line
+
     with open(path, "rb") as fh:
-        return _read_open_table(_blocks(fh, digest), path, table, skip, breaks)
+        blocks = _blocks(fh, digest)
+        if header_line() != magic:
+            raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
+        meta: dict[str, tuple[str, int]] = {}
+        while (line := header_line()).startswith("#"):
+            body = line[1:].strip()
+            if ":" not in body:
+                raise TraceParseError(f"{path}: malformed metadata {body!r}", line=number)
+            key, _, value = body.partition(":")
+            meta[key.strip()] = value.strip(), number
+        header = ",".join(name for name, _ in columns)
+        if line != header:
+            raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
+        keep = [j for j, (name, _) in enumerate(columns) if name not in skip]
+        # Each header line ended in a break, and the last row may have none.
+        bound = max(breaks - number + 1, 0)
+        arrays = [np.empty(bound, columns[j][1]) for j in keep]
+        # The rows in the header's last block come first.
+        blocks = itertools.chain([decimals.HEAD + block[pos:]] if pos < len(block) else [], blocks)
+        block = None
+        rows, first, n_blocks, by_loadtxt, blanks = 0, number + 1, 0, 0, []
+        for data in blocks:
+            parsed = decimals.parse(data, columns, keep)
+            if parsed is None:  # outside the kernel's language: numpy parses the text
+                text = data[len(decimals.HEAD):].decode("utf-8", "surrogateescape")
+                lines = io.StringIO(text).readlines()
+                parsed = _parse_block(lines, columns, path, first)
+                parsed = [parsed[j] for j in keep]
+                blanks += [first + i for i, line in enumerate(lines) if line == "\n"]
+                first, by_loadtxt = first + len(lines), by_loadtxt + 1
+                del text, lines
+            else:
+                first += parsed[0].size
+            end = rows + parsed[0].size
+            for array, column in zip(arrays, parsed):
+                if end > array.size:  # the file grew after its lines were counted
+                    array.resize(2 * end, refcheck=False)
+                array[rows:end] = column
+            rows, n_blocks = end, n_blocks + 1
+            del data, parsed, column  # so that two blocks are never held at once
+    for array in arrays:
+        array.resize(rows, refcheck=False)  # no view of it exists yet
+    _log.debug("read %s: %d rows in %d blocks, %d by loadtxt, %d blank lines skipped",
+               path, rows, n_blocks, by_loadtxt, len(blanks))
+    try:
+        return build(meta, *arrays)
+    except DomainError as exc:
+        if exc.index is None:
+            line = meta.get(exc.fields[0] if exc.fields else None, (None, number))[1]
+        else:
+            line = number + 1 + exc.index
+            for blank in blanks:  # each blank line at or before the row moves it down
+                line += blank <= line
+        raise TraceParseError(f"{path}: {exc}", line=line) from exc
 
 
 def _line_breaks(path: str) -> int:
@@ -209,71 +282,6 @@ def _blocks(fh, digest):
             yield block
     if rest:  # it holds no LF: the one added ends its last line, after a CR as a CRLF
         yield framed(rest + b"\n")
-
-
-def _read_open_table(blocks, path: str, table: tuple, skip: tuple, breaks: int):
-    magic, columns = table
-    number, block, pos = 0, b"", 0
-
-    def header_line() -> str:
-        """The next line of the header, less its break, or "" past the end of
-        the file; `number` is its line."""
-        nonlocal number, block, pos
-        number += 1
-        if pos == len(block):  # a block holds whole lines, the empty one past the end too
-            block, pos = next(blocks, decimals.HEAD + b"\n"), len(decimals.HEAD)
-        end = block.index(b"\n", pos)
-        # A byte that is not UTF-8 reads as a lone surrogate (PEP 383).
-        line = block[pos:end].decode("utf-8", "surrogateescape")
-        pos = end + 1
-        if _NOT_UTF8.search(line):
-            raise TraceParseError(f"{path}: not UTF-8 text", line=number)
-        return line
-
-    if header_line() != magic:
-        raise TraceParseError(f"{path}: expected header {magic!r}", line=1)
-    meta: dict[str, tuple[str, int]] = {}
-    while (line := header_line()).startswith("#"):
-        body = line[1:].strip()
-        if ":" not in body:
-            raise TraceParseError(f"{path}: malformed metadata {body!r}", line=number)
-        key, _, value = body.partition(":")
-        meta[key.strip()] = value.strip(), number
-    header = ",".join(name for name, _ in columns)
-    if line != header:
-        raise TraceParseError(f"{path}: expected column header {header!r}", line=number)
-    keep = [j for j, (name, _) in enumerate(columns) if name not in skip]
-    # Each header line ended in a break, and the last row may have none.
-    bound = max(breaks - number + 1, 0)
-    arrays = [np.empty(bound, columns[j][1]) for j in keep]
-    # The rows in the header's last block come first.
-    blocks = itertools.chain([decimals.HEAD + block[pos:]] if pos < len(block) else [], blocks)
-    block = None
-    rows, first, n_blocks, by_loadtxt, blanks = 0, number + 1, 0, 0, []
-    for data in blocks:
-        parsed = decimals.parse(data, columns, keep)
-        if parsed is None:  # outside the kernel's language: numpy parses the text
-            text = data[len(decimals.HEAD):].decode("utf-8", "surrogateescape")
-            lines = io.StringIO(text).readlines()
-            parsed = _parse_block(lines, columns, path, first)
-            parsed = [parsed[j] for j in keep]
-            blanks += [first + i for i, line in enumerate(lines) if line == "\n"]
-            first, by_loadtxt = first + len(lines), by_loadtxt + 1
-            del text, lines
-        else:
-            first += parsed[0].size
-        end = rows + parsed[0].size
-        for array, column in zip(arrays, parsed):
-            if end > array.size:  # the file grew after its lines were counted
-                array.resize(2 * end, refcheck=False)
-            array[rows:end] = column
-        rows, n_blocks = end, n_blocks + 1
-        del data, parsed  # so that two blocks are never held at once
-    for array in arrays:
-        array.resize(rows, refcheck=False)  # no view of it exists yet
-    _log.debug("read %s: %d rows in %d blocks, %d by loadtxt, %d blank lines skipped",
-               path, rows, n_blocks, by_loadtxt, len(blanks))
-    return meta, arrays, number, blanks
 
 
 def _parse_block(lines: list[str], columns, path: str, first: int) -> list[np.ndarray]:
@@ -314,15 +322,15 @@ def _parse_columns(lines: list[str], columns) -> list[np.ndarray]:
     return [table[name] for name, _ in columns]
 
 
-def _meta_float(meta: dict, key: str, path: str, header_line: int) -> float:
-    """Metadata `key`, parsed as a float cell; a missing key names the column-header line."""
+def _meta_float(meta: dict, key: str) -> float:
+    """Metadata `key`, parsed as a float cell."""
     if key not in meta:
-        raise TraceParseError(f"{path}: missing metadata key {key!r}", line=header_line)
-    value, line = meta[key]
+        raise DomainError(f"missing metadata key {key!r}", key)
+    value, _ = meta[key]
     try:
         return _parse_columns([value + "\n"], ((key, float),))[0].item()
     except ValueError:
-        raise TraceParseError(f"{path}: bad value for {key!r}: {value!r}", line=line) from None
+        raise DomainError(f"bad value for {key!r}: {value!r}", key) from None
 
 
 def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
@@ -339,23 +347,6 @@ def write_trace(path: str, trace: PhaseTrace | IntensityTrace) -> None:
     _write_table(path, _TRACE, meta, (times, trace.samples))
 
 
-@contextlib.contextmanager
-def _located(path: str, meta: dict, header_line: int, blanks: list):
-    """Turn a value object's DomainError into a TraceParseError at the line
-    its value came from: that of the offending row, or of the metadata key of
-    its first field, else the column header."""
-    try:
-        yield
-    except DomainError as exc:
-        if exc.index is None:
-            line = meta.get(exc.fields[0] if exc.fields else None, (None, header_line))[1]
-        else:
-            line = header_line + 1 + exc.index
-            for blank in blanks:  # each blank line at or before the row moves it down
-                line += blank <= line
-        raise TraceParseError(f"{path}: {exc}", line=line) from exc
-
-
 _KINDS = {"phase": PhaseTrace, "intensity": IntensityTrace}
 
 
@@ -367,30 +358,28 @@ def read_trace(path: str, *, digest=None,
     another kind raises TraceParseError at the `# kind:` line.  `digest`, a
     hashlib object, is updated with every byte of the file.
     """
-    # The time column is checked, but t0 and dt define the grid.
-    meta, (samples,), header_line, blanks = _read_table(path, _TRACE, skip=("time_s",),
-                                                        digest=digest)
-    kind, kind_line = meta.get("kind", (None, header_line))
-    t0, dt = (_meta_float(meta, key, path, header_line) for key in ("t0", "dt"))
-    if kind not in _KINDS:
-        raise TraceParseError(f"{path}: unknown trace kind {kind!r}", line=kind_line)
-    if expect not in (None, _KINDS[kind]):
-        raise TraceParseError(f"{path}: expected a {expect.__name__}, got kind {kind!r}",
-                              line=kind_line)
-    with _located(path, meta, header_line, blanks):
+    def build(meta: dict, samples: np.ndarray) -> PhaseTrace | IntensityTrace:
+        kind, _ = meta.get("kind", (None, None))
+        t0, dt = (_meta_float(meta, key) for key in ("t0", "dt"))
+        if kind not in _KINDS:
+            raise DomainError(f"unknown trace kind {kind!r}", "kind")
+        if expect not in (None, _KINDS[kind]):
+            raise DomainError(f"expected a {expect.__name__}, got kind {kind!r}", "kind")
         if kind == "phase":
-            text, line = meta.get("segments", ("", header_line))
+            text, _ = meta.get("segments", ("", None))
             segments = []
             for token in text.split(",") if text else ():
                 a, _, b = token.partition(":")
                 try:
                     segments.append((int(a), int(b)))
                 except ValueError:
-                    raise TraceParseError(f"{path}: bad segment token {token!r}",
-                                          line=line) from None
+                    raise DomainError(f"bad segment token {token!r}", "segments") from None
             return PhaseTrace(t0=t0, dt=dt, samples=Adopted(samples), segments=tuple(segments))
-        i_max, i_min = (_meta_float(meta, key, path, header_line) for key in ("i_max", "i_min"))
+        i_max, i_min = (_meta_float(meta, key) for key in ("i_max", "i_min"))
         return IntensityTrace(t0=t0, dt=dt, samples=Adopted(samples), i_max=i_max, i_min=i_min)
+
+    # The time column is checked, but t0 and dt define the grid.
+    return _read_table(path, _TRACE, build, skip=("time_s",), digest=digest)
 
 
 def write_fringe_scan(path: str, scan: FringeScan) -> None:
@@ -400,11 +389,11 @@ def write_fringe_scan(path: str, scan: FringeScan) -> None:
 
 def read_fringe_scan(path: str, *, digest=None) -> FringeScan:
     """Read a fringe scan CSV v1 file; `digest` as in `read_trace`."""
-    meta, (phase, area), header_line, blanks = _read_table(path, _FRINGE, digest=digest)
-    noise = _meta_float(meta, "detector_noise", path, header_line)
-    i0 = _meta_float(meta, "i0", path, header_line)
-    with _located(path, meta, header_line, blanks):
-        return FringeScan(phase, area, detector_noise=noise, i0=i0)
+    def build(meta: dict, phase: np.ndarray, area: np.ndarray) -> FringeScan:
+        noise = _meta_float(meta, "detector_noise")
+        return FringeScan(phase, area, detector_noise=noise, i0=_meta_float(meta, "i0"))
+
+    return _read_table(path, _FRINGE, build, digest=digest)
 
 
 def write_dphi_curve(path: str, stats: PhaseStats) -> None:
@@ -416,11 +405,11 @@ def write_dphi_curve(path: str, stats: PhaseStats) -> None:
 def read_dphi_curve(path: str, *, digest=None) -> PhaseStats:
     """Read a curve file back as PhaseStats (without signed moments);
     `digest` as in `read_trace`."""
-    meta, (taus, dphi, sigma, counts), header_line, blanks = _read_table(path, _DPHI,
-                                                                         digest=digest)
-    dt = _meta_float(meta, "dt", path, header_line)
-    with _located(path, meta, header_line, blanks):
-        return PhaseStats(taus, counts, dt, mean_abs_change=dphi, sigma_per_tau=sigma)
+    def build(meta: dict, taus, dphi, sigma, counts) -> PhaseStats:
+        return PhaseStats(taus, counts, _meta_float(meta, "dt"), mean_abs_change=dphi,
+                          sigma_per_tau=sigma)
+
+    return _read_table(path, _DPHI, build, digest=digest)
 
 
 def write_histogram(path: str, hist: GaussianHistogram) -> None:

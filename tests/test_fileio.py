@@ -166,33 +166,37 @@ class TestTraceParseErrors:
         with pytest.raises(TraceParseError):
             read_trace(str(path))
 
-    @pytest.mark.parametrize("reader,text,line,problem", [
+    @pytest.mark.parametrize("reader,text,line,problem,key", [
         (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: abc\n"
-         "time_s,value\n0.0,0.1\n", 4, "bad value for 'dt': 'abc'"),
+         "time_s,value\n0.0,0.1\n", 4, "bad value for 'dt': 'abc'", "dt"),
         (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n"
-         "# segments: 0:1,x\ntime_s,value\n0.0,0.1\n", 5, "bad segment token 'x'"),
+         "# segments: 0:1,x\ntime_s,value\n0.0,0.1\n", 5, "bad segment token 'x'", "segments"),
         (read_trace, "# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# note: no dt\n"
-         "time_s,value\n0.0,0.1\n", 5, "missing metadata key 'dt'"),
+         "time_s,value\n0.0,0.1\n", 5, "missing metadata key 'dt'", "dt"),
         (read_trace, "# fiberphase-trace v1\n# t0: 0.0\n# dt: 1e-06\n# kind: sine\n"
-         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind 'sine'"),
+         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind 'sine'", "kind"),
         (read_trace, "# fiberphase-trace v1\n# t0: 0.0\n# dt: 1e-06\n"
-         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind None"),
+         "time_s,value\n0.0,0.1\n", 4, "unknown trace kind None", "kind"),
         (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
          "# i_max: 1.0\n# i_min: 0.0\n# i_max: high\ntime_s,value\n0.0,0.1\n", 7,
-         "bad value for 'i_max': 'high'"),
+         "bad value for 'i_max': 'high'", "i_max"),
         (read_fringe_scan, "# fiberphase-fringe v1\n# detector_noise: 0.0\n"
-         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 3, "missing metadata key 'i0'"),
+         "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 3, "missing metadata key 'i0'", "i0"),
         (read_dphi_curve, "# fiberphase-dphi v1\n# note: x\n# dt: 1 us\n"
          "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.01,0.0125,499\n", 3,
-         "bad value for 'dt': '1 us'"),
+         "bad value for 'dt': '1 us'", "dt"),
     ], ids=["bad_dt", "bad_segment", "missing_dt", "unknown_kind", "missing_kind",
             "repeated_key", "fringe_missing_i0", "curve_bad_dt"])
-    def test_metadata_error_names_its_line(self, tmp_path, reader, text, line, problem):
+    def test_metadata_error_names_its_line(self, tmp_path, reader, text, line, problem, key):
         # a missing key names the column-header line
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
         assert read_outcome(reader, str(path)) == (
             TraceParseError, line, f"line {line}: {path}: {problem}")
+        with pytest.raises(TraceParseError) as excinfo:
+            reader(str(path))
+        cause = excinfo.value.__cause__
+        assert (type(cause), cause.fields[0]) == (DomainError, key)
 
     @pytest.mark.parametrize("value", [".5", "1E-6", "+1e-6", "1_0e-7", "\u0661e-06"])
     @pytest.mark.parametrize("reader,text,key", [
@@ -875,7 +879,7 @@ class TestBlockBoundaries:
         path = str(tmp_path / "t.csv")
         fileio._write_table(path, fileio._TRACE, {}, columns)
         with mock.patch.object(fileio, "_BLOCK", tiny_block):
-            _, got, *_ = fileio._read_table(path, fileio._TRACE)
+            got = fileio._read_table(path, fileio._TRACE, lambda meta, *columns: columns)
         assert [c.view(np.int64).tolist() for c in got] == [
             c.view(np.int64).tolist() for c in columns]
 
@@ -1251,9 +1255,9 @@ class TestCellKernel:
         path = str(tmp_path_factory.mktemp("kernel") / "t.csv")
         fileio._write_table(path, fileio._FRINGE, {}, columns)
         with mock.patch.object(fileio, "_BLOCK", block):
-            _, got, *_ = fileio._read_table(path, fileio._FRINGE)
+            got = fileio._read_table(path, fileio._FRINGE, lambda meta, *columns: columns)
             with mock.patch.object(decimals, "parse", lambda *args: None):
-                _, want, *_ = fileio._read_table(path, fileio._FRINGE)
+                want = fileio._read_table(path, fileio._FRINGE, lambda meta, *columns: columns)
         assert [c.view(np.int64).tolist() for c in got] == [
             c.view(np.int64).tolist() for c in want]
         assert all(np.array_equal(g, c, equal_nan=True) for g, c in zip(got, columns))

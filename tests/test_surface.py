@@ -297,6 +297,14 @@ def test_seed_keeps_its_stream_however_large():
      "need 0 < tau_min < tau_max, got (2e-06, 1e-06)", ("tau_min", "tau_max")),
     (lambda: fp.increment_sets(_phase(), []), "at least one lag is required", ("taus",)),
     (lambda: fp.pool_stats([]), "nothing to pool", ()),
+    (lambda: fp.pool_stats([_stats(taus=[1.5e-6, 2e-6])]),
+     "lag 1.5e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: fp.pool_stats([_stats(), _stats(taus=[1e-6, 2.6e-6])]),
+     "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: fp.fit_gaussian(np.full(200, np.nan)), "increments[0] is not finite: nan",
+     ("increments",)),
+    (lambda: fp.fit_gaussian(np.r_[np.zeros(150), np.inf]), "increments[150] is not finite: inf",
+     ("increments",)),
     (lambda: _stats(n_increments=[3]), "n_increments must hold one value per lag",
      ("n_increments",)),
     (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[0], dt=1e-6, increments=[[]]),
@@ -333,6 +341,8 @@ def test_seed_keeps_its_stream_however_large():
      ("n_links",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
+        "pool_off_grid_lag", "pool_off_grid_second_curve", "fit_gaussian_nan",
+        "fit_gaussian_inf",
         "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
         "stats_no_lag_increments", "stats_lag_not_positive", "unknown_preset",
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
