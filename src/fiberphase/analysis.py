@@ -427,6 +427,7 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
     ks = ks[np.diff(ks, prepend=ks[0] - 1) > 0]  # np.unique would import numpy.ma
     n, dphi, mean, m2 = np.zeros((4, ks.size))
     for s, k in zip(stats_list, steps):
+        check_all("taus", np.diff(k, prepend=0) > 0, "lags must be strictly increasing")
         i = np.searchsorted(ks, k)
         total = n[i] + s.n_increments
         weight = s.n_increments / total

@@ -38,38 +38,7 @@ from .presets import DPHI_TARGET, preset_params
 
 DEFAULT_SEED = 12345
 
-__all__ = ["DEFAULT_SEED", "RunConfig", "parse_cli", "run", "main"]
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Fully-resolved configuration of one CLI run (SI units)."""
-
-    command: tuple[str, str]
-    params: dict
-    seed: int | None = None
-    inputs: dict = dataclasses.field(default_factory=dict)
-    outputs: dict = dataclasses.field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": " ".join(self.command),
-            "params": self.params,
-            "seed": self.seed,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        group, _, command = data["command"].partition(" ")
-        return cls(
-            command=(group, command),
-            params=data["params"],
-            seed=data["seed"],
-            inputs=dict(data.get("inputs", {})),
-            outputs=dict(data.get("outputs", {})),
-        )
+__all__ = ["DEFAULT_SEED", "parse_cli", "run", "main"]
 
 
 def _resolve_out(path: str) -> str:
@@ -80,7 +49,7 @@ def _resolve_out(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# flag table: each flag is declared once, with the RunConfig entry it fills,
+# flag table: each flag is declared once, with the config entry it fills,
 # the factor that takes it to SI units and the checks the library cannot make
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -124,7 +93,7 @@ class _Flag:
         return None if value == "" and not self.required else value
 
     def convert(self, value):
-        """Parsed value -> RunConfig value; DomainError naming the flag if invalid."""
+        """Parsed value -> config value; DomainError naming the flag if invalid."""
         if value is None or self.type in (str, bool):
             return value
         if self.type is list:
@@ -152,7 +121,7 @@ _OneOf = NamedTuple("_OneOf", [("required", bool), ("flags", list)])  # mutually
 class _Command(NamedTuple):
     """A subcommand: its --help line, handler, flags and cross-flag rule.
 
-    The handler takes the RunConfig, the output paths by role and a hashlib
+    The handler takes the config, the output paths by role and a hashlib
     object by input role, empty without a report, that its readers update.
     """
 
@@ -217,13 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
         group: top.add_parser(group, help=text).add_subparsers(dest="command", required=True)
         for group, text in _GROUPS.items()
     }
-    for (group, name), command in _COMMANDS.items():
+    for key, command in _COMMANDS.items():
+        group, name = key.split()
         _add_flags(groups[group].add_parser(name, help=command.help), command.flags)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# args -> RunConfig
+# args -> config
 
 def _process_block(values: dict) -> dict:
     """Resolve the noise-process flags into the echoed process block."""
@@ -240,10 +210,8 @@ def _process_block(values: dict) -> dict:
         if values[key] is None:
             raise DomainError(f"{flag} is required without --day/--night")
     with _naming(_PROCESS.flags):
-        process = _params_to_process(values)
-    block = dataclasses.asdict(process)
-    block["tau_ref_s"] = block.pop("tau_ref")
-    return block
+        values["length_km"] = _params_to_process(values).length_km
+    return values
 
 
 @contextlib.contextmanager
@@ -266,8 +234,9 @@ def _params_to_process(block: dict) -> NoiseParams:
     return NoiseParams(**fields)
 
 
-def parse_cli(argv=None) -> RunConfig:
-    """Parse argv into a fully-resolved RunConfig.
+def parse_cli(argv=None) -> dict:
+    """Parse argv into the fully-resolved config that a report echoes:
+    ``{"command": "analyze dphi", "params", "seed", "inputs", "outputs"}``.
 
     Unknown flags or subcommands exit with code 2 (argparse usage error).
     The table's checks, finiteness, list syntax, flag pairs, the preset
@@ -276,7 +245,7 @@ def parse_cli(argv=None) -> RunConfig:
     maps both to exit code 1.
     """
     args = build_parser().parse_args(argv)
-    command = (args.group, args.command)
+    command = f"{args.group} {args.command}"
     flags = list(_flags(_COMMANDS[command].flags))
     given = {flag.name: flag.read(args) for flag in flags}
     found = {"": {}, "process": {}, "inputs": {}, "outputs": {}}
@@ -292,11 +261,11 @@ def parse_cli(argv=None) -> RunConfig:
     if check is not None and not check[0](args):
         raise DomainError(check[1](args))
     seed = params.pop("seed", None)
-    if command == ("repeater", "fidelity") and args.monte_carlo is None:
+    if command == "repeater fidelity" and args.monte_carlo is None:
         seed = None  # only the Monte Carlo estimate draws random numbers
     outputs = {role: path for role, path in found["outputs"].items() if path is not None}
-    return RunConfig(command=command, params=params, seed=seed,
-                     inputs=found["inputs"], outputs=outputs)
+    return {"command": command, "params": params, "seed": seed,
+            "inputs": found["inputs"], "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +281,22 @@ def _summarize(block_name: str, values: dict) -> str:
     return f"{block_name}: " + " ".join(parts)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a RunConfig: compute, write outputs, print one summary per block.
+def run(config: dict) -> int:
+    """Execute a config from parse_cli() or a report's ``config``: compute,
+    write outputs, print one summary per block.
 
-    For a report, each input is hashed from the bytes its reader reads, so
-    a pipe or FIFO is read once; without one, nothing is hashed.
+    The config carries all five keys, as every report does.  For a report,
+    each input is hashed from the bytes its reader reads, so a pipe or FIFO
+    is read once; without one, nothing is hashed.
     """
-    report = ReportDocument(config=config.to_dict())
-    out = {k: _resolve_out(v) for k, v in config.outputs.items()}
-    digests = {role: hashlib.sha256() for role in config.inputs} if "report" in out else {}
-    command = _COMMANDS[config.command]
+    report = ReportDocument(config=config)
+    out = {k: _resolve_out(v) for k, v in config["outputs"].items()}
+    digests = {role: hashlib.sha256() for role in config["inputs"]} if "report" in out else {}
+    command = _COMMANDS[config["command"]]
     with _naming(command.flags):
         blocks = command.run(config, out, digests)
     for role, digest in digests.items():
-        report.add_input(config.inputs[role], digest)
+        report.add_input(config["inputs"][role], digest)
     for name, values in blocks.items():
         report.results[name] = values
         print(_summarize(name, values))
@@ -337,23 +308,24 @@ def run(config: RunConfig) -> int:
 
 
 def _run_simulate_noise(config, out, digests):
-    process = _params_to_process(config.params["process"])
-    trace = process.sample_trace(config.params["duration_s"], config.params["dt_s"], config.seed)
+    p = config["params"]
+    process = _params_to_process(p["process"])
+    trace = process.sample_trace(p["duration_s"], p["dt_s"], config["seed"])
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
         "kind": "phase",
         "n_samples": trace.n_samples,
         "dt_s": trace.dt,
-        "duration_s": config.params["duration_s"],
+        "duration_s": p["duration_s"],
     }}
 
 
 def _run_simulate_mz(config, out, digests):
-    p = config.params
+    p = config["params"]
     process = _params_to_process(p["process"])
     trace = interferometer.simulate_mz_trace(
         process, p["duration_s"], p["dt_s"],
-        i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config.seed,
+        i_max=p["i_max"], i_min=p["i_min"], phi0=p["phi0_rad"], seed=config["seed"],
     )
     fileio.write_trace(out["trace"], trace)
     return {"trace": {
@@ -366,11 +338,11 @@ def _run_simulate_mz(config, out, digests):
 
 
 def _run_simulate_fringe(config, out, digests):
-    p = config.params
+    p = config["params"]
     process = _params_to_process(p["process"])
     scan = interferometer.simulate_fringe_scan(
         process, p["loop_km"], p["n_points"], p["pulses_per_point"],
-        detector_noise=p["detector_noise"], seed=config.seed, i0=p["i0"],
+        detector_noise=p["detector_noise"], seed=config["seed"], i0=p["i0"],
     )
     fileio.write_fringe_scan(out["scan"], scan)
     sigma = noise.sagnac_effective_sigma(process, p["loop_km"])
@@ -383,7 +355,7 @@ def _run_simulate_fringe(config, out, digests):
 
 
 def _run_analyze_fringe(config, out, digests):
-    scan = fileio.read_fringe_scan(config.inputs["scan"], digest=digests.get("scan"))
+    scan = fileio.read_fringe_scan(config["inputs"]["scan"], digest=digests.get("scan"))
     fit = analysis.fit_fringe(scan)
     sigma = (
         noise.sigma_from_visibility(fit.visibility)
@@ -403,9 +375,9 @@ def _run_analyze_fringe(config, out, digests):
 def _run_analyze_phase(config, out, digests):
     # The intensity trace is handed over: its buffer becomes the phase, and
     # no name keeps the trace, so the command holds one trace buffer.
-    band = (config.params["band_lo"], config.params["band_hi"])
+    band = (config["params"]["band_lo"], config["params"]["band_hi"])
     phase = analysis.extract_phase(Adopted(fileio.read_trace(
-        config.inputs["trace"], digest=digests.get("trace"),
+        config["inputs"]["trace"], digest=digests.get("trace"),
         expect=interferometer.IntensityTrace)), band=band)
     fileio.write_trace(out["phase"], phase)
     n_valid = sum(b - a for a, b in phase.segments)
@@ -417,12 +389,12 @@ def _run_analyze_phase(config, out, digests):
 
 
 def _run_analyze_dphi(config, out, digests):
-    trace = fileio.read_trace(config.inputs["phase"], digest=digests.get("phase"),
+    trace = fileio.read_trace(config["inputs"]["phase"], digest=digests.get("phase"),
                               expect=PhaseTrace)
     taus = analysis.default_lag_grid(
-        trace.dt, config.params["tau_max_s"], config.params["max_lags"]
+        trace.dt, config["params"]["tau_max_s"], config["params"]["max_lags"]
     )
-    hist_tau = config.params.get("histogram_tau_s")
+    hist_tau = config["params"].get("histogram_tau_s")
     # The histogram reads the trace after the curve, so only then is it kept.
     stats = analysis.increment_sets(Adopted(trace) if hist_tau is None else trace, taus)
     blocks = {}
@@ -448,17 +420,17 @@ def _run_analyze_dphi(config, out, digests):
 
 
 def _run_analyze_tau_threshold(config, out, digests):
-    stats = fileio.read_dphi_curve(config.inputs["curve"], digest=digests.get("curve"))
-    tau = analysis.tau_threshold(stats, config.params["target_rad"])
+    stats = fileio.read_dphi_curve(config["inputs"]["curve"], digest=digests.get("curve"))
+    tau = analysis.tau_threshold(stats, config["params"]["target_rad"])
     return {"tau_threshold": {
-        "target_rad": config.params["target_rad"],
+        "target_rad": config["params"]["target_rad"],
         "tau_threshold_s": tau,
     }}
 
 
 def _run_analyze_exponent(config, out, digests):
-    stats = fileio.read_dphi_curve(config.inputs["curve"], digest=digests.get("curve"))
-    lo, hi = config.params["tau_min_s"], config.params["tau_max_s"]
+    stats = fileio.read_dphi_curve(config["inputs"]["curve"], digest=digests.get("curve"))
+    lo, hi = config["params"]["tau_min_s"], config["params"]["tau_max_s"]
     exponent = analysis.fit_scaling_exponent(stats, (lo, hi))
     n_used = int(((stats.taus >= lo) & (stats.taus <= hi)).sum())
     return {"scaling_exponent": {
@@ -470,7 +442,7 @@ def _run_analyze_exponent(config, out, digests):
 
 
 def _run_analyze_diffusion(config, out, digests):
-    p = config.params
+    p = config["params"]
     diffusion = analysis.estimate_diffusion(
         p["length_km"], visibility=p["visibility"], sigma=p["sigma_rad"]
     )
@@ -483,7 +455,7 @@ def _run_analyze_diffusion(config, out, digests):
 
 
 def _run_repeater_budget(config, out, digests):
-    p = config.params
+    p = config["params"]
     budget = repeater.budget_per_segment(
         p["total_km"], p["n_links"], p["target_fidelity"], p["segment_km"]
     )
@@ -500,7 +472,7 @@ def _run_repeater_budget(config, out, digests):
 
 
 def _run_repeater_fidelity(config, out, digests):
-    p = config.params
+    p = config["params"]
     if p["sigma_rad"] is not None:
         sigma = p["sigma_rad"]
     elif p["visibility"] is not None:
@@ -518,7 +490,7 @@ def _run_repeater_fidelity(config, out, digests):
     }
     if p["monte_carlo_samples"] is not None:
         block["monte_carlo_fidelity"] = repeater.monte_carlo_fidelity(
-            sigma, p["monte_carlo_samples"], seed=config.seed
+            sigma, p["monte_carlo_samples"], seed=config["seed"]
         )
         block["monte_carlo_samples"] = p["monte_carlo_samples"]
     return {"fidelity": block}
@@ -534,12 +506,12 @@ _GROUPS = {
 }
 
 _COMMANDS = {
-    ("simulate", "noise"): _Command("sample a phase trace", _run_simulate_noise, [
+    "simulate noise": _Command("sample a phase trace", _run_simulate_noise, [
         _PROCESS, *_GRID, _SEED,
         _Flag("--out", "outputs.trace", str, required=True, help="phase trace CSV to write"),
         _Flag("--report", "outputs.report", str, help="JSON report to write"),
     ]),
-    ("simulate", "mz"): _Command("simulate a Mach-Zehnder intensity trace", _run_simulate_mz, [
+    "simulate mz": _Command("simulate a Mach-Zehnder intensity trace", _run_simulate_mz, [
         _PROCESS, *_GRID, _SEED,
         _Flag("--i-max", "i_max", default=1.0),
         _Flag("--i-min", "i_min", default=0.0),
@@ -548,7 +520,7 @@ _COMMANDS = {
         _Flag("--out", "outputs.trace", str, required=True, help="intensity trace CSV to write"),
         _REPORT,
     ]),
-    ("simulate", "fringe"): _Command("scan a Sagnac fringe", _run_simulate_fringe, [
+    "simulate fringe": _Command("scan a Sagnac fringe", _run_simulate_fringe, [
         _PROCESS, _SEED,
         _Flag("--loop-km", "loop_km", required=True, help="Sagnac loop length (km)"),
         _Flag("--points", "n_points", int, default=50, help="scan points over one fringe"),
@@ -558,11 +530,11 @@ _COMMANDS = {
         _Flag("--out", "outputs.scan", str, required=True, help="fringe scan CSV to write"),
         _REPORT,
     ]),
-    ("analyze", "fringe"): _Command("sinusoidal fit of a fringe scan", _run_analyze_fringe, [
+    "analyze fringe": _Command("sinusoidal fit of a fringe scan", _run_analyze_fringe, [
         _Flag("--in", "inputs.scan", str, required=True, help="fringe scan CSV"),
         _REPORT,
     ]),
-    ("analyze", "phase"): _Command("extract phase from an intensity trace", _run_analyze_phase, [
+    "analyze phase": _Command("extract phase from an intensity trace", _run_analyze_phase, [
         _Flag("--in", "inputs.trace", str, required=True, help="intensity trace CSV"),
         _Flag("--band-lo", "band_lo", default=analysis.DEFAULT_BAND[0],
               help="lower edge of the usable normalized-intensity band"),
@@ -571,7 +543,7 @@ _COMMANDS = {
         _REPORT,
     ], check=(lambda a: 0 < a.band_lo < a.band_hi < 1, lambda a: (
         f"--band-lo/--band-hi must satisfy 0 < lo < hi < 1, got {a.band_lo} and {a.band_hi}"))),
-    ("analyze", "dphi"): _Command("mean phase change vs lag", _run_analyze_dphi, [
+    "analyze dphi": _Command("mean phase change vs lag", _run_analyze_dphi, [
         _Flag("--in", "inputs.phase", str, required=True, help="phase trace CSV"),
         _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True,
               help="largest lag (us)"),
@@ -585,21 +557,21 @@ _COMMANDS = {
         _Flag("--out", "outputs.curve", str, required=True, help="dphi curve CSV to write"),
         _REPORT,
     ]),
-    ("analyze", "tau-threshold"): _Command(
+    "analyze tau-threshold": _Command(
         "lag at which dphi reaches a target", _run_analyze_tau_threshold, [
         _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
         _Flag("--dphi", "target_rad", check=_POSITIVE, default=DPHI_TARGET,
               help="target mean phase change (rad)"),
         _REPORT,
     ]),
-    ("analyze", "exponent"): _Command("scaling exponent of dphi(tau)", _run_analyze_exponent, [
+    "analyze exponent": _Command("scaling exponent of dphi(tau)", _run_analyze_exponent, [
         _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
         _Flag("--tau-min-us", "tau_min_s", scale=1e-6, check=_POSITIVE, required=True),
         _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True),
         _REPORT,
     ], check=(lambda a: a.tau_min_us < a.tau_max_us, lambda a: (
         f"--tau-min-us must be below --tau-max-us, got {a.tau_min_us} and {a.tau_max_us}"))),
-    ("analyze", "diffusion"): _Command(
+    "analyze diffusion": _Command(
         "diffusion coefficient from sigma or visibility", _run_analyze_diffusion, [
         _OneOf(True, [
             _Flag("--visibility", "visibility"),
@@ -608,14 +580,14 @@ _COMMANDS = {
         _Flag("--length-km", "length_km", required=True),
         _REPORT,
     ]),
-    ("repeater", "budget"): _Command("per-segment phase allowance", _run_repeater_budget, [
+    "repeater budget": _Command("per-segment phase allowance", _run_repeater_budget, [
         _Flag("--total-km", "total_km", required=True),
         _Flag("--links", "n_links", int, required=True),
         _Flag("--fidelity", "target_fidelity", required=True),
         _Flag("--segment-km", "segment_km", required=True),
         _REPORT,
     ]),
-    ("repeater", "fidelity"): _Command("fidelity from phase noise", _run_repeater_fidelity, [
+    "repeater fidelity": _Command("fidelity from phase noise", _run_repeater_fidelity, [
         _OneOf(True, [
             _Flag("--sigma", "sigma_rad", help="total phase-noise width (rad)"),
             _Flag("--visibility", "visibility"),

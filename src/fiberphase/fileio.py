@@ -364,7 +364,7 @@ def read_trace(path: str, *, digest=None,
         if kind not in _KINDS:
             raise DomainError(f"unknown trace kind {kind!r}", "kind")
         if expect not in (None, _KINDS[kind]):
-            raise DomainError(f"expected a {expect.__name__}, got kind {kind!r}", "kind")
+            raise DomainError(f"expected {expect.__name__}, got kind {kind!r}", "kind")
         if kind == "phase":
             text, _ = meta.get("segments", ("", None))
             segments = []
@@ -424,8 +424,8 @@ def write_histogram(path: str, hist: GaussianHistogram) -> None:
 class ReportDocument:
     """Everything needed to audit and replay a run.
 
-    `config` echoes the fully-resolved run configuration (defaults
-    included, SI units); replaying it reproduces `results` bit-identically.
+    `config` is the run as `cli.parse_cli` returns it (SI units, defaults
+    included); `cli.run(config)` replays it with bit-identical `results`.
     `inputs` records path + content digest of every file read.
     """
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fiberphase import DomainError, fileio, read_trace
-from fiberphase.cli import _COMMANDS, DEFAULT_SEED, RunConfig, _naming, main, parse_cli, run
+from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _naming, main, parse_cli, run
 
 
 def read_bytes(path):
@@ -155,26 +155,26 @@ class TestParseCli:
             "repeater budget --total-km 1000 --links 8 --fidelity 0.9 "
             "--segment-km 36.5".split()
         )
-        assert config.command == ("repeater", "budget")
-        assert config.params["total_km"] == 1000.0
-        assert config.params["n_links"] == 8
-        assert config.seed is None
+        assert config["command"] == "repeater budget"
+        assert config["params"]["total_km"] == 1000.0
+        assert config["params"]["n_links"] == 8
+        assert config["seed"] is None
 
     def test_default_seed_documented_constant(self):
         config = parse_cli(
             "simulate noise --sigma-ref 0.2 --tau-ref-us 100 "
             "--duration-ms 1 --dt-us 2 --out x.csv".split()
         )
-        assert config.seed == DEFAULT_SEED == 12345
+        assert config["seed"] == DEFAULT_SEED == 12345
 
     def test_units_converted_to_si(self):
         config = parse_cli(
             "simulate noise --sigma-ref 0.2 --tau-ref-us 178.75 "
             "--duration-ms 2 --dt-us 2 --out x.csv".split()
         )
-        assert config.params["process"]["tau_ref_s"] == pytest.approx(178.75e-6)
-        assert config.params["duration_s"] == pytest.approx(2e-3)
-        assert config.params["dt_s"] == pytest.approx(2e-6)
+        assert config["params"]["process"]["tau_ref_s"] == pytest.approx(178.75e-6)
+        assert config["params"]["duration_s"] == pytest.approx(2e-3)
+        assert config["params"]["dt_s"] == pytest.approx(2e-6)
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -238,7 +238,7 @@ class TestValidationExitCodes:
                              ids=["field", "no_field"])
     def test_flags_come_from_fields_not_words(self, fields, prefix):
         message = "hurst and dt are words here, not fields"
-        with pytest.raises(DomainError) as excinfo, _naming(_COMMANDS["simulate", "noise"].flags):
+        with pytest.raises(DomainError) as excinfo, _naming(_COMMANDS["simulate noise"].flags):
             raise DomainError(message, *fields)
         assert str(excinfo.value) == prefix + message
 
@@ -281,7 +281,16 @@ class TestValidationExitCodes:
         code = main(f"analyze dphi --in {mz} --tau-max-us 100 --out {tmp_path/'c.csv'}".split())
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: line 2: {mz}: expected a PhaseTrace, got kind 'intensity'\n")
+            f"error: line 2: {mz}: expected PhaseTrace, got kind 'intensity'\n")
+
+    def test_phase_trace_is_no_intensity_trace(self, capsys, tmp_path):
+        phase = tmp_path / "phase.csv"
+        assert main(f"simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 1 "
+                    f"--dt-us 1 --out {phase}".split()) == 0
+        capsys.readouterr()
+        assert main(f"analyze phase --in {phase} --out {tmp_path/'p.csv'}".split()) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 2: {phase}: expected IntensityTrace, got kind 'phase'\n")
 
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(f"analyze fringe --in {tmp_path/'missing.csv'}".split())
@@ -321,9 +330,9 @@ class TestValidationExitCodes:
             f"repeater budget --total-km 1000 --links 8 --fidelity 0.9 "
             f"--segment-km 36.5 --report {report}".split()
         ) == 0
-        replay = RunConfig.from_dict(load_report(report)["config"])
-        replay.params["total_km"] = 0.0
-        replay.outputs = {}
+        replay = load_report(report)["config"]
+        replay["params"]["total_km"] = 0.0
+        replay["outputs"] = {}
         with pytest.raises(DomainError) as excinfo:
             run(replay)
         assert str(excinfo.value).startswith("--total-km: ")
@@ -377,9 +386,9 @@ class TestRepeaterCommands:
         assert main(
             f"repeater fidelity --sigma 0.36 --monte-carlo 10 --report {report}".split()
         ) == 0
-        replay = RunConfig.from_dict(load_report(report)["config"])
-        replay.params["monte_carlo_samples"] = 0
-        replay.outputs = {}
+        replay = load_report(report)["config"]
+        replay["params"]["monte_carlo_samples"] = 0
+        replay["outputs"] = {}
         with pytest.raises(DomainError, match="n_samples must be >= 1"):
             run(replay)
 
@@ -667,8 +676,8 @@ class TestDeterminism:
             f"--duration-ms 1 --dt-us 2 --seed 21 --out {out1} "
             f"--report {report1}".split()
         ) == 0
-        replay = RunConfig.from_dict(load_report(report1)["config"])
-        replay.outputs = {
+        replay = load_report(report1)["config"]
+        replay["outputs"] = {
             "trace": str(tmp_path / "t2.csv"),
             "report": str(tmp_path / "t2.json"),
         }
@@ -689,8 +698,8 @@ class TestDeterminism:
         ) == 0
         echoed = load_report(report)["config"]
 
-        replay = RunConfig.from_dict(echoed)
-        replay.outputs = {
+        replay = echoed
+        replay["outputs"] = {
             "curve": str(tmp_path / "curve2.csv"),
             "report": str(tmp_path / "r2.json"),
         }
@@ -699,6 +708,66 @@ class TestDeterminism:
         second = load_report(tmp_path / "r2.json")["results"]
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
         assert read_bytes(curve) == read_bytes(tmp_path / "curve2.csv")
+
+
+# One small valid run per command, writing into {d} and reading from {i}.
+REPLAYS = {
+    "simulate noise": "simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 1 "
+                      "--dt-us 2 --seed 5 --out {d}/trace.csv",
+    "simulate mz": "simulate mz --night --duration-ms 1 --dt-us 2 --seed 5 --out {d}/trace.csv",
+    "simulate fringe": "simulate fringe --sigma-ref 0.3 --tau-ref-us 100 --loop-km 40 "
+                       "--points 8 --pulses-per-point 100 --seed 5 --out {d}/scan.csv",
+    "analyze fringe": "analyze fringe --in {i}/scan.csv",
+    "analyze phase": "analyze phase --in {i}/mz.csv --out {d}/phase.csv",
+    "analyze dphi": "analyze dphi --in {i}/phase.csv --tau-max-us 100 --histogram-tau-us 20 "
+                    "--histogram-out {d}/hist.csv --out {d}/curve.csv",
+    "analyze tau-threshold": "analyze tau-threshold --in {i}/curve.csv --dphi 0.05",
+    "analyze exponent": "analyze exponent --in {i}/curve.csv --tau-min-us 10 --tau-max-us 100",
+    "analyze diffusion": "analyze diffusion --visibility 0.9 --length-km 36.5",
+    "repeater budget": _BUDGET + " --total-km 1000 --segment-km 36.5",
+    "repeater fidelity": "repeater fidelity --sigma 0.3 --monte-carlo 1000 --seed 3",
+}
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    for argv in (
+        REPLAYS["simulate fringe"],
+        "simulate mz --night --duration-ms 1 --dt-us 2 --out {d}/mz.csv",
+        "simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 2 --dt-us 1 "
+        "--out {d}/phase.csv",
+        "analyze dphi --in {d}/phase.csv --tau-max-us 100 --out {d}/curve.csv",
+    ):
+        assert main(argv.format(d=d).split()) == 0
+    return d
+
+
+class TestReplay:
+    def test_every_command_has_a_case(self):
+        assert set(REPLAYS) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", REPLAYS)
+    def test_report_config_replays(self, tmp_path, replay_inputs, command):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        argv = REPLAYS[command].format(d=first, i=replay_inputs) + f" --report {first}/r.json"
+        assert main(argv.split()) == 0
+        report = load_report(first / "r.json")
+        config = report["config"]
+        assert config["command"] == command
+        config["outputs"] = {role: str(second / os.path.basename(path))
+                             for role, path in config["outputs"].items()}
+        assert run(config) == 0
+        replayed = load_report(second / "r.json")
+        assert replayed["results"] == report["results"]
+        assert replayed["inputs"] == report["inputs"]
+        written = sorted(os.listdir(first))
+        assert sorted(os.listdir(second)) == written
+        for name in written:
+            if name != "r.json":
+                assert read_bytes(first / name) == read_bytes(second / name), name
 
 
 class TestOutputDirOverride:

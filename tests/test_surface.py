@@ -301,6 +301,9 @@ def test_seed_keeps_its_stream_however_large():
      "lag 1.5e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
     (lambda: fp.pool_stats([_stats(), _stats(taus=[1e-6, 2.6e-6])]),
      "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: fp.pool_stats([fp.PhaseStats([1e-6, 1e-6 + 1e-13], [3, 3], 1e-6,
+                                          increments=[[.1, .2, .3], [.4, .5, .6]])]),
+     "lags must be strictly increasing", ("taus",)),
     (lambda: fp.fit_gaussian(np.full(200, np.nan)), "increments[0] is not finite: nan",
      ("increments",)),
     (lambda: fp.fit_gaussian(np.r_[np.zeros(150), np.inf]), "increments[150] is not finite: inf",
@@ -341,7 +344,8 @@ def test_seed_keeps_its_stream_however_large():
      ("n_links",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
-        "pool_off_grid_lag", "pool_off_grid_second_curve", "fit_gaussian_nan",
+        "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
+        "fit_gaussian_nan",
         "fit_gaussian_inf",
         "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
         "stats_no_lag_increments", "stats_lag_not_positive", "unknown_preset",
@@ -386,6 +390,17 @@ class TestPublicSurface:
             "analysis", "cli", "decimals", "errors", "fileio", "interferometer", "noise",
             "presets", "repeater",
         }
+
+    def test_cli_exports(self):
+        cli = importlib.import_module("fiberphase.cli")
+        assert cli.__all__ == ["DEFAULT_SEED", "parse_cli", "run", "main"]
+
+    @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(fp.__path__)))
+    def test_exported_names_resolve(self, module):
+        # A module without __all__ exports its public names, which resolve as such.
+        namespace = importlib.import_module(f"fiberphase.{module}")
+        assert [name for name in getattr(namespace, "__all__", ())
+                if not hasattr(namespace, name)] == []
 
     @pytest.mark.parametrize("module,attribute", [
         (module, attribute) for module, names in TRACED.items() for attribute in names
