@@ -32,7 +32,7 @@ from .errors import (
     frozen,
 )
 from .interferometer import FringeScan, IntensityTrace
-from .noise import MEAN_ABS_FACTOR, PhaseTrace, sigma_from_visibility
+from .noise import MEAN_ABS_FACTOR, PhaseTrace, sigma_from_visibility, step_count
 
 __all__ = [
     "FringeFit",
@@ -303,7 +303,7 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     if not (dt > 0) or not (tau_max >= dt):
         raise DomainError(f"need tau_max >= dt > 0, got dt={dt}, tau_max={tau_max}",
                           "tau_max", "dt")
-    k_max = int(math.floor(tau_max / dt + 1e-9))
+    k_max = step_count(tau_max, dt)
     if k_max <= max_lags:
         ks = np.arange(1, k_max + 1)
     else:

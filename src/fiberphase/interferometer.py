@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen,
 )
-from .noise import NoiseParams, SampledTrace, sagnac_effective_sigma, seeded_rng
+from .noise import NoiseParams, SampledTrace, check_count, sagnac_effective_sigma, seeded_rng
 
 __all__ = [
     "FringeScan",
@@ -119,6 +119,8 @@ def simulate_fringe_scan(
     check_scalar("pulses_per_point", pulses_per_point, minimum=1, integer=True)
     check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
+    check_count("points", n_points)
+    check_count("pulses per point", pulses_per_point)
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
     # Point i draws from the key's stream jumped by i * 2^128, as
     # Philox.jumped(i) would give, without building a bit generator per point.

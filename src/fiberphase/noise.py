@@ -40,6 +40,10 @@ DEFAULT_GROUP_INDEX = 1.5
 # Hard limit for hurst != 0.5 synthesis (number of increments).
 MAX_FGN_STEPS = 1 << 21
 
+# Hard limit for every other step count and array size: 2^44 float64 samples
+# (128 TiB) are more than a 47-bit user address space can map.
+MAX_SAMPLES = 1 << 44
+
 MEAN_ABS_FACTOR = math.sqrt(2.0 / math.pi)  # <|x|> / sigma for gaussian x
 
 _log = logging.getLogger(__name__)
@@ -77,6 +81,22 @@ def seeded_rng(seed: int) -> np.random.Generator:
     """The generator of every seeded draw in the package: Philox keyed by `seed` mod 2^64."""
     check_scalar("seed", seed)
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+
+
+def check_count(noun: str, count: float, limit: int = MAX_SAMPLES) -> None:
+    """Raise ResourceLimitError unless `count` is at most `limit`, nan and inf
+    included, before an array of that size is asked for."""
+    if not count < limit + 1:
+        whole = math.floor(count) if count < 1e16 else count  # from 1e16 up, as given
+        raise ResourceLimitError(f"{whole} {noun} exceed the limit of {limit}")
+
+
+def step_count(span: float, dt: float, limit: int = MAX_SAMPLES) -> int:
+    """Whole steps of `dt` in `span`, forgiving a rounding error of 1e-9
+    step, checked against `limit` (see `check_count`)."""
+    steps = span / dt + 1e-9
+    check_count("steps", steps, limit)
+    return math.floor(steps)
 
 
 @dataclass(frozen=True)
@@ -145,17 +165,11 @@ class NoiseParams:
         if not (duration >= dt):
             raise DomainError(f"duration must be >= dt, got duration={duration}, dt={dt}",
                               "duration", "dt")
-        n_steps = int(math.floor(duration / dt + 1e-9))
-
         rng = seeded_rng(seed)
         sigma_step = self.sigma_at(dt)
         fgn = sigma_step != 0.0 and self.hurst != 0.5
+        n_steps = step_count(duration, dt, MAX_FGN_STEPS if fgn else MAX_SAMPLES)
         if fgn:
-            if n_steps > MAX_FGN_STEPS:
-                raise ResourceLimitError(
-                    f"{n_steps} steps exceeds the hurst != 0.5 synthesis limit "
-                    f"of {MAX_FGN_STEPS}"
-                )
             # Before the trace buffer exists: the FFT's inputs are freed by
             # then, which keeps the peak down.
             increments = _fgn_circulant(n_steps, self.hurst, rng)
@@ -167,7 +181,13 @@ class NoiseParams:
             increments *= sigma_step
             np.cumsum(increments, out=samples[1:])
         if self.drift_rate != 0.0:
-            samples += self.drift_rate * (dt * np.arange(n_steps + 1))
+            # drift_rate * (dt * k), in one scratch buffer: each k is exact
+            # in float64, as the limit keeps it below 2^53.
+            ramp = np.arange(n_steps + 1, dtype=float)
+            ramp *= dt
+            ramp *= self.drift_rate
+            samples += ramp
+            del ramp  # freed before the trace's finiteness check
         return PhaseTrace(t0=0.0, dt=dt, samples=Adopted(samples))
 
 

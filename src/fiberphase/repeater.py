@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, check_scalar
 from .noise import (
     MEAN_ABS_FACTOR,
+    check_count,
     seeded_rng,
     variance_from_visibility,
     visibility_from_sigma,
@@ -102,6 +103,7 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     """
     check_scalar("sigma", sigma, minimum=0)
     check_scalar("n_samples", n_samples, minimum=1, integer=True)
+    check_count("samples", n_samples)
     delta = sigma * seeded_rng(seed).standard_normal(n_samples)
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 

@@ -254,6 +254,12 @@ class TestTraceMemory:
         params = preset_params("night")
         peak = traced_peak(params.sample_trace, self.DURATION, self.DT, 1)
         assert peak <= self.BYTES_PER_SAMPLE * ((1 << 20) + 1)
+        # A drift is added from one float64 scratch ramp, while the generator
+        # is still held: the int64 ramp and its two float64 temporaries
+        # peaked at 24.06 bytes per sample.
+        drifting = dataclasses.replace(params, drift_rate=300.0)
+        peak = traced_peak(drifting.sample_trace, self.DURATION, self.DT, 1)
+        assert peak <= self.BYTES_PER_SAMPLE * ((1 << 20) + 1) + (1 << 16)
 
     def test_sample_trace_checks_one_segment_at_a_time(self, traced_peak):
         # The samples plus one bool per sample for the finiteness check.  The

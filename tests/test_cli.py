@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fiberphase import DomainError, fileio, read_trace
-from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _naming, main, parse_cli, run
+from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _flags, _naming, main, parse_cli, run
 
 
 def read_bytes(path):
@@ -139,6 +139,14 @@ MALFORMED_INPUTS = [
     (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"
      b"-2e-06,0.05,0.06,9\n-1e-06,0.07,0.08,8\n0.0,0.1,0.12,7\n",
      "analyze tau-threshold --in {f} --dphi 0.08", "line 4: {f}: lags must be > 0\n"),
+    (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-300\n# segments: 0:3\n"
+     b"time_s,value\n0.0,0.1\n1e-300,0.2\n2e-300,0.3\n",
+     "analyze dphi --in {f} --tau-max-us 100 --out {d}/c.csv",
+     "9.999999999999998e+295 steps exceed the limit of 17592186044416\n"),
+    (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 5e-324\n# segments: 0:3\n"
+     b"time_s,value\n0.0,0.1\n5e-324,0.2\n1e-323,0.3\n",
+     "analyze dphi --in {f} --tau-max-us 100 --out {d}/c.csv",
+     "inf steps exceed the limit of 17592186044416\n"),
 ]
 
 # A flag that only takes effect together with another one.
@@ -262,7 +270,7 @@ class TestValidationExitCodes:
         ids=["non_utf8_trace", "nan_fringe_phase", "nan_curve_lag", "nan_curve_count",
              "nan_intensity_sample", "nan_trace_t0", "nan_fringe_i0", "inf_curve_dt",
              "nan_curve_dphi", "inf_curve_dphi", "too_few_lags_in_range",
-             "non_positive_curve_lags"],
+             "non_positive_curve_lags", "tiny_trace_dt", "subnormal_trace_dt"],
     )
     def test_malformed_input_file(self, capsys, tmp_path, data, template, fragment):
         path = tmp_path / "in.csv"
@@ -768,6 +776,56 @@ class TestReplay:
         for name in written:
             if name != "r.json":
                 assert read_bytes(first / name) == read_bytes(second / name), name
+
+
+_HUGE = 10**30
+
+# A size that no array can hold, at least one case per flag whose value sizes
+# an array or a step count: (argv, that flag).  {d} holds the phase trace p.csv.
+OVERSIZE_VALUES = [
+    (_NOISE + " --duration-ms 1e300 --dt-us 1", "--duration-ms"),
+    (_NOISE + " --duration-ms 100000000000 --dt-us 1", "--duration-ms"),
+    (_NOISE + " --duration-ms 1 --dt-us 1e-300", "--dt-us"),
+    ("simulate mz --night --duration-ms 1e300 --dt-us 1 --out {d}/x.csv", "--duration-ms"),
+    ("simulate mz --night --duration-ms 1 --dt-us 1e-300 --out {d}/x.csv", "--dt-us"),
+    (_FRINGE + f" --loop-km 10 --points {_HUGE}", "--points"),
+    (_FRINGE + f" --loop-km 10 --pulses-per-point {_HUGE}", "--pulses-per-point"),
+    (f"repeater fidelity --sigma 0.1 --monte-carlo {_HUGE}", "--monte-carlo"),
+    (_DPHI + " --tau-max-us 1e300", "--tau-max-us"),
+]
+
+# The count and time-span flags that size nothing, each with its reason.
+SIZES_NOTHING = {
+    "--seed": "taken mod 2^64 as the generator's key",
+    "--max-lags": "thins the lags, whose steps --tau-max-us bounds",
+    "--links": "divides the budget; nothing is allocated per link",
+    "--tau-ref-us": "a calibration lag",
+    "--tau-min-us": "bounds the fit window on the curve's own lags",
+    "--histogram-tau-us": "picks one of the curve's own lags",
+    "analyze exponent --tau-max-us": "bounds the fit window on the curve's own lags",
+}
+
+PHASE_CSV = (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n# segments: 0:3\n"
+             b"time_s,value\n0.0,0.1\n1e-06,0.2\n2e-06,0.3\n")
+
+
+class TestOversize:
+    def test_every_sizing_flag_has_a_case(self):
+        covered = {(" ".join(argv.split()[:2]), flag) for argv, flag in OVERSIZE_VALUES}
+        for command, spec in _COMMANDS.items():
+            for flag in _flags(spec.flags):
+                if flag.type is int or flag.scale is not None:
+                    assert ((command, flag.name) in covered or flag.name in SIZES_NOTHING
+                            or f"{command} {flag.name}" in SIZES_NOTHING), (command, flag.name)
+
+    @pytest.mark.parametrize("template,flag", OVERSIZE_VALUES)
+    def test_oversize_value_exits_1(self, capsys, tmp_path, template, flag):
+        (tmp_path / "p.csv").write_bytes(PHASE_CSV)
+        assert main(template.format(d=tmp_path).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" exceed the limit of {2**44}\n")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["p.csv"]
 
 
 class TestOutputDirOverride:

@@ -7,6 +7,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -268,6 +269,25 @@ def test_infinite_value_names_its_field(call, field, got):
     with pytest.raises(fp.DomainError, match=f"^{field} must be finite, got {got}$") as excinfo:
         call()
     assert (excinfo.value.fields, excinfo.value.index) == ((field,), None)
+
+
+# A finite request whose size no array can hold: refused before anything of
+# that size is allocated.
+@pytest.mark.parametrize("call,message", [
+    (lambda: _NIGHT.sample_trace(1e9, 1e-6, seed=1), "1000000000000000 steps"),
+    (lambda: _NIGHT.sample_trace(1e300, 1e-6, seed=1), "e+306 steps"),
+    (lambda: fp.default_lag_grid(1e-300, 1.0), "e+299 steps"),
+    (lambda: fp.default_lag_grid(5e-324, 6e-4), "inf steps"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 10**30, 10), f"{10**30} points"),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10**30), f"{10**30} pulses per point"),
+    (lambda: fp.monte_carlo_fidelity(0.1, 10**30), f"{10**30} samples"),
+], ids=["sample_trace_steps", "sample_trace_huge_steps", "lag_grid_steps",
+        "lag_grid_infinite_steps", "fringe_n_points", "fringe_pulses_per_point",
+        "monte_carlo_n_samples"])
+def test_oversize_request_is_refused(call, message):
+    with pytest.raises(fp.ResourceLimitError,
+                       match=re.escape(f"{message} exceed the limit of {2**44}") + "$"):
+        call()
 
 
 def test_zero_max_lags_names_its_field():
