@@ -30,6 +30,7 @@ from .errors import (
     check_scalar,
     fields_equal,
     frozen,
+    taken,
 )
 from .interferometer import FringeScan, IntensityTrace
 from .noise import MEAN_ABS_FACTOR, PhaseTrace, sigma_from_visibility, step_count
@@ -246,16 +247,8 @@ def extract_phase(
     lo, hi = band
     if not (0 < lo < hi < 1):
         raise DomainError(f"band must satisfy 0 < lo < hi < 1, got ({lo}, {hi})", "band")
-    if isinstance(trace, Adopted):
-        trace = trace.array
-        if not isinstance(trace, IntensityTrace):
-            raise DomainError(f"only an IntensityTrace can be handed over, got "
-                              f"{type(trace).__name__}")
-        u = trace.samples  # a trace owns its samples buffer, so it can be written again
-        u.setflags(write=True)
-        u -= trace.i_min
-    else:
-        u = np.subtract(trace.samples, trace.i_min)
+    trace, u = taken(trace, IntensityTrace)
+    u = np.subtract(trace.samples if u is None else u, trace.i_min, out=u)
     u /= trace.i_max - trace.i_min
     np.clip(u, 0.0, 1.0, out=u)
 
@@ -371,18 +364,15 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     padding is freed before the reduction.  The curve is the same bit for
     bit, and the caller must not use the trace again.
     """
-    adopted = isinstance(phase, Adopted)
-    if adopted:
-        phase = phase.array
-        if not isinstance(phase, PhaseTrace):
-            raise DomainError(f"only a PhaseTrace can be handed over, got {type(phase).__name__}")
+    phase, samples = taken(phase, PhaseTrace)
     taus = np.asarray(taus, dtype=float)
     if taus.size == 0:
         raise DomainError("at least one lag is required", "taus")
     if np.any(np.diff(taus) <= 0):
         raise DomainError("lags must be strictly increasing", "taus")
     steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
-    samples, segments = _packed(phase) if adopted else (phase.samples, phase.segments)
+    samples, segments = ((phase.samples, phase.segments) if samples is None
+                         else _packed(samples, phase.segments))
     curve = _reduced(_increments(samples, segments, steps))
     kept = curve["n_increments"].size
     if kept < steps.size:
@@ -393,18 +383,16 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     return PhaseStats(steps[:kept] * phase.dt, dt=phase.dt, **curve)
 
 
-def _packed(phase: PhaseTrace) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The segments of a consumed trace, moved in time order to the front of
-    its samples buffer, which shrinks to them; and their new bounds."""
-    samples = phase.samples  # a trace owns its samples buffer, so it can be written again
-    samples.setflags(write=True)
-    segments, o = [], 0
-    for a, b in phase.segments:
+def _packed(samples: np.ndarray, segments) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The `segments` of a consumed trace's `samples`, moved in time order to
+    the front of that buffer, which shrinks to them; and their new bounds."""
+    packed, o = [], 0
+    for a, b in segments:
         samples[o:o + b - a] = samples[a:b]  # a forward move: o <= a
-        segments.append((o, o + b - a))
+        packed.append((o, o + b - a))
         o += b - a
     samples.resize(o, refcheck=False)
-    return samples, segments
+    return samples, packed
 
 
 def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:

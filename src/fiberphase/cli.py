@@ -63,7 +63,7 @@ class _Flag:
     `key` is a params key, ``process.<key>`` (the noise-process block),
     ``inputs.<role>``, ``outputs.<role>`` or ``seed``; its last part less an
     ``_s``/``_rad`` unit is the parameter.  A library check names the fields
-    it rejects (`DomainError.fields`), and the flags of those fields go in
+    it rejects (`FiberPhaseError.fields`), and the flags of those fields go in
     front of its message; an error whose fields no flag carries stays bare,
     as ``no stored lag near tau=...`` (field ``tau``) does for a
     --histogram-tau-us off the curve's grid.  `type` is float, int, str, bool
@@ -216,16 +216,16 @@ def _process_block(values: dict) -> dict:
 
 @contextlib.contextmanager
 def _naming(entries):
-    """Prefix a library DomainError with the flags whose parameter (see _Flag)
-    is one of its fields; an error with no such field stays bare."""
+    """Prefix a library error with the flags whose parameter (see _Flag) is
+    one of its fields; an error with no such field stays bare."""
     try:
         yield
-    except DomainError as exc:
+    except FiberPhaseError as exc:
         names = [flag.name for flag in _flags(entries) if flag.key.rpartition(".")[2]
                  .removesuffix("_s").removesuffix("_rad") in exc.fields]
         if not names:
             raise
-        raise DomainError(f"{'/'.join(names)}: {exc}") from exc
+        raise type(exc)(f"{'/'.join(names)}: {exc}") from exc
 
 
 def _params_to_process(block: dict) -> NoiseParams:
@@ -604,12 +604,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Console entry point: exit 0 on success, 1 on invalid values or
-    propagated module errors, 2 on usage errors (from argparse)."""
+    """Console entry point: exit 0 on success, 1 on invalid values,
+    propagated module errors or an allocation the machine refuses, 2 on
+    usage errors (from argparse)."""
     try:
         config = parse_cli(argv)
         return run(config)
-    except (FiberPhaseError, OSError) as exc:
+    except (FiberPhaseError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

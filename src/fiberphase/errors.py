@@ -10,11 +10,7 @@ import numpy as np
 
 
 class FiberPhaseError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DomainError(FiberPhaseError, ValueError):
-    """An input value violates a documented precondition or invariant.
+    """Base class for all errors raised by this package.
 
     A library check names the `fields` of the values it rejects, both of a
     rule on two values, and, for an array, the `index` of its first offending
@@ -26,6 +22,10 @@ class DomainError(FiberPhaseError, ValueError):
     def __init__(self, message: str, *fields: str, index: int | None = None):
         super().__init__(message)
         self.fields, self.index = fields, index
+
+
+class DomainError(FiberPhaseError, ValueError):
+    """An input value violates a documented precondition or invariant."""
 
 
 class ResourceLimitError(FiberPhaseError, RuntimeError):
@@ -107,11 +107,9 @@ class Adopted(NamedTuple):
     """A buffer the library has just built and drops: a value object given
     one keeps it, read-only, instead of a copy (see `frozen`).
 
-    Two analyses also take a trace handed over this way, and consume it, so
-    the caller must not use the trace again.  `analysis.extract_phase` takes
-    an `IntensityTrace`: its samples buffer becomes the phase.
-    `analysis.increment_sets` takes a `PhaseTrace`: its segments are packed
-    to the front of its samples buffer, which shrinks to them.
+    A trace handed over this way is consumed by the function that takes it,
+    which computes in its samples buffer (see `taken`), so the caller must
+    not use the trace again.
     """
 
     array: np.ndarray
@@ -131,6 +129,21 @@ def frozen(values, dtype) -> np.ndarray:
     array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array
+
+
+def taken(value, cls):
+    """`value` and None if the trace is only lent; for ``Adopted(trace)``, the
+    trace, which must be a `cls`, and the samples buffer it owns, writeable
+    again for the taker to compute in."""
+    if not isinstance(value, Adopted):
+        return value, None
+    trace = value.array
+    if not isinstance(trace, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"only {article} {cls.__name__} can be handed over, got "
+                          f"{type(trace).__name__}")
+    trace.samples.setflags(write=True)
+    return trace, trace.samples
 
 
 def fields_equal(self, other) -> bool:

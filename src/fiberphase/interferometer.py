@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen,
+    Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen, taken,
 )
 from .noise import NoiseParams, SampledTrace, check_count, sagnac_effective_sigma, seeded_rng
 
@@ -119,8 +119,8 @@ def simulate_fringe_scan(
     check_scalar("pulses_per_point", pulses_per_point, minimum=1, integer=True)
     check_scalar("i0", i0, positive=True)
     sigma = sagnac_effective_sigma(process, loop_km)
-    check_count("points", n_points)
-    check_count("pulses per point", pulses_per_point)
+    check_count("points", n_points, "n_points")
+    check_count("pulses per point", pulses_per_point, "pulses_per_point")
     applied = np.linspace(0.0, 2.0 * math.pi, n_points)
     # Point i draws from the key's stream jumped by i * 2^128, as
     # Philox.jumped(i) would give, without building a bit generator per point.
@@ -166,11 +166,9 @@ def simulate_mz_trace(
         raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}",
                           "i_max", "i_min")
     check_scalar("phi0", phi0)
-    phase = process.sample_trace(duration, dt, seed)
-    # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the phase's
-    # own buffer: the phase trace is dropped here, so no one else sees it.
-    values = phase.samples
-    values.setflags(write=True)
+    # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the buffer
+    # of the phase trace, handed over since no one else sees it.
+    phase, values = taken(Adopted(process.sample_trace(duration, dt, seed)), SampledTrace)
     values += phi0
     np.cos(values, out=values)
     values += 1.0

@@ -83,19 +83,19 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
-def check_count(noun: str, count: float, limit: int = MAX_SAMPLES) -> None:
-    """Raise ResourceLimitError unless `count` is at most `limit`, nan and inf
-    included, before an array of that size is asked for."""
+def check_count(noun: str, count: float, *fields: str, limit: int = MAX_SAMPLES) -> None:
+    """Raise ResourceLimitError, naming `fields`, unless `count` is at most
+    `limit`, nan and inf included, before an array of that size is asked for."""
     if not count < limit + 1:
         whole = math.floor(count) if count < 1e16 else count  # from 1e16 up, as given
-        raise ResourceLimitError(f"{whole} {noun} exceed the limit of {limit}")
+        raise ResourceLimitError(f"{whole} {noun} exceed the limit of {limit}", *fields)
 
 
-def step_count(span: float, dt: float, limit: int = MAX_SAMPLES) -> int:
+def step_count(span: float, dt: float, *fields: str, limit: int = MAX_SAMPLES) -> int:
     """Whole steps of `dt` in `span`, forgiving a rounding error of 1e-9
     step, checked against `limit` (see `check_count`)."""
     steps = span / dt + 1e-9
-    check_count("steps", steps, limit)
+    check_count("steps", steps, *fields, limit=limit)
     return math.floor(steps)
 
 
@@ -168,7 +168,8 @@ class NoiseParams:
         rng = seeded_rng(seed)
         sigma_step = self.sigma_at(dt)
         fgn = sigma_step != 0.0 and self.hurst != 0.5
-        n_steps = step_count(duration, dt, MAX_FGN_STEPS if fgn else MAX_SAMPLES)
+        n_steps = step_count(duration, dt, "duration", "dt",
+                             limit=MAX_FGN_STEPS if fgn else MAX_SAMPLES)
         if fgn:
             # Before the trace buffer exists: the FFT's inputs are freed by
             # then, which keeps the peak down.

@@ -103,7 +103,7 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     """
     check_scalar("sigma", sigma, minimum=0)
     check_scalar("n_samples", n_samples, minimum=1, integer=True)
-    check_count("samples", n_samples)
+    check_count("samples", n_samples, "n_samples")
     delta = sigma * seeded_rng(seed).standard_normal(n_samples)
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fiberphase import DomainError, fileio, read_trace
+from fiberphase import DomainError, analysis, fileio, read_trace
 from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _flags, _naming, main, parse_cli, run
 
 
@@ -781,17 +781,22 @@ class TestReplay:
 _HUGE = 10**30
 
 # A size that no array can hold, at least one case per flag whose value sizes
-# an array or a step count: (argv, that flag).  {d} holds the phase trace p.csv.
+# an array or a step count: (argv, that flag, the flags the message starts
+# with).  {d} holds the phase trace p.csv.  --monte-carlo fills the parameter
+# monte_carlo_samples, not the n_samples that the limit names, and the lag
+# grid's limit names no field, as its dt may come from a file.
+_SPAN = "--duration-ms/--dt-us: "
 OVERSIZE_VALUES = [
-    (_NOISE + " --duration-ms 1e300 --dt-us 1", "--duration-ms"),
-    (_NOISE + " --duration-ms 100000000000 --dt-us 1", "--duration-ms"),
-    (_NOISE + " --duration-ms 1 --dt-us 1e-300", "--dt-us"),
-    ("simulate mz --night --duration-ms 1e300 --dt-us 1 --out {d}/x.csv", "--duration-ms"),
-    ("simulate mz --night --duration-ms 1 --dt-us 1e-300 --out {d}/x.csv", "--dt-us"),
-    (_FRINGE + f" --loop-km 10 --points {_HUGE}", "--points"),
-    (_FRINGE + f" --loop-km 10 --pulses-per-point {_HUGE}", "--pulses-per-point"),
-    (f"repeater fidelity --sigma 0.1 --monte-carlo {_HUGE}", "--monte-carlo"),
-    (_DPHI + " --tau-max-us 1e300", "--tau-max-us"),
+    (_NOISE + " --duration-ms 1e300 --dt-us 1", "--duration-ms", _SPAN),
+    (_NOISE + " --duration-ms 100000000000 --dt-us 1", "--duration-ms", _SPAN),
+    (_NOISE + " --duration-ms 1 --dt-us 1e-300", "--dt-us", _SPAN),
+    ("simulate mz --night --duration-ms 1e300 --dt-us 1 --out {d}/x.csv", "--duration-ms", _SPAN),
+    ("simulate mz --night --duration-ms 1 --dt-us 1e-300 --out {d}/x.csv", "--dt-us", _SPAN),
+    (_FRINGE + f" --loop-km 10 --points {_HUGE}", "--points", "--points: "),
+    (_FRINGE + f" --loop-km 10 --pulses-per-point {_HUGE}", "--pulses-per-point",
+     "--pulses-per-point: "),
+    (f"repeater fidelity --sigma 0.1 --monte-carlo {_HUGE}", "--monte-carlo", ""),
+    (_DPHI + " --tau-max-us 1e300", "--tau-max-us", ""),
 ]
 
 # The count and time-span flags that size nothing, each with its reason.
@@ -811,20 +816,34 @@ PHASE_CSV = (b"# fiberphase-trace v1\n# kind: phase\n# t0: 0.0\n# dt: 1e-06\n# s
 
 class TestOversize:
     def test_every_sizing_flag_has_a_case(self):
-        covered = {(" ".join(argv.split()[:2]), flag) for argv, flag in OVERSIZE_VALUES}
+        covered = {(" ".join(argv.split()[:2]), flag) for argv, flag, _ in OVERSIZE_VALUES}
         for command, spec in _COMMANDS.items():
             for flag in _flags(spec.flags):
                 if flag.type is int or flag.scale is not None:
                     assert ((command, flag.name) in covered or flag.name in SIZES_NOTHING
                             or f"{command} {flag.name}" in SIZES_NOTHING), (command, flag.name)
 
-    @pytest.mark.parametrize("template,flag", OVERSIZE_VALUES)
-    def test_oversize_value_exits_1(self, capsys, tmp_path, template, flag):
+    @pytest.mark.parametrize("template,flag,prefix", OVERSIZE_VALUES,
+                             ids=[f"{argv}-{flag}" for argv, flag, _ in OVERSIZE_VALUES])
+    def test_oversize_value_exits_1(self, capsys, tmp_path, template, flag, prefix):
         (tmp_path / "p.csv").write_bytes(PHASE_CSV)
         assert main(template.format(d=tmp_path).split()) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(f" exceed the limit of {2**44}\n")
+        assert err.startswith("error: " + prefix) and err[len("error: " + prefix)].isdigit()
+        assert err.endswith(f" exceed the limit of {2**44}\n")
         assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["p.csv"]
+
+    def test_memory_error_exits_1(self, capsys, tmp_path, monkeypatch):
+        # A size under the limit that the machine still cannot allocate,
+        # raised here without allocating it.
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 128. TiB for an array")
+
+        (tmp_path / "p.csv").write_bytes(PHASE_CSV)
+        monkeypatch.setattr(analysis, "default_lag_grid", refuse)
+        assert main(_DPHI.format(d=tmp_path).split() + ["--tau-max-us", "2"]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 128. TiB for an array\n"
         assert sorted(os.listdir(tmp_path)) == ["p.csv"]
 
 

@@ -475,6 +475,15 @@ class TestPublicSurface:
         for path in pathlib.Path(ROOT, "src").rglob("*.py"):
             assert "scipy" not in path.read_text(encoding="utf-8"), path
 
+    def test_only_errors_takes_a_handed_over_trace(self):
+        # errors.taken is the one owner of the handover: the type check and
+        # the reopened buffer.
+        for path in pathlib.Path(ROOT, "src").rglob("*.py"):
+            if path.name != "errors.py":
+                text = path.read_text(encoding="utf-8")
+                assert "setflags(write=True)" not in text, path
+                assert not re.search(r"isinstance\([^()]*,\s*Adopted\)", text), path
+
     def test_traced_method_resolves(self):
         from fiberphase import noise
 
