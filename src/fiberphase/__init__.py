@@ -39,7 +39,6 @@ from .errors import (
     TraceParseError,
 )
 from .fileio import (
-    ReportDocument,
     read_dphi_curve,
     read_fringe_scan,
     read_trace,

@@ -84,13 +84,14 @@ class PhaseStats:
 
     The sample interval `dt` is finite and > 0; the lags `taus`, one or more,
     are finite, > 0 and strictly increasing.  Per lag: the count `n_increments`
-    (>= 1), the mean absolute increment `mean_abs_change` (dphi; finite,
-    >= 0), the sample standard deviation `sigma_per_tau` (ddof=1; finite,
-    >= 0, NaN only below two increments), and the signed mean and sum of
-    squared deviations `m2` that :func:`pool_stats` merges.  Arrays are
-    read-only copies.  Give either per-lag `increments` (any iterable of
-    arrays, reduced here and not stored) or the curve `mean_abs_change` and
-    `sigma_per_tau`; a curve read from a file has no signed moments.
+    (a whole number >= 1), the mean absolute increment `mean_abs_change`
+    (dphi; finite, >= 0), the sample standard deviation `sigma_per_tau`
+    (ddof=1; finite, >= 0, NaN only below two increments), and the signed
+    mean (finite) and sum of squared deviations `m2` (finite, >= 0) that
+    :func:`pool_stats` merges.  Arrays are one-dimensional read-only copies.
+    Give either per-lag `increments` (any iterable of arrays, reduced here
+    and not stored) or the curve `mean_abs_change` and `sigma_per_tau`; a
+    curve read from a file has no signed moments.
     """
 
     taus: np.ndarray
@@ -113,7 +114,7 @@ class PhaseStats:
             raise DomainError("give increments=, or mean_abs_change= and sigma_per_tau=")
         for name, value in values.items():
             if value is not None:
-                value = frozen(value, int if name == "n_increments" else float)
+                value = frozen(name, value, int if name == "n_increments" else float)
                 if value.shape != np.shape(self.taus):
                     raise DomainError(f"{name} must hold one value per lag", name)
                 object.__setattr__(self, name, value)
@@ -129,6 +130,10 @@ class PhaseStats:
                   "need mean_abs_change >= 0 and n_increments >= 1 at every lag")
         check_all("sigma_per_tau", (sigma >= 0) & (sigma < np.inf) | np.isnan(sigma) & (n < 2),
                   "sigma_per_tau must be finite and >= 0 (NaN below two increments)")
+        if self.signed_mean is not None:
+            check_finite("signed_mean", self.signed_mean)
+        if self.m2 is not None:
+            check_all("m2", (self.m2 >= 0) & (self.m2 < np.inf), "m2 must be finite and >= 0")
 
     __eq__ = fields_equal
 
@@ -192,8 +197,8 @@ class GaussianHistogram:
     degenerate: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_edges", frozen(self.bin_edges, float))
-        object.__setattr__(self, "counts", frozen(self.counts, int))
+        object.__setattr__(self, "bin_edges", frozen("bin_edges", self.bin_edges, float))
+        object.__setattr__(self, "counts", frozen("counts", self.counts, int))
 
     __eq__ = fields_equal
 
@@ -365,7 +370,7 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     bit, and the caller must not use the trace again.
     """
     phase, samples = taken(phase, PhaseTrace)
-    taus = np.asarray(taus, dtype=float)
+    taus = frozen("taus", taus, float)
     if taus.size == 0:
         raise DomainError("at least one lag is required", "taus")
     if np.any(np.diff(taus) <= 0):
@@ -408,7 +413,7 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
     dt = stats_list[0].dt
     if any(s.dt != dt for s in stats_list):
         raise DomainError("pooled statistics must share the same sample interval", "dt")
-    if any(s.m2 is None for s in stats_list):
+    if any(s.signed_mean is None or s.m2 is None for s in stats_list):
         raise DomainError("cannot pool a curve without signed moments (read from a file?)")
     steps = [np.array([_lag_steps(tau, dt) for tau in s.taus.tolist()]) for s in stats_list]
     ks = np.sort(np.concatenate(steps))

@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
 from .errors import Adopted, DomainError, FiberPhaseError
-from .fileio import ReportDocument
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
 
@@ -65,12 +64,13 @@ class _Flag:
     ``_s``/``_rad`` unit is the parameter.  A library check names the fields
     it rejects (`FiberPhaseError.fields`), and the flags of those fields go in
     front of its message; an error whose fields no flag carries stays bare,
-    as ``no stored lag near tau=...`` (field ``tau``) does for a
-    --histogram-tau-us off the curve's grid.  `type` is float, int, str, bool
-    (a switch) or list (comma-separated floats).  `check` is a (predicate,
-    wording) pair on the value as given, for a rule the library checks late,
-    under another name or not at all; `scale` then takes it to SI.  `needs`
-    names the flag without which this one has no effect.
+    as ``lag ... s is not a positive multiple of dt = ... s`` (fields ``tau``
+    and ``dt``) does for a --histogram-tau-us off the trace's sample grid.
+    `type` is float, int, str, bool (a switch) or list (comma-separated
+    floats).  `check` is a (predicate, wording) pair on the value as given,
+    for a rule the library checks late, under another name or not at all;
+    `scale` then takes it to SI.  `needs` names the flag without which this
+    one has no effect.
     """
 
     name: str
@@ -289,19 +289,19 @@ def run(config: dict) -> int:
     each input is hashed from the bytes its reader reads, so a pipe or FIFO
     is read once; without one, nothing is hashed.
     """
-    report = ReportDocument(config=config)
+    command = _COMMANDS.get(config["command"])
+    if command is None:
+        raise DomainError(f"unknown command {config['command']!r}", "command")
     out = {k: _resolve_out(v) for k, v in config["outputs"].items()}
     digests = {role: hashlib.sha256() for role in config["inputs"]} if "report" in out else {}
-    command = _COMMANDS[config["command"]]
     with _naming(command.flags):
         blocks = command.run(config, out, digests)
-    for role, digest in digests.items():
-        report.add_input(config["inputs"][role], digest)
     for name, values in blocks.items():
-        report.results[name] = values
         print(_summarize(name, values))
     if "report" in out:
-        fileio.write_report(out["report"], report)
+        inputs = [{"path": str(config["inputs"][role]), "sha256": digest.hexdigest()}
+                  for role, digest in digests.items()]
+        fileio.write_report(out["report"], config, inputs, blocks)
     if out:
         print("wrote: " + " ".join(out.values()))
     return 0
@@ -395,12 +395,12 @@ def _run_analyze_dphi(config, out, digests):
         trace.dt, config["params"]["tau_max_s"], config["params"]["max_lags"]
     )
     hist_tau = config["params"].get("histogram_tau_s")
-    # The histogram reads the trace after the curve, so only then is it kept.
-    stats = analysis.increment_sets(Adopted(trace) if hist_tau is None else trace, taus)
+    # The histogram reads the trace first, so that the curve can consume it.
+    hist = (None if hist_tau is None
+            else analysis.fit_gaussian(analysis.increments_at(trace, hist_tau)))
+    stats = analysis.increment_sets(Adopted(trace), taus)
     blocks = {}
-    if hist_tau is not None:
-        hist_tau = float(stats.taus[stats.lag_index(hist_tau)])
-        hist = analysis.fit_gaussian(analysis.increments_at(trace, hist_tau))
+    if hist is not None:
         fileio.write_histogram(out["histogram"], hist)
         blocks["histogram"] = {
             "tau_s": hist_tau,

@@ -115,18 +115,28 @@ class Adopted(NamedTuple):
     array: np.ndarray
 
 
-def frozen(values, dtype) -> np.ndarray:
-    """A read-only copy of `values` as an array of `dtype`.
+def frozen(name: str, values, dtype) -> np.ndarray:
+    """A read-only copy of `values` as a one-dimensional array of `dtype`.
 
     An `Adopted` array that owns its data, is writeable and has `dtype`
     already is flagged read-only and returned itself; any other is copied.
+    DomainError naming `name` if the array is not 1-D or, for `int`, holds a
+    value that is not a whole number below 2^63, which a cast would truncate
+    or wrap.
     """
-    if isinstance(values, Adopted):
-        values = values.array
-        if values.base is None and values.flags.writeable and values.dtype == dtype:
-            values.setflags(write=False)
-            return values
-    array = np.array(values, dtype=dtype)
+    adopted = isinstance(values, Adopted)
+    array = np.asarray(values.array if adopted else values)
+    if array.ndim != 1:
+        raise DomainError(f"{name} must be one-dimensional, got shape {array.shape}", name)
+    if dtype is int and array.dtype.kind != "i":
+        real = array.astype(float)
+        whole = (np.trunc(real) == real) & (np.abs(real) < 2.0**63)
+        if not whole.all():
+            i = int(np.argmin(whole))
+            raise DomainError(f"{name}[{i}] is not a whole number below 2^63: {array[i]}",
+                              name, index=i)
+    if not (adopted and array.base is None and array.flags.writeable and array.dtype == dtype):
+        array = np.array(array, dtype=dtype)
     array.setflags(write=False)
     return array
 

@@ -26,7 +26,7 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .noise import PhaseTrace
 __all__ = [
     "TOOL_NAME",
     "TOOL_VERSION",
-    "ReportDocument",
     "write_trace",
     "read_trace",
     "write_fringe_scan",
@@ -420,26 +419,6 @@ def write_histogram(path: str, hist: GaussianHistogram) -> None:
 # ---------------------------------------------------------------------------
 # JSON report
 
-@dataclass
-class ReportDocument:
-    """Everything needed to audit and replay a run.
-
-    `config` is the run as `cli.parse_cli` returns it (SI units, defaults
-    included); `cli.run(config)` replays it with bit-identical `results`.
-    `inputs` records path + content digest of every file read.
-    """
-
-    config: dict
-    results: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-
-    def add_input(self, path: str, digest=None) -> None:
-        """Record `path` with its SHA-256: that of `digest`, a hashlib object
-        that has read the file, or else of the file read again."""
-        sha256 = digest.hexdigest() if digest is not None else sha256_of_file(path)
-        self.inputs.append({"path": str(path), "sha256": sha256})
-
-
 def _normalize(obj, round12: bool):
     """Make `obj` JSON-safe; round floats to 12 significant digits if asked."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
@@ -458,18 +437,20 @@ def _normalize(obj, round12: bool):
     raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def write_report(path: str, report: ReportDocument) -> None:
-    """Write the report JSON: sorted keys, schema v1.
+def write_report(path: str, config: dict, inputs: list, results: dict) -> None:
+    """Write the report JSON of a run: sorted keys, schema v1.
 
-    Result values carry 12 significant digits; the echoed config keeps
-    full round-trip precision so that replaying it reproduces the run
-    bit-identically.
+    `config` is the run as `cli.parse_cli` returns it (SI units, defaults
+    included); `cli.run(config)` replays it with bit-identical `results`,
+    the blocks by name.  `inputs` holds the ``{"path", "sha256"}`` of every
+    file read.  Result values carry 12 significant digits; the config and
+    the inputs keep full round-trip precision.
     """
     payload = {
         "schema_version": "v1",
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "config": _normalize(report.config, round12=False),
-        "inputs": _normalize(report.inputs, round12=False),
-        "results": _normalize(report.results, round12=True),
+        "config": _normalize(config, round12=False),
+        "inputs": _normalize(inputs, round12=False),
+        "results": _normalize(results, round12=True),
     }
     _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False).encode(), b"\n"])

@@ -48,8 +48,8 @@ class FringeScan:
     def __post_init__(self):
         check_scalar("detector_noise", self.detector_noise)
         check_scalar("i0", self.i0, positive=True)
-        phase = frozen(self.applied_phase, float)
-        area = frozen(self.pulse_area, float)
+        phase = frozen("applied_phase", self.applied_phase, float)
+        area = frozen("pulse_area", self.pulse_area, float)
         object.__setattr__(self, "applied_phase", phase)
         object.__setattr__(self, "pulse_area", area)
         if phase.size != area.size:

@@ -208,7 +208,7 @@ class SampledTrace:
     def __post_init__(self):
         check_scalar("dt", self.dt, positive=True)
         check_scalar("t0", self.t0)
-        object.__setattr__(self, "samples", frozen(self.samples, float))
+        object.__setattr__(self, "samples", frozen("samples", self.samples, float))
 
     __eq__ = fields_equal
 

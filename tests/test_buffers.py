@@ -82,7 +82,7 @@ class TestCallerArraysCopied:
 class TestAdoptedBuffers:
     def test_owned_writeable_buffer_is_kept(self):
         buffer = np.arange(10.0)
-        kept = frozen(Adopted(buffer), float)
+        kept = frozen("samples", Adopted(buffer), float)
         assert kept is buffer
         assert not kept.flags.writeable
 
@@ -94,11 +94,18 @@ class TestAdoptedBuffers:
     def test_other_buffers_are_copied(self, make):
         buffer = make()
         writeable = buffer.flags.writeable
-        kept = frozen(Adopted(buffer), float)
+        kept = frozen("samples", Adopted(buffer), float)
         assert not np.shares_memory(kept, buffer)
         assert np.array_equal(kept, buffer)
         assert not kept.flags.writeable and kept.dtype == np.float64
         assert buffer.flags.writeable == writeable
+
+    def test_adopted_buffer_must_be_one_dimensional(self):
+        buffer = np.zeros((2, 3))
+        with pytest.raises(DomainError, match=r"^samples must be one-dimensional, got shape "
+                           r"\(2, 3\)$"):
+            frozen("samples", Adopted(buffer), float)
+        assert buffer.flags.writeable
 
     def test_library_traces_own_read_only_samples(self, tmp_path):
         params = preset_params("night")

@@ -240,7 +240,30 @@ class TestValidationExitCodes:
             f"--histogram-out {tmp_path/'h.csv'} --out {tmp_path/'c.csv'}".split()
         )
         assert code == 1
-        assert "no stored lag near" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: lag 2.1e-05 s is not a positive multiple of dt = 2e-06 s\n")
+        assert sorted(os.listdir(tmp_path)) == ["phase.csv"]
+
+    def test_histogram_lag_off_the_curve_grid(self, tmp_path):
+        # 600 steps of 1 us thinned to --max-lags 100 hold 98 and 105 us but
+        # not 100 us: the histogram's lag is one of the trace's, not the curve's.
+        phase, hist = tmp_path / "phase.csv", tmp_path / "h.csv"
+        assert main(
+            f"simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 2 "
+            f"--dt-us 1 --seed 3 --out {phase}".split()
+        ) == 0
+        assert main(
+            f"analyze dphi --in {phase} --tau-max-us 600 --histogram-tau-us 100 "
+            f"--histogram-out {hist} --out {tmp_path/'c.csv'} --report {tmp_path/'r.json'}"
+            .split()
+        ) == 0
+        steps = set(np.round(fileio.read_dphi_curve(str(tmp_path / "c.csv")).taus / 1e-6))
+        assert {98, 105} <= steps and 100 not in steps
+        assert load_report(tmp_path / "r.json")["results"]["histogram"]["tau_s"] == 1e-4
+        expected = tmp_path / "expected.csv"
+        fileio.write_histogram(str(expected), analysis.fit_gaussian(
+            analysis.increments_at(read_trace(str(phase)), 1e-4)))
+        assert read_bytes(hist) == read_bytes(expected)
 
     @pytest.mark.parametrize("fields,prefix", [(("duration",), "--duration-ms: "), ((), "")],
                              ids=["field", "no_field"])
@@ -344,6 +367,15 @@ class TestValidationExitCodes:
         with pytest.raises(DomainError) as excinfo:
             run(replay)
         assert str(excinfo.value).startswith("--total-km: ")
+
+    def test_replayed_unknown_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = {"command": "analyze nope", "params": {}, "seed": None, "inputs": {},
+                  "outputs": {"report": "r.json"}}
+        with pytest.raises(DomainError, match="^unknown command 'analyze nope'$") as excinfo:
+            run(config)
+        assert excinfo.value.fields == ("command",)
+        assert not list(tmp_path.iterdir())
 
 
 class TestRepeaterCommands:
@@ -718,6 +750,29 @@ class TestDeterminism:
         assert read_bytes(curve) == read_bytes(tmp_path / "curve2.csv")
 
 
+class TestReportGolden:
+    """The bytes of two reports, written with relative paths: a change to the
+    report's layout, rounding or provenance shows here."""
+
+    def test_report_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FIBERPHASE_OUT_DIR", raising=False)
+        for argv in (
+            "repeater budget --total-km 1000 --links 8 --fidelity 0.9 --segment-km 36.5 "
+            "--report budget.json",
+            "simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 1 --dt-us 1 "
+            "--seed 5 --out p.csv",
+            "analyze dphi --in p.csv --tau-max-us 20 --out c.csv",
+            "analyze tau-threshold --in c.csv --dphi 0.01 --report tau.json",
+        ):
+            assert main(argv.split()) == 0
+        assert {name: hashlib.sha256(read_bytes(name)).hexdigest()
+                for name in ("budget.json", "tau.json")} == {
+            "budget.json": "ab553ef72bb6d50a736c7101afb05b2e967073314c11776a0d35c3409c980929",
+            "tau.json": "b889a9b59e06faf9ebc5d6141db05ec2bbe285a4053a52dace2d5a7f27e86fa4",
+        }
+
+
 # One small valid run per command, writing into {d} and reading from {i}.
 REPLAYS = {
     "simulate noise": "simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 1 "
@@ -806,7 +861,7 @@ SIZES_NOTHING = {
     "--links": "divides the budget; nothing is allocated per link",
     "--tau-ref-us": "a calibration lag",
     "--tau-min-us": "bounds the fit window on the curve's own lags",
-    "--histogram-tau-us": "picks one of the curve's own lags",
+    "--histogram-tau-us": "a lag of the trace: the longer, the fewer its increments",
     "analyze exponent --tau-max-us": "bounds the fit window on the curve's own lags",
 }
 

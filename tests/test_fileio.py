@@ -1,6 +1,7 @@
 """Tests for the CSV trace/fringe/curve formats and the JSON report."""
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -24,7 +25,6 @@ from fiberphase import (
     NoiseParams,
     PhaseStats,
     PhaseTrace,
-    ReportDocument,
     TraceParseError,
     build_process,
     extract_phase,
@@ -1373,22 +1373,19 @@ class TestCodecLogging:
 
 
 class TestReport:
-    def make_report(self):
-        return ReportDocument(
-            config={"command": "repeater budget", "params": {"total_km": 1000.0}},
-            results={"budget": {"dphi_limit_rad": 0.10183420137426842}},
-        )
+    CONFIG = {"command": "repeater budget", "params": {"total_km": 1000.0}}
+    RESULTS = {"budget": {"dphi_limit_rad": 0.10183420137426842}}
 
     def test_deterministic_bytes(self, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
-        write_report(a, self.make_report())
-        write_report(b, self.make_report())
+        write_report(a, self.CONFIG, [], self.RESULTS)
+        write_report(b, self.CONFIG, [], self.RESULTS)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_sorted_keys_and_schema(self, tmp_path):
         path = str(tmp_path / "r.json")
-        write_report(path, self.make_report())
+        write_report(path, self.CONFIG, [], self.RESULTS)
         text = (tmp_path / "r.json").read_text(encoding="utf-8")
         data = json.loads(text)
         assert data["schema_version"] == "v1"
@@ -1398,37 +1395,32 @@ class TestReport:
 
     def test_twelve_significant_digits(self, tmp_path):
         path = str(tmp_path / "r.json")
-        report = ReportDocument(config={}, results={"x": {"v": math.pi}})
-        write_report(path, report)
+        write_report(path, {}, [], {"x": {"v": math.pi}})
         data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["v"] == float(f"{math.pi:.12g}")
 
     def test_non_finite_serialized_as_strings(self, tmp_path):
         path = str(tmp_path / "r.json")
-        report = ReportDocument(config={}, results={"x": {"v": math.nan}})
-        write_report(path, report)
+        write_report(path, {}, [], {"x": {"v": math.nan}})
         data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["v"] == "nan"
 
     def test_numpy_integers_serialized_as_ints(self, tmp_path):
         path = str(tmp_path / "r.json")
-        write_report(path, ReportDocument(config={}, results={"x": {"n": np.int64(7)}}))
+        write_report(path, {}, [], {"x": {"n": np.int64(7)}})
         data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
         assert data["results"]["x"]["n"] == 7 and type(data["results"]["x"]["n"]) is int
 
     def test_unserializable_value_raises(self, tmp_path):
-        report = ReportDocument(config={}, results={"x": {"v": {1, 2}}})
         with pytest.raises(DomainError, match="^cannot serialize set into a report$"):
-            write_report(str(tmp_path / "r.json"), report)
+            write_report(str(tmp_path / "r.json"), {}, [], {"x": {"v": {1, 2}}})
         assert not list(tmp_path.iterdir())
 
-    def test_input_digest_recorded(self, tmp_path):
-        trace_path = str(tmp_path / "t.csv")
-        write_trace(trace_path, PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(3)))
-        report = self.make_report()
-        report.add_input(trace_path)
-        assert len(report.inputs) == 1
-        assert len(report.inputs[0]["sha256"]) == 64
+    def test_sha256_of_file_is_that_of_its_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"  # several of its 64 KiB chunks
+        write_trace(str(path), PhaseTrace(t0=0.0, dt=1e-6, samples=np.linspace(0, 1, 10000)))
+        assert path.stat().st_size > 3 * 65536
+        assert fileio.sha256_of_file(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPipelineFileEquivalence:

@@ -362,6 +362,30 @@ def test_seed_keeps_its_stream_however_large():
      ("n_samples",)),
     (lambda: fp.budget_per_segment(1000, 2.5, 0.9, 36.5), "n_links must be an integer, got 2.5",
      ("n_links",)),
+    (lambda: fp.PhaseTrace(t0=0, dt=1e-6, samples=5.0),
+     "samples must be one-dimensional, got shape ()", ("samples",)),
+    (lambda: _intensity(samples=np.full((3, 4), 0.5)),
+     "samples must be one-dimensional, got shape (3, 4)", ("samples",)),
+    (lambda: fp.FringeScan(applied_phase=np.zeros((2, 3)), pulse_area=np.ones((3, 2))),
+     "applied_phase must be one-dimensional, got shape (2, 3)", ("applied_phase",)),
+    (lambda: _stats(taus=[[1e-6, 2e-6]]), "taus must be one-dimensional, got shape (1, 2)",
+     ("taus",)),
+    (lambda: fp.increment_sets(_phase(), 1e-6), "taus must be one-dimensional, got shape ()",
+     ("taus",)),
+    (lambda: _stats(n_increments=[3, 2.7]), "n_increments[1] is not a whole number below 2^63: "
+     "2.7", ("n_increments",)),
+    (lambda: _stats(n_increments=[np.nan, 1]), "n_increments[0] is not a whole number below "
+     "2^63: nan", ("n_increments",)),
+    (lambda: _stats(n_increments=[3, 2.0**63]), "n_increments[1] is not a whole number below "
+     "2^63: 9.223372036854776e+18", ("n_increments",)),
+    (lambda: _histogram(counts=[2.9, 4]), "counts[0] is not a whole number below 2^63: 2.9",
+     ("counts",)),
+    (lambda: _stats(signed_mean=[0.07, np.nan]), "signed_mean[1] is not finite: nan",
+     ("signed_mean",)),
+    (lambda: _stats(m2=[-5.0, 0.0]), "m2 must be finite and >= 0", ("m2",)),
+    (lambda: _stats(m2=[0.13, np.inf]), "m2 must be finite and >= 0", ("m2",)),
+    (lambda: fp.pool_stats([_stats(signed_mean=None)]),
+     "cannot pool a curve without signed moments (read from a file?)", ()),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
@@ -372,7 +396,11 @@ def test_seed_keeps_its_stream_however_large():
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
-        "budget_n_links_fraction"])
+        "budget_n_links_fraction", "phase_samples_scalar", "intensity_samples_2d",
+        "fringe_2d", "stats_taus_2d", "increment_sets_scalar_lag", "stats_count_fraction",
+        "stats_count_nan", "stats_count_too_large", "histogram_count_fraction",
+        "stats_signed_mean_nan", "stats_m2_negative", "stats_m2_inf",
+        "pool_without_signed_mean"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
@@ -384,7 +412,7 @@ PUBLIC_NAMES = {
     "BudgetReport", "DEFAULT_GROUP_INDEX", "DomainError", "EmptySegmentsError",
     "FiberPhaseError", "FitError", "FringeFit", "FringeScan", "GaussianHistogram",
     "InsufficientDataError", "IntensityTrace", "NoiseParams", "PhaseProcess",
-    "PhaseStats", "PhaseTrace", "RepeaterChain", "ReportDocument", "ResourceLimitError",
+    "PhaseStats", "PhaseTrace", "RepeaterChain", "ResourceLimitError",
     "SPEED_OF_LIGHT_KM_S", "ThresholdNotReachedError", "TraceParseError",
     "budget_per_segment", "build_process", "chain_sigma", "check_gaussian_relation",
     "default_lag_grid", "estimate_diffusion", "extract_phase", "fidelity_from_sigma",
