@@ -75,7 +75,6 @@ from .repeater import (
     budget_per_segment,
     chain_sigma,
     fidelity_from_sigma,
-    fidelity_visibility_convert,
     monte_carlo_fidelity,
     predict_visibility,
 )

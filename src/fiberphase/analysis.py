@@ -33,7 +33,7 @@ from .errors import (
     taken,
 )
 from .interferometer import FringeScan, IntensityTrace
-from .noise import MEAN_ABS_FACTOR, PhaseTrace, sigma_from_visibility, step_count
+from .noise import MEAN_ABS_FACTOR, PhaseTrace, check_count, sigma_from_visibility, step_count
 
 __all__ = [
     "FringeFit",
@@ -138,12 +138,11 @@ class PhaseStats:
     __eq__ = fields_equal
 
     def lag_index(self, tau: float) -> int:
-        """Index of the stored lag matching `tau` (within half a sample)."""
-        check_scalar("tau", tau)
-        idx = int(np.argmin(np.abs(self.taus - tau)))
-        if abs(self.taus[idx] - tau) > 0.5 * self.dt:
+        """Index of the stored lag `tau`, a multiple of the sample interval (see `_lag_steps`)."""
+        hit = np.flatnonzero(_lag_steps([tau], self.dt) == _lag_steps(self.taus, self.dt))
+        if not hit.size:
             raise DomainError(f"no stored lag near tau={tau:g} s", "tau")
-        return idx
+        return int(hit[0])
 
 
 del PhaseStats.increments  # the InitVar's class default; instances hold no increments
@@ -310,13 +309,23 @@ def default_lag_grid(dt: float, tau_max: float, max_lags: int = DEFAULT_MAX_LAGS
     return ks * dt
 
 
-def _lag_steps(tau: float, dt: float) -> int:
-    check_scalar("tau", tau)
-    k = int(round(tau / dt))
-    if k < 1 or abs(tau - k * dt) > 1e-6 * dt:
-        raise DomainError(f"lag {tau:g} s is not a positive multiple of dt = {dt:g} s",
+def _lag_steps(taus, dt: float) -> np.ndarray:
+    """Steps of `dt` in the strictly increasing lags `taus` (s), as int64.  The
+    first lag that is not finite, at most MAX_SAMPLES steps (see `check_count`)
+    and a positive multiple of dt within 1e-6 step is named, in that order."""
+    taus = np.asarray(taus, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # such lags are refused below
+        k = np.rint(taus / dt)
+        off = ~((k >= 1) & (np.abs(taus - k * dt) <= 1e-6 * dt))
+    if off.any():
+        i = int(np.argmax(off))
+        check_scalar("tau", taus[i])
+        check_count("steps", k[i], "tau")  # past the limit, float lags drift off the grid
+        raise DomainError(f"lag {taus[i]:g} s is not a positive multiple of dt = {dt:g} s",
                           "tau", "dt")
-    return k
+    check_count("steps", k.max(), "tau")
+    check_all("taus", np.diff(k, prepend=0) > 0, "lags must be strictly increasing")
+    return k.astype(np.int64)
 
 
 def _increments(samples: np.ndarray, segments, steps: np.ndarray):
@@ -351,7 +360,7 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     unobservable through omitted extrema), so a lag that no segment is longer
     than has none.  `tau` must be a positive multiple of the sample interval.
     """
-    steps = np.array([_lag_steps(tau, phase.dt)])
+    steps = _lag_steps([tau], phase.dt)
     return next(_increments(phase.samples, phase.segments, steps), np.empty(0))
 
 
@@ -373,9 +382,7 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     taus = frozen("taus", taus, float)
     if taus.size == 0:
         raise DomainError("at least one lag is required", "taus")
-    if np.any(np.diff(taus) <= 0):
-        raise DomainError("lags must be strictly increasing", "taus")
-    steps = np.array([_lag_steps(tau, phase.dt) for tau in taus])
+    steps = _lag_steps(taus, phase.dt)
     samples, segments = ((phase.samples, phase.segments) if samples is None
                          else _packed(samples, phase.segments))
     curve = _reduced(_increments(samples, segments, steps))
@@ -415,12 +422,11 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
         raise DomainError("pooled statistics must share the same sample interval", "dt")
     if any(s.signed_mean is None or s.m2 is None for s in stats_list):
         raise DomainError("cannot pool a curve without signed moments (read from a file?)")
-    steps = [np.array([_lag_steps(tau, dt) for tau in s.taus.tolist()]) for s in stats_list]
+    steps = [_lag_steps(s.taus, dt) for s in stats_list]
     ks = np.sort(np.concatenate(steps))
     ks = ks[np.diff(ks, prepend=ks[0] - 1) > 0]  # np.unique would import numpy.ma
     n, dphi, mean, m2 = np.zeros((4, ks.size))
     for s, k in zip(stats_list, steps):
-        check_all("taus", np.diff(k, prepend=0) > 0, "lags must be strictly increasing")
         i = np.searchsorted(ks, k)
         total = n[i] + s.n_increments
         weight = s.n_increments / total
@@ -487,8 +493,8 @@ def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:
     """Relative deviation from the gaussian identity dphi = sqrt(2/pi)*sigma.
 
-    Returns |dphi - sqrt(2/pi)*sigma| / (sqrt(2/pi)*sigma) at the lag
-    nearest `tau`; NaN (undefined) when sigma is zero or unknown.
+    Returns |dphi - sqrt(2/pi)*sigma| / (sqrt(2/pi)*sigma) at the stored
+    lag `tau`; NaN (undefined) when sigma is zero or unknown.
     """
     idx = stats.lag_index(tau)
     sigma = stats.sigma_per_tau[idx]

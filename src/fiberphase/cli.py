@@ -31,7 +31,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
-from .errors import Adopted, DomainError, FiberPhaseError
+from .errors import Adopted, DomainError, FiberPhaseError, InsufficientDataError
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
 
@@ -396,8 +396,11 @@ def _run_analyze_dphi(config, out, digests):
     )
     hist_tau = config["params"].get("histogram_tau_s")
     # The histogram reads the trace first, so that the curve can consume it.
-    hist = (None if hist_tau is None
-            else analysis.fit_gaussian(analysis.increments_at(trace, hist_tau)))
+    try:
+        hist = (None if hist_tau is None
+                else analysis.fit_gaussian(analysis.increments_at(trace, hist_tau)))
+    except InsufficientDataError as exc:  # too few pairs at that lag: name its flag
+        raise InsufficientDataError(f"{exc} at tau = {hist_tau:g} s", "histogram_tau") from exc
     stats = analysis.increment_sets(Adopted(trace), taus)
     blocks = {}
     if hist is not None:
@@ -478,15 +481,12 @@ def _run_repeater_fidelity(config, out, digests):
     elif p["visibility"] is not None:
         sigma = noise.sigma_from_visibility(p["visibility"])
     else:
-        chain = repeater.RepeaterChain(
-            link_lengths=tuple(p["link_km"]), diffusion=p["diffusion"]
-        )
-        sigma = repeater.chain_sigma(chain)
-    fidelity = repeater.fidelity_from_sigma(sigma)
+        sigma = repeater.chain_sigma(repeater.RepeaterChain(tuple(p["link_km"]),
+                                                            diffusion=p["diffusion"]))
     block = {
         "sigma_rad": sigma,
-        "fidelity": fidelity,
-        "visibility": repeater.fidelity_visibility_convert(fidelity, "to_visibility"),
+        "fidelity": repeater.fidelity_from_sigma(sigma),
+        "visibility": noise.visibility_from_sigma(sigma),
     }
     if p["monte_carlo_samples"] is not None:
         block["monte_carlo_fidelity"] = repeater.monte_carlo_fidelity(

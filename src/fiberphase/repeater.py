@@ -34,7 +34,6 @@ __all__ = [
     "chain_sigma",
     "budget_per_segment",
     "predict_visibility",
-    "fidelity_visibility_convert",
 ]
 
 
@@ -74,19 +73,13 @@ class RepeaterChain:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """End-to-end phase budget of a repeater chain."""
+    """End-to-end phase budget of a repeater chain, as `budget_per_segment` derives it."""
 
     total_sigma: float
     fidelity: float
     visibility: float
     per_segment_sigma_limit: float
     per_segment_dphi_limit: float
-
-    def __post_init__(self):
-        if not (0.5 <= self.fidelity <= 1.0):
-            raise DomainError(f"fidelity must be in [0.5, 1], got {self.fidelity}", "fidelity")
-        if abs(self.visibility - (2.0 * self.fidelity - 1.0)) > 1e-12:
-            raise DomainError("visibility must equal 2*fidelity - 1", "visibility", "fidelity")
 
 
 def fidelity_from_sigma(sigma: float) -> float:
@@ -144,14 +137,13 @@ def budget_per_segment(
     if not (0 < segment_km <= link_km):
         raise DomainError(f"segment_km must be in (0, {link_km:g}] (one link), got {segment_km}",
                           "segment_km")
-    total_variance = variance_from_visibility(2.0 * target_fidelity - 1.0)
-    link_variance = total_variance / n_links
-    segment_variance = link_variance * (segment_km / link_km)
-    sigma_limit = math.sqrt(segment_variance)
+    visibility = 2.0 * target_fidelity - 1.0
+    total_variance = variance_from_visibility(visibility)
+    sigma_limit = math.sqrt(total_variance / n_links * (segment_km / link_km))
     return BudgetReport(
         total_sigma=math.sqrt(total_variance),
         fidelity=target_fidelity,
-        visibility=2.0 * target_fidelity - 1.0,
+        visibility=visibility,
         per_segment_sigma_limit=sigma_limit,
         per_segment_dphi_limit=MEAN_ABS_FACTOR * sigma_limit,
     )
@@ -162,22 +154,3 @@ def predict_visibility(diffusion: float, length_km: float) -> float:
     check_scalar("diffusion", diffusion, minimum=0)
     check_scalar("length_km", length_km, positive=True)
     return visibility_from_variance(diffusion * length_km)
-
-
-def fidelity_visibility_convert(value: float, direction: str) -> float:
-    """Exact affine conversion between fidelity and visibility.
-
-    direction = "to_visibility": F in [0.5, 1] -> V = 2F - 1
-    direction = "to_fidelity":   V in [0, 1]   -> F = (1 + V) / 2
-    """
-    if direction == "to_visibility":
-        if not (0.5 <= value <= 1.0):
-            raise DomainError(f"fidelity must be in [0.5, 1], got {value}", "value")
-        return 2.0 * value - 1.0
-    if direction == "to_fidelity":
-        if not (0.0 <= value <= 1.0):
-            raise DomainError(f"visibility must be in [0, 1], got {value}", "value")
-        return 0.5 * (1.0 + value)
-    raise DomainError(
-        f"direction must be 'to_visibility' or 'to_fidelity', got {direction!r}", "direction"
-    )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,24 @@ class TestValidationExitCodes:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: lag 2.1e-05 s is not a positive multiple of dt = 2e-06 s\n")
+        assert sorted(os.listdir(tmp_path)) == ["phase.csv"]
+
+    @pytest.mark.parametrize("tau_us,have", [(5000, 0), (1950, 51)])
+    def test_histogram_lag_with_too_few_increments(self, capsys, tmp_path, tau_us, have):
+        phase = tmp_path / "phase.csv"
+        assert main(
+            f"simulate noise --sigma-ref 0.1 --tau-ref-us 100 --duration-ms 2 "
+            f"--dt-us 1 --out {phase}".split()
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            f"analyze dphi --in {phase} --tau-max-us 100 --histogram-tau-us {tau_us} "
+            f"--histogram-out {tmp_path/'h.csv'} --out {tmp_path/'c.csv'}".split()
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --histogram-tau-us: need >= 100 increments, have {have} "
+            f"at tau = {tau_us * 1e-6:g} s\n")
         assert sorted(os.listdir(tmp_path)) == ["phase.csv"]
 
     def test_histogram_lag_off_the_curve_grid(self, tmp_path):
@@ -771,6 +790,29 @@ class TestReportGolden:
             "budget.json": "ab553ef72bb6d50a736c7101afb05b2e967073314c11776a0d35c3409c980929",
             "tau.json": "b889a9b59e06faf9ebc5d6141db05ec2bbe285a4053a52dace2d5a7f27e86fa4",
         }
+
+    def test_fidelity_report_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FIBERPHASE_OUT_DIR", raising=False)
+        for argv in (
+            "repeater fidelity --sigma 0.447 --monte-carlo 1000 --report fid.json",
+            "repeater fidelity --diffusion 8e-4 --link-km 35,36.5 --report chain.json",
+        ):
+            assert main(argv.split()) == 0
+        assert {name: hashlib.sha256(read_bytes(name)).hexdigest()
+                for name in ("fid.json", "chain.json")} == {
+            "fid.json": "198915f3734820577ba3f6fc949f5ead6bcec00977dcf29b3d191cfb44d6d954",
+            "chain.json": "6116956d4a3a29a805505f21911b65e49f63fb9e0c3f02edf986445dd5eae378",
+        }
+
+    @pytest.mark.parametrize("sigma,visibility", [(6, 1.52299797447e-08),
+                                                  (9, 2.57675710915e-18)])
+    def test_fidelity_report_visibility_is_the_washout(self, tmp_path, sigma, visibility):
+        # exp(-sigma^2/2) to the report's 12 digits, where 2F - 1 has lost them.
+        assert visibility == float(f"{math.exp(-sigma * sigma / 2):.12g}")
+        report = tmp_path / "r.json"
+        assert main(f"repeater fidelity --sigma {sigma} --report {report}".split()) == 0
+        assert load_report(report)["results"]["fidelity"]["visibility"] == visibility
 
 
 # One small valid run per command, writing into {d} and reading from {i}.

@@ -4,16 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from fiberphase import (
-    BudgetReport,
     DomainError,
     RepeaterChain,
     budget_per_segment,
     chain_sigma,
     fidelity_from_sigma,
-    fidelity_visibility_convert,
     monte_carlo_fidelity,
     predict_visibility,
 )
@@ -202,42 +199,3 @@ class TestPredictVisibility:
         with pytest.raises(DomainError):
             predict_visibility(-1e-4, 100.0)
 
-
-class TestFidelityVisibilityConvert:
-    def test_f09(self):
-        assert fidelity_visibility_convert(0.9, "to_visibility") == pytest.approx(0.8)
-
-    def test_perfect(self):
-        assert fidelity_visibility_convert(1.0, "to_fidelity") == 1.0
-
-    def test_day_sigma_chain(self):
-        assert fidelity_visibility_convert(0.9373, "to_fidelity") == pytest.approx(
-            0.96865, rel=1e-12
-        )
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    def test_involution(self, visibility):
-        fidelity = fidelity_visibility_convert(visibility, "to_fidelity")
-        assert fidelity_visibility_convert(fidelity, "to_visibility") == pytest.approx(
-            visibility, abs=1e-15
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            fidelity_visibility_convert(0.4, "to_visibility")
-        with pytest.raises(DomainError):
-            fidelity_visibility_convert(1.1, "to_fidelity")
-        with pytest.raises(DomainError):
-            fidelity_visibility_convert(0.9, "sideways")
-
-
-class TestBudgetReport:
-    def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            BudgetReport(
-                total_sigma=0.1,
-                fidelity=0.9,
-                visibility=0.7,  # must be 2F-1 = 0.8
-                per_segment_sigma_limit=0.1,
-                per_segment_dphi_limit=0.08,
-            )

@@ -68,6 +68,14 @@ def _phase(**changes):
     return fp.PhaseTrace(**fields)
 
 
+def _ramp():
+    return fp.PhaseTrace(t0=0, dt=1e-6, samples=np.arange(10.0))
+
+
+def _ramp_curve():
+    return fp.increment_sets(_ramp(), [1e-6, 2e-6, 3e-6])
+
+
 def _intensity(**changes):
     fields = dict(t0=0.5, dt=1e-6, samples=[0.2, 0.4, 0.6, 0.8, 0.5], i_max=1.0, i_min=0.0)
     fields.update(changes)
@@ -281,9 +289,10 @@ def test_infinite_value_names_its_field(call, field, got):
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 10**30, 10), f"{10**30} points"),
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10**30), f"{10**30} pulses per point"),
     (lambda: fp.monte_carlo_fidelity(0.1, 10**30), f"{10**30} samples"),
+    (lambda: fp.increment_sets(_ramp(), [1e-6, 2**63 * 1e-6]), "9.223372036854776e+18 steps"),
 ], ids=["sample_trace_steps", "sample_trace_huge_steps", "lag_grid_steps",
         "lag_grid_infinite_steps", "fringe_n_points", "fringe_pulses_per_point",
-        "monte_carlo_n_samples"])
+        "monte_carlo_n_samples", "increment_sets_lag_steps"])
 def test_oversize_request_is_refused(call, message):
     with pytest.raises(fp.ResourceLimitError,
                        match=re.escape(f"{message} exceed the limit of {2**44}") + "$"):
@@ -347,9 +356,6 @@ def test_seed_keeps_its_stream_however_large():
      "1 sigmas for 2 links", ("link_sigmas", "link_lengths")),
     (lambda: fp.RepeaterChain(link_lengths=(10.0,), link_sigmas=(-0.1,)),
      "link sigmas must be >= 0, got (-0.1,)", ("link_sigmas",)),
-    (lambda: fp.BudgetReport(total_sigma=3.0, fidelity=0.4, visibility=-0.2,
-                             per_segment_sigma_limit=1.0, per_segment_dphi_limit=0.8),
-     "fidelity must be in [0.5, 1], got 0.4", ("fidelity",)),
     (lambda: fp.default_lag_grid(1e-6, 1e-3, 2.5), "max_lags must be an integer, got 2.5",
      ("max_lags",)),
     (lambda: fp.default_lag_grid(1e-6, 1e-5, 50.0), "max_lags must be an integer, got 50.0",
@@ -386,6 +392,12 @@ def test_seed_keeps_its_stream_however_large():
     (lambda: _stats(m2=[0.13, np.inf]), "m2 must be finite and >= 0", ("m2",)),
     (lambda: fp.pool_stats([_stats(signed_mean=None)]),
      "cannot pool a curve without signed moments (read from a file?)", ()),
+    (lambda: _ramp_curve().lag_index(1.4e-6),
+     "lag 1.4e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: _ramp_curve().lag_index(2.6e-6),
+     "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: fp.check_gaussian_relation(_ramp_curve(), 2.6e-6),
+     "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
@@ -393,14 +405,15 @@ def test_seed_keeps_its_stream_however_large():
         "fit_gaussian_inf",
         "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
         "stats_no_lag_increments", "stats_lag_not_positive", "unknown_preset",
-        "chain_no_link", "chain_sigma_count", "chain_negative_sigma", "budget_fidelity",
+        "chain_no_link", "chain_sigma_count", "chain_negative_sigma",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
         "budget_n_links_fraction", "phase_samples_scalar", "intensity_samples_2d",
         "fringe_2d", "stats_taus_2d", "increment_sets_scalar_lag", "stats_count_fraction",
         "stats_count_nan", "stats_count_too_large", "histogram_count_fraction",
         "stats_signed_mean_nan", "stats_m2_negative", "stats_m2_inf",
-        "pool_without_signed_mean"])
+        "pool_without_signed_mean", "lag_index_below_half_a_step",
+        "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
@@ -416,7 +429,7 @@ PUBLIC_NAMES = {
     "SPEED_OF_LIGHT_KM_S", "ThresholdNotReachedError", "TraceParseError",
     "budget_per_segment", "build_process", "chain_sigma", "check_gaussian_relation",
     "default_lag_grid", "estimate_diffusion", "extract_phase", "fidelity_from_sigma",
-    "fidelity_visibility_convert", "fit_fringe", "fit_gaussian", "fit_scaling_exponent",
+    "fit_fringe", "fit_gaussian", "fit_scaling_exponent",
     "from_sagnac_calibration", "gaussian_widths", "increment_sets", "increments_at",
     "mean_phase_change", "monte_carlo_fidelity", "pool_stats", "predict_visibility",
     "preset_params", "read_dphi_curve", "read_fringe_scan", "read_trace",
