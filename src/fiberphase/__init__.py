@@ -71,7 +71,6 @@ from .noise import (
 from .presets import preset_params
 from .repeater import (
     BudgetReport,
-    RepeaterChain,
     budget_per_segment,
     chain_sigma,
     fidelity_from_sigma,

@@ -31,7 +31,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
-from .errors import Adopted, DomainError, FiberPhaseError, InsufficientDataError
+from .errors import (Adopted, DomainError, FiberPhaseError, InsufficientDataError,
+                     ResourceLimitError)
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
 
@@ -131,7 +132,7 @@ class _Command(NamedTuple):
     check: tuple | None = None  # (holds(args), message(args)) for a rule joining flags
 
 
-_REPORT = _Flag("--report", "outputs.report", str)
+_REPORT = _Flag("--report", "outputs.report", str, help="JSON report to write")
 _SEED = _Flag("--seed", "seed", int, default=DEFAULT_SEED,
               help=f"random seed (default {DEFAULT_SEED})")
 _PROCESS = _Section("noise process", [
@@ -401,6 +402,8 @@ def _run_analyze_dphi(config, out, digests):
                 else analysis.fit_gaussian(analysis.increments_at(trace, hist_tau)))
     except InsufficientDataError as exc:  # too few pairs at that lag: name its flag
         raise InsufficientDataError(f"{exc} at tau = {hist_tau:g} s", "histogram_tau") from exc
+    except ResourceLimitError as exc:  # a lag past the step limit: name its flag too
+        raise ResourceLimitError(str(exc), "histogram_tau") from exc
     stats = analysis.increment_sets(Adopted(trace), taus)
     blocks = {}
     if hist is not None:
@@ -481,8 +484,7 @@ def _run_repeater_fidelity(config, out, digests):
     elif p["visibility"] is not None:
         sigma = noise.sigma_from_visibility(p["visibility"])
     else:
-        sigma = repeater.chain_sigma(repeater.RepeaterChain(tuple(p["link_km"]),
-                                                            diffusion=p["diffusion"]))
+        sigma = repeater.chain_sigma(p["link_km"], diffusion=p["diffusion"])
     block = {
         "sigma_rad": sigma,
         "fidelity": repeater.fidelity_from_sigma(sigma),
@@ -509,7 +511,6 @@ _COMMANDS = {
     "simulate noise": _Command("sample a phase trace", _run_simulate_noise, [
         _PROCESS, *_GRID, _SEED,
         _Flag("--out", "outputs.trace", str, required=True, help="phase trace CSV to write"),
-        _Flag("--report", "outputs.report", str, help="JSON report to write"),
     ]),
     "simulate mz": _Command("simulate a Mach-Zehnder intensity trace", _run_simulate_mz, [
         _PROCESS, *_GRID, _SEED,
@@ -518,7 +519,6 @@ _COMMANDS = {
         _Flag("--phi0", "phi0_rad", default=math.pi / 2,
               help="static arm phase offset (rad); default pi/2 (mid-fringe)"),
         _Flag("--out", "outputs.trace", str, required=True, help="intensity trace CSV to write"),
-        _REPORT,
     ]),
     "simulate fringe": _Command("scan a Sagnac fringe", _run_simulate_fringe, [
         _PROCESS, _SEED,
@@ -528,11 +528,9 @@ _COMMANDS = {
         _Flag("--detector-noise", "detector_noise", default=0.0),
         _Flag("--i0", "i0", default=1.0, help="mean full intensity"),
         _Flag("--out", "outputs.scan", str, required=True, help="fringe scan CSV to write"),
-        _REPORT,
     ]),
     "analyze fringe": _Command("sinusoidal fit of a fringe scan", _run_analyze_fringe, [
         _Flag("--in", "inputs.scan", str, required=True, help="fringe scan CSV"),
-        _REPORT,
     ]),
     "analyze phase": _Command("extract phase from an intensity trace", _run_analyze_phase, [
         _Flag("--in", "inputs.trace", str, required=True, help="intensity trace CSV"),
@@ -540,7 +538,6 @@ _COMMANDS = {
               help="lower edge of the usable normalized-intensity band"),
         _Flag("--band-hi", "band_hi", default=analysis.DEFAULT_BAND[1]),
         _Flag("--out", "outputs.phase", str, required=True, help="phase trace CSV to write"),
-        _REPORT,
     ], check=(lambda a: 0 < a.band_lo < a.band_hi < 1, lambda a: (
         f"--band-lo/--band-hi must satisfy 0 < lo < hi < 1, got {a.band_lo} and {a.band_hi}"))),
     "analyze dphi": _Command("mean phase change vs lag", _run_analyze_dphi, [
@@ -555,20 +552,17 @@ _COMMANDS = {
         _Flag("--histogram-out", "outputs.histogram", str,
               help="histogram CSV (with --histogram-tau-us)", needs="--histogram-tau-us"),
         _Flag("--out", "outputs.curve", str, required=True, help="dphi curve CSV to write"),
-        _REPORT,
     ]),
     "analyze tau-threshold": _Command(
         "lag at which dphi reaches a target", _run_analyze_tau_threshold, [
         _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
         _Flag("--dphi", "target_rad", check=_POSITIVE, default=DPHI_TARGET,
               help="target mean phase change (rad)"),
-        _REPORT,
     ]),
     "analyze exponent": _Command("scaling exponent of dphi(tau)", _run_analyze_exponent, [
         _Flag("--in", "inputs.curve", str, required=True, help="dphi curve CSV"),
         _Flag("--tau-min-us", "tau_min_s", scale=1e-6, check=_POSITIVE, required=True),
         _Flag("--tau-max-us", "tau_max_s", scale=1e-6, check=_POSITIVE, required=True),
-        _REPORT,
     ], check=(lambda a: a.tau_min_us < a.tau_max_us, lambda a: (
         f"--tau-min-us must be below --tau-max-us, got {a.tau_min_us} and {a.tau_max_us}"))),
     "analyze diffusion": _Command(
@@ -578,14 +572,12 @@ _COMMANDS = {
             _Flag("--sigma", "sigma_rad"),
         ]),
         _Flag("--length-km", "length_km", required=True),
-        _REPORT,
     ]),
     "repeater budget": _Command("per-segment phase allowance", _run_repeater_budget, [
         _Flag("--total-km", "total_km", required=True),
         _Flag("--links", "n_links", int, required=True),
         _Flag("--fidelity", "target_fidelity", required=True),
         _Flag("--segment-km", "segment_km", required=True),
-        _REPORT,
     ]),
     "repeater fidelity": _Command("fidelity from phase noise", _run_repeater_fidelity, [
         _OneOf(True, [
@@ -598,9 +590,11 @@ _COMMANDS = {
         _Flag("--monte-carlo", "monte_carlo_samples", int, check=_AT_LEAST_ONE,
               help="also estimate by Monte Carlo with this many samples"),
         _SEED,
-        _REPORT,
     ]),
 }
+# Every command can write a report, as its last flag.
+_COMMANDS = {key: command._replace(flags=[*command.flags, _REPORT])
+             for key, command in _COMMANDS.items()}
 
 
 def main(argv=None) -> int:

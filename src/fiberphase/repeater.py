@@ -27,7 +27,6 @@ from .noise import (
 )
 
 __all__ = [
-    "RepeaterChain",
     "BudgetReport",
     "fidelity_from_sigma",
     "monte_carlo_fidelity",
@@ -35,40 +34,6 @@ __all__ = [
     "budget_per_segment",
     "predict_visibility",
 ]
-
-
-@dataclass(frozen=True)
-class RepeaterChain:
-    """Elementary links of a repeater: lengths plus a noise calibration.
-
-    Either per-link sigmas (rad) or a shared diffusion coefficient
-    (rad^2/km) must be given; explicit sigmas take precedence.
-    """
-
-    link_lengths: tuple[float, ...]
-    link_sigmas: tuple[float, ...] | None = None
-    diffusion: float | None = None
-
-    def __post_init__(self):
-        lengths = tuple(float(x) for x in self.link_lengths)
-        object.__setattr__(self, "link_lengths", lengths)
-        if not lengths:
-            raise DomainError("a chain needs at least one link", "link_lengths")
-        if any(not (x > 0) for x in lengths):
-            raise DomainError(f"link lengths must be > 0, got {lengths}", "link_lengths")
-        if self.link_sigmas is not None:
-            sigmas = tuple(float(x) for x in self.link_sigmas)
-            object.__setattr__(self, "link_sigmas", sigmas)
-            if len(sigmas) != len(lengths):
-                raise DomainError(f"{len(sigmas)} sigmas for {len(lengths)} links",
-                                  "link_sigmas", "link_lengths")
-            if any(x < 0 for x in sigmas):
-                raise DomainError(f"link sigmas must be >= 0, got {sigmas}", "link_sigmas")
-        elif self.diffusion is None:
-            raise DomainError("give link_sigmas or a diffusion coefficient",
-                              "link_sigmas", "diffusion")
-        if self.diffusion is not None and self.diffusion < 0:
-            raise DomainError(f"diffusion must be >= 0, got {self.diffusion}", "diffusion")
 
 
 @dataclass(frozen=True)
@@ -101,13 +66,32 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 
 
-def chain_sigma(chain: RepeaterChain) -> float:
-    """Total phase-noise width of a chain: link variances add in quadrature."""
-    if chain.link_sigmas is not None:
-        variances, fields = [s * s for s in chain.link_sigmas], ("link_sigmas",)
-    else:
-        variances = [chain.diffusion * length for length in chain.link_lengths]
-        fields = ("diffusion", "link_lengths")
+def chain_sigma(link_lengths, link_sigmas=None, diffusion=None) -> float:
+    """Total phase-noise width of a chain of links: link variances add in quadrature.
+
+    Each link (km) is calibrated by its own sigma (rad) or by one diffusion
+    coefficient (rad^2/km) times its length; explicit sigmas take precedence.
+    """
+    lengths = tuple(float(x) for x in link_lengths)
+    if not lengths:
+        raise DomainError("a chain needs at least one link", "link_lengths")
+    if any(not (x > 0) for x in lengths):
+        raise DomainError(f"link lengths must be > 0, got {lengths}", "link_lengths")
+    if link_sigmas is not None:
+        sigmas = tuple(float(x) for x in link_sigmas)
+        if len(sigmas) != len(lengths):
+            raise DomainError(f"{len(sigmas)} sigmas for {len(lengths)} links",
+                              "link_sigmas", "link_lengths")
+        if any(x < 0 for x in sigmas):
+            raise DomainError(f"link sigmas must be >= 0, got {sigmas}", "link_sigmas")
+        variances, fields = [s * s for s in sigmas], ("link_sigmas",)
+    elif diffusion is None:
+        raise DomainError("give link_sigmas or a diffusion coefficient",
+                          "link_sigmas", "diffusion")
+    if diffusion is not None and diffusion < 0:
+        raise DomainError(f"diffusion must be >= 0, got {diffusion}", "diffusion")
+    if link_sigmas is None:
+        variances, fields = [diffusion * x for x in lengths], ("diffusion", "link_lengths")
     variance = sum(variances)
     if not math.isfinite(variance):
         raise DomainError(f"the chain's phase variance is not finite: {variance}", *fields)

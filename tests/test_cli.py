@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -797,12 +798,14 @@ class TestReportGolden:
         for argv in (
             "repeater fidelity --sigma 0.447 --monte-carlo 1000 --report fid.json",
             "repeater fidelity --diffusion 8e-4 --link-km 35,36.5 --report chain.json",
+            "repeater fidelity --visibility 0.3 --report vis.json",
         ):
             assert main(argv.split()) == 0
         assert {name: hashlib.sha256(read_bytes(name)).hexdigest()
-                for name in ("fid.json", "chain.json")} == {
+                for name in ("fid.json", "chain.json", "vis.json")} == {
             "fid.json": "198915f3734820577ba3f6fc949f5ead6bcec00977dcf29b3d191cfb44d6d954",
             "chain.json": "6116956d4a3a29a805505f21911b65e49f63fb9e0c3f02edf986445dd5eae378",
+            "vis.json": "f4d8a40f0facca8851e356be00c26c4f103118d61530413697271e963df1c32f",
         }
 
     @pytest.mark.parametrize("sigma,visibility", [(6, 1.52299797447e-08),
@@ -853,6 +856,13 @@ class TestReplay:
         assert set(REPLAYS) == set(_COMMANDS)
 
     @pytest.mark.parametrize("command", REPLAYS)
+    def test_help_lists_report(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--help"])
+        assert excinfo.value.code == 0
+        assert re.search(r"\n  --report REPORT\s+JSON report to write\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", REPLAYS)
     def test_report_config_replays(self, tmp_path, replay_inputs, command):
         first, second = tmp_path / "first", tmp_path / "second"
         first.mkdir()
@@ -894,6 +904,8 @@ OVERSIZE_VALUES = [
      "--pulses-per-point: "),
     (f"repeater fidelity --sigma 0.1 --monte-carlo {_HUGE}", "--monte-carlo", ""),
     (_DPHI + " --tau-max-us 1e300", "--tau-max-us", ""),
+    (_DPHI + " --tau-max-us 1 --histogram-tau-us 1e300 --histogram-out {d}/h.csv",
+     "--histogram-tau-us", "--histogram-tau-us: "),
 ]
 
 # The count and time-span flags that size nothing, each with its reason.
@@ -903,7 +915,6 @@ SIZES_NOTHING = {
     "--links": "divides the budget; nothing is allocated per link",
     "--tau-ref-us": "a calibration lag",
     "--tau-min-us": "bounds the fit window on the curve's own lags",
-    "--histogram-tau-us": "a lag of the trace: the longer, the fewer its increments",
     "analyze exponent --tau-max-us": "bounds the fit window on the curve's own lags",
 }
 

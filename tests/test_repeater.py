@@ -1,5 +1,6 @@
 """Tests for the repeater phase-budget arithmetic."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from fiberphase import (
     DomainError,
-    RepeaterChain,
     budget_per_segment,
     chain_sigma,
     fidelity_from_sigma,
@@ -78,50 +78,60 @@ class TestMonteCarloFidelity:
 
 class TestChainSigma:
     def test_single_link(self):
-        chain = RepeaterChain(link_lengths=(100.0,), link_sigmas=(0.3,))
-        assert chain_sigma(chain) == 0.3
+        assert chain_sigma((100.0,), link_sigmas=(0.3,)) == 0.3
 
     def test_eight_equal_links(self):
-        chain = RepeaterChain(link_lengths=(125.0,) * 8, link_sigmas=(0.1276,) * 8)
-        assert chain_sigma(chain) == pytest.approx(0.3609073011176138, rel=1e-12)
+        assert chain_sigma((125.0,) * 8, link_sigmas=(0.1276,) * 8) == pytest.approx(
+            0.3609073011176138, rel=1e-12)
 
     def test_from_diffusion(self):
-        chain = RepeaterChain(link_lengths=(35.0, 36.5), diffusion=8e-4)
-        assert chain_sigma(chain) == pytest.approx(math.sqrt(0.0572), rel=1e-12)
+        assert chain_sigma((35.0, 36.5), diffusion=8e-4) == pytest.approx(
+            math.sqrt(0.0572), rel=1e-12)
 
     def test_sigmas_take_precedence(self):
-        chain = RepeaterChain(
-            link_lengths=(10.0, 10.0), link_sigmas=(0.1, 0.1), diffusion=99.0
-        )
-        assert chain_sigma(chain) == pytest.approx(math.sqrt(0.02), rel=1e-12)
+        assert chain_sigma((10.0, 10.0), link_sigmas=(0.1, 0.1), diffusion=99.0) == (
+            pytest.approx(math.sqrt(0.02), rel=1e-12))
 
     def test_quadrature_associativity(self):
         lengths = (20.0, 35.0, 36.5, 50.0)
         sigmas = (0.05, 0.12, 0.13, 0.2)
-        whole = RepeaterChain(link_lengths=lengths, link_sigmas=sigmas)
-        left = RepeaterChain(link_lengths=lengths[:2], link_sigmas=sigmas[:2])
-        right = RepeaterChain(link_lengths=lengths[2:], link_sigmas=sigmas[2:])
-        combined = math.sqrt(chain_sigma(left) ** 2 + chain_sigma(right) ** 2)
-        assert combined == pytest.approx(chain_sigma(whole), rel=1e-12)
+        left = chain_sigma(lengths[:2], link_sigmas=sigmas[:2])
+        right = chain_sigma(lengths[2:], link_sigmas=sigmas[2:])
+        combined = math.sqrt(left ** 2 + right ** 2)
+        assert combined == pytest.approx(chain_sigma(lengths, link_sigmas=sigmas), rel=1e-12)
 
     def test_needs_some_calibration(self):
         with pytest.raises(DomainError):
-            RepeaterChain(link_lengths=(10.0,))
+            chain_sigma((10.0,))
 
-    @pytest.mark.parametrize("chain,fields", [
-        (RepeaterChain(link_lengths=(1e300,), diffusion=1e300), ("diffusion", "link_lengths")),
-        (RepeaterChain(link_lengths=(1.0,), diffusion=math.nan), ("diffusion", "link_lengths")),
-        (RepeaterChain(link_lengths=(1.0, 1.0), link_sigmas=(1e200, 0.1)), ("link_sigmas",)),
+    @pytest.mark.parametrize("kwargs,fields", [
+        (dict(link_lengths=(1e300,), diffusion=1e300), ("diffusion", "link_lengths")),
+        (dict(link_lengths=(1.0,), diffusion=math.nan), ("diffusion", "link_lengths")),
+        (dict(link_lengths=(1.0, 1.0), link_sigmas=(1e200, 0.1)), ("link_sigmas",)),
     ], ids=["overflow", "nan_diffusion", "overflow_sigmas"])
-    def test_non_finite_variance_names_the_calibration(self, chain, fields):
+    def test_non_finite_variance_names_the_calibration(self, kwargs, fields):
         # A width of inf would read as fidelity 0.5; a nan would pass silently.
         with pytest.raises(DomainError, match="variance is not finite") as excinfo:
-            chain_sigma(chain)
+            chain_sigma(**kwargs)
         assert excinfo.value.fields == fields
 
     def test_invalid_lengths(self):
         with pytest.raises(DomainError):
-            RepeaterChain(link_lengths=(10.0, -1.0), diffusion=1e-4)
+            chain_sigma((10.0, -1.0), diffusion=1e-4)
+
+
+def test_chain_sigma_golden_bits():
+    # SHA-256 of the float64 bits over both calibrations: a rewrite of the
+    # quadrature sum must keep every bit.
+    links = ((36.5,), (35.0, 36.5), (125.0,) * 8, (20.0, 35.0, 36.5, 50.0))
+    values = [chain_sigma(lengths, diffusion=d)
+              for d in np.linspace(0, 2e-3, 9) for lengths in links]
+    values += [chain_sigma((125.0,) * n, link_sigmas=(s,) * n)
+               for s in np.linspace(0, 0.5, 11) for n in (1, 2, 8)]
+    values = np.array(values, dtype=np.float64)
+    assert values.size == 69
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "be30cadf159895fcb574055d4b5af8785ed5c736fbae90cee6afd14cdbf56c22"
 
 
 class TestBudgetPerSegment:
@@ -159,12 +169,8 @@ class TestBudgetPerSegment:
             report = budget_per_segment(total, links, fidelity, segment)
             link_km = total / links
             link_sigma = report.per_segment_sigma_limit * math.sqrt(link_km / segment)
-            chain = RepeaterChain(
-                link_lengths=(link_km,) * links, link_sigmas=(link_sigma,) * links
-            )
-            assert fidelity_from_sigma(chain_sigma(chain)) == pytest.approx(
-                fidelity, abs=1e-12
-            )
+            sigma = chain_sigma((link_km,) * links, link_sigmas=(link_sigma,) * links)
+            assert fidelity_from_sigma(sigma) == pytest.approx(fidelity, abs=1e-12)
 
     @pytest.mark.parametrize(
         "args",

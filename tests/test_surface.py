@@ -350,11 +350,11 @@ def test_seed_keeps_its_stream_however_large():
     (lambda: _stats(taus=[0.0, 1e-6]), "lags must be > 0", ("taus",)),
     (lambda: fp.preset_params("dusk"), "unknown preset 'dusk'; choose 'day' or 'night'",
      ("name",)),
-    (lambda: fp.RepeaterChain(link_lengths=()), "a chain needs at least one link",
+    (lambda: fp.chain_sigma(()), "a chain needs at least one link",
      ("link_lengths",)),
-    (lambda: fp.RepeaterChain(link_lengths=(10.0, 20.0), link_sigmas=(0.1,)),
+    (lambda: fp.chain_sigma((10.0, 20.0), link_sigmas=(0.1,)),
      "1 sigmas for 2 links", ("link_sigmas", "link_lengths")),
-    (lambda: fp.RepeaterChain(link_lengths=(10.0,), link_sigmas=(-0.1,)),
+    (lambda: fp.chain_sigma((10.0,), link_sigmas=(-0.1,)),
      "link sigmas must be >= 0, got (-0.1,)", ("link_sigmas",)),
     (lambda: fp.default_lag_grid(1e-6, 1e-3, 2.5), "max_lags must be an integer, got 2.5",
      ("max_lags",)),
@@ -425,7 +425,7 @@ PUBLIC_NAMES = {
     "BudgetReport", "DEFAULT_GROUP_INDEX", "DomainError", "EmptySegmentsError",
     "FiberPhaseError", "FitError", "FringeFit", "FringeScan", "GaussianHistogram",
     "InsufficientDataError", "IntensityTrace", "NoiseParams", "PhaseProcess",
-    "PhaseStats", "PhaseTrace", "RepeaterChain", "ResourceLimitError",
+    "PhaseStats", "PhaseTrace", "ResourceLimitError",
     "SPEED_OF_LIGHT_KM_S", "ThresholdNotReachedError", "TraceParseError",
     "budget_per_segment", "build_process", "chain_sigma", "check_gaussian_relation",
     "default_lag_grid", "estimate_diffusion", "extract_phase", "fidelity_from_sigma",
