@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,31 +88,23 @@ class PhaseStats:
     (ddof=1; finite, >= 0, NaN only below two increments), and the signed
     mean (finite) and sum of squared deviations `m2` (finite, >= 0) that
     :func:`pool_stats` merges.  Arrays are one-dimensional read-only copies.
-    Give either per-lag `increments` (any iterable of arrays, reduced here
-    and not stored) or the curve `mean_abs_change` and `sigma_per_tau`; a
-    curve read from a file has no signed moments.
+    A curve is built from these per-lag fields; one read from a file has no
+    signed moments.
     """
 
     taus: np.ndarray
     n_increments: np.ndarray
     dt: float
-    mean_abs_change: np.ndarray | None = None
-    sigma_per_tau: np.ndarray | None = None
+    mean_abs_change: np.ndarray
+    sigma_per_tau: np.ndarray
     signed_mean: np.ndarray | None = None
     m2: np.ndarray | None = None
-    increments: InitVar[Iterable[np.ndarray] | None] = None
 
-    def __post_init__(self, increments):
+    def __post_init__(self):
         check_scalar("dt", self.dt, positive=True)
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "dt"}
-        if increments is not None:
-            values.update(_reduced(increments))
-            if not np.array_equal(self.n_increments, values["n_increments"]):
-                raise DomainError("n_increments does not match the increment arrays")
-        elif self.mean_abs_change is None or self.sigma_per_tau is None:
-            raise DomainError("give increments=, or mean_abs_change= and sigma_per_tau=")
-        for name, value in values.items():
-            if value is not None:
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name != "dt" and not (value is None and f.default is None):  # unset moments
                 value = frozen(name, value, int if name == "n_increments" else float)
                 if value.shape != np.shape(self.taus):
                     raise DomainError(f"{name} must hold one value per lag", name)
@@ -145,20 +136,15 @@ class PhaseStats:
         return int(hit[0])
 
 
-del PhaseStats.increments  # the InitVar's class default; instances hold no increments
-
-
 def _reduced(increments) -> dict[str, np.ndarray]:
-    """The per-lag fields of a curve, from one increment array per lag: its
-    (n, mean |x|, mean x, sum of squared deviations), reduced exactly as
-    np.mean(np.abs(x)) and np.std(x, ddof=1) do, so the curve is bit-identical
-    to them; two-pass m2 does not cancel under drift."""
+    """The per-lag fields of a curve, from the non-empty float increment
+    array of each lag that `_increments` yields: its (n, mean |x|, mean x,
+    sum of squared deviations), reduced exactly as np.mean(np.abs(x)) and
+    np.std(x, ddof=1) do, so the curve is bit-identical to them; two-pass
+    m2 does not cancel under drift."""
     moments = []
     for x in increments:
-        x = np.asarray(x, dtype=float)
         n = x.size
-        if n == 0:
-            raise DomainError("every lag needs at least one increment")
         tmp = np.abs(x)  # |x|, then the squared deviations
         mean_abs = np.add.reduce(tmp) / n
         mean = np.add.reduce(x) / n

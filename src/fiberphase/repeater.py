@@ -57,12 +57,16 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
 
     Draws phase shifts from N(0, sigma^2) and averages the squared overlap
     (1 + cos(delta_phi)) / 2 with the ideal state; converges to
-    :func:`fidelity_from_sigma`.
+    :func:`fidelity_from_sigma`.  A sigma so large that a draw overflows is
+    refused.
     """
     check_scalar("sigma", sigma, minimum=0)
     check_scalar("n_samples", n_samples, minimum=1, integer=True)
     check_count("samples", n_samples, "n_samples")
-    delta = sigma * seeded_rng(seed).standard_normal(n_samples)
+    with np.errstate(over="ignore"):  # refused below, naming sigma
+        delta = sigma * seeded_rng(seed).standard_normal(n_samples)
+    if not np.isfinite(delta).all():
+        raise DomainError(f"a phase draw sigma * z is not finite at sigma={sigma}", "sigma")
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 
 

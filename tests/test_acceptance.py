@@ -103,8 +103,8 @@ def test_criterion_07_gaussian_mean_abs_relation():
     rng = np.random.Generator(np.random.Philox(key=77))
     inc = 0.2 * rng.standard_normal(10**4)
     stats = fp.PhaseStats(
-        taus=np.array([1e-4]), increments=[inc],
-        n_increments=np.array([inc.size]), dt=1e-4,
+        taus=np.array([1e-4]), n_increments=np.array([inc.size]), dt=1e-4,
+        mean_abs_change=[np.mean(np.abs(inc))], sigma_per_tau=[np.std(inc, ddof=1)],
     )
     fp.mean_phase_change(stats)
     fp.gaussian_widths(stats)

@@ -62,12 +62,14 @@ def gaussian_increments(sigma, n, seed):
 
 
 def gaussian_stats(sigma, n, seed, tau=1e-4):
-    """PhaseStats holding n gaussian increments at a single lag."""
+    """PhaseStats of n gaussian increments at a single lag."""
+    inc = gaussian_increments(sigma, n, seed)
     return PhaseStats(
         taus=np.array([tau]),
-        increments=[gaussian_increments(sigma, n, seed)],
         n_increments=np.array([n]),
         dt=tau,
+        mean_abs_change=[np.mean(np.abs(inc))],
+        sigma_per_tau=[np.std(inc, ddof=1)],
     )
 
 
@@ -463,6 +465,8 @@ class TestStreamingReduction:
             warnings.simplefilter("ignore", RuntimeWarning)  # np.std of one increment
             want_sigma = [np.std(ref, ddof=1) for _, ref in kept]
         assert np.array_equal(gaussian_widths(stats), want_sigma, equal_nan=True)
+        assert np.array_equal(stats.signed_mean, [np.mean(r) for _, r in kept])
+        assert np.array_equal(stats.m2, [np.sum((r - np.mean(r)) ** 2) for _, r in kept])
         for tau, ref in kept:
             assert np.array_equal(increments_at(phase, tau), ref)
 
@@ -602,10 +606,6 @@ class TestStreamingReduction:
         assert np.array_equal(stats.mean_abs_change, curve)
         assert not hasattr(stats, "increments")
 
-    def test_counts_must_match_increments(self):
-        with pytest.raises(DomainError):
-            PhaseStats(taus=[1e-6], increments=[np.zeros(3)], n_increments=[4], dt=1e-6)
-
     def test_peak_memory_does_not_grow_with_lags(self, traced_peak):
         # Keeping every increment would take 8 bytes per sample per lag
         # (~580 B/sample here); one lag at a time needs a few O(n) arrays.
@@ -733,9 +733,10 @@ class TestGaussianRelation:
         inc = np.tile([0.3, -0.3], 5000)
         stats = PhaseStats(
             taus=np.array([1e-4]),
-            increments=[inc],
             n_increments=np.array([inc.size]),
             dt=1e-4,
+            mean_abs_change=[np.mean(np.abs(inc))],
+            sigma_per_tau=[np.std(inc, ddof=1)],
         )
         mean_phase_change(stats)
         assert check_gaussian_relation(stats, 1e-4) == pytest.approx(
@@ -751,12 +752,13 @@ class TestGaussianRelation:
 
 class TestTauThreshold:
     def make_stats(self, taus, values):
-        # increments with a single element reproduce the curve exactly
+        # one increment per lag: the curve is the values, with no sigma
         return PhaseStats(
             taus=np.asarray(taus, dtype=float),
-            increments=[np.array([v]) for v in values],
             n_increments=np.ones(len(values), dtype=int),
             dt=float(taus[0]),
+            mean_abs_change=values,
+            sigma_per_tau=np.full(len(values), np.nan),
         )
 
     def test_linear_interpolation(self):

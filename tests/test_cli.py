@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fiberphase import DomainError, analysis, fileio, read_trace
+from fiberphase import DomainError, FringeScan, analysis, fileio, read_trace
 from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _flags, _naming, main, parse_cli, run
 
 
@@ -366,6 +366,16 @@ class TestValidationExitCodes:
         )
         assert not list(tmp_path.iterdir())
 
+    def test_monte_carlo_overflow_names_sigma(self, capsys, tmp_path):
+        # 1e308 passes every range check, but a draw sigma * z overflows
+        argv = (f"repeater fidelity --sigma 1e308 --monte-carlo 100 "
+                f"--report {tmp_path}/r.json").split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --sigma: a phase draw sigma * z is not finite at sigma=1e+308\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)
     def test_unpaired_flag_names_both(self, capsys, tmp_path, template, flags):
         code = main(template.format(d=tmp_path).split())
@@ -488,6 +498,16 @@ class TestSimulateCommands:
         inputs = load_report(report)["inputs"]
         assert inputs[0]["path"] == str(scan)
         assert len(inputs[0]["sha256"]) == 64
+
+    def test_fringe_fit_above_one_has_no_sigma(self, tmp_path):
+        # A fitted visibility just above 1, inside the fit's allowance, maps
+        # to no phase width; the scan's minimum stays above the floor.
+        scan, report = tmp_path / "scan.csv", tmp_path / "fit.json"
+        phi = np.linspace(0, 2 * np.pi, 50)
+        fileio.write_fringe_scan(str(scan), FringeScan(phi, 0.5 * (1 + (1 + 5e-7) * np.cos(phi))))
+        assert main(f"analyze fringe --in {scan} --report {report}".split()) == 0
+        fit = load_report(report)["results"]["fringe_fit"]
+        assert (fit["visibility"], fit["sigma_rad"]) == (1.0000005, None)
 
 
 CURVE = (b"# fiberphase-dphi v1\n# dt: 1e-06\ntau_s,dphi_rad,sigma_rad,n_increments\n"

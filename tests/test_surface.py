@@ -330,8 +330,7 @@ def test_seed_keeps_its_stream_however_large():
      "lag 1.5e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
     (lambda: fp.pool_stats([_stats(), _stats(taus=[1e-6, 2.6e-6])]),
      "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
-    (lambda: fp.pool_stats([fp.PhaseStats([1e-6, 1e-6 + 1e-13], [3, 3], 1e-6,
-                                          increments=[[.1, .2, .3], [.4, .5, .6]])]),
+    (lambda: fp.pool_stats([_stats(taus=[1e-6, 1e-6 + 1e-13])]),
      "lags must be strictly increasing", ("taus",)),
     (lambda: fp.fit_gaussian(np.full(200, np.nan)), "increments[0] is not finite: nan",
      ("increments",)),
@@ -339,14 +338,10 @@ def test_seed_keeps_its_stream_however_large():
      ("increments",)),
     (lambda: _stats(n_increments=[3]), "n_increments must hold one value per lag",
      ("n_increments",)),
-    (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[0], dt=1e-6, increments=[[]]),
-     "every lag needs at least one increment", ()),
-    (lambda: fp.PhaseStats(taus=[1e-6], n_increments=[3], dt=1e-6),
-     "give increments=, or mean_abs_change= and sigma_per_tau=", ()),
+    (lambda: _stats(sigma_per_tau=None), "sigma_per_tau must be one-dimensional, got shape ()",
+     ("sigma_per_tau",)),
     (lambda: fp.PhaseStats(taus=[], n_increments=[], dt=1e-6, mean_abs_change=[],
                            sigma_per_tau=[]), "a dphi curve needs at least one lag", ("taus",)),
-    (lambda: fp.PhaseStats(taus=[], n_increments=[], dt=1e-6, increments=[]),
-     "a dphi curve needs at least one lag", ("taus",)),
     (lambda: _stats(taus=[0.0, 1e-6]), "lags must be > 0", ("taus",)),
     (lambda: fp.preset_params("dusk"), "unknown preset 'dusk'; choose 'day' or 'night'",
      ("name",)),
@@ -366,6 +361,8 @@ def test_seed_keeps_its_stream_however_large():
      "pulses_per_point must be an integer, got 10.5", ("pulses_per_point",)),
     (lambda: fp.monte_carlo_fidelity(0.1, 10.5), "n_samples must be an integer, got 10.5",
      ("n_samples",)),
+    (lambda: fp.monte_carlo_fidelity(1e308, 100),  # finite, but sigma * z overflows
+     "a phase draw sigma * z is not finite at sigma=1e+308", ("sigma",)),
     (lambda: fp.budget_per_segment(1000, 2.5, 0.9, 36.5), "n_links must be an integer, got 2.5",
      ("n_links",)),
     (lambda: fp.PhaseTrace(t0=0, dt=1e-6, samples=5.0),
@@ -398,22 +395,26 @@ def test_seed_keeps_its_stream_however_large():
      "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
     (lambda: fp.check_gaussian_relation(_ramp_curve(), 2.6e-6),
      "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
+    (lambda: fp.check_gaussian_relation(_ramp_curve(), 4e-6),
+     "no stored lag near tau=4e-06 s", ("tau",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
         "fit_gaussian_nan",
         "fit_gaussian_inf",
-        "stats_wrong_length", "stats_empty_lag", "stats_no_curve", "stats_no_lag",
-        "stats_no_lag_increments", "stats_lag_not_positive", "unknown_preset",
+        "stats_wrong_length", "stats_no_sigma", "stats_no_lag", "stats_lag_not_positive",
+        "unknown_preset",
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
+        "monte_carlo_draw_overflow",
         "budget_n_links_fraction", "phase_samples_scalar", "intensity_samples_2d",
         "fringe_2d", "stats_taus_2d", "increment_sets_scalar_lag", "stats_count_fraction",
         "stats_count_nan", "stats_count_too_large", "histogram_count_fraction",
         "stats_signed_mean_nan", "stats_m2_negative", "stats_m2_inf",
         "pool_without_signed_mean", "lag_index_below_half_a_step",
-        "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag"])
+        "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag",
+        "gaussian_relation_lag_not_in_curve"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
@@ -502,9 +503,11 @@ class TestPublicSurface:
 
     def test_pool_stats_leaves_numpy_ma_unimported(self):
         # A fresh interpreter, since the test suite itself imports numpy.ma.
-        script = ("import sys, fiberphase as fp; "
-                  "a = fp.PhaseStats([1e-6, 2e-6], [2, 1], 1e-6, increments=[[1, 2], [3]]); "
-                  "b = fp.PhaseStats([2e-6, 4e-6], [2, 1], 1e-6, increments=[[4, 5], [6]]); "
+        script = ("import sys, fiberphase as fp; from math import nan; "
+                  "a = fp.PhaseStats([1e-6, 2e-6], [2, 1], 1e-6, [1.5, 3], [0.5 ** 0.5, nan], "
+                  "[1.5, 3], [0.5, 0]); "
+                  "b = fp.PhaseStats([2e-6, 4e-6], [2, 1], 1e-6, [4.5, 6], [0.5 ** 0.5, nan], "
+                  "[4.5, 6], [0.5, 0]); "
                   "pooled = fp.pool_stats([a, b, a]); "
                   "print(pooled.n_increments.tolist(), 'numpy.ma' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
