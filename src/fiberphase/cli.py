@@ -135,18 +135,18 @@ class _Command(NamedTuple):
 _REPORT = _Flag("--report", "outputs.report", str, help="JSON report to write")
 _SEED = _Flag("--seed", "seed", int, default=DEFAULT_SEED,
               help=f"random seed (default {DEFAULT_SEED})")
-_PROCESS = _Section("noise process", [
+# The noise-process flags of every simulate command; each adds the one only its model reads.
+_PROCESS = [
     _Flag("--sigma-ref", "process.sigma_ref", help="phase std-dev at the reference lag (rad)"),
     _Flag("--tau-ref-us", "process.tau_ref_s", scale=1e-6, help="reference lag (us)"),
     _Flag("--hurst", "process.hurst", default=0.5, help="scaling exponent in (0,1)"),
-    _Flag("--drift-rate", "process.drift_rate", default=0.0, help="linear phase drift (rad/s)"),
-    _Flag("--length-km", "process.length_km", help="fiber length the calibration refers to (km)"),
-    _Flag("--group-index", "process.group_index", default=DEFAULT_GROUP_INDEX),
     _OneOf(False, [
         _Flag("--day", "process.day", bool, help="daytime urban-fiber calibration preset"),
         _Flag("--night", "process.night", bool, help="nighttime urban-fiber calibration preset"),
     ]),
-])
+]
+_DRIFT = _Flag("--drift-rate", "process.drift_rate", default=0.0,
+               help="linear phase drift (rad/s)")
 _GRID = [
     _Flag("--duration-ms", "duration_s", scale=1e-3, required=True, help="trace duration (ms)"),
     _Flag("--dt-us", "dt_s", scale=1e-6, required=True, help="sample interval (us)"),
@@ -196,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # args -> config
 
-def _process_block(values: dict) -> dict:
-    """Resolve the noise-process flags into the echoed process block."""
+def _process_block(values: dict, flags: list) -> dict:
+    """Resolve the noise-process flags into the echoed process block,
+    checked as a NoiseParams with the command's `flags` named."""
     day, night = values.pop("day"), values.pop("night")
     preset = "day" if day else "night" if night else None
     if preset is not None:
@@ -205,13 +206,11 @@ def _process_block(values: dict) -> dict:
             raise DomainError(f"--{preset} cannot be combined with --sigma-ref/--tau-ref-us")
         calibration = preset_params(preset)
         values["sigma_ref"], values["tau_ref_s"] = calibration.sigma_ref, calibration.tau_ref
-        if values["length_km"] is None:
-            values["length_km"] = calibration.length_km
     for flag, key in (("--sigma-ref", "sigma_ref"), ("--tau-ref-us", "tau_ref_s")):
         if values[key] is None:
             raise DomainError(f"{flag} is required without --day/--night")
-    with _naming(_PROCESS.flags):
-        values["length_km"] = _params_to_process(values).length_km
+    with _naming(flags):
+        _params_to_process(values)
     return values
 
 
@@ -232,6 +231,9 @@ def _naming(entries):
 def _params_to_process(block: dict) -> NoiseParams:
     fields = dict(block)
     fields["tau_ref"] = fields.pop("tau_ref_s")
+    unknown = sorted(fields.keys() - {field.name for field in dataclasses.fields(NoiseParams)})
+    if unknown:
+        raise DomainError(f"unknown noise-process key {unknown[0]!r}", unknown[0])
     return NoiseParams(**fields)
 
 
@@ -257,7 +259,7 @@ def parse_cli(argv=None) -> dict:
             raise DomainError(f"{flag.needs} is required with {flag.name}")
     params = found[""]
     if found["process"]:
-        params["process"] = _process_block(found["process"])
+        params["process"] = _process_block(found["process"], flags)
     check = _COMMANDS[command].check
     if check is not None and not check[0](args):
         raise DomainError(check[1](args))
@@ -509,11 +511,11 @@ _GROUPS = {
 
 _COMMANDS = {
     "simulate noise": _Command("sample a phase trace", _run_simulate_noise, [
-        _PROCESS, *_GRID, _SEED,
+        _Section("noise process", [*_PROCESS, _DRIFT]), *_GRID, _SEED,
         _Flag("--out", "outputs.trace", str, required=True, help="phase trace CSV to write"),
     ]),
     "simulate mz": _Command("simulate a Mach-Zehnder intensity trace", _run_simulate_mz, [
-        _PROCESS, *_GRID, _SEED,
+        _Section("noise process", [*_PROCESS, _DRIFT]), *_GRID, _SEED,
         _Flag("--i-max", "i_max", default=1.0),
         _Flag("--i-min", "i_min", default=0.0),
         _Flag("--phi0", "phi0_rad", default=math.pi / 2,
@@ -521,7 +523,10 @@ _COMMANDS = {
         _Flag("--out", "outputs.trace", str, required=True, help="intensity trace CSV to write"),
     ]),
     "simulate fringe": _Command("scan a Sagnac fringe", _run_simulate_fringe, [
-        _PROCESS, _SEED,
+        _Section("noise process", [*_PROCESS, _Flag(
+            "--group-index", "process.group_index", default=DEFAULT_GROUP_INDEX,
+            help=f"fiber group index; it sets the loop delay (default {DEFAULT_GROUP_INDEX})")]),
+        _SEED,
         _Flag("--loop-km", "loop_km", required=True, help="Sagnac loop length (km)"),
         _Flag("--points", "n_points", int, default=50, help="scan points over one fringe"),
         _Flag("--pulses-per-point", "pulses_per_point", int, default=1000),

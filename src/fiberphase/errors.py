@@ -2,8 +2,8 @@
 read-only arrays and field-wise equality that value objects are built on."""
 
 import dataclasses
-import math
 import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -78,12 +78,13 @@ def check_scalar(name: str, value: float, positive: bool = False,
     """Raise DomainError unless `value` is finite, > 0 if `positive`, >=
     `minimum` if given and an integer (of an integer type) if `integer`.
     The bounds are tested before finiteness, so -inf names its bound, and nan
-    names finiteness unless `positive` is set."""
+    names finiteness unless `positive` is set.  An int too large for a float
+    is finite only as an `integer`, a count that its size limit then refuses."""
     if positive and not (value > 0):
         raise DomainError(f"{name} must be > 0, got {value}", name)
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}", name)
-    if not (isinstance(value, int) or math.isfinite(value)):  # an int may not fit a float
+    if not (integer and isinstance(value, int) or abs(value) <= sys.float_info.max):
         raise DomainError(f"{name} must be finite, got {value}", name)
     if integer and not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value}", name)

@@ -128,17 +128,22 @@ def simulate_fringe_scan(
     bits, start = rng.bit_generator, rng.bit_generator.state
     x = np.empty(pulses_per_point)
     areas = np.empty(n_points)
-    for i, phi in enumerate(applied):
-        bits.state = start
-        bits.advance(i << 128)
-        rng.standard_normal(out=x)
-        # 0.5 * i0 * (1 + cos(phi + sigma * jitter)), in place
-        x *= sigma
-        x += phi
-        np.cos(x, out=x)
-        x += 1.0
-        x *= 0.5 * i0
-        areas[i] = np.add.reduce(x) / pulses_per_point + detector_noise
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for i, phi in enumerate(applied):
+            bits.state = start
+            bits.advance(i << 128)
+            rng.standard_normal(out=x)
+            # 0.5 * i0 * (1 + cos(phi + sigma * jitter)), in place
+            x *= sigma
+            x += phi
+            np.cos(x, out=x)
+            x += 1.0
+            x *= 0.5 * i0
+            areas[i] = np.add.reduce(x) / pulses_per_point + detector_noise
+    # A jitter past float range has a nan cosine; a sum past it is inf instead.
+    if np.isnan(areas).any():
+        raise DomainError(f"a pulse jitter sigma * z is not finite at sigma={sigma}",
+                          "sigma_ref")
     return FringeScan(
         applied_phase=applied,
         pulse_area=areas,

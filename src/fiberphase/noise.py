@@ -79,7 +79,7 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """The generator of every seeded draw in the package: Philox keyed by `seed` mod 2^64."""
-    check_scalar("seed", seed)
+    check_scalar("seed", seed, integer=isinstance(seed, int))  # an int key of any size
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
@@ -117,18 +117,14 @@ class NoiseParams:
         0.5 is a pure random walk.
     drift_rate : float
         Deterministic linear phase drift (rad/s).
-    length_km : float, optional
-        Fiber length the calibration refers to (km).  Defaults to the
-        one-way length whose travel time equals tau_ref.
     group_index : float
-        Refractive group index used for length <-> delay conversion.
+        Refractive group index that converts a loop length to its delay.
     """
 
     sigma_ref: float
     tau_ref: float
     hurst: float = 0.5
     drift_rate: float = 0.0
-    length_km: float | None = None
     group_index: float = DEFAULT_GROUP_INDEX
 
     def __post_init__(self):
@@ -140,10 +136,6 @@ class NoiseParams:
             raise DomainError(f"group_index must be > 1, got {self.group_index}", "group_index")
         check_scalar("group_index", self.group_index)
         check_scalar("drift_rate", self.drift_rate)
-        if self.length_km is None:
-            derived = self.tau_ref * SPEED_OF_LIGHT_KM_S / self.group_index
-            object.__setattr__(self, "length_km", derived)
-        check_scalar("length_km", self.length_km, positive=True)
 
     def sigma_at(self, tau: float) -> float:
         """Phase-increment standard deviation (rad) at time lag `tau`."""
@@ -179,8 +171,13 @@ class NoiseParams:
         if sigma_step != 0.0:
             if not fgn:
                 increments = rng.standard_normal(out=samples[1:])
-            increments *= sigma_step
-            np.cumsum(increments, out=samples[1:])
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                increments *= sigma_step
+                np.cumsum(increments, out=samples[1:])
+            # A running sum that left float range stays inf or nan to the end.
+            if not math.isfinite(samples[-1]):
+                raise DomainError(f"the phase is not finite at sigma_ref={self.sigma_ref}",
+                                  "sigma_ref")
         if self.drift_rate != 0.0:
             # drift_rate * (dt * k), in one scratch buffer: each k is exact
             # in float64, as the limit keeps it below 2^53.
@@ -376,6 +373,5 @@ def from_sagnac_calibration(
         sigma_ref=math.sqrt(diffusion * loop_km),
         tau_ref=travel_time(loop_km, group_index) / 2.0,
         hurst=hurst,
-        length_km=loop_km,
         group_index=group_index,
     )

@@ -28,14 +28,12 @@ __all__ = [
     "DPHI_TARGET",
     "DAY_TAU_THRESHOLD_S",
     "NIGHT_TAU_THRESHOLD_S",
-    "PRESET_ARM_KM",
     "preset_params",
 ]
 
 DPHI_TARGET = 0.1  # rad, tolerable mean phase change
 DAY_TAU_THRESHOLD_S = 100e-6
 NIGHT_TAU_THRESHOLD_S = 350e-6
-PRESET_ARM_KM = 36.5
 
 _ANCHORS = {
     "day": DAY_TAU_THRESHOLD_S,
@@ -51,5 +49,4 @@ def preset_params(name: str, hurst: float = 0.5) -> NoiseParams:
         sigma_ref=DPHI_TARGET / MEAN_ABS_FACTOR,
         tau_ref=_ANCHORS[name],
         hurst=hurst,
-        length_km=PRESET_ARM_KM,
     )

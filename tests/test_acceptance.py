@@ -46,7 +46,7 @@ def test_criterion_03_250_km_visibility():
 
 def test_criterion_04_monte_carlo_fringe():
     proc = fp.build_process(
-        fp.NoiseParams(sigma_ref=0.36, tau_ref=fp.travel_time(71.5) / 2, length_km=71.5)
+        fp.NoiseParams(sigma_ref=0.36, tau_ref=fp.travel_time(71.5) / 2)
     )
     scan = fp.simulate_fringe_scan(proc, 71.5, n_points=50, pulses_per_point=10_000, seed=11)
     fitted = fp.fit_fringe(scan).visibility
@@ -65,7 +65,7 @@ def test_criterion_04_monte_carlo_fringe():
 def test_criterion_05_mz_pipeline_round_trip():
     # 36.5 km night calibration, 300 independent realizations (>= 200)
     proc = fp.build_process(
-        fp.NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5, length_km=36.5)
+        fp.NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5)
     )
     stats = []
     for seed in range(300):

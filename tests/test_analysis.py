@@ -88,13 +88,13 @@ class TestFitFringe:
     def test_recovers_992_from_simulation(self):
         # quiet loop: sigma chosen so exp(-sigma^2/2) = 0.992
         sigma = math.sqrt(-2.0 * math.log(0.992))
-        proc = build_process(NoiseParams(sigma_ref=sigma, tau_ref=91.25e-6, length_km=36.5))
+        proc = build_process(NoiseParams(sigma_ref=sigma, tau_ref=91.25e-6))
         scan = simulate_fringe_scan(proc, 36.5, 50, 5000, seed=21)
         fit = fit_fringe(scan)
         assert fit.visibility == pytest.approx(0.992, abs=0.005)
 
     def test_recovers_day_visibility(self):
-        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5))
+        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6))
         scan = simulate_fringe_scan(proc, 71.5, 50, 10_000, seed=22)
         fit = fit_fringe(scan)
         assert fit.visibility == pytest.approx(0.9372548956126777, abs=0.01)
@@ -198,7 +198,7 @@ class TestExtractPhase:
     def test_round_trip_against_ground_truth(self):
         # simulate -> extract; recovered phase equals the true phase up to
         # a segment-wise sign and 2*pi offset, well within 2% RMS.
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
+        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
         truth = proc.sample_trace(4e-3, 2e-6, seed=31)
         intensity = IntensityTrace(
             t0=0.0,
@@ -229,7 +229,7 @@ class TestExtractPhase:
     def test_golden_bytes(self, hurst, n_segments, samples_digest, segments_digest):
         # SHA-256 of the extracted samples (NaN padding included) and of the
         # segment bounds as int64 pairs.
-        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst, length_km=36.5)
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst)
         phase = extract_phase(simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4))
         assert len(phase.segments) == n_segments
         assert hashlib.sha256(phase.samples.tobytes()).hexdigest() == samples_digest
@@ -268,7 +268,7 @@ class TestChunkedRunEdges:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
     def test_extract_phase_same_at_any_chunk(self, chunk, caplog):
-        proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5, length_km=36.5)
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5)
         mz = simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4)
         with caplog.at_level(logging.DEBUG, logger="fiberphase"):
             expected = extract_phase(mz)
@@ -433,7 +433,7 @@ def reference_increments(phase, tau):
 
 
 def extracted_night_trace(seed, duration=20e-3):
-    proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
+    proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
     return extract_phase(simulate_mz_trace(proc, duration, 1e-6, phi0=math.pi / 2, seed=seed))
 
 
@@ -485,7 +485,7 @@ class TestStreamingReduction:
     ])
     def test_golden_bytes(self, curve, name, digest):
         # SHA-256 of each curve array on an extracted H = 0.8 trace.
-        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.8, length_km=36.5)
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.8)
         phase = extract_phase(simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4))
         assert len(phase.segments) == 7
         stats = curve(phase, default_lag_grid(1e-6, 600e-6))
@@ -656,7 +656,7 @@ class TestMeanPhaseChange:
     def test_day_mz_curve_crosses_at_calibration(self):
         # calibrated so dphi reaches 0.1 rad at 122 us
         params = NoiseParams(
-            sigma_ref=math.sqrt(math.pi / 2) * 0.1, tau_ref=122e-6, length_km=36.5
+            sigma_ref=math.sqrt(math.pi / 2) * 0.1, tau_ref=122e-6
         )
         proc = build_process(params)
         dt = 2e-6
@@ -706,7 +706,7 @@ class TestFitGaussian:
 
     def test_night_pipeline_sigma(self):
         # 36.5 km night calibration recovered through the full MZ pipeline
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
+        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
         pooled = np.concatenate([
             increments_at(
                 extract_phase(simulate_mz_trace(proc, 2e-3, 2e-6, phi0=math.pi / 2, seed=s)),
@@ -862,7 +862,7 @@ class TestPipelineOracle:
     def test_extraction_matches_ground_truth_curve(self):
         # dphi(tau) from extracted phase == dphi(tau) from the true phase
         # restricted to the same segments, within 2% RMS across the grid.
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, length_km=36.5))
+        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
         dt = 2e-6
         taus = default_lag_grid(dt, 200e-6, max_lags=40)
         rel = []

@@ -128,7 +128,7 @@ class TestAdoptedBuffers:
 
 def busy_mz():
     """An intensity trace whose phase has many segments and one-sample runs."""
-    proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5, length_km=36.5)
+    proc = NoiseParams(sigma_ref=0.1418, tau_ref=20e-6, hurst=0.5)
     return simulate_mz_trace(proc, 20e-3, 1e-6, phi0=math.pi / 2, seed=4)
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from unittest import mock
 
@@ -51,14 +52,13 @@ INVALID_VALUES = [
     (_NOISE + " --duration-ms 0 --dt-us 1", "--duration-ms/--dt-us"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 1.5", "--hurst"),
     (_NOISE + " --duration-ms 1 --dt-us 1 --hurst 0", "--hurst"),
-    (_NOISE + " --duration-ms 1 --dt-us 1 --group-index 1", "--group-index"),
-    (_NOISE + " --duration-ms 1 --dt-us 1 --length-km -1", "--length-km"),
     (_NOISE + " --duration-ms 1 --dt-us -1", "--dt-us"),
     (_MZ + " --i-max 0.5 --i-min 0.5", "--i-max/--i-min"),
     (_FRINGE + " --loop-km 0", "--loop-km"),
     (_FRINGE + " --loop-km 40 --points 3", "--points"),
     (_FRINGE + " --loop-km 40 --pulses-per-point 0", "--pulses-per-point"),
     (_FRINGE + " --loop-km 40 --i0 0", "--i0"),
+    (_FRINGE + " --loop-km 40 --group-index 1", "--group-index"),
     (_PHASE + " --band-lo 0.8 --band-hi 0.2", "--band-lo/--band-hi"),
     (_DPHI + " --tau-max-us 0", "--tau-max-us"),
     (_DPHI + " --tau-max-us 100 --max-lags 0", "--max-lags"),
@@ -376,6 +376,23 @@ class TestValidationExitCodes:
         )
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("template,message", [
+        ("simulate noise --sigma-ref 1e308 --tau-ref-us 1 --duration-ms 1 --dt-us 1 "
+         "--out {d}/n.csv", "the phase is not finite at sigma_ref=1e+308"),
+        ("simulate mz --sigma-ref 1e308 --tau-ref-us 1 --duration-ms 1 --dt-us 1 "
+         "--out {d}/m.csv", "the phase is not finite at sigma_ref=1e+308"),
+        ("simulate fringe --sigma-ref 1e308 --tau-ref-us 100 --loop-km 40 --out {d}/f.csv",
+         "a pulse jitter sigma * z is not finite at sigma=1e+308"),
+    ], ids=["noise", "mz", "fringe"])
+    def test_overflowing_draw_names_sigma_ref(self, capsys, tmp_path, template, message):
+        # 1e308 passes every range check, but a scaled draw leaves float range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(template.format(d=tmp_path).split()) == 1
+        assert caught == []
+        assert capsys.readouterr().err == f"error: --sigma-ref: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)
     def test_unpaired_flag_names_both(self, capsys, tmp_path, template, flags):
         code = main(template.format(d=tmp_path).split())
@@ -406,6 +423,76 @@ class TestValidationExitCodes:
             run(config)
         assert excinfo.value.fields == ("command",)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["length_km", "bogus"])
+    def test_replayed_unknown_process_key(self, tmp_path, monkeypatch, key):
+        # The config of a report written while the process block had length_km
+        monkeypatch.chdir(tmp_path)
+        config = {"command": "simulate mz", "inputs": {},
+                  "outputs": {"report": "r.json", "trace": "trace.csv"},
+                  "params": {"dt_s": 2e-06, "duration_s": 0.001, "i_max": 1.0, "i_min": 0.0,
+                             "phi0_rad": 1.5707963267948966,
+                             "process": {"drift_rate": 0.0, "group_index": 1.5, "hurst": 0.5,
+                                         "length_km": 36.5, "sigma_ref": 0.12533141373155002,
+                                         "tau_ref_s": 0.00035}},
+                  "seed": 5}
+        if key == "bogus":
+            config["params"]["process"]["bogus"] = config["params"]["process"].pop("length_km")
+        with pytest.raises(DomainError, match=f"^unknown noise-process key '{key}'$") as excinfo:
+            run(config)
+        assert excinfo.value.fields == (key,)
+        assert not list(tmp_path.iterdir())
+        del config["params"]["process"][key]
+        assert run(config) == 0
+
+
+# Per calibration flag of the simulate commands: a base value, its default
+# where it has one, and another valid value.
+CALIBRATION_VALUES = {"--sigma-ref": ("0.1", "0.2"), "--tau-ref-us": ("100", "50"),
+                      "--hurst": ("0.5", "0.7"), "--drift-rate": ("0.0", "300"),
+                      "--group-index": ("1.5", "1.6")}
+SIMULATE_GRIDS = {
+    "simulate noise": "--duration-ms 1 --dt-us 1",
+    "simulate mz": "--duration-ms 1 --dt-us 1",
+    "simulate fringe": "--loop-km 20 --points 8 --pulses-per-point 100",
+}
+CALIBRATION_FLAGS = [(command, flag) for command in SIMULATE_GRIDS
+                     for flag in _flags(_COMMANDS[command].flags)
+                     if flag.key.startswith("process.") and flag.type is float]
+# Flags that a simulate command no longer takes, as its model reads none of them.
+REMOVED_FLAGS = [("simulate noise", "--length-km"), ("simulate mz", "--length-km"),
+                 ("simulate fringe", "--length-km"), ("simulate noise", "--group-index"),
+                 ("simulate mz", "--group-index"), ("simulate fringe", "--drift-rate")]
+
+
+class TestCalibrationFlags:
+    """A simulate command takes only the calibration flags its model reads."""
+
+    @pytest.mark.parametrize("command,flag", CALIBRATION_FLAGS,
+                             ids=[f"{c[9:]}{f.name}" for c, f in CALIBRATION_FLAGS])
+    def test_flag_changes_the_output(self, tmp_path, command, flag):
+        assert flag.name in CALIBRATION_VALUES, f"no values for {flag.name}"
+        base, other = CALIBRATION_VALUES[flag.name]
+        assert flag.default in (None, float(base))
+        # the two flags without a default at their base, the rest at theirs
+        given = {name: CALIBRATION_VALUES[name][0] for name in ("--sigma-ref", "--tau-ref-us")}
+        written = []
+        for value in (base, other):
+            given[flag.name] = value
+            argv = (f"{command} {SIMULATE_GRIDS[command]} --out {tmp_path}/x.csv " +
+                    " ".join(f"{name} {v}" for name, v in given.items()))
+            assert main(argv.split()) == 0
+            written.append(read_bytes(tmp_path / "x.csv"))
+        assert written[0] != written[1]
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                             ids=[f"{c[9:]}{f}" for c, f in REMOVED_FLAGS])
+    def test_removed_flag_is_a_usage_error(self, capsys, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_cli(f"{command} --night {SIMULATE_GRIDS[command]} {flag} 1.5 "
+                      f"--out {tmp_path}/x.csv".split())
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 1.5" in capsys.readouterr().err
 
 
 class TestRepeaterCommands:

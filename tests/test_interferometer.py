@@ -133,7 +133,7 @@ class TestSimulateFringeScan:
     def test_fringe_mean_property(self):
         # Mean over a whole number of fringes (duplicated endpoint dropped)
         # approaches i0/2 + noise within 3/sqrt(points*pulses) * i0.
-        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5))
+        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6))
         n_points, pulses = 51, 2000
         scan = simulate_fringe_scan(
             proc, 71.5, n_points, pulses, detector_noise=0.05, seed=3
@@ -174,7 +174,7 @@ class TestSimulateFringeScan:
     ])
     def test_golden_bytes(self, pulses, noise, digest):
         # SHA-256 of the pulse areas: scan changes must keep every bit.
-        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5)
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6)
         scan = simulate_fringe_scan(proc, 71.5, 50, pulses, detector_noise=noise, seed=11)
         assert hashlib.sha256(scan.pulse_area.tobytes()).hexdigest() == digest
 
@@ -185,7 +185,7 @@ class TestSimulateFringeScan:
         (20, 257, 0.01, 0.3, 123456789),
     ])
     def test_matches_jumped_substream_reference(self, n_points, pulses, noise, i0, seed):
-        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6, length_km=71.5)
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6)
         scan = simulate_fringe_scan(proc, 71.5, n_points, pulses, noise, seed=seed, i0=i0)
         want = reference_fringe_areas(proc, 71.5, n_points, pulses, noise, seed, i0)
         assert np.array_equal(scan.pulse_area, want)
@@ -241,7 +241,7 @@ class TestSimulateMzTrace:
     ])
     def test_golden_bytes(self, hurst, digest):
         # SHA-256 of the intensity samples: kernel changes must keep every bit.
-        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst, length_km=36.5)
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=hurst)
         trace = simulate_mz_trace(proc, 4096e-6, 1e-6, phi0=math.pi / 2, seed=2007)
         assert trace.n_samples == 4097
         assert hashlib.sha256(trace.samples.tobytes()).hexdigest() == digest

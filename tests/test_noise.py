@@ -60,16 +60,11 @@ class TestNoiseParams:
             dict(sigma_ref=0.1, tau_ref=0.0),
             dict(sigma_ref=0.1, tau_ref=1e-4, hurst=0.0),
             dict(sigma_ref=0.1, tau_ref=1e-4, group_index=0.9),
-            dict(sigma_ref=0.1, tau_ref=1e-4, length_km=-1.0),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(DomainError):
             NoiseParams(**kwargs)
-
-    def test_default_length_matches_tau_ref(self):
-        params = NoiseParams(sigma_ref=0.2, tau_ref=357.5e-6)
-        assert params.length_km == pytest.approx(71.5, rel=1e-12)
 
     def test_sigma_at_reference_is_exact(self):
         for hurst in (0.3, 0.5, 0.77):
@@ -120,7 +115,6 @@ class TestSagnacCalibration:
         params = from_sagnac_calibration(8e-4, 71.5)
         assert params.sigma_ref == pytest.approx(0.23916521486202796, rel=1e-12)
         assert params.tau_ref == pytest.approx(178.75e-6, rel=1e-12)
-        assert params.length_km == 71.5
 
     def test_zero_diffusion(self):
         assert from_sagnac_calibration(0.0, 50.0).sigma_ref == 0.0
