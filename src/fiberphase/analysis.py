@@ -166,18 +166,16 @@ def _curve(n, dphi, mean, m2) -> dict[str, np.ndarray]:
 class GaussianHistogram:
     """Binned increment distribution at one lag, with a gaussian fit.
 
-    `sigma` is the sample standard deviation (the primary estimate); the
-    fit_* fields come from a weighted log-parabola fit of a gaussian to the
-    histogram (NaN where it has no peak) and exist for reporting/figures
-    only.  `degenerate` marks distributions with zero spread, where no fit
-    is possible.  `bin_edges` and `counts` are read-only copies.
+    `sigma` is the sample standard deviation (the primary estimate);
+    `fit_sigma`, reported next to it, is the width of a weighted
+    log-parabola fit of a gaussian to the histogram (NaN where it has no peak).
+    `degenerate` marks distributions with zero spread, where no fit is
+    possible.  `bin_edges` and `counts` are read-only copies.
     """
 
     sigma: float
     bin_edges: np.ndarray
     counts: np.ndarray
-    fit_amplitude: float
-    fit_mean: float
     fit_sigma: float
     degenerate: bool
 
@@ -439,8 +437,9 @@ def fit_gaussian(increments) -> GaussianHistogram:
     """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``.
 
     The primary sigma is the (bias-free, bin-free) sample standard deviation;
-    a ceil(sqrt(n))-bin histogram with a weighted log-parabola gaussian fit
-    is attached for reporting.  Needs >= 100 increments, all finite.
+    a ceil(sqrt(n))-bin histogram is attached, and the width `fit_sigma` of a
+    weighted log-parabola gaussian fit to it is reported next to sigma.
+    Needs >= 100 increments, all finite.
     """
     inc = np.asarray(increments, dtype=float)
     check_finite("increments", inc)
@@ -457,23 +456,23 @@ def fit_gaussian(increments) -> GaussianHistogram:
         counts, _ = np.histogram(inc, bins=edges)
     else:
         counts, edges = np.histogram(inc, bins=n_bins)
-    fit = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
-    return GaussianHistogram(sigma, edges, counts, *fit, degenerate)
+    fit_sigma = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
+    return GaussianHistogram(sigma, edges, counts, fit_sigma, degenerate)
 
 
-def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(A, mu, sigma) of a gaussian through the non-empty bins: least squares
-    of ln y on (1, x, x^2) with each row scaled by its count y (Caruana et al.,
-    Anal. Chem. 58, 1162, 1986; Guo, IEEE Signal Process. Mag. 28(5), 134,
-    2011).  NaN when under three bins are non-empty or the fit is not concave."""
+def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> float:
+    """Width sqrt(-1/(2c)) of a gaussian through the non-empty bins, from the
+    least squares of ln y on (1, x, x^2) = (a, b, c) with each row scaled by
+    its count y (Caruana et al., Anal. Chem. 58, 1162, 1986; Guo, IEEE Signal
+    Process. Mag. 28(5), 134, 2011).  NaN when under three bins are non-empty
+    or the fit is not concave."""
     keep = y > 0
     x, y = x[keep], y[keep].astype(float)
     design = np.column_stack([y, y * x, y * x * x])
-    (a, b, c), *_ = np.linalg.lstsq(design, y * np.log(y), rcond=None)
+    (_, _, c), *_ = np.linalg.lstsq(design, y * np.log(y), rcond=None)
     if y.size < 3 or not c < 0:
-        return math.nan, math.nan, math.nan
-    mu = -b / (2.0 * c)
-    return math.exp(a - c * mu * mu), float(mu), math.sqrt(-0.5 / c)
+        return math.nan
+    return math.sqrt(-0.5 / c)
 
 
 def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:
@@ -544,4 +543,8 @@ def estimate_diffusion(
     if visibility is not None:
         sigma = sigma_from_visibility(visibility)
     check_scalar("sigma", sigma, minimum=0)
-    return sigma * sigma / length_km
+    diffusion = sigma * sigma / length_km
+    if not math.isfinite(diffusion):
+        raise DomainError(f"the diffusion coefficient is not finite: {diffusion}",
+                          "sigma" if visibility is None else "visibility", "length_km")
+    return diffusion

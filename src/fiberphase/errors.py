@@ -52,7 +52,6 @@ class ThresholdNotReachedError(FiberPhaseError, RuntimeError):
     """
 
     def __init__(self, target: float, max_dphi: float):
-        self.target = target
         self.max_dphi = max_dphi
         super().__init__(
             f"mean phase change never reaches {target:g} rad "

@@ -102,8 +102,8 @@ def sha256_of_file(path: str) -> str:
 
 @dataclass(frozen=True)
 class _Times:
-    """The time column t0 + dt * k, k < n, of a trace, bit for bit as
-    `trace.times` gives it, made one block of rows at a time."""
+    """The time column t0 + dt * k, k < n, of a trace, made one block of
+    rows at a time."""
 
     t0: float
     dt: float

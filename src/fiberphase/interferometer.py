@@ -66,10 +66,6 @@ class FringeScan:
 
     __eq__ = fields_equal
 
-    @property
-    def n_points(self) -> int:
-        return int(self.applied_phase.size)
-
 
 @dataclass(frozen=True, eq=False)
 class IntensityTrace(SampledTrace):
@@ -139,11 +135,15 @@ def simulate_fringe_scan(
             np.cos(x, out=x)
             x += 1.0
             x *= 0.5 * i0
-            areas[i] = np.add.reduce(x) / pulses_per_point + detector_noise
+            areas[i] = np.add.reduce(x) / pulses_per_point
     # A jitter past float range has a nan cosine; a sum past it is inf instead.
     if np.isnan(areas).any():
         raise DomainError(f"a pulse jitter sigma * z is not finite at sigma={sigma}",
                           "sigma_ref")
+    if np.isinf(areas).any():
+        raise DomainError(f"a sum of pulse areas is not finite at i0={i0}", "i0")
+    with np.errstate(over="ignore"):  # a non-finite floor or sum is named by FringeScan
+        areas += detector_noise
     return FringeScan(
         applied_phase=applied,
         pulse_area=areas,

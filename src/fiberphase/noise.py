@@ -182,9 +182,13 @@ class NoiseParams:
             # drift_rate * (dt * k), in one scratch buffer: each k is exact
             # in float64, as the limit keeps it below 2^53.
             ramp = np.arange(n_steps + 1, dtype=float)
-            ramp *= dt
-            ramp *= self.drift_rate
-            samples += ramp
+            with np.errstate(over="ignore"):  # refused below
+                ramp *= dt
+                ramp *= self.drift_rate
+                samples += ramp
+            if not math.isfinite(ramp[-1]):  # its largest entry
+                raise DomainError(f"the drift is not finite at drift_rate={self.drift_rate}",
+                                  "drift_rate")
             del ramp  # freed before the trace's finiteness check
         return PhaseTrace(t0=0.0, dt=dt, samples=Adopted(samples))
 
@@ -212,10 +216,6 @@ class SampledTrace:
     @property
     def n_samples(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.samples.size)
 
 
 @dataclass(frozen=True, eq=False)

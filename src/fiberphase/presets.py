@@ -26,19 +26,12 @@ from .noise import MEAN_ABS_FACTOR, NoiseParams
 
 __all__ = [
     "DPHI_TARGET",
-    "DAY_TAU_THRESHOLD_S",
-    "NIGHT_TAU_THRESHOLD_S",
     "preset_params",
 ]
 
 DPHI_TARGET = 0.1  # rad, tolerable mean phase change
-DAY_TAU_THRESHOLD_S = 100e-6
-NIGHT_TAU_THRESHOLD_S = 350e-6
 
-_ANCHORS = {
-    "day": DAY_TAU_THRESHOLD_S,
-    "night": NIGHT_TAU_THRESHOLD_S,
-}
+_ANCHORS = {"day": 100e-6, "night": 350e-6}  # s, measured tau at DPHI_TARGET
 
 
 def preset_params(name: str, hurst: float = 0.5) -> NoiseParams:

@@ -685,14 +685,14 @@ class TestFitGaussian:
     def test_closed_form_fit_recovers_exact_gaussian_counts(self):
         x = np.linspace(-1.0, 1.3, 40)
         counts = 37.5 * np.exp(-((x - 0.12) ** 2) / (2 * 0.3**2))
-        assert _lsq_gaussian(x, counts) == pytest.approx((37.5, 0.12, 0.3), rel=1e-9)
+        assert _lsq_gaussian(x, counts) == pytest.approx(0.3, rel=1e-9)
 
     @pytest.mark.parametrize("counts", [
         np.where(np.isin(np.arange(40), [11, 25]), 50, 0),  # two non-empty bins
         1.0 + np.linspace(-1.0, 1.3, 40) ** 2,  # convex: no peak to fit
     ], ids=["two_bins", "convex"])
     def test_closed_form_fit_without_a_peak_is_nan(self, counts):
-        assert np.isnan(_lsq_gaussian(np.linspace(-1.0, 1.3, 40), counts)).all()
+        assert math.isnan(_lsq_gaussian(np.linspace(-1.0, 1.3, 40), counts))
 
     def test_degenerate_flagged(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(200))

@@ -49,7 +49,7 @@ BUILDERS = {
     "PhaseStats": lambda a: PhaseStats(a["taus"], a["counts"], 1e-6,
                                        mean_abs_change=a["ramp"], sigma_per_tau=a["ramp"]),
     "GaussianHistogram": lambda a: GaussianHistogram(0.5, a["edges"], a["counts"][:8],
-                                                     1.0, 0.0, 0.5, False),
+                                                     0.5, False),
 }
 
 

@@ -72,6 +72,10 @@ INVALID_VALUES = [
     ("analyze diffusion --visibility 1.5 --length-km 10", "--visibility"),
     ("analyze diffusion --sigma -0.1 --length-km 10", "--sigma"),
     ("analyze diffusion --sigma 0.1 --length-km 0", "--length-km"),
+    ("analyze diffusion --visibility 0.5 --length-km 1e-320 --report {d}/d.json",
+     "--visibility/--length-km"),  # overflows
+    ("analyze diffusion --sigma 1e200 --length-km 1e-200 --report {d}/d.json",
+     "--sigma/--length-km"),  # overflows
     (_BUDGET + " --total-km 0 --segment-km 36.5", "--total-km"),
     ("repeater budget --total-km 1000 --links 0 --fidelity 0.9 --segment-km 36.5",
      "--links"),
@@ -376,21 +380,27 @@ class TestValidationExitCodes:
         )
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("template,message", [
+    @pytest.mark.parametrize("template,flag,message", [
         ("simulate noise --sigma-ref 1e308 --tau-ref-us 1 --duration-ms 1 --dt-us 1 "
-         "--out {d}/n.csv", "the phase is not finite at sigma_ref=1e+308"),
+         "--out {d}/n.csv", "--sigma-ref", "the phase is not finite at sigma_ref=1e+308"),
         ("simulate mz --sigma-ref 1e308 --tau-ref-us 1 --duration-ms 1 --dt-us 1 "
-         "--out {d}/m.csv", "the phase is not finite at sigma_ref=1e+308"),
+         "--out {d}/m.csv", "--sigma-ref", "the phase is not finite at sigma_ref=1e+308"),
         ("simulate fringe --sigma-ref 1e308 --tau-ref-us 100 --loop-km 40 --out {d}/f.csv",
-         "a pulse jitter sigma * z is not finite at sigma=1e+308"),
-    ], ids=["noise", "mz", "fringe"])
-    def test_overflowing_draw_names_sigma_ref(self, capsys, tmp_path, template, message):
-        # 1e308 passes every range check, but a scaled draw leaves float range
+         "--sigma-ref", "a pulse jitter sigma * z is not finite at sigma=1e+308"),
+        ("simulate noise --sigma-ref 0.1 --tau-ref-us 100 --drift-rate 1e308 "
+         "--duration-ms 10000 --dt-us 1000000 --out {d}/d.csv",
+         "--drift-rate", "the drift is not finite at drift_rate=1e+308"),
+        ("simulate fringe --sigma-ref 0.1 --tau-ref-us 100 --loop-km 40 --i0 1e308 "
+         "--out {d}/i.csv", "--i0", "a sum of pulse areas is not finite at i0=1e+308"),
+    ], ids=["noise", "mz", "fringe", "drift", "i0"])
+    def test_overflowing_result_names_its_flag(self, capsys, tmp_path, template, flag,
+                                               message):
+        # 1e308 passes every range check, but a result computed from it leaves float range
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(template.format(d=tmp_path).split()) == 1
         assert caught == []
-        assert capsys.readouterr().err == f"error: --sigma-ref: {message}\n"
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)

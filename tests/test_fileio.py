@@ -427,8 +427,7 @@ GOLDEN = [
         write_histogram,
         GaussianHistogram(
             sigma=0.1, bin_edges=np.array([-0.5, -0.0, -0.0, 1e-323, 0.5]),
-            counts=np.array([3, 0, 1, 12]), fit_amplitude=1.0, fit_mean=0.0,
-            fit_sigma=0.1, degenerate=False,
+            counts=np.array([3, 0, 1, 12]), fit_sigma=0.1, degenerate=False,
         ),
         "# fiberphase-histogram v1\nbin_center_rad,count\n"
         "-0.25,3\n-0.0,0\n5e-324,1\n0.25,12\n",

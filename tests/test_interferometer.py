@@ -120,7 +120,7 @@ class TestSimulateFringeScan:
     def test_span_and_shape(self):
         proc = build_process(NoiseParams(sigma_ref=0.1, tau_ref=1e-4))
         scan = simulate_fringe_scan(proc, 36.5, n_points=41, pulses_per_point=5, seed=1)
-        assert scan.n_points == 41
+        assert scan.applied_phase.size == 41
         assert scan.applied_phase[0] == 0.0
         assert scan.applied_phase[-1] == pytest.approx(2 * math.pi)
 

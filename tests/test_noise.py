@@ -164,7 +164,8 @@ class TestSampleTrace:
         quiet = build_process(base).sample_trace(1e-3, 2e-6, seed=5)
         noisy = build_process(drifted).sample_trace(1e-3, 2e-6, seed=5)
         np.testing.assert_allclose(
-            noisy.samples - quiet.samples, 300.0 * quiet.times, rtol=1e-12, atol=1e-15
+            noisy.samples - quiet.samples, 300.0 * (quiet.dt * np.arange(quiet.n_samples)),
+            rtol=1e-12, atol=1e-15,
         )
 
     def test_grid_shape(self):

@@ -2,6 +2,7 @@
 contract of the value objects, the public names and the benchmark's traced
 attributes."""
 
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -90,8 +91,8 @@ def _scan(**changes):
 
 
 def _histogram(**changes):
-    fields = dict(sigma=0.1, bin_edges=[-0.5, 0.0, 0.5], counts=[3, 4], fit_amplitude=4.2,
-                  fit_mean=np.nan, fit_sigma=0.11, degenerate=False)
+    fields = dict(sigma=0.1, bin_edges=[-0.5, 0.0, 0.5], counts=[3, 4], fit_sigma=0.11,
+                  degenerate=False)
     fields.update(changes)
     return fp.GaussianHistogram(**fields)
 
@@ -124,8 +125,6 @@ FIELD_CHANGES = [
     (_histogram, "sigma", 0.2),
     (_histogram, "bin_edges", [-0.5, 0.0, 0.6]),
     (_histogram, "counts", [3, 5]),
-    (_histogram, "fit_amplitude", 4.0),
-    (_histogram, "fit_mean", 0.0),
     (_histogram, "fit_sigma", np.nan),
     (_histogram, "degenerate", True),
     (_stats, "taus", [1e-6, 3e-6]),
@@ -399,6 +398,8 @@ def test_seed_keeps_its_stream_however_large():
      "lag 2.6e-06 s is not a positive multiple of dt = 1e-06 s", ("tau", "dt")),
     (lambda: fp.check_gaussian_relation(_ramp_curve(), 4e-6),
      "no stored lag near tau=4e-06 s", ("tau",)),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 50, 10, detector_noise=np.nan),
+     "detector_noise must be finite, got nan", ("detector_noise",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
@@ -416,7 +417,7 @@ def test_seed_keeps_its_stream_however_large():
         "stats_signed_mean_nan", "stats_m2_negative", "stats_m2_inf",
         "pool_without_signed_mean", "lag_index_below_half_a_step",
         "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag",
-        "gaussian_relation_lag_not_in_curve"])
+        "gaussian_relation_lag_not_in_curve", "fringe_detector_noise_nan"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
@@ -454,6 +455,17 @@ class TestPublicSurface:
             "analysis", "cli", "decimals", "errors", "fileio", "interferometer", "noise",
             "presets", "repeater",
         }
+
+    def test_unread_members_are_gone(self):
+        with pytest.raises(fp.ThresholdNotReachedError) as excinfo:
+            fp.tau_threshold(_stats(), 1.0)
+        for value, name in [(_phase(), "times"), (_scan(), "n_points"),
+                            (excinfo.value, "target")]:
+            assert not hasattr(value, name)
+        assert [f.name for f in dataclasses.fields(fp.GaussianHistogram)] == [
+            "sigma", "bin_edges", "counts", "fit_sigma", "degenerate"]
+        assert importlib.import_module("fiberphase.presets").__all__ == [
+            "DPHI_TARGET", "preset_params"]
 
     def test_cli_exports(self):
         cli = importlib.import_module("fiberphase.cli")
