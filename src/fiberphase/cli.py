@@ -196,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # args -> config
 
-def _process_block(values: dict, flags: list) -> dict:
-    """Resolve the noise-process flags into the echoed process block,
-    checked as a NoiseParams with the command's `flags` named."""
+def _process_block(values: dict) -> dict:
+    """Resolve the noise-process flags into the echoed process block."""
     day, night = values.pop("day"), values.pop("night")
     preset = "day" if day else "night" if night else None
     if preset is not None:
@@ -209,8 +208,6 @@ def _process_block(values: dict, flags: list) -> dict:
     for flag, key in (("--sigma-ref", "sigma_ref"), ("--tau-ref-us", "tau_ref_s")):
         if values[key] is None:
             raise DomainError(f"{flag} is required without --day/--night")
-    with _naming(flags):
-        _params_to_process(values)
     return values
 
 
@@ -242,10 +239,10 @@ def parse_cli(argv=None) -> dict:
     ``{"command": "analyze dphi", "params", "seed", "inputs", "outputs"}``.
 
     Unknown flags or subcommands exit with code 2 (argparse usage error).
-    The table's checks, finiteness, list syntax, flag pairs, the preset
-    conflict and the noise-process fields raise DomainError here; the other
-    values raise it from the library in run(), with the flag named.  main()
-    maps both to exit code 1.
+    The table's checks, finiteness, list syntax, flag pairs and the preset
+    conflict raise DomainError here; the other values, the noise-process
+    fields included, raise it from the library in run(), with the flag
+    named.  main() maps both to exit code 1.
     """
     args = build_parser().parse_args(argv)
     command = f"{args.group} {args.command}"
@@ -259,7 +256,7 @@ def parse_cli(argv=None) -> dict:
             raise DomainError(f"{flag.needs} is required with {flag.name}")
     params = found[""]
     if found["process"]:
-        params["process"] = _process_block(found["process"], flags)
+        params["process"] = _process_block(found["process"])
     check = _COMMANDS[command].check
     if check is not None and not check[0](args):
         raise DomainError(check[1](args))

@@ -71,8 +71,9 @@ class FringeScan:
 class IntensityTrace(SampledTrace):
     """Detector record of a Mach-Zehnder output vs time.
 
-    i_max/i_min are the finite calibration extremes of the fringe; samples
-    must be finite and stay inside them up to a small tolerance.
+    i_max/i_min are the finite calibration extremes of the fringe, with a
+    finite span i_max - i_min; samples must be finite and stay inside them
+    up to a small tolerance.
     """
 
     i_max: float
@@ -85,6 +86,9 @@ class IntensityTrace(SampledTrace):
                               f"i_min={self.i_min}", "i_max", "i_min")
         check_scalar("i_max", self.i_max)
         check_scalar("i_min", self.i_min)
+        if not math.isfinite(float(self.i_max) - float(self.i_min)):
+            raise DomainError(f"the span i_max - i_min is not finite at i_max={self.i_max}, "
+                              f"i_min={self.i_min}", "i_max", "i_min")
         check_finite("samples", self.samples)
         if self.samples.size:
             eps = _INTENSITY_BOUND_TOL * (self.i_max - self.i_min)
@@ -142,8 +146,14 @@ def simulate_fringe_scan(
                           "sigma_ref")
     if np.isinf(areas).any():
         raise DomainError(f"a sum of pulse areas is not finite at i0={i0}", "i0")
-    with np.errstate(over="ignore"):  # a non-finite floor or sum is named by FringeScan
-        areas += detector_noise
+    # A finite floor can overflow a finite sum, which sets the overflow flag;
+    # an inf or nan floor does not, and FringeScan names it.
+    try:
+        with np.errstate(over="raise"):
+            areas += detector_noise
+    except FloatingPointError:
+        raise DomainError(f"a pulse area plus the detector floor is not finite at i0={i0}, "
+                          f"detector_noise={detector_noise}", "i0", "detector_noise") from None
     return FringeScan(
         applied_phase=applied,
         pulse_area=areas,
@@ -167,9 +177,8 @@ def simulate_mz_trace(
     with phi drawn from `process` (noiseless detector).  Deterministic
     per seed.
     """
-    if not (i_max > i_min):
-        raise DomainError(f"i_max must exceed i_min, got i_max={i_max}, i_min={i_min}",
-                          "i_max", "i_min")
+    # The trace's own checks of dt and the extremes, run before sampling.
+    IntensityTrace(t0=0.0, dt=dt, samples=(), i_max=i_max, i_min=i_min)
     check_scalar("phi0", phi0)
     # i_min + 0.5 * (i_max - i_min) * (1 + cos(phi0 + phi)), in the buffer
     # of the phase trace, handed over since no one else sees it.

@@ -185,10 +185,17 @@ class NoiseParams:
             with np.errstate(over="ignore"):  # refused below
                 ramp *= dt
                 ramp *= self.drift_rate
-                samples += ramp
             if not math.isfinite(ramp[-1]):  # its largest entry
                 raise DomainError(f"the drift is not finite at drift_rate={self.drift_rate}",
                                   "drift_rate")
+            # Both terms are finite here, so only a sum past float range sets the flag.
+            try:
+                with np.errstate(over="raise"):
+                    samples += ramp
+            except FloatingPointError:
+                raise DomainError(f"the phase plus the drift is not finite at sigma_ref="
+                                  f"{self.sigma_ref}, drift_rate={self.drift_rate}",
+                                  "sigma_ref", "drift_rate") from None
             del ramp  # freed before the trace's finiteness check
         return PhaseTrace(t0=0.0, dt=dt, samples=Adopted(samples))
 

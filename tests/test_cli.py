@@ -190,6 +190,15 @@ class TestParseCli:
         assert config["params"]["duration_s"] == pytest.approx(2e-3)
         assert config["params"]["dt_s"] == pytest.approx(2e-6)
 
+    def test_process_fields_checked_by_run(self, capsys, tmp_path):
+        # parse_cli resolves the process block; NoiseParams checks it in run()
+        argv = f"simulate mz --night --hurst 1.5 --duration-ms 1 --dt-us 1 --out {tmp_path}/x.csv"
+        config = parse_cli(argv.split())
+        assert config["params"]["process"]["hurst"] == 1.5
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == "error: --hurst: hurst out of range (0, 1): got 1.5\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             parse_cli(["simulate", "everything"])
@@ -392,7 +401,18 @@ class TestValidationExitCodes:
          "--drift-rate", "the drift is not finite at drift_rate=1e+308"),
         ("simulate fringe --sigma-ref 0.1 --tau-ref-us 100 --loop-km 40 --i0 1e308 "
          "--out {d}/i.csv", "--i0", "a sum of pulse areas is not finite at i0=1e+308"),
-    ], ids=["noise", "mz", "fringe", "drift", "i0"])
+        ("simulate mz --night --duration-ms 1 --dt-us 1 --i-max=1.7e308 --i-min=-1.7e308 "
+         "--out {d}/s.csv", "--i-max/--i-min",
+         "the span i_max - i_min is not finite at i_max=1.7e+308, i_min=-1.7e+308"),
+        ("simulate noise --sigma-ref 1e307 --tau-ref-us 1000000 --duration-ms 3000 "
+         "--dt-us 1000000 --drift-rate 5.5e307 --seed 1 --out {d}/w.csv",
+         "--sigma-ref/--drift-rate",
+         "the phase plus the drift is not finite at sigma_ref=1e+307, drift_rate=5.5e+307"),
+        ("simulate fringe --sigma-ref 0.1 --tau-ref-us 100 --loop-km 40 --i0 1.7e308 "
+         "--detector-noise 1.7e308 --pulses-per-point 1 --out {d}/f.csv",
+         "--detector-noise/--i0", "a pulse area plus the detector floor is not finite at "
+         "i0=1.7e+308, detector_noise=1.7e+308"),
+    ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor"])
     def test_overflowing_result_names_its_flag(self, capsys, tmp_path, template, flag,
                                                message):
         # 1e308 passes every range check, but a result computed from it leaves float range

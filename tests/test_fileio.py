@@ -180,13 +180,16 @@ class TestTraceParseErrors:
         (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
          "# i_max: 1.0\n# i_min: 0.0\n# i_max: high\ntime_s,value\n0.0,0.1\n", 7,
          "bad value for 'i_max': 'high'", "i_max"),
+        (read_trace, "# fiberphase-trace v1\n# kind: intensity\n# t0: 0.0\n# dt: 1e-06\n"
+         "# i_max: 1e308\n# i_min: -1e308\ntime_s,value\n0.0,0.1\n", 5,
+         "the span i_max - i_min is not finite at i_max=1e+308, i_min=-1e+308", "i_max"),
         (read_fringe_scan, "# fiberphase-fringe v1\n# detector_noise: 0.0\n"
          "applied_phase_rad,pulse_area\n" + "0.0,1.0\n" * 4, 3, "missing metadata key 'i0'", "i0"),
         (read_dphi_curve, "# fiberphase-dphi v1\n# note: x\n# dt: 1 us\n"
          "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.01,0.0125,499\n", 3,
          "bad value for 'dt': '1 us'", "dt"),
     ], ids=["bad_dt", "bad_segment", "missing_dt", "unknown_kind", "missing_kind",
-            "repeated_key", "fringe_missing_i0", "curve_bad_dt"])
+            "repeated_key", "span_overflow", "fringe_missing_i0", "curve_bad_dt"])
     def test_metadata_error_names_its_line(self, tmp_path, reader, text, line, problem, key):
         # a missing key names the column-header line
         path = tmp_path / "bad.csv"
@@ -197,6 +200,17 @@ class TestTraceParseErrors:
             reader(str(path))
         cause = excinfo.value.__cause__
         assert (type(cause), cause.fields[0]) == (DomainError, key)
+
+    @pytest.mark.parametrize("reader,text,line,body", [
+        (read_trace, "# fiberphase-trace v1\n# kind intensity\n", 2, "kind intensity"),
+        (read_dphi_curve, "# fiberphase-dphi v1\n# dt 1e-06\n"
+         "tau_s,dphi_rad,sigma_rad,n_increments\n1e-06,0.01,0.0125,499\n", 2, "dt 1e-06"),
+    ], ids=["trace_kind", "curve_dt"])
+    def test_metadata_without_colon_names_its_line(self, tmp_path, reader, text, line, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(reader, str(path)) == (
+            TraceParseError, line, f"line {line}: {path}: malformed metadata {body!r}")
 
     @pytest.mark.parametrize("value", [".5", "1E-6", "+1e-6", "1_0e-7", "\u0661e-06"])
     @pytest.mark.parametrize("reader,text,key", [

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestSimulateMzTrace:
         proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
         with pytest.raises(DomainError):
             simulate_mz_trace(proc, 1e-3, 2e-6, i_max=0.0, i_min=1.0, seed=0)
+
+    @pytest.mark.parametrize("i_max,i_min,message", [
+        (1.0, 2.0, "i_max must exceed i_min, got i_max=1.0, i_min=2.0"),
+        (1.7e308, -1.7e308,
+         "the span i_max - i_min is not finite at i_max=1.7e+308, i_min=-1.7e+308"),
+    ], ids=["order", "span"])
+    def test_bad_extremes_rejected_before_sampling(self, monkeypatch, i_max, i_min, message):
+        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the extremes")
+
+        monkeypatch.setattr(NoiseParams, "sample_trace", no_sampling)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as excinfo:
+            simulate_mz_trace(proc, 1e-3, 2e-6, i_max=i_max, i_min=i_min, seed=0)
+        assert excinfo.value.fields == ("i_max", "i_min")
 
     @pytest.mark.parametrize("hurst,digest", [
         (0.5, "d1627df5a14dc6e7cbb3839290bd1bcbc9ce2eb20c21d09c443aa8f99714be9c"),

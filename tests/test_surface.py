@@ -225,6 +225,8 @@ _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
     (lambda: fp.NoiseParams(sigma_ref=np.nan, tau_ref=1e-4), "sigma_ref", "nan"),
     (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, group_index=np.inf),
      "group_index", "inf"),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, drift_rate=np.inf), "drift_rate", "inf"),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-4, drift_rate=np.nan), "drift_rate", "nan"),
     (lambda: _NIGHT.sigma_at(np.inf), "tau", "inf"),
     (lambda: _NIGHT.sigma_at(np.nan), "tau", "nan"),
     (lambda: _stats().lag_index(np.inf), "tau", "inf"),
@@ -264,6 +266,7 @@ _NIGHT = fp.NoiseParams(sigma_ref=0.1, tau_ref=350e-6)
         "travel_time_length_km_inf", "travel_time_length_km_nan",
         "travel_time_group_index_inf", "travel_time_group_index_nan",
         "params_sigma_ref_inf", "params_sigma_ref_nan", "params_group_index",
+        "params_drift_rate_inf", "params_drift_rate_nan",
         "sigma_at_tau_inf", "sigma_at_tau_nan", "lag_index_tau_inf", "lag_index_tau_nan",
         "gaussian_relation_tau_nan", "lag_grid_tau_max_inf", "lag_grid_tau_max_nan",
         "increment_sets_tau_inf", "increment_sets_tau_nan",
@@ -400,6 +403,8 @@ def test_seed_keeps_its_stream_however_large():
      "no stored lag near tau=4e-06 s", ("tau",)),
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 50, 10, detector_noise=np.nan),
      "detector_noise must be finite, got nan", ("detector_noise",)),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 50, 10, detector_noise=np.inf),
+     "detector_noise must be finite, got inf", ("detector_noise",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
@@ -417,7 +422,8 @@ def test_seed_keeps_its_stream_however_large():
         "stats_signed_mean_nan", "stats_m2_negative", "stats_m2_inf",
         "pool_without_signed_mean", "lag_index_below_half_a_step",
         "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag",
-        "gaussian_relation_lag_not_in_curve", "fringe_detector_noise_nan"])
+        "gaussian_relation_lag_not_in_curve", "fringe_detector_noise_nan",
+        "fringe_detector_noise_inf"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
