@@ -28,6 +28,7 @@ from .errors import (
     check_finite,
     check_scalar,
     fields_equal,
+    finite_arithmetic,
     frozen,
     taken,
 )
@@ -298,7 +299,8 @@ def _lag_steps(taus, dt: float) -> np.ndarray:
     first lag that is not finite, at most MAX_SAMPLES steps (see `check_count`)
     and a positive multiple of dt within 1e-6 step is named, in that order."""
     taus = np.asarray(taus, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # such lags are refused below
+    # Not finite_arithmetic: check_count refuses an inf step count as a size.
+    with np.errstate(over="ignore", invalid="ignore"):
         k = np.rint(taus / dt)
         off = ~((k >= 1) & (np.abs(taus - k * dt) <= 1e-6 * dt))
     if off.any():
@@ -543,8 +545,7 @@ def estimate_diffusion(
     if visibility is not None:
         sigma = sigma_from_visibility(visibility)
     check_scalar("sigma", sigma, minimum=0)
-    diffusion = sigma * sigma / length_km
-    if not math.isfinite(diffusion):
-        raise DomainError(f"the diffusion coefficient is not finite: {diffusion}",
-                          "sigma" if visibility is None else "visibility", "length_km")
-    return diffusion
+    with finite_arithmetic("the diffusion coefficient",
+                           "sigma" if visibility is None else "visibility", "length_km",
+                           sigma=sigma, length_km=length_km):
+        return float(np.float64(sigma) * sigma / length_km)

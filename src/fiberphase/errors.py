@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all fiberphase modules, and the checks,
-read-only arrays and field-wise equality that value objects are built on."""
+"""Exception hierarchy shared by all fiberphase modules; the checks, read-only
+arrays and field-wise equality that value objects are built on; and
+`finite_arithmetic`, under which a kernel refuses a result past float range."""
 
+import contextlib
 import dataclasses
 import numbers
 import sys
@@ -101,6 +103,20 @@ def check_all(name: str, ok: np.ndarray, message: str) -> None:
     """Raise DomainError(message) naming the first entry of `name` where `ok` is False."""
     if not ok.all():
         raise DomainError(message, name, index=int(np.argmin(ok)))
+
+
+@contextlib.contextmanager
+def finite_arithmetic(what: str, *fields: str, **inputs):
+    """Run the body with numpy's overflow and invalid flags raised, and turn one
+    into ``DomainError(f"{what} is not finite at k=v, ...")`` over `inputs`,
+    naming `fields`, or else the inputs.  Only numpy arithmetic sets the flags:
+    Python float arithmetic and an inf or nan operand do not."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        at = ", ".join(f"{key}={value}" for key, value in inputs.items())
+        raise DomainError(f"{what} is not finite at {at}", *(fields or inputs)) from None
 
 
 class Adopted(NamedTuple):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, frozen, taken,
+    Adopted, DomainError, check_all, check_finite, check_scalar, fields_equal, finite_arithmetic,
+    frozen, taken,
 )
 from .noise import NoiseParams, SampledTrace, check_count, sagnac_effective_sigma, seeded_rng
 
@@ -86,12 +87,11 @@ class IntensityTrace(SampledTrace):
                               f"i_min={self.i_min}", "i_max", "i_min")
         check_scalar("i_max", self.i_max)
         check_scalar("i_min", self.i_min)
-        if not math.isfinite(float(self.i_max) - float(self.i_min)):
-            raise DomainError(f"the span i_max - i_min is not finite at i_max={self.i_max}, "
-                              f"i_min={self.i_min}", "i_max", "i_min")
+        with finite_arithmetic("the span i_max - i_min", i_max=self.i_max, i_min=self.i_min):
+            span = np.subtract(float(self.i_max), float(self.i_min))
         check_finite("samples", self.samples)
         if self.samples.size:
-            eps = _INTENSITY_BOUND_TOL * (self.i_max - self.i_min)
+            eps = _INTENSITY_BOUND_TOL * span
             lo, hi = self.i_min - eps, self.i_max + eps
             if self.samples.min() < lo or self.samples.max() > hi:
                 i = int(np.argmax((self.samples < lo) | (self.samples > hi)))
@@ -128,32 +128,23 @@ def simulate_fringe_scan(
     bits, start = rng.bit_generator, rng.bit_generator.state
     x = np.empty(pulses_per_point)
     areas = np.empty(n_points)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with finite_arithmetic("a sum of pulse areas", i0=i0):
         for i, phi in enumerate(applied):
             bits.state = start
             bits.advance(i << 128)
             rng.standard_normal(out=x)
             # 0.5 * i0 * (1 + cos(phi + sigma * jitter)), in place
-            x *= sigma
-            x += phi
-            np.cos(x, out=x)
+            with finite_arithmetic("a pulse jitter sigma * z", "sigma_ref", sigma=sigma):
+                x *= sigma
+                x += phi
+                np.cos(x, out=x)
             x += 1.0
             x *= 0.5 * i0
             areas[i] = np.add.reduce(x) / pulses_per_point
-    # A jitter past float range has a nan cosine; a sum past it is inf instead.
-    if np.isnan(areas).any():
-        raise DomainError(f"a pulse jitter sigma * z is not finite at sigma={sigma}",
-                          "sigma_ref")
-    if np.isinf(areas).any():
-        raise DomainError(f"a sum of pulse areas is not finite at i0={i0}", "i0")
-    # A finite floor can overflow a finite sum, which sets the overflow flag;
-    # an inf or nan floor does not, and FringeScan names it.
-    try:
-        with np.errstate(over="raise"):
-            areas += detector_noise
-    except FloatingPointError:
-        raise DomainError(f"a pulse area plus the detector floor is not finite at i0={i0}, "
-                          f"detector_noise={detector_noise}", "i0", "detector_noise") from None
+    # An inf or nan floor sets no flag, and FringeScan names it.
+    with finite_arithmetic("a pulse area plus the detector floor", i0=i0,
+                           detector_noise=detector_noise):
+        areas += detector_noise
     return FringeScan(
         applied_phase=applied,
         pulse_area=areas,

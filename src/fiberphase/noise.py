@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Adopted, DomainError, ResourceLimitError, check_scalar, fields_equal, frozen
+from .errors import (Adopted, DomainError, ResourceLimitError, check_scalar, fields_equal,
+                     finite_arithmetic, frozen)
 
 # Propagation speed convention: c/n with c rounded to 3e5 km/s, i.e. exactly
 # 5 us/km at the default group index 1.5.
@@ -138,11 +139,13 @@ class NoiseParams:
         check_scalar("drift_rate", self.drift_rate)
 
     def sigma_at(self, tau: float) -> float:
-        """Phase-increment standard deviation (rad) at time lag `tau`."""
+        """Phase-increment standard deviation (rad) at time lag `tau`; one past
+        float range is refused, naming sigma_ref."""
         check_scalar("tau", tau, minimum=0)
         if tau == 0:
             return 0.0
-        return self.sigma_ref * (tau / self.tau_ref) ** self.hurst
+        with finite_arithmetic("the phase", sigma_ref=self.sigma_ref):
+            return float(self.sigma_ref * (np.float64(tau) / self.tau_ref) ** self.hurst)
 
     def sample_trace(self, duration: float, dt: float, seed: int) -> PhaseTrace:
         """Simulate one realization of the phase on a regular grid.
@@ -171,31 +174,19 @@ class NoiseParams:
         if sigma_step != 0.0:
             if not fgn:
                 increments = rng.standard_normal(out=samples[1:])
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            with finite_arithmetic("the phase", sigma_ref=self.sigma_ref):
                 increments *= sigma_step
                 np.cumsum(increments, out=samples[1:])
-            # A running sum that left float range stays inf or nan to the end.
-            if not math.isfinite(samples[-1]):
-                raise DomainError(f"the phase is not finite at sigma_ref={self.sigma_ref}",
-                                  "sigma_ref")
         if self.drift_rate != 0.0:
             # drift_rate * (dt * k), in one scratch buffer: each k is exact
             # in float64, as the limit keeps it below 2^53.
             ramp = np.arange(n_steps + 1, dtype=float)
-            with np.errstate(over="ignore"):  # refused below
+            with finite_arithmetic("the drift", drift_rate=self.drift_rate):
                 ramp *= dt
                 ramp *= self.drift_rate
-            if not math.isfinite(ramp[-1]):  # its largest entry
-                raise DomainError(f"the drift is not finite at drift_rate={self.drift_rate}",
-                                  "drift_rate")
-            # Both terms are finite here, so only a sum past float range sets the flag.
-            try:
-                with np.errstate(over="raise"):
-                    samples += ramp
-            except FloatingPointError:
-                raise DomainError(f"the phase plus the drift is not finite at sigma_ref="
-                                  f"{self.sigma_ref}, drift_rate={self.drift_rate}",
-                                  "sigma_ref", "drift_rate") from None
+            with finite_arithmetic("the phase plus the drift", sigma_ref=self.sigma_ref,
+                                   drift_rate=self.drift_rate):
+                samples += ramp
             del ramp  # freed before the trace's finiteness check
         return PhaseTrace(t0=0.0, dt=dt, samples=Adopted(samples))
 

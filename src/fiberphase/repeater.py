@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_scalar
+from .errors import DomainError, check_scalar, finite_arithmetic
 from .noise import (
     MEAN_ABS_FACTOR,
     check_count,
@@ -63,10 +63,8 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     check_scalar("sigma", sigma, minimum=0)
     check_scalar("n_samples", n_samples, minimum=1, integer=True)
     check_count("samples", n_samples, "n_samples")
-    with np.errstate(over="ignore"):  # refused below, naming sigma
+    with finite_arithmetic("a phase draw sigma * z", sigma=sigma):
         delta = sigma * seeded_rng(seed).standard_normal(n_samples)
-    if not np.isfinite(delta).all():
-        raise DomainError(f"a phase draw sigma * z is not finite at sigma={sigma}", "sigma")
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 
 

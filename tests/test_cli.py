@@ -412,7 +412,11 @@ class TestValidationExitCodes:
          "--detector-noise 1.7e308 --pulses-per-point 1 --out {d}/f.csv",
          "--detector-noise/--i0", "a pulse area plus the detector floor is not finite at "
          "i0=1.7e+308, detector_noise=1.7e+308"),
-    ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor"])
+        # one step, whose width sigma_at(dt) is already past float range
+        ("simulate noise --sigma-ref 1e300 --tau-ref-us 1e-24 --duration-ms 1000 "
+         "--dt-us 1000000 --seed 1 --out {d}/x.csv",
+         "--sigma-ref", "the phase is not finite at sigma_ref=1e+300"),
+    ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor", "one_step"])
     def test_overflowing_result_names_its_flag(self, capsys, tmp_path, template, flag,
                                                message):
         # 1e308 passes every range check, but a result computed from it leaves float range

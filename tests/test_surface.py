@@ -12,11 +12,13 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 
 import fiberphase as fp
+from fiberphase.errors import finite_arithmetic
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -294,9 +296,11 @@ def test_infinite_value_names_its_field(call, field, got):
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10**30), f"{10**30} pulses per point"),
     (lambda: fp.monte_carlo_fidelity(0.1, 10**30), f"{10**30} samples"),
     (lambda: fp.increment_sets(_ramp(), [1e-6, 2**63 * 1e-6]), "9.223372036854776e+18 steps"),
+    (lambda: fp.increments_at(_ramp(), 1e300), "1.0000000000000002e+306 steps"),  # off the grid
 ], ids=["sample_trace_steps", "sample_trace_huge_steps", "lag_grid_steps",
         "lag_grid_infinite_steps", "fringe_n_points", "fringe_n_points_huge_int",
-        "fringe_pulses_per_point", "monte_carlo_n_samples", "increment_sets_lag_steps"])
+        "fringe_pulses_per_point", "monte_carlo_n_samples", "increment_sets_lag_steps",
+        "increments_at_off_grid_steps"])
 def test_oversize_request_is_refused(call, message):
     with pytest.raises(fp.ResourceLimitError,
                        match=re.escape(f"{message} exceed the limit of {2**44}") + "$"):
@@ -367,6 +371,8 @@ def test_seed_keeps_its_stream_however_large():
      ("n_samples",)),
     (lambda: fp.monte_carlo_fidelity(1e308, 100),  # finite, but sigma * z overflows
      "a phase draw sigma * z is not finite at sigma=1e+308", ("sigma",)),
+    (lambda: fp.NoiseParams(sigma_ref=1e300, tau_ref=1e-30).sample_trace(1.0, 1.0, seed=1),
+     "the phase is not finite at sigma_ref=1e+300", ("sigma_ref",)),  # sigma_at(dt) overflows
     (lambda: fp.budget_per_segment(1000, 2.5, 0.9, 36.5), "n_links must be an integer, got 2.5",
      ("n_links",)),
     (lambda: fp.PhaseTrace(t0=0, dt=1e-6, samples=5.0),
@@ -415,7 +421,7 @@ def test_seed_keeps_its_stream_however_large():
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
-        "monte_carlo_draw_overflow",
+        "monte_carlo_draw_overflow", "sample_trace_one_step_overflow",
         "budget_n_links_fraction", "phase_samples_scalar", "intensity_samples_2d",
         "fringe_2d", "stats_taus_2d", "increment_sets_scalar_lag", "stats_count_fraction",
         "stats_count_nan", "stats_count_too_large", "histogram_count_fraction",
@@ -448,6 +454,50 @@ PUBLIC_NAMES = {
     "write_dphi_curve", "write_fringe_scan", "write_histogram", "write_report",
     "write_trace",
 }
+
+
+class TestFiniteArithmetic:
+    """The float-range guard: a flag raised in its body is a DomainError over its inputs."""
+
+    @pytest.mark.parametrize("body", [lambda: np.float64(1e308) * 10,
+                                      lambda: np.float64(np.inf) - np.inf,
+                                      lambda: np.add.reduce(np.full(3, 1e308))],
+                             ids=["overflow", "invalid", "array_overflow"])
+    def test_flag_names_the_inputs(self, body):
+        with pytest.raises(fp.DomainError) as excinfo:
+            with finite_arithmetic("x", a=1e308, b=-2):
+                body()
+        assert (str(excinfo.value), excinfo.value.fields) == (
+            "x is not finite at a=1e+308, b=-2", ("a", "b"))
+        assert excinfo.value.__suppress_context__
+
+    def test_fields_name_the_inputs_flags(self):
+        with pytest.raises(fp.DomainError) as excinfo:
+            with finite_arithmetic("a pulse jitter", "sigma_ref", sigma=1e308):
+                np.float64(1e308) * 10
+        assert (str(excinfo.value), excinfo.value.fields) == (
+            "a pulse jitter is not finite at sigma=1e+308", ("sigma_ref",))
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0], ids=["finite", "refused"])
+    def test_error_state_restored_without_warning(self, factor):
+        with np.errstate(over="warn", invalid="ignore", divide="ignore", under="ignore"):
+            before = np.geterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    with finite_arithmetic("x", a=factor):
+                        np.float64(1.0) / 0.0  # a divide flag stays as it was set
+                        np.float64(1e308) * factor
+                    refused = False
+                except fp.DomainError:
+                    refused = True
+            assert (refused, np.geterr()) == (factor > 1, before)
+        assert caught == []
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(ZeroDivisionError):
+            with finite_arithmetic("x", a=1.0):
+                1.0 / 0
 
 
 class TestPublicSurface:
@@ -547,6 +597,18 @@ class TestPublicSurface:
                 text = path.read_text(encoding="utf-8")
                 assert "setflags(write=True)" not in text, path
                 assert not re.search(r"isinstance\([^()]*,\s*Adopted\)", text), path
+
+    def test_only_errors_catches_a_float_range_error(self):
+        # errors.finite_arithmetic is the one owner of float range; the one
+        # other errstate block computes a step count that check_count refuses.
+        blocks = {}
+        for path in pathlib.Path(ROOT, "src").rglob("*.py"):
+            if path.name != "errors.py":
+                text = path.read_text(encoding="utf-8")
+                assert "FloatingPointError" not in text, path
+                assert "is not finite at" not in text, path
+                blocks[path.name] = text.count("np.errstate(")
+        assert {name: n for name, n in blocks.items() if n} == {"analysis.py": 1}
 
     def test_traced_method_resolves(self):
         from fiberphase import noise
