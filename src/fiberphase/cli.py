@@ -70,7 +70,8 @@ class _Flag:
     `type` is float, int, str, bool (a switch) or list (comma-separated
     floats).  `check` is a (predicate, wording) pair on the value as given,
     for a rule the library checks late, under another name or not at all;
-    `scale` then takes it to SI.  `needs` names the flag without which this
+    `scale` then takes it to seconds, and a nonzero value that underflows
+    to 0 there is refused.  `needs` names the flag without which this
     one has no effect.
     """
 
@@ -112,7 +113,11 @@ class _Flag:
             raise DomainError(f"{self.name} must be finite, got {value}")
         if self.check is not None and not self.check[0](value):
             raise DomainError(f"{self.name} {self.check[1]}, got {value}")
-        return value * self.scale if self.scale is not None else value
+        if self.scale is None:
+            return value
+        if value != 0 and value * self.scale == 0:
+            raise DomainError(f"{self.name} {value} is 0 once converted to seconds")
+        return value * self.scale
 
 
 _Section = NamedTuple("_Section", [("title", str), ("flags", list)])  # own --help heading
@@ -315,8 +320,6 @@ def _run_simulate_noise(config, out, digests):
     return {"trace": {
         "kind": "phase",
         "n_samples": trace.n_samples,
-        "dt_s": trace.dt,
-        "duration_s": p["duration_s"],
     }}
 
 
@@ -331,9 +334,6 @@ def _run_simulate_mz(config, out, digests):
     return {"trace": {
         "kind": "intensity",
         "n_samples": trace.n_samples,
-        "dt_s": trace.dt,
-        "i_max": trace.i_max,
-        "i_min": trace.i_min,
     }}
 
 
@@ -347,10 +347,8 @@ def _run_simulate_fringe(config, out, digests):
     fileio.write_fringe_scan(out["scan"], scan)
     sigma = noise.sagnac_effective_sigma(process, p["loop_km"])
     return {"fringe_scan": {
-        "loop_km": p["loop_km"],
         "effective_sigma_rad": sigma,
         "expected_visibility": noise.visibility_from_sigma(sigma),
-        "n_points": p["n_points"],
     }}
 
 
@@ -408,7 +406,6 @@ def _run_analyze_dphi(config, out, digests):
     if hist is not None:
         fileio.write_histogram(out["histogram"], hist)
         blocks["histogram"] = {
-            "tau_s": hist_tau,
             "sigma_rad": hist.sigma,
             "fit_sigma_rad": hist.fit_sigma,
             "n_bins": int(hist.counts.size),
@@ -427,10 +424,7 @@ def _run_analyze_dphi(config, out, digests):
 def _run_analyze_tau_threshold(config, out, digests):
     stats = fileio.read_dphi_curve(config["inputs"]["curve"], digest=digests.get("curve"))
     tau = analysis.tau_threshold(stats, config["params"]["target_rad"])
-    return {"tau_threshold": {
-        "target_rad": config["params"]["target_rad"],
-        "tau_threshold_s": tau,
-    }}
+    return {"tau_threshold": {"tau_threshold_s": tau}}
 
 
 def _run_analyze_exponent(config, out, digests):
@@ -440,8 +434,6 @@ def _run_analyze_exponent(config, out, digests):
     n_used = int(((stats.taus >= lo) & (stats.taus <= hi)).sum())
     return {"scaling_exponent": {
         "exponent": exponent,
-        "tau_min_s": lo,
-        "tau_max_s": hi,
         "n_lags": n_used,
     }}
 
@@ -451,12 +443,7 @@ def _run_analyze_diffusion(config, out, digests):
     diffusion = analysis.estimate_diffusion(
         p["length_km"], visibility=p["visibility"], sigma=p["sigma_rad"]
     )
-    return {"diffusion": {
-        "diffusion_rad2_per_km": diffusion,
-        "length_km": p["length_km"],
-        "visibility": p["visibility"],
-        "sigma_rad": p["sigma_rad"],
-    }}
+    return {"diffusion": {"diffusion_rad2_per_km": diffusion}}
 
 
 def _run_repeater_budget(config, out, digests):
@@ -465,10 +452,6 @@ def _run_repeater_budget(config, out, digests):
         p["total_km"], p["n_links"], p["target_fidelity"], p["segment_km"]
     )
     return {"budget": {
-        "total_km": p["total_km"],
-        "n_links": p["n_links"],
-        "target_fidelity": budget.fidelity,
-        "segment_km": p["segment_km"],
         "total_sigma_rad": budget.total_sigma,
         "visibility": budget.visibility,
         "segment_sigma_limit_rad": budget.per_segment_sigma_limit,
@@ -493,7 +476,6 @@ def _run_repeater_fidelity(config, out, digests):
         block["monte_carlo_fidelity"] = repeater.monte_carlo_fidelity(
             sigma, p["monte_carlo_samples"], seed=config["seed"]
         )
-        block["monte_carlo_samples"] = p["monte_carlo_samples"]
     return {"fidelity": block}
 
 

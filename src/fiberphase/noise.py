@@ -139,10 +139,11 @@ class NoiseParams:
         check_scalar("drift_rate", self.drift_rate)
 
     def sigma_at(self, tau: float) -> float:
-        """Phase-increment standard deviation (rad) at time lag `tau`; one past
-        float range is refused, naming sigma_ref."""
+        """Phase-increment standard deviation (rad) at time lag `tau`: 0 at a
+        zero lag or a zero sigma_ref, and one past float range is refused,
+        naming sigma_ref."""
         check_scalar("tau", tau, minimum=0)
-        if tau == 0:
+        if tau == 0 or self.sigma_ref == 0:
             return 0.0
         with finite_arithmetic("the phase", sigma_ref=self.sigma_ref):
             return float(self.sigma_ref * (np.float64(tau) / self.tau_ref) ** self.hurst)

@@ -41,7 +41,6 @@ class BudgetReport:
     """End-to-end phase budget of a repeater chain, as `budget_per_segment` derives it."""
 
     total_sigma: float
-    fidelity: float
     visibility: float
     per_segment_sigma_limit: float
     per_segment_dphi_limit: float
@@ -128,7 +127,6 @@ def budget_per_segment(
     sigma_limit = math.sqrt(total_variance / n_links * (segment_km / link_km))
     return BudgetReport(
         total_sigma=math.sqrt(total_variance),
-        fidelity=target_fidelity,
         visibility=visibility,
         per_segment_sigma_limit=sigma_limit,
         per_segment_dphi_limit=MEAN_ABS_FACTOR * sigma_limit,

@@ -36,6 +36,14 @@ _DPHI = "analyze dphi --in {d}/p.csv --out {d}/c.csv"
 _EXPONENT = "analyze exponent --in {d}/c.csv"
 _BUDGET = "repeater budget --links 8 --fidelity 0.9"
 
+# Nonzero values that are 0 once converted to seconds: (argv, their flag).
+UNDERFLOW_VALUES = [
+    (_NOISE + " --duration-ms 1 --dt-us 1e-320", "--dt-us"),
+    ("simulate noise --sigma-ref 0.1 --tau-ref-us 1e-320 --duration-ms 1 --dt-us 1 "
+     "--out {d}/x.csv", "--tau-ref-us"),
+    (_DPHI + " --tau-max-us 1e-320", "--tau-max-us"),
+]
+
 # One bad value per case, one case per value check of the CLI: (argv, flag
 # that the error message must name).
 INVALID_VALUES = [
@@ -92,6 +100,7 @@ INVALID_VALUES = [
     ("repeater fidelity --visibility 0", "--visibility"),
     ("repeater fidelity --sigma -0.1", "--sigma"),
     ("repeater fidelity --sigma 0.3 --monte-carlo 0", "--monte-carlo"),
+    *UNDERFLOW_VALUES,
 ]
 
 # Values that parse as floats but are not finite.
@@ -218,6 +227,31 @@ class TestParseCli:
 
 
 class TestValidationExitCodes:
+    @pytest.mark.parametrize("template,flag", UNDERFLOW_VALUES)
+    def test_value_that_underflows_to_zero_seconds(self, capsys, tmp_path, template, flag):
+        assert main(template.format(d=tmp_path).split()) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} 1e-320 is 0 once converted to seconds\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,code", [
+        ("repeater fidelity --sigma 0.3", 0),
+        ("repeater fidelity --sigma -0.1", 1),
+        ("repeater fidelity --sigma 0.3 --no-such-flag", 2),
+    ], ids=["valid", "invalid_value", "unknown_flag"])
+    def test_process_exit_code(self, argv, code):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-m", "fiberphase.cli", *argv.split()],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stdout.startswith("fidelity: ") and done.stderr == ""
+        elif code == 1:
+            assert done.stderr.startswith("error: --sigma: ") and done.stderr.count("\n") == 1
+        else:
+            assert "unrecognized arguments: --no-such-flag" in done.stderr
+
     def test_negative_tau_max_names_flag(self, capsys, tmp_path):
         code = main(
             f"analyze dphi --in {tmp_path/'p.csv'} --tau-max-us -5 "
@@ -287,12 +321,10 @@ class TestValidationExitCodes:
         ) == 0
         assert main(
             f"analyze dphi --in {phase} --tau-max-us 600 --histogram-tau-us 100 "
-            f"--histogram-out {hist} --out {tmp_path/'c.csv'} --report {tmp_path/'r.json'}"
-            .split()
+            f"--histogram-out {hist} --out {tmp_path/'c.csv'}".split()
         ) == 0
         steps = set(np.round(fileio.read_dphi_curve(str(tmp_path / "c.csv")).taus / 1e-6))
         assert {98, 105} <= steps and 100 not in steps
-        assert load_report(tmp_path / "r.json")["results"]["histogram"]["tau_s"] == 1e-4
         expected = tmp_path / "expected.csv"
         fileio.write_histogram(str(expected), analysis.fit_gaussian(
             analysis.increments_at(read_trace(str(phase)), 1e-4)))
@@ -594,6 +626,15 @@ class TestSimulateCommands:
         assert code == 0
         trace = read_trace(str(out))
         assert np.all(trace.samples == 0.0)
+
+    def test_zero_width_process_at_a_subnormal_reference_lag(self, capsys, tmp_path):
+        # dt / tau_ref = 1e316 is past float range, but a zero width stays zero
+        out = tmp_path / "quiet.csv"
+        assert main(f"simulate noise --sigma-ref 0 --tau-ref-us 1e-310 --duration-ms 1000 "
+                    f"--dt-us 1000000 --out {out}".split()) == 0
+        assert capsys.readouterr().err == ""
+        trace = read_trace(str(out))
+        assert trace.samples.tolist() == [0.0, 0.0]
 
     def test_mz_trace_written(self, tmp_path):
         out = tmp_path / "mz.csv"
@@ -929,8 +970,8 @@ class TestReportGolden:
             assert main(argv.split()) == 0
         assert {name: hashlib.sha256(read_bytes(name)).hexdigest()
                 for name in ("budget.json", "tau.json")} == {
-            "budget.json": "ab553ef72bb6d50a736c7101afb05b2e967073314c11776a0d35c3409c980929",
-            "tau.json": "b889a9b59e06faf9ebc5d6141db05ec2bbe285a4053a52dace2d5a7f27e86fa4",
+            "budget.json": "92d80bd8861221bdcf7849c1edf34894fbfdab8aa3924da60e0e962b6647978e",
+            "tau.json": "935b8d2099251c18464a1ca7a4ef8b2846081a4310ae5f73032d2129093a0326",
         }
 
     def test_fidelity_report_bytes(self, tmp_path, monkeypatch):
@@ -944,7 +985,7 @@ class TestReportGolden:
             assert main(argv.split()) == 0
         assert {name: hashlib.sha256(read_bytes(name)).hexdigest()
                 for name in ("fid.json", "chain.json", "vis.json")} == {
-            "fid.json": "198915f3734820577ba3f6fc949f5ead6bcec00977dcf29b3d191cfb44d6d954",
+            "fid.json": "cb820441b7c1a4ce1c9138a2db72ab5ef6b9696ecc46d334c2beadb87cb523ee",
             "chain.json": "6116956d4a3a29a805505f21911b65e49f63fb9e0c3f02edf986445dd5eae378",
             "vis.json": "f4d8a40f0facca8851e356be00c26c4f103118d61530413697271e963df1c32f",
         }
@@ -978,6 +1019,27 @@ REPLAYS = {
 }
 
 
+# The blocks and keys of each REPLAYS report's results: only what the command
+# computed, as every input is in its config.
+RESULT_KEYS = {
+    "simulate noise": {"trace": {"kind", "n_samples"}},
+    "simulate mz": {"trace": {"kind", "n_samples"}},
+    "simulate fringe": {"fringe_scan": {"effective_sigma_rad", "expected_visibility"}},
+    "analyze fringe": {"fringe_fit": {"offset", "cos_amp", "sin_amp", "visibility",
+                                      "residual_rms", "sigma_rad"}},
+    "analyze phase": {"phase_extraction": {"n_segments", "n_valid_samples", "fraction_valid"}},
+    "analyze dphi": {"histogram": {"sigma_rad", "fit_sigma_rad", "n_bins", "degenerate"},
+                     "dphi_curve": {"n_lags", "tau_min_s", "tau_max_s", "dphi_at_tau_max_rad"}},
+    "analyze tau-threshold": {"tau_threshold": {"tau_threshold_s"}},
+    "analyze exponent": {"scaling_exponent": {"exponent", "n_lags"}},
+    "analyze diffusion": {"diffusion": {"diffusion_rad2_per_km"}},
+    "repeater budget": {"budget": {"total_sigma_rad", "visibility", "segment_sigma_limit_rad",
+                                   "dphi_limit_rad"}},
+    "repeater fidelity": {"fidelity": {"sigma_rad", "fidelity", "visibility",
+                                       "monte_carlo_fidelity"}},
+}
+
+
 @pytest.fixture(scope="module")
 def replay_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
@@ -994,7 +1056,7 @@ def replay_inputs(tmp_path_factory):
 
 class TestReplay:
     def test_every_command_has_a_case(self):
-        assert set(REPLAYS) == set(_COMMANDS)
+        assert set(REPLAYS) == set(RESULT_KEYS) == set(_COMMANDS)
 
     @pytest.mark.parametrize("command", REPLAYS)
     def test_help_lists_report(self, capsys, command):
@@ -1011,6 +1073,8 @@ class TestReplay:
         argv = REPLAYS[command].format(d=first, i=replay_inputs) + f" --report {first}/r.json"
         assert main(argv.split()) == 0
         report = load_report(first / "r.json")
+        assert {block: set(values) for block, values in report["results"].items()} == (
+            RESULT_KEYS[command])
         config = report["config"]
         assert config["command"] == command
         config["outputs"] = {role: str(second / os.path.basename(path))

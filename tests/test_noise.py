@@ -94,6 +94,10 @@ class TestSigmaAt:
         proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=100e-6))
         assert proc.sigma_at(0.0) == 0.0
 
+    def test_zero_width_at_every_lag(self):
+        # tau / tau_ref = 1e316 is past float range; the width is 0 all the same
+        assert NoiseParams(sigma_ref=0.0, tau_ref=1e-316).sigma_at(1.0) == 0.0
+
     def test_negative_lag_rejected(self):
         proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=100e-6))
         with pytest.raises(DomainError):

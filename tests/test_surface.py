@@ -47,7 +47,7 @@ def closed_form_values() -> list[float]:
     for args in [(1000.0, 8, 0.9, 36.5), (600.0, 3, 0.97, 50.0), (100.0, 1, 0.51, 100.0),
                  (2000.0, 16, 0.75, 125.0)]:
         report = fp.budget_per_segment(*args)
-        values += [report.total_sigma, report.fidelity, report.visibility,
+        values += [report.total_sigma, report.visibility,
                    report.per_segment_sigma_limit, report.per_segment_dphi_limit]
     for name in ("day", "night"):
         for hurst in (0.3, 0.5, 0.8):
@@ -59,9 +59,9 @@ def closed_form_values() -> list[float]:
 def test_closed_forms_golden_bits():
     # SHA-256 of the float64 bits: moving a closed form must keep every bit.
     values = np.array(closed_form_values(), dtype=np.float64)
-    assert values.size == 625
+    assert values.size == 621
     digest = hashlib.sha256(values.tobytes()).hexdigest()
-    assert digest == "4cf0cd122ed87e1463b21946b940e807a0a8a1edef001923025ca36eaa085a67"
+    assert digest == "21477fcd46d4a7f2f4bd7f2ad9153a1d63d3d8cf83be0b1da7fb75d2d9be9996"
 
 
 def _phase(**changes):
