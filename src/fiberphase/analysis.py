@@ -441,9 +441,12 @@ def fit_gaussian(increments) -> GaussianHistogram:
     The primary sigma is the (bias-free, bin-free) sample standard deviation;
     a ceil(sqrt(n))-bin histogram is attached, and the width `fit_sigma` of a
     weighted log-parabola gaussian fit to it is reported next to sigma.
-    Needs >= 100 increments, all finite.
+    Needs >= 100 increments, all finite, in a one-dimensional array.
     """
     inc = np.asarray(increments, dtype=float)
+    if inc.ndim != 1:
+        raise DomainError(f"increments must be one-dimensional, got shape {inc.shape}",
+                          "increments")
     check_finite("increments", inc)
     if inc.size < 100:
         raise InsufficientDataError(f"need >= 100 increments, have {inc.size}")

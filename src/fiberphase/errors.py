@@ -10,6 +10,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+__all__ = [
+    "FiberPhaseError",
+    "DomainError",
+    "ResourceLimitError",
+    "FitError",
+    "InsufficientDataError",
+    "EmptySegmentsError",
+    "ThresholdNotReachedError",
+    "TraceParseError",
+]
+
 
 class FiberPhaseError(Exception):
     """Base class for all errors raised by this package.
@@ -77,7 +88,7 @@ class TraceParseError(FiberPhaseError, ValueError):
 def check_scalar(name: str, value: float, positive: bool = False,
                  minimum: float | None = None, integer: bool = False) -> None:
     """Raise DomainError unless `value` is finite, > 0 if `positive`, >=
-    `minimum` if given and an integer (of an integer type) if `integer`.
+    `minimum` if given and an integer (of an integer type, not bool) if `integer`.
     The bounds are tested before finiteness, so -inf names its bound, and nan
     names finiteness unless `positive` is set.  An int too large for a float
     is finite only as an `integer`, a count that its size limit then refuses."""
@@ -87,7 +98,7 @@ def check_scalar(name: str, value: float, positive: bool = False,
         raise DomainError(f"{name} must be >= {minimum}, got {value}", name)
     if not (integer and isinstance(value, int) or abs(value) <= sys.float_info.max):
         raise DomainError(f"{name} must be finite, got {value}", name)
-    if integer and not isinstance(value, numbers.Integral):
+    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value}", name)
 
 

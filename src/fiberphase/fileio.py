@@ -37,8 +37,6 @@ from .interferometer import FringeScan, IntensityTrace
 from .noise import PhaseTrace
 
 __all__ = [
-    "TOOL_NAME",
-    "TOOL_VERSION",
     "write_trace",
     "read_trace",
     "write_fringe_scan",
@@ -47,7 +45,6 @@ __all__ = [
     "read_dphi_curve",
     "write_histogram",
     "write_report",
-    "sha256_of_file",
 ]
 
 TOOL_NAME = "fiberphase"

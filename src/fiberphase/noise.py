@@ -52,9 +52,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
     "DEFAULT_GROUP_INDEX",
-    "MEAN_ABS_FACTOR",
     "NoiseParams",
-    "SampledTrace",
     "PhaseTrace",
     "PhaseProcess",
     "build_process",
@@ -80,7 +78,7 @@ def travel_time(length_km: float, group_index: float = DEFAULT_GROUP_INDEX) -> f
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """The generator of every seeded draw in the package: Philox keyed by `seed` mod 2^64."""
-    check_scalar("seed", seed, integer=isinstance(seed, int))  # an int key of any size
+    check_scalar("seed", seed, integer=True)
     return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
 
@@ -141,12 +139,15 @@ class NoiseParams:
     def sigma_at(self, tau: float) -> float:
         """Phase-increment standard deviation (rad) at time lag `tau`: 0 at a
         zero lag or a zero sigma_ref, and one past float range is refused,
-        naming sigma_ref."""
+        naming tau_ref if tau / tau_ref is, and sigma_ref otherwise."""
         check_scalar("tau", tau, minimum=0)
         if tau == 0 or self.sigma_ref == 0:
             return 0.0
+        with finite_arithmetic("the lag ratio tau / tau_ref", "tau_ref", tau=tau,
+                               tau_ref=self.tau_ref):
+            scale = (np.float64(tau) / self.tau_ref) ** self.hurst
         with finite_arithmetic("the phase", sigma_ref=self.sigma_ref):
-            return float(self.sigma_ref * (np.float64(tau) / self.tau_ref) ** self.hurst)
+            return float(self.sigma_ref * scale)
 
     def sample_trace(self, duration: float, dt: float, seed: int) -> PhaseTrace:
         """Simulate one realization of the phase on a regular grid.
@@ -368,8 +369,11 @@ def from_sagnac_calibration(
     """
     check_scalar("diffusion", diffusion, minimum=0)
     check_scalar("loop_km", loop_km, positive=True)
+    with finite_arithmetic("the loop variance diffusion * loop_km", diffusion=diffusion,
+                           loop_km=loop_km):
+        sigma_ref = float(np.sqrt(np.float64(diffusion) * loop_km))
     return NoiseParams(
-        sigma_ref=math.sqrt(diffusion * loop_km),
+        sigma_ref=sigma_ref,
         tau_ref=travel_time(loop_km, group_index) / 2.0,
         hurst=hurst,
         group_index=group_index,

@@ -24,10 +24,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .noise import MEAN_ABS_FACTOR, NoiseParams
 
-__all__ = [
-    "DPHI_TARGET",
-    "preset_params",
-]
+__all__ = ["preset_params"]
 
 DPHI_TARGET = 0.1  # rad, tolerable mean phase change
 

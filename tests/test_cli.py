@@ -448,7 +448,12 @@ class TestValidationExitCodes:
         ("simulate noise --sigma-ref 1e300 --tau-ref-us 1e-24 --duration-ms 1000 "
          "--dt-us 1000000 --seed 1 --out {d}/x.csv",
          "--sigma-ref", "the phase is not finite at sigma_ref=1e+300"),
-    ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor", "one_step"])
+        # one step of dt = 1 s over a subnormal tau_ref: the lag ratio overflows
+        ("simulate noise --sigma-ref 0.1 --tau-ref-us 1e-310 --duration-ms 1000 "
+         "--dt-us 1000000 --out {d}/y.csv",
+         "--tau-ref-us", "the lag ratio tau / tau_ref is not finite at tau=1.0, tau_ref=1e-316"),
+    ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor", "one_step",
+            "lag_ratio"])
     def test_overflowing_result_names_its_flag(self, capsys, tmp_path, template, flag,
                                                message):
         # 1e308 passes every range check, but a result computed from it leaves float range

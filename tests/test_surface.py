@@ -314,10 +314,10 @@ def test_zero_max_lags_names_its_field():
 
 
 def test_seed_keeps_its_stream_however_large():
-    # Keys are seeds modulo 2^64, whether the seed is a float, a numpy
-    # integer or a Python int too large for a float.
+    # Keys are seeds modulo 2^64, whether the seed is a numpy integer or a
+    # Python int too large for a float.
     expected = fp.monte_carlo_fidelity(0.3, 16, seed=7)
-    for seed in (7.0, np.int64(7), 7 + 2**64, 7 + 2**1100):
+    for seed in (np.int64(7), 7 + 2**64, 7 + 2**1100):
         assert fp.monte_carlo_fidelity(0.3, 16, seed=seed) == expected
 
 
@@ -369,6 +369,23 @@ def test_seed_keeps_its_stream_however_large():
      "pulses_per_point must be an integer, got 10.5", ("pulses_per_point",)),
     (lambda: fp.monte_carlo_fidelity(0.1, 10.5), "n_samples must be an integer, got 10.5",
      ("n_samples",)),
+    (lambda: fp.monte_carlo_fidelity(0.1, True), "n_samples must be an integer, got True",
+     ("n_samples",)),
+    (lambda: fp.default_lag_grid(1e-6, 1e-3, max_lags=True),
+     "max_lags must be an integer, got True", ("max_lags",)),
+    (lambda: _NIGHT.sample_trace(1e-3, 1e-6, seed=1.5), "seed must be an integer, got 1.5",
+     ("seed",)),
+    (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 8, 10, seed=2.5),
+     "seed must be an integer, got 2.5", ("seed",)),
+    (lambda: fp.monte_carlo_fidelity(0.1, 10, seed=7.0), "seed must be an integer, got 7.0",
+     ("seed",)),
+    (lambda: fp.fit_gaussian(np.ones((20, 20))),
+     "increments must be one-dimensional, got shape (20, 20)", ("increments",)),
+    (lambda: fp.from_sagnac_calibration(1e300, 1e300),
+     "the loop variance diffusion * loop_km is not finite at diffusion=1e+300, loop_km=1e+300",
+     ("diffusion", "loop_km")),
+    (lambda: fp.NoiseParams(sigma_ref=0.1, tau_ref=1e-316).sigma_at(1.0),
+     "the lag ratio tau / tau_ref is not finite at tau=1.0, tau_ref=1e-316", ("tau_ref",)),
     (lambda: fp.monte_carlo_fidelity(1e308, 100),  # finite, but sigma * z overflows
      "a phase draw sigma * z is not finite at sigma=1e+308", ("sigma",)),
     (lambda: fp.NoiseParams(sigma_ref=1e300, tau_ref=1e-30).sample_trace(1.0, 1.0, seed=1),
@@ -421,6 +438,9 @@ def test_seed_keeps_its_stream_however_large():
         "chain_no_link", "chain_sigma_count", "chain_negative_sigma",
         "lag_grid_max_lags_fraction", "lag_grid_max_lags_float", "fringe_n_points_fraction",
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
+        "monte_carlo_n_samples_bool", "lag_grid_max_lags_bool", "sample_trace_seed_fraction",
+        "fringe_seed_fraction", "monte_carlo_seed_float", "fit_gaussian_2d",
+        "sagnac_calibration_overflow", "sigma_at_lag_ratio_overflow",
         "monte_carlo_draw_overflow", "sample_trace_one_step_overflow",
         "budget_n_links_fraction", "phase_samples_scalar", "intensity_samples_2d",
         "fringe_2d", "stats_taus_2d", "increment_sets_scalar_lag", "stats_count_fraction",
@@ -506,6 +526,16 @@ class TestPublicSurface:
                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert names == PUBLIC_NAMES
 
+    def test_each_name_has_one_owner(self):
+        # The package re-exports each listed module's __all__, and nothing else.
+        lists = [importlib.import_module(f"fiberphase.{module}").__all__
+                 for module in ("analysis", "errors", "fileio", "interferometer", "noise",
+                                "presets", "repeater")]
+        names = {name for name, value in vars(fp).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert names == set().union(*lists)
+        assert sum(map(len, lists)) == len(names)
+
     def test_modules(self):
         assert {m.name for m in pkgutil.iter_modules(fp.__path__)} == {
             "analysis", "cli", "decimals", "errors", "fileio", "interferometer", "noise",
@@ -520,8 +550,7 @@ class TestPublicSurface:
             assert not hasattr(value, name)
         assert [f.name for f in dataclasses.fields(fp.GaussianHistogram)] == [
             "sigma", "bin_edges", "counts", "fit_sigma", "degenerate"]
-        assert importlib.import_module("fiberphase.presets").__all__ == [
-            "DPHI_TARGET", "preset_params"]
+        assert importlib.import_module("fiberphase.presets").__all__ == ["preset_params"]
 
     def test_cli_exports(self):
         cli = importlib.import_module("fiberphase.cli")
