@@ -31,8 +31,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import analysis, fileio, interferometer, noise, repeater
-from .errors import (Adopted, DomainError, FiberPhaseError, InsufficientDataError,
-                     ResourceLimitError)
+from .errors import Adopted, DomainError, FiberPhaseError, InsufficientDataError
 from .noise import DEFAULT_GROUP_INDEX, NoiseParams, PhaseTrace
 from .presets import DPHI_TARGET, preset_params
 
@@ -65,8 +64,8 @@ class _Flag:
     ``_s``/``_rad`` unit is the parameter.  A library check names the fields
     it rejects (`FiberPhaseError.fields`), and the flags of those fields go in
     front of its message; an error whose fields no flag carries stays bare,
-    as ``lag ... s is not a positive multiple of dt = ... s`` (fields ``tau``
-    and ``dt``) does for a --histogram-tau-us off the trace's sample grid.
+    as ``... steps exceed the limit of ...`` (no field, as ``dt`` may come
+    from a file) does for a --tau-max-us past the lag grid's step limit.
     `type` is float, int, str, bool (a switch) or list (comma-separated
     floats).  `check` is a (predicate, wording) pair on the value as given,
     for a rule the library checks late, under another name or not at all;
@@ -397,10 +396,9 @@ def _run_analyze_dphi(config, out, digests):
     try:
         hist = (None if hist_tau is None
                 else analysis.fit_gaussian(analysis.increments_at(trace, hist_tau)))
-    except InsufficientDataError as exc:  # too few pairs at that lag: name its flag
-        raise InsufficientDataError(f"{exc} at tau = {hist_tau:g} s", "histogram_tau") from exc
-    except ResourceLimitError as exc:  # a lag past the step limit: name its flag too
-        raise ResourceLimitError(str(exc), "histogram_tau") from exc
+    except FiberPhaseError as exc:  # every fault of the lag names its flag
+        at = f" at tau = {hist_tau:g} s" if isinstance(exc, InsufficientDataError) else ""
+        raise type(exc)(f"{exc}{at}", "histogram_tau") from exc
     stats = analysis.increment_sets(Adopted(trace), taus)
     blocks = {}
     if hist is not None:
@@ -569,7 +567,7 @@ _COMMANDS = {
             _Flag("--visibility", "visibility"),
             _Flag("--diffusion", "diffusion", help="rad^2/km, with --link-km", needs="--link-km"),
         ]),
-        _Flag("--link-km", "link_km", list, check=_POSITIVE,
+        _Flag("--link-km", "link_km", list,
               help="comma-separated link lengths (km)", needs="--diffusion"),
         _Flag("--monte-carlo", "monte_carlo_samples", int, check=_AT_LEAST_ONE,
               help="also estimate by Monte Carlo with this many samples"),

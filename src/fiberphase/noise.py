@@ -350,8 +350,15 @@ def sagnac_effective_sigma(process: NoiseParams, loop_km: float) -> float:
     offset of half the loop travel time, so the loop is sensitive to
     sigma at that half-loop delay.
     """
+    return process.sigma_at(_loop_delay(loop_km, process.group_index))
+
+
+def _loop_delay(loop_km: float, group_index: float) -> float:
+    """Half the travel time of a loop of `loop_km`, the lag its phase noise is
+    seen at; 0.0 if that underflows, and refused past float range."""
     check_scalar("loop_km", loop_km, positive=True)
-    return process.sigma_at(travel_time(loop_km, process.group_index) / 2.0)
+    with finite_arithmetic("the loop delay", loop_km=loop_km, group_index=group_index):
+        return float(travel_time(np.float64(loop_km), group_index) / 2.0)
 
 
 def from_sagnac_calibration(
@@ -368,13 +375,15 @@ def from_sagnac_calibration(
     built on the result has effective variance D * loop_km exactly.
     """
     check_scalar("diffusion", diffusion, minimum=0)
-    check_scalar("loop_km", loop_km, positive=True)
+    tau_ref = _loop_delay(loop_km, group_index)
+    if tau_ref == 0:
+        raise DomainError(f"the loop delay underflows to 0 at loop_km={loop_km}", "loop_km")
     with finite_arithmetic("the loop variance diffusion * loop_km", diffusion=diffusion,
                            loop_km=loop_km):
         sigma_ref = float(np.sqrt(np.float64(diffusion) * loop_km))
     return NoiseParams(
         sigma_ref=sigma_ref,
-        tau_ref=travel_time(loop_km, group_index) / 2.0,
+        tau_ref=tau_ref,
         hurst=hurst,
         group_index=group_index,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_scalar, finite_arithmetic
+from .errors import DomainError, check_finite, check_scalar, finite_arithmetic
 from .noise import (
     MEAN_ABS_FACTOR,
     check_count,
@@ -67,35 +67,20 @@ def monte_carlo_fidelity(sigma: float, n_samples: int, seed: int = 0) -> float:
     return float(np.mean(0.5 * (1.0 + np.cos(delta))))
 
 
-def chain_sigma(link_lengths, link_sigmas=None, diffusion=None) -> float:
-    """Total phase-noise width of a chain of links: link variances add in quadrature.
-
-    Each link (km) is calibrated by its own sigma (rad) or by one diffusion
-    coefficient (rad^2/km) times its length; explicit sigmas take precedence.
-    """
-    lengths = tuple(float(x) for x in link_lengths)
+def chain_sigma(link_km, diffusion: float) -> float:
+    """Total phase-noise width of a chain of links of `link_km` (km) at one diffusion
+    coefficient D (rad^2/km): the link variances D * L add in quadrature.  Links
+    calibrated by their own widths combine as ``math.hypot(*sigmas)``."""
+    lengths = tuple(float(x) for x in link_km)
     if not lengths:
-        raise DomainError("a chain needs at least one link", "link_lengths")
+        raise DomainError("a chain needs at least one link", "link_km")
     if any(not (x > 0) for x in lengths):
-        raise DomainError(f"link lengths must be > 0, got {lengths}", "link_lengths")
-    if link_sigmas is not None:
-        sigmas = tuple(float(x) for x in link_sigmas)
-        if len(sigmas) != len(lengths):
-            raise DomainError(f"{len(sigmas)} sigmas for {len(lengths)} links",
-                              "link_sigmas", "link_lengths")
-        if any(x < 0 for x in sigmas):
-            raise DomainError(f"link sigmas must be >= 0, got {sigmas}", "link_sigmas")
-        variances, fields = [s * s for s in sigmas], ("link_sigmas",)
-    elif diffusion is None:
-        raise DomainError("give link_sigmas or a diffusion coefficient",
-                          "link_sigmas", "diffusion")
-    if diffusion is not None and diffusion < 0:
-        raise DomainError(f"diffusion must be >= 0, got {diffusion}", "diffusion")
-    if link_sigmas is None:
-        variances, fields = [diffusion * x for x in lengths], ("diffusion", "link_lengths")
-    variance = sum(variances)
-    if not math.isfinite(variance):
-        raise DomainError(f"the chain's phase variance is not finite: {variance}", *fields)
+        raise DomainError(f"link lengths must be > 0, got {lengths}", "link_km")
+    check_finite("link_km", np.array(lengths))
+    check_scalar("diffusion", diffusion, minimum=0)
+    with finite_arithmetic("the chain's phase variance", "diffusion", "link_km",
+                           diffusion=diffusion):
+        variance = sum(np.float64(diffusion) * x for x in lengths)
     return math.sqrt(variance)
 
 

@@ -92,7 +92,7 @@ INVALID_VALUES = [
     (_BUDGET + " --total-km 1000 --segment-km 0", "--segment-km"),
     (_BUDGET + " --total-km 1000 --segment-km 200", "--segment-km"),
     ("repeater fidelity --diffusion -1 --link-km 35", "--diffusion"),
-    ("repeater fidelity --diffusion 1e300 --link-km 1e300", "--diffusion"),  # overflows
+    ("repeater fidelity --diffusion 1e300 --link-km 1e300", "--diffusion/--link-km"),  # overflows
     ("repeater fidelity --diffusion 8e-4", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km 35,x", "--link-km"),
     ("repeater fidelity --diffusion 8e-4 --link-km ,", "--link-km"),
@@ -290,7 +290,8 @@ class TestValidationExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: lag 2.1e-05 s is not a positive multiple of dt = 2e-06 s\n")
+            "error: --histogram-tau-us: lag 2.1e-05 s is not a positive multiple of "
+            "dt = 2e-06 s\n")
         assert sorted(os.listdir(tmp_path)) == ["phase.csv"]
 
     @pytest.mark.parametrize("tau_us,have", [(5000, 0), (1950, 51)])
@@ -421,6 +422,14 @@ class TestValidationExitCodes:
         )
         assert not list(tmp_path.iterdir())
 
+    def test_link_lengths_are_checked_by_the_library(self, capsys, tmp_path):
+        argv = (f"repeater fidelity --diffusion 8e-4 --link-km 35,-1 "
+                f"--report {tmp_path}/r.json").split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --link-km: link lengths must be > 0, got (35.0, -1.0)\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("template,flag,message", [
         ("simulate noise --sigma-ref 1e308 --tau-ref-us 1 --duration-ms 1 --dt-us 1 "
          "--out {d}/n.csv", "--sigma-ref", "the phase is not finite at sigma_ref=1e+308"),
@@ -452,8 +461,13 @@ class TestValidationExitCodes:
         ("simulate noise --sigma-ref 0.1 --tau-ref-us 1e-310 --duration-ms 1000 "
          "--dt-us 1000000 --out {d}/y.csv",
          "--tau-ref-us", "the lag ratio tau / tau_ref is not finite at tau=1.0, tau_ref=1e-316"),
+        ("simulate fringe --sigma-ref 0.1 --tau-ref-us 100 --loop-km 1e306 --group-index 1e10 "
+         "--out {d}/x.csv", "--group-index/--loop-km",
+         "the loop delay is not finite at loop_km=1e+306, group_index=10000000000.0"),
+        ("repeater fidelity --diffusion 1e300 --link-km 1e300 --report {d}/r.json",
+         "--diffusion/--link-km", "the chain's phase variance is not finite at diffusion=1e+300"),
     ], ids=["noise", "mz", "fringe", "drift", "i0", "span", "walk_drift", "floor", "one_step",
-            "lag_ratio"])
+            "lag_ratio", "loop_delay", "chain_variance"])
     def test_overflowing_result_names_its_flag(self, capsys, tmp_path, template, flag,
                                                message):
         # 1e308 passes every range check, but a result computed from it leaves float range

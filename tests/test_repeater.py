@@ -77,41 +77,27 @@ class TestMonteCarloFidelity:
 
 
 class TestChainSigma:
-    def test_single_link(self):
-        assert chain_sigma((100.0,), link_sigmas=(0.3,)) == 0.3
-
-    def test_eight_equal_links(self):
-        assert chain_sigma((125.0,) * 8, link_sigmas=(0.1276,) * 8) == pytest.approx(
-            0.3609073011176138, rel=1e-12)
-
     def test_from_diffusion(self):
         assert chain_sigma((35.0, 36.5), diffusion=8e-4) == pytest.approx(
             math.sqrt(0.0572), rel=1e-12)
 
-    def test_sigmas_take_precedence(self):
-        assert chain_sigma((10.0, 10.0), link_sigmas=(0.1, 0.1), diffusion=99.0) == (
-            pytest.approx(math.sqrt(0.02), rel=1e-12))
-
     def test_quadrature_associativity(self):
         lengths = (20.0, 35.0, 36.5, 50.0)
-        sigmas = (0.05, 0.12, 0.13, 0.2)
-        left = chain_sigma(lengths[:2], link_sigmas=sigmas[:2])
-        right = chain_sigma(lengths[2:], link_sigmas=sigmas[2:])
+        left = chain_sigma(lengths[:2], 8e-4)
+        right = chain_sigma(lengths[2:], 8e-4)
         combined = math.sqrt(left ** 2 + right ** 2)
-        assert combined == pytest.approx(chain_sigma(lengths, link_sigmas=sigmas), rel=1e-12)
+        assert combined == pytest.approx(chain_sigma(lengths, 8e-4), rel=1e-12)
 
-    def test_needs_some_calibration(self):
-        with pytest.raises(DomainError):
-            chain_sigma((10.0,))
-
-    @pytest.mark.parametrize("kwargs,fields", [
-        (dict(link_lengths=(1e300,), diffusion=1e300), ("diffusion", "link_lengths")),
-        (dict(link_lengths=(1.0,), diffusion=math.nan), ("diffusion", "link_lengths")),
-        (dict(link_lengths=(1.0, 1.0), link_sigmas=(1e200, 0.1)), ("link_sigmas",)),
-    ], ids=["overflow", "nan_diffusion", "overflow_sigmas"])
-    def test_non_finite_variance_names_the_calibration(self, kwargs, fields):
+    @pytest.mark.parametrize("kwargs,message,fields", [
+        (dict(link_km=(1e300,), diffusion=1e300), "is not finite at", ("diffusion", "link_km")),
+        (dict(link_km=(1.0,), diffusion=math.nan), "diffusion must be finite, got nan",
+         ("diffusion",)),
+        (dict(link_km=(1.0, math.inf), diffusion=8e-4), "link_km\\[1\\] is not finite: inf",
+         ("link_km",)),
+    ], ids=["overflow", "nan_diffusion", "inf_length"])
+    def test_non_finite_variance_names_the_calibration(self, kwargs, message, fields):
         # A width of inf would read as fidelity 0.5; a nan would pass silently.
-        with pytest.raises(DomainError, match="variance is not finite") as excinfo:
+        with pytest.raises(DomainError, match=message) as excinfo:
             chain_sigma(**kwargs)
         assert excinfo.value.fields == fields
 
@@ -121,17 +107,15 @@ class TestChainSigma:
 
 
 def test_chain_sigma_golden_bits():
-    # SHA-256 of the float64 bits over both calibrations: a rewrite of the
-    # quadrature sum must keep every bit.
+    # SHA-256 of the float64 bits: a rewrite of the quadrature sum must keep
+    # every bit.
     links = ((36.5,), (35.0, 36.5), (125.0,) * 8, (20.0, 35.0, 36.5, 50.0))
     values = [chain_sigma(lengths, diffusion=d)
               for d in np.linspace(0, 2e-3, 9) for lengths in links]
-    values += [chain_sigma((125.0,) * n, link_sigmas=(s,) * n)
-               for s in np.linspace(0, 0.5, 11) for n in (1, 2, 8)]
     values = np.array(values, dtype=np.float64)
-    assert values.size == 69
+    assert values.size == 36
     digest = hashlib.sha256(values.tobytes()).hexdigest()
-    assert digest == "be30cadf159895fcb574055d4b5af8785ed5c736fbae90cee6afd14cdbf56c22"
+    assert digest == "5fce2da5478d9ea1c7c4e579c5d15840f33bee7f9ed91b7acab18a0992a0b219"
 
 
 class TestBudgetPerSegment:
@@ -167,9 +151,8 @@ class TestBudgetPerSegment:
             (120.0, 2, 0.96, 25.0),
         ]:
             report = budget_per_segment(total, links, fidelity, segment)
-            link_km = total / links
-            link_sigma = report.per_segment_sigma_limit * math.sqrt(link_km / segment)
-            sigma = chain_sigma((link_km,) * links, link_sigmas=(link_sigma,) * links)
+            diffusion = report.per_segment_sigma_limit ** 2 / segment
+            sigma = chain_sigma((total / links,) * links, diffusion)
             assert fidelity_from_sigma(sigma) == pytest.approx(fidelity, abs=1e-12)
 
     @pytest.mark.parametrize(
