@@ -45,8 +45,6 @@ __all__ = [
     "increments_at",
     "increment_sets",
     "pool_stats",
-    "mean_phase_change",
-    "gaussian_widths",
     "fit_gaussian",
     "check_gaussian_relation",
     "tau_threshold",
@@ -425,13 +423,12 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
 
 
 def mean_phase_change(stats: PhaseStats) -> np.ndarray:
-    """Mean absolute phase change dphi(tau) per stored lag."""
+    """Not public: `stats.mean_abs_change`, until `perfbench/workloads.py` reads the field."""
     return stats.mean_abs_change
 
 
 def gaussian_widths(stats: PhaseStats) -> np.ndarray:
-    """Sample standard deviation of the increments at every stored lag (NaN
-    below two increments): the primary estimator of :func:`fit_gaussian`."""
+    """Not public: `stats.sigma_per_tau`, until `perfbench/workloads.py` reads the field."""
     return stats.sigma_per_tau
 
 

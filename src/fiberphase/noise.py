@@ -54,8 +54,6 @@ __all__ = [
     "DEFAULT_GROUP_INDEX",
     "NoiseParams",
     "PhaseTrace",
-    "PhaseProcess",
-    "build_process",
     "from_sagnac_calibration",
     "sagnac_effective_sigma",
     "sigma_from_visibility",
@@ -307,13 +305,15 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
 
 
 def build_process(params: NoiseParams) -> NoiseParams:
-    """Check that `params` is a validated NoiseParams and return it."""
+    """Check that `params` is a validated NoiseParams and return it.  Not public:
+    kept only for `perfbench/workloads.py`, and deleted with its call there."""
     if not isinstance(params, NoiseParams):
         raise DomainError(f"expected NoiseParams, got {type(params).__name__}", "params")
     return params
 
 
-# The process is fully described by its calibration; the old name stays bound.
+# Not public: `perfbench/tracer.py` patches `PhaseProcess.sample_trace`, and the
+# alias goes once it patches `NoiseParams.sample_trace`.
 PhaseProcess = NoiseParams
 
 

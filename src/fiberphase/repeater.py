@@ -122,4 +122,6 @@ def predict_visibility(diffusion: float, length_km: float) -> float:
     """Sagnac visibility predicted for a loop of `length_km` at diffusion D."""
     check_scalar("diffusion", diffusion, minimum=0)
     check_scalar("length_km", length_km, positive=True)
-    return visibility_from_variance(diffusion * length_km)
+    with finite_arithmetic("the loop variance diffusion * length_km", diffusion=diffusion,
+                           length_km=length_km):
+        return visibility_from_variance(np.float64(diffusion) * length_km)

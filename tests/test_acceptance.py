@@ -45,14 +45,12 @@ def test_criterion_03_250_km_visibility():
 
 
 def test_criterion_04_monte_carlo_fringe():
-    proc = fp.build_process(
-        fp.NoiseParams(sigma_ref=0.36, tau_ref=fp.travel_time(71.5) / 2)
-    )
+    proc = fp.NoiseParams(sigma_ref=0.36, tau_ref=fp.travel_time(71.5) / 2)
     scan = fp.simulate_fringe_scan(proc, 71.5, n_points=50, pulses_per_point=10_000, seed=11)
     fitted = fp.fit_fringe(scan).visibility
     target = math.exp(-0.36**2 / 2)
 
-    quiet = fp.build_process(fp.NoiseParams(sigma_ref=0.0, tau_ref=1e-4))
+    quiet = fp.NoiseParams(sigma_ref=0.0, tau_ref=1e-4)
     quiet_scan = fp.simulate_fringe_scan(quiet, 71.5, 50, 100, seed=1)
     quiet_v = fp.fit_fringe(quiet_scan).visibility
 
@@ -64,9 +62,7 @@ def test_criterion_04_monte_carlo_fringe():
 
 def test_criterion_05_mz_pipeline_round_trip():
     # 36.5 km night calibration, 300 independent realizations (>= 200)
-    proc = fp.build_process(
-        fp.NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5)
-    )
+    proc = fp.NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5)
     stats = []
     for seed in range(300):
         trace = fp.simulate_mz_trace(
@@ -76,7 +72,7 @@ def test_criterion_05_mz_pipeline_round_trip():
         phase = fp.extract_phase(trace)
         stats.append(fp.increment_sets(phase, [182e-6]))
     pooled = fp.pool_stats(stats)
-    dphi = fp.mean_phase_change(pooled)[0]
+    dphi = pooled.mean_abs_change[0]
     expected = SQRT_2_OVER_PI * 0.1418 * math.sqrt(182.0 / 182.5)
     ok = abs(dphi - expected) / expected <= 0.05
     report(5, "MZ simulate->extract round trip", ok,
@@ -88,10 +84,9 @@ def test_criterion_06_scaling_exponent_recovery():
     dt = 2e-6
     results = []
     for hurst in (0.5, 0.75, 0.9):
-        proc = fp.build_process(fp.NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=hurst))
+        proc = fp.NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=hurst)
         trace = proc.sample_trace(2**16 * dt, dt, seed=5)
         stats = fp.increment_sets(trace, fp.default_lag_grid(dt, 64 * dt))
-        fp.mean_phase_change(stats)
         x = fp.fit_scaling_exponent(stats, (dt, 64 * dt))
         results.append((hurst, x))
     ok = all(abs(x - h) <= 0.05 for h, x in results)
@@ -106,8 +101,6 @@ def test_criterion_07_gaussian_mean_abs_relation():
         taus=np.array([1e-4]), n_increments=np.array([inc.size]), dt=1e-4,
         mean_abs_change=[np.mean(np.abs(inc))], sigma_per_tau=[np.std(inc, ddof=1)],
     )
-    fp.mean_phase_change(stats)
-    fp.gaussian_widths(stats)
     deviation = fp.check_gaussian_relation(stats, 1e-4)
     ok = deviation < 0.02
     report(7, "mean-abs/sigma gaussian relation", ok,
@@ -126,7 +119,7 @@ def test_criterion_09_diffusion_identity():
     worst = 0.0
     for diffusion in (5.65e-4, 8e-4, 1.8e-3):
         for loop_km in (25.0, 71.5, 250.0):
-            proc = fp.build_process(fp.from_sagnac_calibration(diffusion, loop_km))
+            proc = fp.from_sagnac_calibration(diffusion, loop_km)
             sigma = fp.sagnac_effective_sigma(proc, loop_km)
             back = fp.estimate_diffusion(loop_km, sigma=sigma)
             worst = max(worst, abs(back - diffusion) / diffusion)
@@ -140,7 +133,7 @@ def test_criterion_10_day_night_preset_thresholds():
     setups = {"day": (2e-3, 250e-6), "night": (4e-3, 600e-6)}
     measured = {}
     for name in ("day", "night"):
-        proc = fp.build_process(fp.preset_params(name))
+        proc = fp.preset_params(name)
         duration, tau_max = setups[name]
         taus = fp.default_lag_grid(2e-6, tau_max)
         stats = []
@@ -148,7 +141,6 @@ def test_criterion_10_day_night_preset_thresholds():
             trace = fp.simulate_mz_trace(proc, duration, 2e-6, phi0=math.pi / 2, seed=seed)
             stats.append(fp.increment_sets(fp.extract_phase(trace), taus))
         pooled = fp.pool_stats(stats)
-        fp.mean_phase_change(pooled)
         measured[name] = fp.tau_threshold(pooled, 0.1)
     ok = all(windows[n][0] <= measured[n] <= windows[n][1] for n in measured)
     report(10, "day/night preset thresholds", ok,

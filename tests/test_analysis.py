@@ -23,7 +23,6 @@ from fiberphase import (
     PhaseStats,
     PhaseTrace,
     ThresholdNotReachedError,
-    build_process,
     check_gaussian_relation,
     default_lag_grid,
     estimate_diffusion,
@@ -31,10 +30,8 @@ from fiberphase import (
     fit_fringe,
     fit_gaussian,
     fit_scaling_exponent,
-    gaussian_widths,
     increment_sets,
     increments_at,
-    mean_phase_change,
     pool_stats,
     preset_params,
     simulate_fringe_scan,
@@ -88,13 +85,13 @@ class TestFitFringe:
     def test_recovers_992_from_simulation(self):
         # quiet loop: sigma chosen so exp(-sigma^2/2) = 0.992
         sigma = math.sqrt(-2.0 * math.log(0.992))
-        proc = build_process(NoiseParams(sigma_ref=sigma, tau_ref=91.25e-6))
+        proc = NoiseParams(sigma_ref=sigma, tau_ref=91.25e-6)
         scan = simulate_fringe_scan(proc, 36.5, 50, 5000, seed=21)
         fit = fit_fringe(scan)
         assert fit.visibility == pytest.approx(0.992, abs=0.005)
 
     def test_recovers_day_visibility(self):
-        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6))
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6)
         scan = simulate_fringe_scan(proc, 71.5, 50, 10_000, seed=22)
         fit = fit_fringe(scan)
         assert fit.visibility == pytest.approx(0.9372548956126777, abs=0.01)
@@ -103,7 +100,7 @@ class TestFitFringe:
         # analytic oracle exp(-D*L/2) = 0.9718 at D=8e-4 over a 71.5 km loop
         from fiberphase import from_sagnac_calibration
 
-        proc = build_process(from_sagnac_calibration(8e-4, 71.5))
+        proc = from_sagnac_calibration(8e-4, 71.5)
         scan = simulate_fringe_scan(proc, 71.5, 50, 10_000, seed=23)
         fit = fit_fringe(scan)
         assert fit.visibility == pytest.approx(0.9718051087760714, abs=0.01)
@@ -198,7 +195,7 @@ class TestExtractPhase:
     def test_round_trip_against_ground_truth(self):
         # simulate -> extract; recovered phase equals the true phase up to
         # a segment-wise sign and 2*pi offset, well within 2% RMS.
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
         truth = proc.sample_trace(4e-3, 2e-6, seed=31)
         intensity = IntensityTrace(
             t0=0.0,
@@ -297,7 +294,7 @@ class TestIncrementSets:
             np.testing.assert_allclose(increments_at(trace, tau), rate * tau, rtol=1e-9)
 
     def test_monte_carlo_std_matches_generator(self):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=0.5))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=0.5)
         trace = proc.sample_trace(2**14 * 2e-6, 2e-6, seed=17)
         stats = increment_sets(trace, [2e-6, 8e-6])
         for tau in stats.taus:
@@ -433,7 +430,7 @@ def reference_increments(phase, tau):
 
 
 def extracted_night_trace(seed, duration=20e-3):
-    proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+    proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
     return extract_phase(simulate_mz_trace(proc, duration, 1e-6, phi0=math.pi / 2, seed=seed))
 
 
@@ -460,11 +457,11 @@ class TestStreamingReduction:
         kept = [(tau, ref) for tau, ref in zip(taus, refs) if ref.size]
         assert np.array_equal(stats.taus, [round(tau / phase.dt) * phase.dt for tau, _ in kept])
         assert np.array_equal(stats.n_increments, [ref.size for _, ref in kept])
-        assert np.array_equal(mean_phase_change(stats), [np.mean(np.abs(r)) for _, r in kept])
+        assert np.array_equal(stats.mean_abs_change, [np.mean(np.abs(r)) for _, r in kept])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # np.std of one increment
             want_sigma = [np.std(ref, ddof=1) for _, ref in kept]
-        assert np.array_equal(gaussian_widths(stats), want_sigma, equal_nan=True)
+        assert np.array_equal(stats.sigma_per_tau, want_sigma, equal_nan=True)
         assert np.array_equal(stats.signed_mean, [np.mean(r) for _, r in kept])
         assert np.array_equal(stats.m2, [np.sum((r - np.mean(r)) ** 2) for _, r in kept])
         for tau, ref in kept:
@@ -494,9 +491,7 @@ class TestStreamingReduction:
     def test_drifting_trace_bit_identical(self, curve):
         # 2000 rad/s drift: the increment mean dwarfs the spread, where a raw
         # sum of squares would cancel; adjacent segments must not be bridged.
-        proc = build_process(
-            NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, drift_rate=2000.0)
-        )
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, drift_rate=2000.0)
         truth = proc.sample_trace(20e-3, 1e-6, seed=8)
         phase = PhaseTrace(
             t0=0.0, dt=1e-6, samples=truth.samples,
@@ -599,7 +594,7 @@ class TestStreamingReduction:
             stats.mean_abs_change = None
         with pytest.raises(ValueError):
             stats.sigma_per_tau[0] = 1.0
-        curve = mean_phase_change(stats).copy()
+        curve = stats.mean_abs_change.copy()
         tau_threshold(stats, 2.5)
         fit_scaling_exponent(stats, (1e-6, 3e-6))
         check_gaussian_relation(stats, 2e-6)
@@ -617,7 +612,7 @@ class TestStreamingReduction:
     def test_peak_memory_of_one_long_segment(self, traced_peak):
         # Every lag is gathered into one buffer (8 B per sample), and the
         # reduction needs one temporary of the same size.
-        proc = build_process(NoiseParams(sigma_ref=0.1, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.1, tau_ref=1e-4)
         phase = proc.sample_trace(2**20 * 1e-6, 1e-6, seed=5)
         assert phase.segments == ((0, phase.n_samples),)
         taus = default_lag_grid(1e-6, 600e-6)
@@ -645,27 +640,25 @@ class TestMeanPhaseChange:
     def test_zero_increments(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(50))
         stats = increment_sets(trace, [1e-6])
-        assert mean_phase_change(stats)[0] == 0.0
+        assert stats.mean_abs_change[0] == 0.0
 
     def test_gaussian_closed_form(self):
         # <|x|> = sqrt(2/pi) * sigma; sigma=0.1418 gives 0.113140
         stats = gaussian_stats(0.1418, 40_000, seed=41)
-        dphi = mean_phase_change(stats)[0]
+        dphi = stats.mean_abs_change[0]
         assert dphi == pytest.approx(SQRT_2_OVER_PI * 0.1418, rel=0.02)
 
     def test_day_mz_curve_crosses_at_calibration(self):
         # calibrated so dphi reaches 0.1 rad at 122 us
-        params = NoiseParams(
+        proc = NoiseParams(
             sigma_ref=math.sqrt(math.pi / 2) * 0.1, tau_ref=122e-6
         )
-        proc = build_process(params)
         dt = 2e-6
         taus = default_lag_grid(dt, 250e-6)
         pooled = pool_stats([
             increment_sets(proc.sample_trace(2e-3, dt, seed=s), taus)
             for s in range(60)
         ])
-        mean_phase_change(pooled)
         crossing = tau_threshold(pooled, 0.1)
         assert crossing == pytest.approx(122e-6, rel=0.08)
 
@@ -689,8 +682,9 @@ class TestFitGaussian:
 
     @pytest.mark.parametrize("counts", [
         np.where(np.isin(np.arange(40), [11, 25]), 50, 0),  # two non-empty bins
+        np.where(np.arange(40) < 2, 50, 0),  # two bins that would fit a width of 0.876
         1.0 + np.linspace(-1.0, 1.3, 40) ** 2,  # convex: no peak to fit
-    ], ids=["two_bins", "convex"])
+    ], ids=["two_bins", "two_adjacent_bins", "convex"])
     def test_closed_form_fit_without_a_peak_is_nan(self, counts):
         assert math.isnan(_lsq_gaussian(np.linspace(-1.0, 1.3, 40), counts))
 
@@ -706,7 +700,7 @@ class TestFitGaussian:
 
     def test_night_pipeline_sigma(self):
         # 36.5 km night calibration recovered through the full MZ pipeline
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
         pooled = np.concatenate([
             increments_at(
                 extract_phase(simulate_mz_trace(proc, 2e-3, 2e-6, phi0=math.pi / 2, seed=s)),
@@ -721,7 +715,6 @@ class TestFitGaussian:
 class TestGaussianRelation:
     def test_gaussian_increments_pass(self):
         stats = gaussian_stats(0.2, 10**5, seed=61)
-        mean_phase_change(stats)
         assert check_gaussian_relation(stats, 1e-4) < 0.01
 
     def test_closed_form_factor(self):
@@ -738,7 +731,6 @@ class TestGaussianRelation:
             mean_abs_change=[np.mean(np.abs(inc))],
             sigma_per_tau=[np.std(inc, ddof=1)],
         )
-        mean_phase_change(stats)
         assert check_gaussian_relation(stats, 1e-4) == pytest.approx(
             0.2533141373155001, rel=0.01
         )
@@ -746,7 +738,6 @@ class TestGaussianRelation:
     def test_zero_sigma_undefined(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(200))
         stats = increment_sets(trace, [1e-6])
-        mean_phase_change(stats)
         assert math.isnan(check_gaussian_relation(stats, 1e-6))
 
 
@@ -784,14 +775,13 @@ class TestTauThreshold:
     def test_random_walk_inversion(self):
         # sigma_at(tau0) = sqrt(pi/2)*0.1 puts the dphi=0.1 crossing at tau0
         tau0 = 100e-6 * (math.sqrt(math.pi / 2) * 0.1 / 0.2) ** 2
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=100e-6, hurst=0.5))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=100e-6, hurst=0.5)
         dt = 2e-6
         taus = default_lag_grid(dt, 100e-6)
         pooled = pool_stats([
             increment_sets(proc.sample_trace(2e-3, dt, seed=s), taus)
             for s in range(60)
         ])
-        mean_phase_change(pooled)
         assert tau_threshold(pooled, 0.1) == pytest.approx(tau0, rel=0.05)
 
 
@@ -800,31 +790,27 @@ class TestScalingExponent:
         t = 1e-6 * np.arange(5000)
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=400.0 * t)
         stats = increment_sets(trace, default_lag_grid(1e-6, 50e-6))
-        mean_phase_change(stats)
         x = fit_scaling_exponent(stats, (1e-6, 50e-6))
         assert x == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     def test_recovers_generator_exponent(self, hurst):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=hurst))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4, hurst=hurst)
         dt = 2e-6
         trace = proc.sample_trace(2**15 * dt, dt, seed=71)
         stats = increment_sets(trace, default_lag_grid(dt, 64 * dt))
-        mean_phase_change(stats)
         x = fit_scaling_exponent(stats, (dt, 64 * dt))
         assert x == pytest.approx(hurst, abs=0.05)
 
     def test_too_few_lags(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.arange(100.0))
         stats = increment_sets(trace, [1e-6, 2e-6])
-        mean_phase_change(stats)
         with pytest.raises(DomainError):
             fit_scaling_exponent(stats, (1e-6, 2e-6))
 
     def test_zero_curve_rejected(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.zeros(100))
         stats = increment_sets(trace, [1e-6, 2e-6, 3e-6])
-        mean_phase_change(stats)
         with pytest.raises(DomainError):
             fit_scaling_exponent(stats, (1e-6, 3e-6))
 
@@ -862,7 +848,7 @@ class TestPipelineOracle:
     def test_extraction_matches_ground_truth_curve(self):
         # dphi(tau) from extracted phase == dphi(tau) from the true phase
         # restricted to the same segments, within 2% RMS across the grid.
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
         dt = 2e-6
         taus = default_lag_grid(dt, 200e-6, max_lags=40)
         rel = []
@@ -873,8 +859,8 @@ class TestPipelineOracle:
             truth_on_segments = PhaseTrace(
                 t0=truth.t0, dt=dt, samples=truth.samples, segments=phase.segments
             )
-            got = mean_phase_change(increment_sets(phase, taus))
-            want = mean_phase_change(increment_sets(truth_on_segments, taus))
+            got = increment_sets(phase, taus).mean_abs_change
+            want = increment_sets(truth_on_segments, taus).mean_abs_change
             rel.append((got - want) / want)
         rms = float(np.sqrt(np.mean(np.concatenate(rel) ** 2)))
         assert rms <= 0.02
@@ -902,7 +888,7 @@ class TestPipelineOracle:
             intensity = simulate_mz_trace(proc, 0.5, 1e-6, phi0=math.pi / 2, seed=seed)
             got.append(increment_sets(extract_phase(intensity), taus))
             want.append(increment_sets(truth, taus))
-        pooled = mean_phase_change(pool_stats(got)) / mean_phase_change(pool_stats(want))
+        pooled = pool_stats(got).mean_abs_change / pool_stats(want).mean_abs_change
         ratios = dict(zip(bounds, pooled))
         for tau, (lo, hi) in bounds.items():
             assert lo <= ratios[tau] <= hi, (preset, tau, ratios)

@@ -875,7 +875,7 @@ class TestFullPipeline:
     def test_file_analyze_phase_matches_in_memory(self, tmp_path):
         # running analyze phase on a written MZ trace reproduces the
         # in-memory extraction exactly
-        from fiberphase import NoiseParams, build_process, extract_phase, simulate_mz_trace
+        from fiberphase import NoiseParams, extract_phase, simulate_mz_trace
 
         mz = tmp_path / "mz.csv"
         phase = tmp_path / "phase.csv"
@@ -884,7 +884,7 @@ class TestFullPipeline:
             f"--dt-us 2 --seed 6 --out {mz}".split()
         ) == 0
         assert main(f"analyze phase --in {mz} --out {phase}".split()) == 0
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
         expected = extract_phase(
             simulate_mz_trace(proc, 2e-3, 2e-6, phi0=np.pi / 2, seed=6)
         )

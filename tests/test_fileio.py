@@ -26,12 +26,9 @@ from fiberphase import (
     PhaseStats,
     PhaseTrace,
     TraceParseError,
-    build_process,
     extract_phase,
     fit_gaussian,
-    gaussian_widths,
     increment_sets,
-    mean_phase_change,
     pool_stats,
     read_dphi_curve,
     read_fringe_scan,
@@ -89,7 +86,7 @@ class TestTraceRoundTrip:
 
     def test_simulated_trace_bit_exact(self, tmp_path):
         path = str(tmp_path / "sim.csv")
-        proc = build_process(NoiseParams(sigma_ref=0.13, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.13, tau_ref=1e-4)
         trace = proc.sample_trace(1e-3, 2e-6, seed=3)
         write_trace(path, trace)
         assert read_trace(path) == trace
@@ -344,10 +341,7 @@ class TestDphiCurveRoundTrip:
     def make_stats(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.cumsum(rng.standard_normal(500)) * 0.01)
-        stats = increment_sets(trace, [1e-6, 2e-6, 5e-6, 1e-5])
-        mean_phase_change(stats)
-        gaussian_widths(stats)
-        return stats
+        return increment_sets(trace, [1e-6, 2e-6, 5e-6, 1e-5])
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "curve.csv")
@@ -1277,7 +1271,7 @@ class TestCellKernel:
 
 
 def mz_trace(seed=5, duration=0.2):
-    return simulate_mz_trace(build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)),
+    return simulate_mz_trace(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6),
                              duration, 1e-6, phi0=math.pi / 2, seed=seed)
 
 
@@ -1289,7 +1283,7 @@ class TestKernelCoverage:
         (write_trace, read_trace, mz_trace),
         (write_trace, read_trace, lambda: extract_phase(mz_trace())),
         (write_fringe_scan, read_fringe_scan, lambda: simulate_fringe_scan(
-            build_process(NoiseParams(sigma_ref=0.3, tau_ref=100e-6)), 50.0, 50, 200,
+            NoiseParams(sigma_ref=0.3, tau_ref=100e-6), 50.0, 50, 200,
             detector_noise=0.01, seed=3)),
     ], ids=["intensity", "nan_padded_phase", "fringe"])
     def test_no_block_by_loadtxt(self, tmp_path, caplog, write, read, make):
@@ -1439,7 +1433,7 @@ class TestReport:
 class TestPipelineFileEquivalence:
     def test_file_pipeline_matches_in_memory(self, tmp_path):
         # analyze-phase on a written trace file reproduces the in-memory path
-        proc = build_process(NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6))
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
         trace = simulate_mz_trace(proc, 2e-3, 2e-6, phi0=math.pi / 2, seed=9)
         path = str(tmp_path / "mz.csv")
         write_trace(path, trace)

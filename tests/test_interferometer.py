@@ -13,7 +13,6 @@ from fiberphase import (
     FringeScan,
     IntensityTrace,
     NoiseParams,
-    build_process,
     from_sagnac_calibration,
     sagnac_effective_sigma,
     sigma_from_visibility,
@@ -80,53 +79,51 @@ class TestSagnacEffectiveSigma:
     def test_calibration_round_trip(self):
         # A loop built on its own calibration reads back sqrt(D*L) exactly.
         for diffusion, loop in [(8e-4, 71.5), (5.65e-4, 25.0), (1.8e-3, 250.0)]:
-            proc = build_process(from_sagnac_calibration(diffusion, loop))
+            proc = from_sagnac_calibration(diffusion, loop)
             assert sagnac_effective_sigma(proc, loop) == math.sqrt(diffusion * loop)
 
     def test_250_km_projection(self):
-        proc = build_process(from_sagnac_calibration(8e-4, 250.0))
+        proc = from_sagnac_calibration(8e-4, 250.0)
         assert sagnac_effective_sigma(proc, 250.0) == pytest.approx(
             0.4472135954999579, rel=1e-12
         )
 
     def test_mz_night_cross_check(self):
         # sigma measured at the 36.5 km arm delay predicts the 73 km loop.
-        proc = build_process(
-            NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5)
-        )
+        proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6, hurst=0.5)
         assert sagnac_effective_sigma(proc, 73.0) == pytest.approx(0.1418, rel=1e-12)
 
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     def test_double_length_consistency(self, hurst):
         # Loop of 2L sees exactly sigma at the one-way travel time of L.
-        proc = build_process(NoiseParams(sigma_ref=0.3, tau_ref=1e-4, hurst=hurst))
+        proc = NoiseParams(sigma_ref=0.3, tau_ref=1e-4, hurst=hurst)
         for arm in (10.0, 36.5, 120.0):
             assert sagnac_effective_sigma(proc, 2 * arm) == proc.sigma_at(
                 travel_time(arm, proc.group_index)
             )
 
     def test_bad_loop_rejected(self):
-        proc = build_process(NoiseParams(sigma_ref=0.3, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.3, tau_ref=1e-4)
         with pytest.raises(DomainError):
             sagnac_effective_sigma(proc, 0.0)
 
 
 class TestSimulateFringeScan:
     def test_noiseless_scan_is_pure_cosine(self):
-        proc = build_process(NoiseParams(sigma_ref=0.0, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.0, tau_ref=1e-4)
         scan = simulate_fringe_scan(proc, 71.5, n_points=50, pulses_per_point=10, seed=0)
         expected = 0.5 * (1.0 + np.cos(scan.applied_phase))
         np.testing.assert_allclose(scan.pulse_area, expected, rtol=1e-12, atol=1e-15)
 
     def test_span_and_shape(self):
-        proc = build_process(NoiseParams(sigma_ref=0.1, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.1, tau_ref=1e-4)
         scan = simulate_fringe_scan(proc, 36.5, n_points=41, pulses_per_point=5, seed=1)
         assert scan.applied_phase.size == 41
         assert scan.applied_phase[0] == 0.0
         assert scan.applied_phase[-1] == pytest.approx(2 * math.pi)
 
     def test_detector_noise_offset(self):
-        proc = build_process(NoiseParams(sigma_ref=0.0, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.0, tau_ref=1e-4)
         plain = simulate_fringe_scan(proc, 36.5, 20, 5, detector_noise=0.0, seed=2)
         offset = simulate_fringe_scan(proc, 36.5, 20, 5, detector_noise=0.07, seed=2)
         np.testing.assert_allclose(offset.pulse_area - plain.pulse_area, 0.07, rtol=1e-12)
@@ -134,7 +131,7 @@ class TestSimulateFringeScan:
     def test_fringe_mean_property(self):
         # Mean over a whole number of fringes (duplicated endpoint dropped)
         # approaches i0/2 + noise within 3/sqrt(points*pulses) * i0.
-        proc = build_process(NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6))
+        proc = NoiseParams(sigma_ref=0.36, tau_ref=178.75e-6)
         n_points, pulses = 51, 2000
         scan = simulate_fringe_scan(
             proc, 71.5, n_points, pulses, detector_noise=0.05, seed=3
@@ -144,13 +141,13 @@ class TestSimulateFringeScan:
         assert abs(mean - (0.5 * scan.i0 + 0.05)) < budget
 
     def test_determinism(self):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
         a = simulate_fringe_scan(proc, 71.5, 20, 100, seed=9)
         b = simulate_fringe_scan(proc, 71.5, 20, 100, seed=9)
         assert a == b
 
     def test_invalid_counts(self):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
         with pytest.raises(DomainError):
             simulate_fringe_scan(proc, 71.5, 3, 100, seed=0)
         with pytest.raises(DomainError):
@@ -163,7 +160,7 @@ class TestSimulateFringeScan:
             raise AssertionError("sampled before checking i0")
 
         monkeypatch.setattr(interferometer, "sagnac_effective_sigma", no_sampling)
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
         with pytest.raises(DomainError, match="i0 must be > 0, got 0.0"):
             simulate_fringe_scan(proc, 71.5, 20, 100, i0=0.0)
 
@@ -208,31 +205,31 @@ def reference_fringe_areas(process, loop_km, n_points, pulses, noise, seed, i0):
 
 class TestSimulateMzTrace:
     def test_constant_phase_at_maximum(self):
-        proc = build_process(NoiseParams(sigma_ref=0.0, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.0, tau_ref=1e-4)
         trace = simulate_mz_trace(proc, 1e-4, 1e-5, i_max=2.0, i_min=0.5, phi0=0.0, seed=0)
         np.testing.assert_allclose(trace.samples, 2.0, rtol=1e-12)
 
     def test_quadrature_point(self):
-        proc = build_process(NoiseParams(sigma_ref=0.0, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.0, tau_ref=1e-4)
         trace = simulate_mz_trace(
             proc, 1e-4, 1e-5, i_max=2.0, i_min=0.5, phi0=math.pi / 2, seed=0
         )
         np.testing.assert_allclose(trace.samples, 1.25, rtol=1e-12)
 
     def test_samples_within_bounds_exactly(self):
-        proc = build_process(NoiseParams(sigma_ref=0.6, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.6, tau_ref=1e-4)
         trace = simulate_mz_trace(proc, 5e-3, 2e-6, i_max=1.3, i_min=0.2, seed=4)
         assert trace.samples.min() >= 0.2
         assert trace.samples.max() <= 1.3
 
     def test_determinism(self):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
         a = simulate_mz_trace(proc, 1e-3, 2e-6, seed=5)
         b = simulate_mz_trace(proc, 1e-3, 2e-6, seed=5)
         assert a == b
 
     def test_bad_extremes_rejected(self):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
         with pytest.raises(DomainError):
             simulate_mz_trace(proc, 1e-3, 2e-6, i_max=0.0, i_min=1.0, seed=0)
 
@@ -242,7 +239,7 @@ class TestSimulateMzTrace:
          "the span i_max - i_min is not finite at i_max=1.7e+308, i_min=-1.7e+308"),
     ], ids=["order", "span"])
     def test_bad_extremes_rejected_before_sampling(self, monkeypatch, i_max, i_min, message):
-        proc = build_process(NoiseParams(sigma_ref=0.2, tau_ref=1e-4))
+        proc = NoiseParams(sigma_ref=0.2, tau_ref=1e-4)
 
         def no_sampling(*args):
             raise AssertionError("sampled before checking the extremes")

@@ -3,6 +3,7 @@ contract of the value objects, the public names and the benchmark's traced
 attributes."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import os
@@ -379,6 +380,9 @@ def test_seed_keeps_its_stream_however_large():
     (lambda: fp.from_sagnac_calibration(1e300, 1e300),
      "the loop variance diffusion * loop_km is not finite at diffusion=1e+300, loop_km=1e+300",
      ("diffusion", "loop_km")),
+    (lambda: fp.predict_visibility(1e300, 1e300),
+     "the loop variance diffusion * length_km is not finite at diffusion=1e+300, "
+     "length_km=1e+300", ("diffusion", "length_km")),
     (lambda: fp.from_sagnac_calibration(8e-4, 1e300, group_index=1e10),
      "the loop delay is not finite at loop_km=1e+300, group_index=10000000000.0",
      ("loop_km", "group_index")),
@@ -443,7 +447,8 @@ def test_seed_keeps_its_stream_however_large():
         "fringe_pulses_per_point_fraction", "monte_carlo_n_samples_fraction",
         "monte_carlo_n_samples_bool", "lag_grid_max_lags_bool", "sample_trace_seed_fraction",
         "fringe_seed_fraction", "monte_carlo_seed_float", "fit_gaussian_2d",
-        "sagnac_calibration_overflow", "sagnac_calibration_delay_overflow",
+        "sagnac_calibration_overflow", "predict_visibility_overflow",
+        "sagnac_calibration_delay_overflow",
         "sagnac_sigma_delay_overflow", "sagnac_calibration_delay_underflow",
         "sigma_at_lag_ratio_overflow",
         "monte_carlo_draw_overflow", "sample_trace_one_step_overflow",
@@ -465,14 +470,14 @@ def test_broken_rule_names_its_fields(call, message, fields):
 PUBLIC_NAMES = {
     "BudgetReport", "DEFAULT_GROUP_INDEX", "DomainError", "EmptySegmentsError",
     "FiberPhaseError", "FitError", "FringeFit", "FringeScan", "GaussianHistogram",
-    "InsufficientDataError", "IntensityTrace", "NoiseParams", "PhaseProcess",
+    "InsufficientDataError", "IntensityTrace", "NoiseParams",
     "PhaseStats", "PhaseTrace", "ResourceLimitError",
     "SPEED_OF_LIGHT_KM_S", "ThresholdNotReachedError", "TraceParseError",
-    "budget_per_segment", "build_process", "chain_sigma", "check_gaussian_relation",
+    "budget_per_segment", "chain_sigma", "check_gaussian_relation",
     "default_lag_grid", "estimate_diffusion", "extract_phase", "fidelity_from_sigma",
     "fit_fringe", "fit_gaussian", "fit_scaling_exponent",
-    "from_sagnac_calibration", "gaussian_widths", "increment_sets", "increments_at",
-    "mean_phase_change", "monte_carlo_fidelity", "pool_stats", "predict_visibility",
+    "from_sagnac_calibration", "increment_sets", "increments_at",
+    "monte_carlo_fidelity", "pool_stats", "predict_visibility",
     "preset_params", "read_dphi_curve", "read_fringe_scan", "read_trace",
     "sagnac_effective_sigma", "sigma_from_visibility", "simulate_fringe_scan",
     "simulate_mz_trace", "tau_threshold", "travel_time", "visibility_from_sigma",
@@ -647,7 +652,15 @@ class TestPublicSurface:
                     assert "math.isfinite(" not in text, path
         assert {name: n for name, n in blocks.items() if n} == {"analysis.py": 1}
 
-    def test_traced_method_resolves(self):
-        from fiberphase import noise
-
-        assert callable(noise.PhaseProcess.sample_trace)
+    @pytest.mark.parametrize("path", [
+        "noise.build_process", "noise.PhaseProcess.sample_trace", "analysis.mean_phase_change",
+        "analysis.gaussian_widths", "fileio.sha256_of_file",
+    ])
+    def test_traced_method_resolves(self, path):
+        # perfbench reaches these helpers by module path; none is public.
+        module, name, *rest = path.split(".")
+        value = getattr(importlib.import_module(f"fiberphase.{module}"), name)
+        assert callable(functools.reduce(getattr, rest, value))
+        lists = [getattr(importlib.import_module(f"fiberphase.{m.name}"), "__all__", ())
+                 for m in pkgutil.iter_modules(fp.__path__)]
+        assert not hasattr(fp, name) and not any(name in names for names in lists)
