@@ -203,14 +203,15 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     if rank < 3:
         raise FitError("degenerate phase grid: singular design matrix")
     a0, a1, a2 = coef
-    residual = design @ coef - y
+    with finite_arithmetic("the fit's residual rms", "pulse_area", max_area=y.max()):
+        residual_rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
     return FringeFit(
         offset=float(a0),
         cos_amp=float(a1),
         sin_amp=float(a2),
         # a0 <= 0 is left to FringeFit's offset check, not divided by
         visibility=float(math.hypot(a1, a2) / a0) if a0 > 0 else math.nan,
-        residual_rms=float(np.sqrt(np.mean(residual**2))),
+        residual_rms=residual_rms,
     )
 
 
@@ -345,7 +346,8 @@ def increments_at(phase: PhaseTrace, tau: float) -> np.ndarray:
     than has none.  `tau` must be a positive multiple of the sample interval.
     """
     steps = _lag_steps([tau], phase.dt)
-    return next(_increments(phase.samples, phase.segments, steps), np.empty(0))
+    with finite_arithmetic("an increment", "samples", tau=tau):
+        return next(_increments(phase.samples, phase.segments, steps), np.empty(0))
 
 
 def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
@@ -369,7 +371,8 @@ def increment_sets(phase: PhaseTrace | Adopted, taus) -> PhaseStats:
     steps = _lag_steps(taus, phase.dt)
     samples, segments = ((phase.samples, phase.segments) if samples is None
                          else _packed(samples, phase.segments))
-    curve = _reduced(_increments(samples, segments, steps))
+    with finite_arithmetic("the dphi curve", "samples", tau_max=taus[-1]):
+        curve = _reduced(_increments(samples, segments, steps))
     kept = curve["n_increments"].size
     if kept < steps.size:
         _log.debug("increment_sets: dropped %d lags with no valid pair, from %.6g s",
@@ -410,15 +413,16 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
     ks = np.sort(np.concatenate(steps))
     ks = ks[np.diff(ks, prepend=ks[0] - 1) > 0]  # np.unique would import numpy.ma
     n, dphi, mean, m2 = np.zeros((4, ks.size))
-    for s, k in zip(stats_list, steps):
-        i = np.searchsorted(ks, k)
-        total = n[i] + s.n_increments
-        weight = s.n_increments / total
-        delta = s.signed_mean - mean[i]
-        dphi[i] += (s.mean_abs_change - dphi[i]) * weight
-        mean[i] += delta * weight
-        m2[i] += s.m2 + delta * delta * n[i] * weight
-        n[i] = total
+    with finite_arithmetic("a pooled moment", "signed_mean", "m2", curves=len(stats_list)):
+        for s, k in zip(stats_list, steps):
+            i = np.searchsorted(ks, k)
+            total = n[i] + s.n_increments
+            weight = s.n_increments / total
+            delta = s.signed_mean - mean[i]
+            dphi[i] += (s.mean_abs_change - dphi[i]) * weight
+            mean[i] += delta * weight
+            m2[i] += s.m2 + delta * delta * n[i] * weight
+            n[i] = total
     return PhaseStats(taus=ks * dt, dt=dt, **_curve(n, dphi, mean, m2))
 
 
@@ -433,12 +437,12 @@ def gaussian_widths(stats: PhaseStats) -> np.ndarray:
 
 
 def fit_gaussian(increments) -> GaussianHistogram:
-    """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``.
-
-    The primary sigma is the (bias-free, bin-free) sample standard deviation;
-    a ceil(sqrt(n))-bin histogram is attached, and the width `fit_sigma` of a
-    weighted log-parabola gaussian fit to it is reported next to sigma.
-    Needs >= 100 increments, all finite, in a one-dimensional array.
+    """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``:
+    the sample standard deviation `sigma` (bias-free, bin-free), and a histogram of
+    ceil(sqrt(n)) equal bins over [min, max] of the increments, or over inc[0] +-
+    max(|inc[0]| * 1e-6, 1e-12) if sigma is 0 (`degenerate`), with the width
+    `fit_sigma` of a weighted log-parabola gaussian fit to it.  Needs >= 100
+    finite increments in a 1-D array; DomainError if a result leaves float range.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
@@ -447,19 +451,14 @@ def fit_gaussian(increments) -> GaussianHistogram:
     check_finite("increments", inc)
     if inc.size < 100:
         raise InsufficientDataError(f"need >= 100 increments, have {inc.size}")
-    sigma = float(np.std(inc, ddof=1))
-    n_bins = math.ceil(math.sqrt(inc.size))
-    degenerate = sigma == 0.0
-    if degenerate:
-        # All increments identical: a single spike in one bin, nothing to fit.
-        center = float(inc[0])
-        width = max(abs(center) * 1e-6, 1e-12)
-        edges = np.linspace(center - width, center + width, n_bins + 1)
-        counts, _ = np.histogram(inc, bins=edges)
-    else:
-        counts, edges = np.histogram(inc, bins=n_bins)
-    fit_sigma = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
-    return GaussianHistogram(sigma, edges, counts, fit_sigma, degenerate)
+    lo, hi = inc.min(), inc.max()
+    with finite_arithmetic("the increment histogram", "increments", min=lo, max=hi):
+        sigma = float(np.std(inc, ddof=1))
+        width = max(abs(inc[0]) * 1e-6, 1e-12)
+        span = (lo, hi) if sigma else (inc[0] - width, inc[0] + width)
+        counts, edges = np.histogram(inc, bins=math.ceil(math.sqrt(inc.size)), range=span)
+        fit_sigma = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
+    return GaussianHistogram(sigma, edges, counts, fit_sigma, sigma == 0.0)
 
 
 def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> float:
@@ -470,11 +469,11 @@ def _lsq_gaussian(x: np.ndarray, y: np.ndarray) -> float:
     or the fit is not concave."""
     keep = y > 0
     x, y = x[keep], y[keep].astype(float)
+    if y.size < 3:  # no peak; checked first, as a spike far from 0 overflows the design
+        return math.nan
     design = np.column_stack([y, y * x, y * x * x])
     (_, _, c), *_ = np.linalg.lstsq(design, y * np.log(y), rcond=None)
-    if y.size < 3 or not c < 0:
-        return math.nan
-    return math.sqrt(-0.5 / c)
+    return math.sqrt(-0.5 / c) if c < 0 else math.nan
 
 
 def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:
@@ -487,8 +486,9 @@ def check_gaussian_relation(stats: PhaseStats, tau: float) -> float:
     sigma = stats.sigma_per_tau[idx]
     if sigma == 0.0:
         return math.nan
-    expected = MEAN_ABS_FACTOR * sigma
-    return float(abs(stats.mean_abs_change[idx] - expected) / expected)
+    with finite_arithmetic("the relative deviation", "sigma_per_tau", sigma_per_tau=sigma):
+        expected = MEAN_ABS_FACTOR * sigma
+        return float(abs(stats.mean_abs_change[idx] - expected) / expected)
 
 
 def tau_threshold(stats: PhaseStats, target: float) -> float:
@@ -509,7 +509,8 @@ def tau_threshold(stats: PhaseStats, target: float) -> float:
         return float(stats.taus[0])
     t0, t1 = stats.taus[i - 1], stats.taus[i]
     y0, y1 = curve[i - 1], curve[i]
-    return float(t0 + (target - y0) * (t1 - t0) / (y1 - y0))
+    with finite_arithmetic("the threshold crossing", "target", target=target):
+        return float(t0 + (target - y0) * (t1 - t0) / (y1 - y0))
 
 
 def fit_scaling_exponent(stats: PhaseStats, tau_range: tuple[float, float]) -> float:

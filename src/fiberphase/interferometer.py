@@ -62,8 +62,10 @@ class FringeScan:
         for name, values in (("applied_phase", phase), ("pulse_area", area)):
             check_finite(name, values)
         tol = _AREA_NEGATIVE_TOL * (abs(self.i0) + abs(self.detector_noise)) + 1e-12
-        check_all("pulse_area", area - self.detector_noise >= -tol,
-                  "pulse_area is negative after detector-noise subtraction")
+        with finite_arithmetic("a pulse area less the detector floor", "detector_noise",
+                               "pulse_area", detector_noise=self.detector_noise):
+            check_all("pulse_area", area - self.detector_noise >= -tol,
+                      "pulse_area is negative after detector-noise subtraction")
 
     __eq__ = fields_equal
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from fiberphase import (
     DomainError,
     EmptySegmentsError,
+    FiberPhaseError,
     FitError,
     FringeFit,
     FringeScan,
@@ -698,6 +699,47 @@ class TestFitGaussian:
         with pytest.raises(InsufficientDataError):
             fit_gaussian(gaussian_increments(0.2, 50, seed=53))
 
+    @staticmethod
+    def two_branch_histogram(inc):
+        """The binning that branched on sigma: numpy's auto range, or its own
+        edges around the spike of a zero-spread sample."""
+        sigma = float(np.std(inc, ddof=1))
+        n_bins = math.ceil(math.sqrt(inc.size))
+        if sigma == 0.0:
+            center = float(inc[0])
+            width = max(abs(center) * 1e-6, 1e-12)
+            edges = np.linspace(center - width, center + width, n_bins + 1)
+            counts, _ = np.histogram(inc, bins=edges)
+        else:
+            counts, edges = np.histogram(inc, bins=n_bins)
+        return sigma, edges, counts, _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "heavy_tailed", "offset", "constant",
+                                      "near_constant"])
+    def test_one_binning_path_matches_two_branches(self, kind):
+        rng = np.random.Generator(np.random.Philox(key=54))
+        for trial in range(60):
+            n = int(rng.integers(100, 2000))
+            inc = {
+                "gaussian": lambda: 10.0 ** rng.uniform(-6, 3) * rng.standard_normal(n),
+                "heavy_tailed": lambda: rng.standard_cauchy(n),
+                "offset": lambda: 10.0 ** rng.uniform(-3, 6) + rng.standard_normal(n),
+                # 0.1 and -3.7 leave a rounding sigma > 0 at some n; 0 and 2^-3 none
+                "constant": lambda: np.full(n, [0.0, 0.1, -3.7, 0.125, 1e-300][trial % 5]),
+                # one value off a constant: by 1e-9, and by less than sigma resolves
+                "near_constant": lambda: (np.r_[np.full(n - 1, 0.1), 0.1 + 1e-9] if trial % 2
+                                          else np.r_[np.full(n - 1, 1e-160), 1e-160 + 1e-176]),
+            }[kind]()
+            sigma, edges, counts, fit_sigma = self.two_branch_histogram(inc)
+            with mock.patch.object(np, "histogram", wraps=np.histogram) as histogram:
+                hist = fit_gaussian(inc)
+            (_, kwargs), = histogram.call_args_list  # one call, equal bins over a range
+            assert kwargs["bins"] == counts.size and len(kwargs["range"]) == 2
+            assert (hist.sigma, hist.degenerate) == (sigma, sigma == 0.0)
+            assert hist.bin_edges.tobytes() == edges.tobytes()
+            assert np.array_equal(hist.counts, counts)
+            assert np.array_equal(hist.fit_sigma, fit_sigma, equal_nan=True)
+
     def test_night_pipeline_sigma(self):
         # 36.5 km night calibration recovered through the full MZ pipeline
         proc = NoiseParams(sigma_ref=0.1418, tau_ref=182.5e-6)
@@ -813,6 +855,69 @@ class TestScalingExponent:
         stats = increment_sets(trace, [1e-6, 2e-6, 3e-6])
         with pytest.raises(DomainError):
             fit_scaling_exponent(stats, (1e-6, 3e-6))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_curves(draw):
+    """A curve on a grid of 1 us steps with arbitrary finite, non-negative
+    dphi and sigma, five increments per lag."""
+    n = draw(st.integers(1, 8))
+    steps = np.cumsum(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
+    values = st.lists(NON_NEGATIVE, min_size=n, max_size=n)
+    return PhaseStats(taus=steps * 1e-6, n_increments=np.full(n, 5), dt=1e-6,
+                      mean_abs_change=draw(values), sigma_per_tau=draw(values))
+
+
+def finite_or_refused(call):
+    """call()'s result, or None if it raised a FiberPhaseError; any warning
+    or other exception fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except FiberPhaseError:
+            return None
+
+
+class TestFloatRange:
+    """Arbitrary finite inputs give finite results (NaN only where documented)
+    or a FiberPhaseError: never a warning or another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(FINITE, min_size=2, max_size=40),
+           steps=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    def test_increments_and_pooling(self, samples, steps):
+        phase = PhaseTrace(t0=0.0, dt=1e-6, samples=samples)
+        stats = finite_or_refused(lambda: increment_sets(phase, np.sort(steps) * 1e-6))
+        pooled = None if stats is None else finite_or_refused(
+            lambda: pool_stats([stats, stats]))
+        for curve in (stats, pooled):
+            if curve is not None:  # PhaseStats checks the rest of the curve
+                assert np.isfinite(curve.signed_mean).all() and np.isfinite(curve.m2).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(increments=st.lists(FINITE, min_size=100, max_size=150))
+    def test_histogram(self, increments):
+        hist = finite_or_refused(lambda: fit_gaussian(np.array(increments)))
+        if hist is not None:
+            assert math.isfinite(hist.sigma) and np.isfinite(hist.bin_centers).all()
+            assert not math.isinf(hist.fit_sigma)  # NaN where the fit has no peak
+
+    @settings(max_examples=300, deadline=None)
+    @given(stats=finite_curves(), target=st.floats(min_value=5e-324, allow_infinity=False))
+    def test_threshold_relation_and_exponent(self, stats, target):
+        tau = finite_or_refused(lambda: tau_threshold(stats, target))
+        exponent = finite_or_refused(
+            lambda: fit_scaling_exponent(stats, (stats.taus[0], stats.taus[-1])))
+        assert tau is None or math.isfinite(tau)
+        assert exponent is None or math.isfinite(exponent)
+        for lag in stats.taus:
+            deviation = finite_or_refused(lambda: check_gaussian_relation(stats, lag))
+            assert deviation is None or not math.isinf(deviation)  # NaN where sigma is 0
 
 
 class TestEstimateDiffusion:

@@ -14,7 +14,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fiberphase import DomainError, FringeScan, analysis, fileio, read_trace
+from fiberphase import (DomainError, FringeScan, PhaseStats, PhaseTrace, analysis, fileio,
+                        read_trace)
 from fiberphase.cli import _COMMANDS, DEFAULT_SEED, _flags, _naming, main, parse_cli, run
 
 
@@ -477,6 +478,43 @@ class TestValidationExitCodes:
         assert caught == []
         assert capsys.readouterr().err == f"error: {flag}: {message}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("template,message", [
+        ("analyze dphi --in {i}/p.csv --tau-max-us 5 --out {o}/c.csv",
+         "the dphi curve is not finite at tau_max=4.9999999999999996e-06"),
+        ("analyze dphi --in {i}/p.csv --tau-max-us 5 --out {o}/c.csv --histogram-tau-us 1 "
+         "--histogram-out {o}/h.csv", "--histogram-tau-us: the increment histogram is not "
+         "finite at min=-1.6e+308, max=1.6e+308"),
+        ("analyze tau-threshold --in {i}/c.csv --dphi 1e300 --report {o}/t.json",
+         "--dphi: the threshold crossing is not finite at target=1e+300"),
+        ("analyze fringe --in {i}/f.csv --report {o}/f.json",
+         "the fit's residual rms is not finite at max_area=1.40000001e+308"),
+        ("analyze fringe --in {i}/g.csv --report {o}/g.json", "line 3: {i}/g.csv: a pulse "
+         "area less the detector floor is not finite at detector_noise=-1.7e+308"),
+    ], ids=["dphi_curve", "histogram", "tau_threshold", "fringe_residual", "fringe_floor"])
+    def test_overflowing_file_result_exits_with_one_line(self, capsys, tmp_path, template,
+                                                         message):
+        # Every value in these files is finite; a result computed from them is not.
+        (tmp_path / "in").mkdir()
+        (tmp_path / "out").mkdir()
+        d = {"i": tmp_path / "in", "o": tmp_path / "out"}
+        phi = np.linspace(0.0, 2.0 * math.pi, 8)
+        fileio.write_trace(f"{d['i']}/p.csv", PhaseTrace(
+            t0=0.0, dt=1e-6, samples=np.resize([8e307, -8e307], 300)))
+        fileio.write_dphi_curve(f"{d['i']}/c.csv", PhaseStats(
+            taus=[1e-6, 1e10], n_increments=[5, 5], dt=1e-6, mean_abs_change=[0.0, 2e300],
+            sigma_per_tau=[0.0, 1.0]))
+        fileio.write_fringe_scan(f"{d['i']}/f.csv",
+                                 FringeScan(phi, 0.7e308 * (1.0 + np.cos(phi)) + 1e300))
+        (d["i"] / "g.csv").write_text(
+            "# fiberphase-fringe v1\n# i0: 1.0\n# detector_noise: -1.7e308\n"
+            "applied_phase_rad,pulse_area\n" + "".join(f"{p!r},1.7e308\n" for p in phi.tolist()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(template.format(**d).split()) == 1
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message.format(**d)}\n"
+        assert not list(d["o"].iterdir())
 
     @pytest.mark.parametrize("template,flags", UNPAIRED_FLAGS)
     def test_unpaired_flag_names_both(self, capsys, tmp_path, template, flags):

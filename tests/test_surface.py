@@ -72,12 +72,23 @@ def _phase(**changes):
     return fp.PhaseTrace(**fields)
 
 
-def _ramp():
-    return fp.PhaseTrace(t0=0, dt=1e-6, samples=np.arange(10.0))
+def _ramp(step=1.0):
+    return fp.PhaseTrace(t0=0, dt=1e-6, samples=np.arange(10.0) * step)
 
 
-def _ramp_curve():
-    return fp.increment_sets(_ramp(), [1e-6, 2e-6, 3e-6])
+def _ramp_curve(step=1.0):
+    return fp.increment_sets(_ramp(step), [1e-6, 2e-6, 3e-6])
+
+
+def _alternating(amplitude):
+    """A phase trace of 300 samples that alternate between +-amplitude."""
+    return fp.PhaseTrace(t0=0, dt=1e-6, samples=np.resize([amplitude, -amplitude], 300))
+
+
+def _fringe_past_range():
+    """A finite fringe scan whose fit residuals square past float range."""
+    phi = np.linspace(0.0, 2.0 * np.pi, 8)
+    return fp.FringeScan(phi, 0.7e308 * (1.0 + np.cos(phi)) + 1e300)
 
 
 def _intensity(**changes):
@@ -435,6 +446,29 @@ def test_seed_keeps_its_stream_however_large():
      "detector_noise must be finite, got nan", ("detector_noise",)),
     (lambda: fp.simulate_fringe_scan(_NIGHT, 40, 50, 10, detector_noise=np.inf),
      "detector_noise must be finite, got inf", ("detector_noise",)),
+    # Finite inputs whose increments, moments, histogram, crossing or fit
+    # leave float range.
+    (lambda: fp.increments_at(fp.PhaseTrace(t0=0, dt=1e-6, samples=[1.7e308, -1.7e308]), 1e-6),
+     "an increment is not finite at tau=1e-06", ("samples",)),
+    (lambda: fp.increment_sets(_alternating(8e307), [1e-6, 2e-6]),
+     "the dphi curve is not finite at tau_max=2e-06", ("samples",)),
+    (lambda: fp.pool_stats([_ramp_curve(1e154), _ramp_curve(-1e154)]),
+     "a pooled moment is not finite at curves=2", ("signed_mean", "m2")),
+    (lambda: fp.fit_gaussian(np.resize([1.6e308, -1.6e308], 100)),
+     "the increment histogram is not finite at min=-1.6e+308, max=1.6e+308", ("increments",)),
+    (lambda: fp.fit_gaussian(1e160 + 1e150 * np.linspace(-2.0, 2.0, 400)),
+     "the increment histogram is not finite at min=9.999999998e+159, max=1.0000000002e+160",
+     ("increments",)),
+    (lambda: fp.tau_threshold(_stats(taus=[1e-6, 1e10], mean_abs_change=[0.0, 2e300]), 1e300),
+     "the threshold crossing is not finite at target=1e+300", ("target",)),
+    (lambda: fp.check_gaussian_relation(_stats(sigma_per_tau=[1e-320, 0.5]), 1e-6),
+     "the relative deviation is not finite at sigma_per_tau=1e-320", ("sigma_per_tau",)),
+    (lambda: fp.FringeScan(np.linspace(0.0, 6.0, 8), np.full(8, 1.7e308),
+                           detector_noise=-1.7e308),
+     "a pulse area less the detector floor is not finite at detector_noise=-1.7e+308",
+     ("detector_noise", "pulse_area")),
+    (lambda: fp.fit_fringe(_fringe_past_range()),
+     "the fit's residual rms is not finite at max_area=1.40000001e+308", ("pulse_area",)),
 ], ids=["lag_grid_dt_zero", "lag_grid_tau_max_below_dt", "exponent_tau_min_zero",
         "exponent_range_reversed", "increment_sets_no_lag", "pool_nothing",
         "pool_off_grid_lag", "pool_off_grid_second_curve", "pool_lags_share_a_step",
@@ -459,7 +493,10 @@ def test_seed_keeps_its_stream_however_large():
         "pool_without_signed_mean", "lag_index_below_half_a_step",
         "lag_index_above_half_a_step", "gaussian_relation_off_grid_lag",
         "gaussian_relation_lag_not_in_curve", "fringe_detector_noise_nan",
-        "fringe_detector_noise_inf"])
+        "fringe_detector_noise_inf", "increments_at_overflow", "increment_sets_overflow",
+        "pool_stats_overflow", "fit_gaussian_spread_overflow", "fit_gaussian_offset_overflow",
+        "tau_threshold_overflow", "gaussian_relation_overflow", "fringe_floor_overflow",
+        "fringe_fit_residual_overflow"])
 def test_broken_rule_names_its_fields(call, message, fields):
     with pytest.raises(fp.DomainError) as excinfo:
         call()
