@@ -240,29 +240,23 @@ def extract_phase(
     u /= trace.i_max - trace.i_min
     np.clip(u, 0.0, 1.0, out=u)
 
-    # The phase overwrites u: arccos(2u - 1) on each segment, NaN between.
-    segments, done = [], 0
-    edges = _run_edges(u, lo, hi)
-    for start, stop in zip(edges[::2], edges[1::2]):
-        if stop - start < 2:
-            continue
-        u[done:start] = np.nan
-        phi = u[start:stop]
-        phi *= 2.0
-        phi -= 1.0
-        np.arccos(phi, out=phi)
-        segments.append((int(start), int(stop)))
-        done = stop
-    u[done:] = np.nan
-    if len(segments) < edges.size // 2:
+    runs = _run_edges(u, lo, hi).reshape(-1, 2)
+    segments = runs[runs[:, 1] - runs[:, 0] >= 2]
+    if len(segments) < len(runs):
         _log.debug("extract_phase: dropped %d one-sample runs inside the band",
-                   edges.size // 2 - len(segments))
-    if not segments:
+                   len(runs) - len(segments))
+    if not segments.size:
         raise EmptySegmentsError(
             "no contiguous run of >= 2 samples inside the intensity band "
             f"[{lo}, {hi}]"
         )
-    return PhaseTrace(t0=trace.t0, dt=trace.dt, samples=Adopted(u), segments=tuple(segments))
+    # The phase overwrites u: arccos(2u - 1) on all of it (u is in [0, 1]), then NaN in each gap.
+    u *= 2.0
+    u -= 1.0
+    np.arccos(u, out=u)
+    for a, b in np.r_[0, segments.ravel(), u.size].reshape(-1, 2).tolist():
+        u[a:b] = np.nan
+    return PhaseTrace(t0=trace.t0, dt=trace.dt, samples=Adopted(u), segments=segments)
 
 
 def _run_edges(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -421,7 +415,8 @@ def pool_stats(stats_list: list[PhaseStats]) -> PhaseStats:
             delta = s.signed_mean - mean[i]
             dphi[i] += (s.mean_abs_change - dphi[i]) * weight
             mean[i] += delta * weight
-            m2[i] += s.m2 + delta * delta * n[i] * weight
+            cross = np.where(n[i] > 0, delta, 0.0)  # n = 0: no cross term to overflow
+            m2[i] += s.m2 + cross * cross * n[i] * weight
             n[i] = total
     return PhaseStats(taus=ks * dt, dt=dt, **_curve(n, dphi, mean, m2))
 
@@ -439,10 +434,11 @@ def gaussian_widths(stats: PhaseStats) -> np.ndarray:
 def fit_gaussian(increments) -> GaussianHistogram:
     """Gaussian width of one lag's increments, e.g. ``increments_at(phase, tau)``:
     the sample standard deviation `sigma` (bias-free, bin-free), and a histogram of
-    ceil(sqrt(n)) equal bins over [min, max] of the increments, or over inc[0] +-
-    max(|inc[0]| * 1e-6, 1e-12) if sigma is 0 (`degenerate`), with the width
-    `fit_sigma` of a weighted log-parabola gaussian fit to it.  Needs >= 100
-    finite increments in a 1-D array; DomainError if a result leaves float range.
+    ceil(sqrt(n)) equal bins over [min, max] of the increments (numpy's min +- 0.5 if
+    they are equal), or over inc[0] +- max(|inc[0]| * 1e-6, 1e-12) if sigma is 0
+    (`degenerate`), with the width `fit_sigma` of a weighted log-parabola gaussian
+    fit to it.  Needs >= 100 finite increments in a 1-D array; DomainError if a
+    result leaves float range or the span is too narrow for distinct bin edges.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
@@ -454,9 +450,13 @@ def fit_gaussian(increments) -> GaussianHistogram:
     lo, hi = inc.min(), inc.max()
     with finite_arithmetic("the increment histogram", "increments", min=lo, max=hi):
         sigma = float(np.std(inc, ddof=1))
-        width = max(abs(inc[0]) * 1e-6, 1e-12)
-        span = (lo, hi) if sigma else (inc[0] - width, inc[0] + width)
-        counts, edges = np.histogram(inc, bins=math.ceil(math.sqrt(inc.size)), range=span)
+        width = 0.5 * (lo == hi) if sigma else max(abs(inc[0]) * 1e-6, 1e-12)
+        span = (lo - width, hi + width) if sigma else (inc[0] - width, inc[0] + width)
+        bins = math.ceil(math.sqrt(inc.size))
+        if not (np.diff(np.linspace(*span, bins + 1)) > 0).all():
+            raise DomainError(f"the increments span [{lo}, {hi}] is too narrow for {bins} bins",
+                              "increments")
+        counts, edges = np.histogram(inc, bins=bins, range=span)
         fit_sigma = _lsq_gaussian(0.5 * (edges[:-1] + edges[1:]), counts)
     return GaussianHistogram(sigma, edges, counts, fit_sigma, sigma == 0.0)
 

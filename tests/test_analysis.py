@@ -578,6 +578,12 @@ class TestStreamingReduction:
         for name in ("taus", "n_increments", "mean_abs_change", "sigma_per_tau"):
             assert np.array_equal(getattr(pooled, name), getattr(stats, name))
 
+    def test_pool_of_one_with_a_large_signed_mean_is_identity(self):
+        # a first merge has no cross term (n = 0), although delta^2 leaves float range
+        stats = increment_sets(PhaseTrace(t0=0.0, dt=1e-6, samples=np.arange(50) * 1e155),
+                               [1e-6])
+        assert pool_stats([stats]) == stats
+
     def test_single_pair_lag_has_nan_sigma_without_warning(self):
         trace = PhaseTrace(t0=0.0, dt=1e-6, samples=np.array([0.0, 0.1, 0.3, 0.2, 0.5, 0.4]))
         with warnings.catch_warnings():
@@ -698,6 +704,15 @@ class TestFitGaussian:
     def test_insufficient_increments(self):
         with pytest.raises(InsufficientDataError):
             fit_gaussian(gaussian_increments(0.2, 50, seed=53))
+
+    @pytest.mark.parametrize("inc", [
+        np.full(137, 1e150),  # a rounding sigma; numpy's +-0.5 widening vanishes at 1e150
+        np.r_[np.full(99, 1.0), np.nextafter(1.0, 2)],  # one ulp of spread over 10 bins
+    ], ids=["constant_1e150", "one_ulp"])
+    def test_span_too_narrow_for_its_bins_names_increments(self, inc):
+        with pytest.raises(DomainError, match="too narrow for") as excinfo:
+            fit_gaussian(inc)
+        assert excinfo.value.fields == ("increments",)
 
     @staticmethod
     def two_branch_histogram(inc):
@@ -901,6 +916,8 @@ class TestFloatRange:
 
     @settings(max_examples=200, deadline=None)
     @given(increments=st.lists(FINITE, min_size=100, max_size=150))
+    @example(increments=[1e150] * 137)  # rounding sigma, a span numpy's 0.5 cannot widen
+    @example(increments=[1.0] * 99 + [np.nextafter(1.0, 2)])  # one ulp over 10 bins
     def test_histogram(self, increments):
         hist = finite_or_refused(lambda: fit_gaussian(np.array(increments)))
         if hist is not None:
